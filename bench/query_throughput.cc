@@ -14,14 +14,12 @@
 // trajectory accumulates across PRs (see README "Benchmarking" for the
 // schema).
 //
-// PR 7 adds three serving-robustness blocks: a batch-deadline sweep
+// Two serving-robustness blocks: a batch-deadline sweep
 // ("deadline_sweep": queue-wait/throughput tradeoff across deadlines, the
-// data the overload controller's min/max deadline bounds come from), an
-// admission-policy A/B ("admission_ab": kTagged vs kNever vs
-// kAfterNMisses under eviction pressure), and an offered-load overload
-// sweep ("overload_sweep": OverloadController + per-class shedding at
-// 0.5x-10x measured capacity, reporting goodput, shed split and
-// interactive drain-wait percentiles).
+// data the overload controller's min/max deadline bounds come from) and
+// an offered-load overload sweep ("overload_sweep": OverloadController +
+// per-class shedding at 0.5x-10x measured capacity, reporting goodput,
+// shed split and interactive drain-wait percentiles).
 //
 // PR 8 adds the dynamic-world block ("dynamic_world"): live update
 // batches through world/WorldUpdateChannel with incremental repair
@@ -51,8 +49,8 @@
 // L2R_BENCH_BUDGET_US (default 25; 0 disables the fallback budget),
 // L2R_BENCH_STREAM (default 1; 0 skips the streaming pass),
 // L2R_BENCH_STREAM_GAP_US (default 50; mean inter-arrival gap),
-// L2R_BENCH_DEADLINE_SWEEP / L2R_BENCH_ADMISSION / L2R_BENCH_OVERLOAD
-// (default 1; 0 skips the corresponding PR 7 block),
+// L2R_BENCH_DEADLINE_SWEEP / L2R_BENCH_OVERLOAD (default 1; 0 skips the
+// corresponding serving-robustness block),
 // L2R_BENCH_DYNAMIC (default 1; 0 skips the dynamic-world block, which
 // also needs the cache on).
 
@@ -119,11 +117,6 @@ double StreamGapUs() {
 
 bool DeadlineSweepEnabled() {
   const char* env = std::getenv("L2R_BENCH_DEADLINE_SWEEP");
-  return env == nullptr || std::atoi(env) != 0;
-}
-
-bool AdmissionAbEnabled() {
-  const char* env = std::getenv("L2R_BENCH_ADMISSION");
   return env == nullptr || std::atoi(env) != 0;
 }
 
@@ -271,19 +264,6 @@ struct DeadlinePoint {
   uint64_t closed_by_size = 0;
   uint64_t closed_by_deadline = 0;
   LatencySummary queue_wait_us;
-};
-
-/// One admission-policy arm of the A/B (identical workload + capacity).
-struct AdmissionReport {
-  std::string name;
-  double mean_us = 0;
-  double hit_rate = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t evictions = 0;
-  uint64_t degraded_admitted = 0;
-  uint64_t degraded_rejected = 0;
 };
 
 /// One offered-load point of the overload sweep.
@@ -809,66 +789,6 @@ int main() {
     }
   } else {
     std::printf("[deadline sweep] skipped (L2R_BENCH_DEADLINE_SWEEP=0)\n");
-  }
-
-  // --- Admission-policy A/B: the skewed serving workload replayed at an
-  // eviction-pressure cache capacity (a quarter of what the full workload
-  // occupies), once per DegradedAdmission mode. The budget makes a slice
-  // of cold computations degraded; the modes differ in whether those
-  // degraded results may occupy scarce cache space.
-  std::vector<AdmissionReport> admission_reports;
-  const bool admission_enabled =
-      AdmissionAbEnabled() && cache_enabled && budget_us > 0;
-  size_t pressure_capacity = 0;
-  if (admission_enabled) {
-    pressure_capacity =
-        std::max<size_t>(64u << 10, serve_stats.cache.bytes / 4);
-    const struct {
-      const char* name;
-      DegradedAdmission mode;
-    } kArms[] = {{"tagged", DegradedAdmission::kTagged},
-                 {"never", DegradedAdmission::kNever},
-                 {"after_n_misses", DegradedAdmission::kAfterNMisses}};
-    for (const auto& arm : kArms) {
-      ServingRouterOptions serving_options;
-      serving_options.deadline.fallback_budget_us = budget_us;
-      serving_options.route_cache.capacity_bytes = pressure_capacity;
-      serving_options.route_cache.admission.degraded = arm.mode;
-      ServingRouter serving(&l2r, serving_options);
-      L2RQueryContext ctx = l2r.MakeContext();
-      const LatencySummary lat_ab = MeasureLatency(workload, [&](size_t i) {
-        return serving.Route(&ctx, queries[i].s, queries[i].d,
-                             queries[i].departure_time);
-      });
-      const RouteCache::Stats cs = serving.GetStats().cache;
-      AdmissionReport rep;
-      rep.name = arm.name;
-      rep.mean_us = lat_ab.mean;
-      rep.hits = cs.hits;
-      rep.misses = cs.misses;
-      rep.inserts = cs.inserts;
-      rep.evictions = cs.evictions;
-      rep.degraded_admitted = cs.admission.degraded_admitted;
-      rep.degraded_rejected = cs.admission.degraded_rejected;
-      const uint64_t lookups = cs.hits + cs.misses;
-      rep.hit_rate = lookups == 0 ? 0
-                                  : static_cast<double>(cs.hits) /
-                                        static_cast<double>(lookups);
-      std::printf(
-          "[admission %-14s] mean %.1f us, hit rate %.3f, "
-          "%llu evictions, degraded %llu admitted / %llu rejected "
-          "(capacity %zu B)\n",
-          rep.name.c_str(), rep.mean_us, rep.hit_rate,
-          static_cast<unsigned long long>(rep.evictions),
-          static_cast<unsigned long long>(rep.degraded_admitted),
-          static_cast<unsigned long long>(rep.degraded_rejected),
-          pressure_capacity);
-      admission_reports.push_back(rep);
-    }
-  } else {
-    std::printf(
-        "[admission a/b] skipped (needs L2R_BENCH_ADMISSION=1, cache on, "
-        "budget > 0)\n");
   }
 
   // --- Overload sweep: offered load stepped from half to ten times the
@@ -1641,34 +1561,6 @@ int main() {
     std::fprintf(f, "    ]\n  },\n");
   } else {
     std::fprintf(f, "  \"deadline_sweep\": null,\n");
-  }
-  if (admission_enabled) {
-    std::fprintf(f, "  \"admission_ab\": {\n");
-    std::fprintf(f, "    \"capacity_bytes\": %zu, \"budget_us\": %.2f,\n",
-                 pressure_capacity, budget_us);
-    std::fprintf(f, "    \"policies\": [\n");
-    for (size_t i = 0; i < admission_reports.size(); ++i) {
-      const AdmissionReport& rep = admission_reports[i];
-      std::fprintf(
-          f,
-          "      {\"name\": \"%s\", \"mean_us\": %.2f, "
-          "\"hit_rate\": %.4f, \"hits\": %llu, \"misses\": %llu,\n",
-          rep.name.c_str(), rep.mean_us, rep.hit_rate,
-          static_cast<unsigned long long>(rep.hits),
-          static_cast<unsigned long long>(rep.misses));
-      std::fprintf(
-          f,
-          "       \"inserts\": %llu, \"evictions\": %llu, "
-          "\"degraded_admitted\": %llu, \"degraded_rejected\": %llu}%s\n",
-          static_cast<unsigned long long>(rep.inserts),
-          static_cast<unsigned long long>(rep.evictions),
-          static_cast<unsigned long long>(rep.degraded_admitted),
-          static_cast<unsigned long long>(rep.degraded_rejected),
-          i + 1 == admission_reports.size() ? "" : ",");
-    }
-    std::fprintf(f, "    ]\n  },\n");
-  } else {
-    std::fprintf(f, "  \"admission_ab\": null,\n");
   }
   if (overload_enabled) {
     std::fprintf(f, "  \"overload_sweep\": {\n");

@@ -18,24 +18,23 @@
 #   L2R_BENCH_CACHE           cache-on serving pass serving.cache_on
 #   L2R_BENCH_STREAM          streaming replay      streaming
 #   L2R_BENCH_DEADLINE_SWEEP  batch-deadline sweep  deadline_sweep
-#   L2R_BENCH_ADMISSION       admission A/B (*)     admission_ab
 #   L2R_BENCH_OVERLOAD        overload sweep        overload_sweep
 #   L2R_BENCH_DYNAMIC         dynamic world (*)     dynamic_world
 #   L2R_BENCH_SCALE_LADDER    metro-scale ladder    scale_ladder
 #   L2R_BENCH_SCALE_OUT       scale-out serving     scale_out
-#   (*) also requires the cache pass on (and, for admission, budget > 0).
+#   (*) also requires the cache pass on.
 #
 # The scale ladder additionally reads L2R_BENCH_LADDER_SCALES (comma-
 # separated generator scales, default "0.3,1.0,3.0"; scale 3.0 is a
 # 1M+-vertex world and takes ~20s on a laptop).
 #
 # To run a SINGLE gated block, set L2R_BENCH_ONLY to a comma-separated
-# subset of {cache,stream,deadline_sweep,admission,overload,dynamic,
-# scale_ladder,scale_out}:
+# subset of {cache,stream,deadline_sweep,overload,dynamic,scale_ladder,
+# scale_out}:
 # every gated knob you did not set explicitly defaults to 0 and the
 # listed blocks are forced on. Example — just the dynamic-world block:
 #   L2R_BENCH_ONLY=cache,dynamic scripts/bench.sh
-# (dynamic and admission imply the cache pass; list it explicitly.)
+# (dynamic implies the cache pass; list it explicitly.)
 #
 # The bench reports per-query latency percentiles, the serving-cache
 # comparison (cache off vs on over a skewed repeated-query workload),
@@ -43,9 +42,7 @@
 # streaming front-end replay (Poisson / bursty arrivals through
 # StreamRouter: QPS, batch-size histogram, queue-wait percentiles), the
 # batch-deadline sweep (latency/throughput tradeoff the overload
-# controller's deadline bounds come from), the degraded-admission A/B
-# (kTagged / kNever / kAfterNMisses under eviction pressure), the
-# overload sweep (OverloadController + per-class shedding at 0.5x-10x
+# controller's deadline bounds come from), the overload sweep (OverloadController + per-class shedding at 0.5x-10x
 # measured capacity: goodput, shed split, drain-wait percentiles), and
 # the dynamic-world scenarios (incident_injection / rush_hour_transition
 # / rolling_closures: epoch-versioned invalidation, incremental repair
@@ -70,7 +67,6 @@ if [[ -n "${L2R_BENCH_ONLY:-}" ]]; then
     [cache]=L2R_BENCH_CACHE
     [stream]=L2R_BENCH_STREAM
     [deadline_sweep]=L2R_BENCH_DEADLINE_SWEEP
-    [admission]=L2R_BENCH_ADMISSION
     [overload]=L2R_BENCH_OVERLOAD
     [dynamic]=L2R_BENCH_DYNAMIC
     [scale_ladder]=L2R_BENCH_SCALE_LADDER

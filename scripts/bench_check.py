@@ -25,10 +25,6 @@ Checks (per file):
     strictly increasing deadlines, positive QPS, monotone queue-wait
     percentiles, and a mean batch size that does not shrink as the
     deadline grows (5% tolerance for timing noise);
-  - the admission_ab block (unless L2R_BENCH_ADMISSION=0 or the cache /
-    budget pass is off) covers the tagged/never/after_n_misses arms with
-    consistent hit rates, and the `never` arm really admitted zero
-    degraded entries;
   - the overload_sweep block (unless L2R_BENCH_OVERLOAD=0) reports
     ok=true (every point conserved callbacks and shed with
     kResourceExhausted), per-class splits that sum to the totals,
@@ -84,7 +80,6 @@ REQUIRED_TOP_KEYS = [
     "scenarios",
     "streaming",
     "deadline_sweep",
-    "admission_ab",
     "overload_sweep",
     "dynamic_world",
     "scale_ladder",
@@ -117,8 +112,6 @@ MIN_SCALE_OUT_T4_SPEEDUP = 2.0
 # at least this factor. Far below the ~8x structural ceiling, far above
 # CI timing noise.
 MIN_DUP_HEAVY_SPEEDUP = 1.2
-
-ADMISSION_ARMS = ["tagged", "never", "after_n_misses"]
 
 # A longer batch deadline can only grow the mean batch; allow 5% noise.
 DEADLINE_BATCH_TOLERANCE = 0.95
@@ -452,43 +445,6 @@ def check_deadline_sweep(sweep):
         )
         prev_mean_batch = max(prev_mean_batch, p["mean_batch"])
         check_wait_block(p["queue_wait_us"], f"{where}.queue_wait_us")
-
-
-def check_admission_ab(block):
-    if block is None:
-        return  # skipped (L2R_BENCH_ADMISSION=0, cache off, or no budget)
-    require(isinstance(block, dict), "admission_ab: not an object")
-    for key in ("capacity_bytes", "budget_us", "policies"):
-        require(key in block, f"admission_ab: missing '{key}'")
-    require(
-        block["capacity_bytes"] > 0, "admission_ab: non-positive capacity"
-    )
-    policies = block["policies"]
-    names = [p.get("name") for p in policies]
-    require(
-        names == ADMISSION_ARMS,
-        f"admission_ab: arms {names} != {ADMISSION_ARMS}",
-    )
-    for p in policies:
-        where = f"admission_ab.{p['name']}"
-        require(p.get("mean_us", 0) > 0, f"{where}: non-positive mean_us")
-        hit_rate = p.get("hit_rate")
-        require(
-            hit_rate is not None and 0.0 <= hit_rate <= 1.0,
-            f"{where}: hit_rate outside [0, 1]",
-        )
-        hits, misses = p.get("hits", 0), p.get("misses", 0)
-        if hits + misses > 0:
-            require(
-                abs(hit_rate - hits / (hits + misses)) < 1e-3,
-                f"{where}: hit_rate {hit_rate} inconsistent with "
-                f"hits={hits}, misses={misses}",
-            )
-        if p["name"] == "never":
-            require(
-                p.get("degraded_admitted", 0) == 0,
-                f"{where}: kNever admitted degraded entries",
-            )
 
 
 def check_overload_sweep(sweep):
@@ -853,7 +809,6 @@ def check_file(path):
     check_scenarios(data["scenarios"])
     check_streaming(data["streaming"])
     check_deadline_sweep(data["deadline_sweep"])
-    check_admission_ab(data["admission_ab"])
     check_overload_sweep(data["overload_sweep"])
     check_dynamic_world(data["dynamic_world"])
     check_scale_ladder(data["scale_ladder"])

@@ -21,7 +21,7 @@ conventions:
 3. src/: no *naked* ``.load()`` / ``.store(x)`` on atomics — every atomic
    access spells its ``std::memory_order`` so the ordering contract is a
    reviewed decision, not a silent seq_cst default (see
-   serve/admission_policy.h for the reference rationale).
+   common/thread_annotations.h for the reference rationale).
 
 4. src/: every atomic access to an epoch field (identifier containing
    ``epoch``) must carry a documented memory-order rationale — a comment
@@ -233,7 +233,7 @@ def lint_src_file(path: Path) -> list[str]:
         if NAKED_LOAD_RE.search(line):
             findings.append(
                 f"{rel}:{lineno}: naked atomic .load() — spell the "
-                f"std::memory_order (see serve/admission_policy.h for the "
+                f"std::memory_order (see common/thread_annotations.h for the "
                 f"ordering rationale conventions)"
             )
         if NAKED_STORE_RE.search(line):

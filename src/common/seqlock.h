@@ -23,7 +23,7 @@ namespace l2r {
 /// compile to plain loads/stores on x86/ARM.
 ///
 /// Memory-order contract (the seqlock publication protocol; see
-/// serve/admission_policy.h for the repo's rationale conventions):
+/// common/thread_annotations.h for the repo's rationale conventions):
 ///
 ///  - WriteBegin stores seq = odd (relaxed) then issues a release fence:
 ///    the odd marker is ordered *before* the writer's relaxed payload

@@ -19,6 +19,26 @@
 /// by the root CMakeLists; combined with -Werror it is a hard gate in
 /// the clang-threadsafety CI job). GCC compiles the same code with the
 /// macros expanding to nothing.
+///
+/// Memory-order conventions (the reference the lint's "explicit
+/// memory_order everywhere" rule points at). Every atomic access names
+/// its order, and the comment beside it says why:
+///  - Pure tallies and knobs are relaxed. A stats counter, a ticket
+///    draw or a settle-cap knob is an *independent* atomic: no thread
+///    ever reads one to infer that a write to other memory has happened,
+///    so no acquire/release pairing is needed. Counter integrity comes
+///    from RMW atomicity alone — fetch_add never loses increments — and a
+///    compare_exchange loop that keeps one location saturating or
+///    monotonic is guaranteed by C++'s per-object modification order.
+///    Cross-counter skew in a snapshot is harmless by design: a racing
+///    reader may see one tally fresh and another stale, never a corrupt
+///    count.
+///  - Anything that *publishes* data (a flag or counter another thread
+///    reads to conclude other memory is ready) is release on the write
+///    side and acquire on the read side, with a comment pairing the two.
+///    A relaxed counter that starts being read that way must graduate.
+///  - Seqlock payloads are relaxed under the fences documented in
+///    common/seqlock.h.
 
 #if defined(__clang__) && defined(__has_attribute)
 #define L2R_THREAD_ANNOTATION_(x) __attribute__((x))

@@ -42,7 +42,7 @@ bool ChaosService::InBurst(uint64_t n) const {
 Result<RouteResult> ChaosService::Route(L2RQueryContext* ctx, VertexId s,
                                         VertexId d, double departure_time) {
   // Relaxed ticket draw: RMW atomicity alone makes each query's number
-  // unique, nothing is published through it (admission_policy.h).
+  // unique, nothing is published through it (common/thread_annotations.h).
   const uint64_t n = seq_.fetch_add(1, std::memory_order_relaxed);
   if (!InBurst(n)) return wrapped_->Route(ctx, s, d, departure_time);
 
@@ -72,7 +72,7 @@ Result<RouteResult> ChaosService::Route(L2RQueryContext* ctx, VertexId s,
 
 ChaosService::Stats ChaosService::GetStats() const {
   Stats stats;
-  // Pure tallies, relaxed loads (admission_policy.h rationale).
+  // Pure tallies, relaxed loads (common/thread_annotations.h rationale).
   stats.queries = seq_.load(std::memory_order_relaxed);
   stats.injected_errors = injected_errors_.load(std::memory_order_relaxed);
   stats.injected_spikes = injected_spikes_.load(std::memory_order_relaxed);

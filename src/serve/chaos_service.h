@@ -56,7 +56,7 @@ struct ChaosOptions {
 /// Thread-safety: Route is safe from any thread; the only shared state
 /// is the atomic arrival counter and the monotonic stat tallies (all
 /// relaxed — independent counters, nothing published through them; see
-/// admission_policy.h for the memory-order rationale).
+/// common/thread_annotations.h for the memory-order rationale).
 class ChaosService final : public QueryService {
  public:
   struct Stats {

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "core/serve_hooks.h"
-#include "serve/clock.h"
 
 namespace l2r {
 
@@ -63,24 +62,6 @@ class DeadlineBudget {
         options_.fallback_budget_us * options_.settles_per_us * scale;
     const size_t cap = static_cast<size_t>(settles);
     return cap < options_.min_settles ? options_.min_settles : cap;
-  }
-
-  /// Replaces the settles_per_us guess with an observed sample — e.g. a
-  /// configure-time warm-up batch timed on the injected Clock (virtual
-  /// in tests, steady in production):
-  ///
-  ///   const int64_t t0 = clock.NowMicros();
-  ///   ... run the warm-up, counting settled vertices ...
-  ///   budget.Calibrate(settles, clock.NowMicros() - t0);
-  ///
-  /// Calibration happens at configuration time only: it changes the cap
-  /// handed to routers constructed afterwards, never a live query's, so
-  /// per-query degrade decisions stay clock-free and deterministic.
-  /// Ignores empty samples (settles or elapsed_us == 0).
-  void Calibrate(uint64_t settles, int64_t elapsed_us) {
-    if (settles == 0 || elapsed_us <= 0) return;
-    options_.settles_per_us =
-        static_cast<double>(settles) / static_cast<double>(elapsed_us);
   }
 
   const DeadlineBudgetOptions& options() const { return options_; }

@@ -28,8 +28,7 @@ bool RouteCache::EntryValid(const Entry& e) const {
   return true;
 }
 
-RouteCache::RouteCache(const RouteCacheOptions& options)
-    : admission_(options.admission) {
+RouteCache::RouteCache(const RouteCacheOptions& options) {
   const size_t shards =
       RoundUpPow2(std::max<size_t>(1, options.num_shards));
   hot_slots_ = options.hot_slots_per_shard == 0
@@ -107,7 +106,7 @@ bool RouteCache::HotLookup(Shard& shard, const RouteCacheKey& key,
   out->region_hops = region_hops;
   out->budget_degraded = degraded;
   if (epoch_out != nullptr) *epoch_out = epoch;
-  // Pure tally, relaxed (admission_policy.h rationale).
+  // Pure tally, relaxed (common/thread_annotations.h rationale).
   shard.hot_hits.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -214,7 +213,6 @@ bool RouteCache::Lookup(const RouteCacheKey& key, RouteResult* out,
 
 void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
                         WorldEpoch epoch, std::vector<RegionId> regions) {
-  if (!admission_.Admit(key, value)) return;
   // Copy outside the lock, and charge the byte budget from the stored
   // copy: the caller's path vector may carry excess capacity, and the
   // charge must equal the refund EntryCharge(victim) computes at
@@ -300,13 +298,12 @@ void RouteCache::Clear() {
       slot.seq.WriteEnd(odd);
     }
   }
-  admission_.Clear();
 }
 
 RouteCache::Stats RouteCache::GetStats() const {
   Stats stats;
   for (const auto& shard : shards_) {
-    // Pure tally, relaxed (admission_policy.h rationale).
+    // Pure tally, relaxed (common/thread_annotations.h rationale).
     const uint64_t hot = shard->hot_hits.load(std::memory_order_relaxed);
     MutexLock lock(shard->mu);
     stats.hits += shard->hits + hot;  // hot hits are hits
@@ -318,7 +315,6 @@ RouteCache::Stats RouteCache::GetStats() const {
     stats.entries += shard->lru.size();
     stats.bytes += shard->bytes;
   }
-  stats.admission = admission_.GetStats();
   return stats;
 }
 

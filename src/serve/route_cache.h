@@ -14,7 +14,6 @@
 #include "common/seqlock.h"
 #include "common/thread_annotations.h"
 #include "core/l2r.h"
-#include "serve/admission_policy.h"
 
 namespace l2r {
 
@@ -36,8 +35,6 @@ struct RouteCacheOptions {
   /// which also restores exact LRU recency — hot hits never touch the
   /// recency list (see Lookup).
   unsigned hot_slots_per_shard = 64;
-  /// Gate on what may enter the cache (budget-degraded results).
-  AdmissionOptions admission;
 };
 
 /// Sharded, mutex-striped LRU cache of complete RouteResults. Serves
@@ -67,16 +64,15 @@ struct RouteCacheOptions {
 /// pass (world/RouteRepairer) can re-route them. Without a world attached
 /// entries never go stale (the frozen-world seed behavior).
 ///
-/// Inserts pass through the AdmissionPolicy first: full-fidelity results
-/// always enter, budget-degraded ones only when the configured
-/// DegradedAdmission mode lets them (see admission_policy.h).
+/// Every insert is admitted, budget-degraded results included: the
+/// degrade tag travels in the cached value (RouteResult::budget_degraded),
+/// so consumers can always tell a degraded hit from a full-fidelity one.
 ///
 /// Determinism: Lookup returns a copy of exactly what Insert stored, and
 /// the serving layer only stores cold-path Route outputs — so a hit is
 /// byte-identical to recomputation and batch results stay independent of
-/// hit/miss interleaving. Admission decisions change *which* keys hit,
-/// never the bytes any query receives; epoch validation only ever
-/// *removes* hit opportunities, so it preserves the contract too.
+/// hit/miss interleaving. Epoch validation only ever *removes* hit
+/// opportunities, so it preserves the contract too.
 class RouteCache {
  public:
   struct Stats {
@@ -90,7 +86,6 @@ class RouteCache {
     /// Entries dropped because a later epoch dirtied their footprint
     /// (lazy at Lookup or eager via ExtractInvalid).
     uint64_t invalidated = 0;
-    AdmissionPolicy::Stats admission;
     size_t entries = 0;
     size_t bytes = 0;
   };
@@ -119,12 +114,12 @@ class RouteCache {
   bool Lookup(const RouteCacheKey& key, RouteResult* out,
               WorldEpoch* epoch_out = nullptr);
 
-  /// Inserts (or refreshes) `key` if the admission policy lets `value`
-  /// in; evicts least-recently-used entries of the shard until it fits.
-  /// An entry larger than a whole shard is not cached. `epoch` is the
-  /// world epoch `value` was computed on; `regions` its invalidation
-  /// footprint (sorted unique, from RouteRegionFootprint). The frozen
-  /// world is epoch 0 with an empty footprint (never invalidated).
+  /// Inserts (or refreshes) `key`; evicts least-recently-used entries of
+  /// the shard until it fits. An entry larger than a whole shard is not
+  /// cached. `epoch` is the world epoch `value` was computed on;
+  /// `regions` its invalidation footprint (sorted unique, from
+  /// RouteRegionFootprint). The frozen world is epoch 0 with an empty
+  /// footprint (never invalidated).
   void Insert(const RouteCacheKey& key, const RouteResult& value,
               WorldEpoch epoch = 0, std::vector<RegionId> regions = {});
 
@@ -147,7 +142,6 @@ class RouteCache {
 
   size_t NumShards() const { return shards_.size(); }
   size_t CapacityBytes() const { return shards_.size() * shard_capacity_; }
-  const AdmissionPolicy& admission_policy() const { return admission_; }
 
   /// Approximate heap footprint of one cached entry (used for the byte
   /// budget; exposed so tests can reason about eviction thresholds).
@@ -216,7 +210,7 @@ class RouteCache {
     /// access them lock-free by design, mediated by each slot's SeqLock.
     std::unique_ptr<HotSlot[]> hot;
     /// Pure tally of lock-free hits (relaxed: nothing is published
-    /// through it; see admission_policy.h for the rationale convention).
+    /// through it; common/thread_annotations.h has the rationale).
     std::atomic<uint64_t> hot_hits{0};
   };
 
@@ -260,7 +254,6 @@ class RouteCache {
   size_t shard_capacity_ = 0;
   /// Hot slots per shard (power of two; 0 = hot path disabled).
   size_t hot_slots_ = 0;
-  AdmissionPolicy admission_;
   /// Set once at configure time, read on every Lookup (see SetWorld).
   const WorldViewIface* world_ = nullptr;
 };

@@ -1,7 +1,6 @@
 #include "serve/serving_router.h"
 
 #include "common/check.h"
-#include "routing/dijkstra.h"
 
 namespace l2r {
 
@@ -33,7 +32,7 @@ ServingRouter::ServingRouter(const L2RRouter* router,
     }
   }
   if (options.enable_single_flight) {
-    flights_ = std::make_unique<SingleFlight>(options.single_flight);
+    flights_ = std::make_unique<SingleFlight>();
   }
   hooks_.memo = memo_.get();
   settle_cap_.store(budget_.MaxPreferenceSettles(),
@@ -51,28 +50,6 @@ void ServingRouter::SetBudgetScale(double scale) {
   const double clamped = scale <= 0 ? 0 : scale;
   settle_cap_.store(budget_.ScaledSettleCap(clamped),
                     std::memory_order_relaxed);
-}
-
-size_t ServingRouter::CalibrateBudget(
-    const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    double departure_time, Clock* clock) {
-  L2R_CHECK(clock != nullptr);
-  if (!budget_.enabled() || pairs.empty()) {
-    return settle_cap_.load(std::memory_order_relaxed);
-  }
-  const TimePeriod period = router_->EffectivePeriod(departure_time);
-  const EdgeWeights& time_w = router_->weights(period).time;
-  DijkstraSearch search(router_->net());
-  const int64_t t0 = clock->NowMicros();
-  for (const auto& [s, t] : pairs) {
-    // Unreachable pairs still settle vertices; their searches count.
-    (void)search.ShortestPath(s, t, time_w);
-  }
-  const int64_t elapsed_us = clock->NowMicros() - t0;
-  budget_.Calibrate(search.LifetimeSettles(), elapsed_us);
-  const size_t cap = budget_.MaxPreferenceSettles();
-  settle_cap_.store(cap, std::memory_order_relaxed);
-  return cap;
 }
 
 Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
@@ -104,9 +81,9 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
       return hit;
     }
   }
-  // Cold path: compute, count the degrade, populate the cache (through
-  // admission). Runs once per flight when coalescing is on; followers of
-  // that flight receive a copy without re-entering here.
+  // Cold path: compute, count the degrade, populate the cache. Runs once
+  // per flight when coalescing is on; followers of that flight receive a
+  // copy without re-entering here.
   const auto cold = [&]() -> Result<RouteResult> {
     ServeHooks hooks = hooks_;
     hooks.budget.max_preference_settles =

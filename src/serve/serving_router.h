@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "core/l2r.h"
 #include "serve/deadline_budget.h"
@@ -23,7 +21,6 @@ struct ServingRouterOptions {
   /// Coalesce concurrent identical (s, d, period) cache misses: one
   /// caller computes, the rest wait for a byte-identical copy.
   bool enable_single_flight = true;
-  SingleFlightOptions single_flight;
   DeadlineBudgetOptions deadline;
   /// Dynamic world view (world/WorldUpdateChannel), or null for the
   /// frozen-world seed behavior. When set, every query runs under a read
@@ -39,8 +36,7 @@ struct ServingRouterOptions {
 /// (s, d, EffectivePeriod); a miss joins the SingleFlight for its key (so
 /// concurrent identical misses compute once) and the flight leader runs
 /// the cold path with the stitch memo and the deadline budget's settle
-/// cap threaded through ServeHooks, then populates the cache through the
-/// admission policy.
+/// cap threaded through ServeHooks, then populates the cache.
 ///
 /// Determinism guarantees (all required by BatchRouter's contract):
 ///  - cache hits return byte-identical copies of cold-path results;
@@ -79,19 +75,6 @@ class ServingRouter final : public QueryService {
   Stats GetStats() const;
   EpochServeCounts GetEpochServeCounts() const override;
 
-  /// Satellite of the deadline budget: replaces the configured
-  /// settles_per_us guess with a rate measured on this machine. Runs a
-  /// warm-up batch of plain fastest-path searches over `pairs` (departing
-  /// at `departure_time`), times it on `clock` (virtual in tests, steady
-  /// in production), feeds the observed settles/us into
-  /// DeadlineBudget::Calibrate and re-derives the live settle cap.
-  /// Call at configure time, before serving traffic (not synchronized
-  /// against in-flight queries; the cap store itself is atomic). Returns
-  /// the recalibrated cap (0 = budget disabled). Empty samples (no pairs,
-  /// zero elapsed) leave the configuration unchanged.
-  size_t CalibrateBudget(
-      const std::vector<std::pair<VertexId, VertexId>>& pairs,
-      double departure_time, Clock* clock);
   /// Drops cached routes and memoized stitch state (the underlying router
   /// is immutable, so this is only needed when swapping routers).
   void Clear();
@@ -137,11 +120,11 @@ class ServingRouter final : public QueryService {
   int world_listener_ = -1;
   /// Live settle cap (budget_'s cap under the current overload scale).
   /// Relaxed everywhere: a pure knob read once per cold computation,
-  /// nothing is published through it (admission_policy.h rationale).
+  /// nothing is published through it (common/thread_annotations.h).
   std::atomic<size_t> settle_cap_{0};
   /// Pure tallies (relaxed everywhere): nothing is published through
   /// them, and RMW atomicity alone keeps the counts exact — see
-  /// admission_policy.h for the full memory-order rationale.
+  /// common/thread_annotations.h for the full memory-order rationale.
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> budget_degraded_{0};
   /// Per-epoch serve tallies (relaxed: pure counters, like the above;

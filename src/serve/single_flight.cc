@@ -1,15 +1,19 @@
 #include "serve/single_flight.h"
 
-#include <algorithm>
-
-#include "common/hash.h"
-
 namespace l2r {
 
-SingleFlight::SingleFlight(const SingleFlightOptions& options) {
-  const size_t shards = RoundUpPow2(std::max<size_t>(1, options.num_shards));
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
+namespace {
+
+/// Lock-striping width of the in-flight table (a power of two). The table
+/// only ever holds queries currently being computed, so it stays tiny —
+/// shards exist to keep join/publish off one hot mutex.
+constexpr size_t kNumShards = 16;
+
+}  // namespace
+
+SingleFlight::SingleFlight() {
+  shards_.reserve(kNumShards);
+  for (size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

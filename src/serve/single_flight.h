@@ -16,13 +16,6 @@
 
 namespace l2r {
 
-struct SingleFlightOptions {
-  /// Lock-striping width of the in-flight table; rounded up to a power of
-  /// two. The table only ever holds queries currently being computed, so
-  /// it stays tiny — shards exist to keep join/publish off one hot mutex.
-  unsigned num_shards = 16;
-};
-
 /// Coalesces concurrent identical queries: the first caller for a
 /// (s, d, period) key becomes the *leader* and computes the route; every
 /// caller that arrives while that computation is in flight blocks and
@@ -56,7 +49,7 @@ class SingleFlight {
     uint64_t coalesced = 0;  ///< calls served by another caller's flight
   };
 
-  explicit SingleFlight(const SingleFlightOptions& options = {});
+  SingleFlight();
 
   /// Joins (or starts) the flight for `key` on `epoch`. The leader
   /// invokes `compute()` exactly once and its result is handed to every
@@ -144,7 +137,7 @@ class SingleFlight {
   /// them — the flight's *result* travels through Flight::mu — and RMW
   /// atomicity alone keeps each count exact under any number of
   /// concurrent callers, so leaders + coalesced == total Do() calls
-  /// always reconciles (see serve/admission_policy.h for the full
+  /// always reconciles (see common/thread_annotations.h for the full
   /// memory-order rationale; serve_test's 8-thread duplicate burst pins
   /// the conservation law).
   std::atomic<uint64_t> leaders_{0};

@@ -1,7 +1,6 @@
 #include "serve/stream_router.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <future>
 #include <memory>
 
@@ -23,14 +22,6 @@ int64_t BatchDeadline(int64_t now, int64_t batch_deadline_us) {
 
 }  // namespace
 
-unsigned StreamRouter::DefaultDrainThreads() {
-  if (const char* env = std::getenv("L2R_DRAIN_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return 1;
-}
-
 StreamRouter::StreamRouter(const L2RRouter* router,
                            const StreamOptions& options)
     : options_(options),
@@ -40,6 +31,7 @@ StreamRouter::StreamRouter(const L2RRouter* router,
       batch_router_(router,
                     BatchRouterOptions{options.num_threads, options.dedup}) {
   L2R_CHECK(options_.max_batch >= 1);
+  L2R_CHECK(options_.num_drain_threads >= 1);
   L2R_CHECK(options_.batch_deadline_us >= 0);
   dyn_deadline_us_ = controller_ != nullptr
                          ? controller_->options().max_batch_deadline_us
@@ -64,6 +56,7 @@ StreamRouter::StreamRouter(QueryService* service,
       batch_router_(service,
                     BatchRouterOptions{options.num_threads, options.dedup}) {
   L2R_CHECK(options_.max_batch >= 1);
+  L2R_CHECK(options_.num_drain_threads >= 1);
   L2R_CHECK(options_.batch_deadline_us >= 0);
   dyn_deadline_us_ = controller_ != nullptr
                          ? controller_->options().max_batch_deadline_us
@@ -80,12 +73,9 @@ StreamRouter::StreamRouter(QueryService* service,
 }
 
 void StreamRouter::StartBatchers() {
-  const unsigned n = options_.num_drain_threads != 0
-                         ? options_.num_drain_threads
-                         : DefaultDrainThreads();
-  // Fix the resolved count before the first spawn: batcher threads read
-  // drain_threads() while this loop is still appending to batchers_.
-  resolved_drain_threads_ = n;
+  // Batcher threads read drain_threads() (the immutable option), never
+  // batchers_, which this loop is still appending to while they run.
+  const unsigned n = options_.num_drain_threads;
   batchers_.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
     batchers_.emplace_back([this, w] { BatcherLoop(w); });

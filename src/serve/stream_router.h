@@ -42,14 +42,13 @@ struct StreamOptions {
   /// Drain parallelism (BatchRouter threads); 0 = DefaultThreadCount().
   unsigned num_threads = 0;
   /// Batcher/drain threads running overlapping drains (scale-out
-  /// serving). 0 = DefaultDrainThreads(): the L2R_DRAIN_THREADS
-  /// environment knob, else 1. With N > 1 the controller still ticks
-  /// exactly once per control period (the tick is arbitrated under the
-  /// stream mutex: whichever thread observes the period boundary first
-  /// ticks and advances the next-tick anchor before unlocking), but
-  /// cross-batch callback order is no longer guaranteed — see the class
-  /// Threading section.
-  unsigned num_drain_threads = 0;
+  /// serving); >= 1. With N > 1 the controller still ticks exactly once
+  /// per control period (the tick is arbitrated under the stream mutex:
+  /// whichever thread observes the period boundary first ticks and
+  /// advances the next-tick anchor before unlocking), but cross-batch
+  /// callback order is no longer guaranteed — see the class Threading
+  /// section.
+  unsigned num_drain_threads = 1;
   /// Batch-level dedup on the drain (BatchRouterOptions::dedup): batches
   /// formed from bursty arrivals concentrate identical queries, the case
   /// dedup exists for.
@@ -176,7 +175,7 @@ class StreamRouter {
     uint64_t closed_by_shutdown = 0;
     /// (batch size -> batches closed at that size), ascending by size.
     std::vector<std::pair<size_t, uint64_t>> batch_size_hist;
-    /// Drain threads this stream runs (resolved, never 0).
+    /// Drain threads this stream runs (num_drain_threads).
     unsigned drain_threads = 0;
     /// Idle-thread background_work invocations that reported work done.
     uint64_t background_work_runs = 0;
@@ -228,15 +227,7 @@ class StreamRouter {
   Stats GetStats() const L2R_EXCLUDES(mu_);
   const StreamOptions& options() const { return options_; }
   const Clock& clock() const { return *clock_; }
-  /// Resolved drain-thread count (num_drain_threads, or the
-  /// L2R_DRAIN_THREADS default when that was 0).
-  unsigned drain_threads() const { return resolved_drain_threads_; }
-
-  /// What StreamOptions::num_drain_threads == 0 resolves to: the
-  /// L2R_DRAIN_THREADS environment variable when set to a positive
-  /// integer, else 1. An env knob (not DefaultThreadCount()) so CI can
-  /// sanitize the multi-drain path without code changes.
-  static unsigned DefaultDrainThreads();
+  unsigned drain_threads() const { return options_.num_drain_threads; }
 
  private:
   struct Pending {
@@ -328,12 +319,6 @@ class StreamRouter {
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> completed_by_class_[kNumQueryClasses];
   std::atomic<uint64_t> failed_on_shutdown_{0};
-
-  /// Resolved drain-thread count, fixed by StartBatchers before any
-  /// batcher spawns. Immutable afterwards, so batcher threads may read
-  /// it freely; batchers_ itself is NOT safe to read from them (the
-  /// constructor is still appending while early threads run).
-  unsigned resolved_drain_threads_ = 1;
 
   /// Last member: threads start after the rest of the state is ready.
   std::vector<std::thread> batchers_;

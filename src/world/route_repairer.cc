@@ -84,21 +84,25 @@ bool RouteRepairer::BackgroundTick(unsigned worker, unsigned num_workers) {
   report.epoch = epoch;
   report.candidates = stale.size();
   RepairEntries(stale, &report);
-  // Pure tallies, relaxed (admission_policy.h rationale).
-  bg_passes_.fetch_add(1, std::memory_order_relaxed);
+  // Pure tallies, relaxed (common/thread_annotations.h rationale) —
+  // except the pass count, bumped last with release: it publishes this
+  // pass's tallies to GetBackgroundStats' acquire load.
   bg_candidates_.fetch_add(report.candidates, std::memory_order_relaxed);
   bg_repaired_.fetch_add(report.repaired, std::memory_order_relaxed);
   bg_full_recompute_.fetch_add(report.full_recompute,
                                std::memory_order_relaxed);
   bg_unroutable_.fetch_add(report.unroutable, std::memory_order_relaxed);
   bg_settles_.fetch_add(report.repair_settles, std::memory_order_relaxed);
+  bg_passes_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
 RouteRepairer::BackgroundStats RouteRepairer::GetBackgroundStats() const {
   BackgroundStats s;
-  // Pure tallies, relaxed (admission_policy.h rationale).
-  s.passes = bg_passes_.load(std::memory_order_relaxed);
+  // Acquire pairs with BackgroundTick's release bump: every tally of the
+  // `passes` ticks counted here is visible below. The rest are pure
+  // tallies, relaxed (common/thread_annotations.h rationale).
+  s.passes = bg_passes_.load(std::memory_order_acquire);
   s.candidates = bg_candidates_.load(std::memory_order_relaxed);
   s.repaired = bg_repaired_.load(std::memory_order_relaxed);
   s.full_recompute = bg_full_recompute_.load(std::memory_order_relaxed);

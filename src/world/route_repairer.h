@@ -90,8 +90,10 @@ class RouteRepairer {
   bool BackgroundTick(unsigned worker, unsigned num_workers);
 
   /// Totals across every BackgroundTick that found work (thread-safe
-  /// snapshot; relaxed counters, exact because each tick's contribution
-  /// is a single RMW per field).
+  /// snapshot). A tick bumps `passes` last, with release, and the
+  /// snapshot loads it first, with acquire: every other field includes
+  /// all `passes` ticks in full (plus, with several workers, possibly
+  /// part of a tick still publishing).
   struct BackgroundStats {
     uint64_t passes = 0;  ///< ticks that repaired at least one entry
     uint64_t candidates = 0;
@@ -113,10 +115,11 @@ class RouteRepairer {
   /// Background coordination: the world epoch each cache shard was last
   /// swept at. Pure coordination values (a stale read just means one
   /// redundant — still correct — sweep), so all accesses are relaxed;
-  /// see serve/admission_policy.h for the rationale convention.
+  /// see common/thread_annotations.h for the rationale convention.
   std::unique_ptr<std::atomic<WorldEpoch>[]> shard_swept_epoch_;
   size_t num_shards_ = 0;
-  /// Background totals; pure tallies, relaxed (admission_policy.h).
+  /// Background totals; pure tallies, relaxed (common/thread_annotations.h)
+  /// except bg_passes_, the release/acquire publication point above.
   std::atomic<uint64_t> bg_passes_{0};
   std::atomic<uint64_t> bg_candidates_{0};
   std::atomic<uint64_t> bg_repaired_{0};

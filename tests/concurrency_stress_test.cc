@@ -585,11 +585,20 @@ class StreamStressTest : public ::testing::Test {
 BuiltDataset* StreamStressTest::dataset_ = nullptr;
 L2RRouter* StreamStressTest::router_ = nullptr;
 
-TEST_F(StreamStressTest, ConcurrentSubmittersThroughServingStack) {
+/// The stream hammers below are parameterized over the drain-thread
+/// count (the DrainLadder instantiation: 1 and 4). With 4 batchers the
+/// drains genuinely overlap, so the seqlock hot path, the controller-tick
+/// arbitration and the shutdown paths race real batcher threads.
+class StreamDrainStressTest
+    : public StreamStressTest,
+      public ::testing::WithParamInterface<unsigned> {};
+
+TEST_P(StreamDrainStressTest, ConcurrentSubmittersThroughServingStack) {
   // 8 submitter threads race Submit against deadline/size closes on the
   // system clock, through the full serving stack (cache + single-flight).
   // Every accepted query must complete exactly once with a result that is
   // byte-identical to the single-threaded cold answer for its key.
+  const unsigned num_drains = GetParam();
   const std::vector<BatchQuery> queries = MakeQueries(24);
   ASSERT_GE(queries.size(), 8u);
 
@@ -607,6 +616,7 @@ TEST_F(StreamStressTest, ConcurrentSubmittersThroughServingStack) {
   options.max_batch = 5;  // mix size closes and deadline closes
   options.batch_deadline_us = 200;
   options.num_threads = 2;
+  options.num_drain_threads = num_drains;
   StreamRouter stream(&serving, options);
 
   constexpr int kRoundsPerThread = 25;
@@ -652,23 +662,19 @@ TEST_F(StreamStressTest, ConcurrentSubmittersThroughServingStack) {
   EXPECT_LE(serve_stats.queries, total);
   EXPECT_EQ(serve_stats.cache.hits + serve_stats.cache.misses,
             serve_stats.queries);
+  EXPECT_EQ(stats.drain_threads, num_drains);
 }
 
-class OverloadShedStressTest
-    : public StreamStressTest,
-      public ::testing::WithParamInterface<unsigned> {};
-
-TEST_P(OverloadShedStressTest, ConservesCallbacks) {
+TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   // 8 submitter threads flood the stream on the system clock while the
   // overload controller (tiny shed depths, trip after one tick) flips
   // admission shedding and the budget scale under them, and a chaos layer
-  // injects backend errors under the drain. Parameterized over the
-  // drain-thread count: with 4 batchers the drains genuinely overlap, so
-  // the controller-tick arbitration, the shed bookkeeping, and the
-  // shutdown fail-path all race each other. The invariants that must
-  // survive: every accepted query gets exactly one callback, every shed
-  // callback carries kResourceExhausted, and submitted == completed +
-  // shed + failed_on_shutdown at any drain count.
+  // injects backend errors under the drain. With overlapping drains the
+  // controller-tick arbitration, the shed bookkeeping, and the shutdown
+  // fail-path all race each other. The invariants that must survive:
+  // every accepted query gets exactly one callback, every shed callback
+  // carries kResourceExhausted, and submitted == completed + shed +
+  // failed_on_shutdown at any drain count.
   const unsigned num_drains = GetParam();
   const std::vector<BatchQuery> queries = MakeQueries(16);
   ASSERT_GE(queries.size(), 8u);
@@ -763,7 +769,7 @@ TEST_P(OverloadShedStressTest, ConservesCallbacks) {
   EXPECT_EQ(stats.drain_threads, num_drains);
 }
 
-INSTANTIATE_TEST_SUITE_P(DrainLadder, OverloadShedStressTest,
+INSTANTIATE_TEST_SUITE_P(DrainLadder, StreamDrainStressTest,
                          ::testing::Values(1u, 4u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                            return "Drains" + std::to_string(info.param);

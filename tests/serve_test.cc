@@ -10,9 +10,6 @@
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
-#include "routing/dijkstra.h"
-#include "serve/admission_policy.h"
-#include "serve/clock.h"
 #include "serve/deadline_budget.h"
 #include "serve/route_cache.h"
 #include "serve/serving_router.h"
@@ -383,106 +380,15 @@ TEST(RouteCacheTest, ExtractInvalidSweepsExactlyTheStaleEntries) {
   EXPECT_TRUE(stale.empty());
 }
 
-// ---------------------------------------------------------------------------
-// AdmissionPolicy units.
-
-TEST(AdmissionPolicyTest, FullFidelityResultsAlwaysAdmitted) {
-  for (const DegradedAdmission mode :
-       {DegradedAdmission::kTagged, DegradedAdmission::kNever,
-        DegradedAdmission::kAfterNMisses}) {
-    AdmissionOptions options;
-    options.degraded = mode;
-    AdmissionPolicy policy(options);
-    EXPECT_TRUE(policy.Admit(QueryKey{1, 2, 0}, MakeResult(1, 4)));
-    const AdmissionPolicy::Stats stats = policy.GetStats();
-    EXPECT_EQ(stats.degraded_admitted, 0u);
-    EXPECT_EQ(stats.degraded_rejected, 0u);
-  }
-}
-
-TEST(AdmissionPolicyTest, TaggedModeAdmitsDegraded) {
-  AdmissionPolicy policy;  // default: kTagged
-  EXPECT_TRUE(policy.Admit(QueryKey{1, 2, 0}, MakeDegradedResult(1, 4)));
-  EXPECT_EQ(policy.GetStats().degraded_admitted, 1u);
-}
-
-TEST(AdmissionPolicyTest, NeverModeRejectsDegraded) {
-  AdmissionOptions options;
-  options.degraded = DegradedAdmission::kNever;
-  AdmissionPolicy policy(options);
-  EXPECT_FALSE(policy.Admit(QueryKey{1, 2, 0}, MakeDegradedResult(1, 4)));
-  EXPECT_FALSE(policy.Admit(QueryKey{1, 2, 0}, MakeDegradedResult(1, 4)));
-  const AdmissionPolicy::Stats stats = policy.GetStats();
-  EXPECT_EQ(stats.degraded_admitted, 0u);
-  EXPECT_EQ(stats.degraded_rejected, 2u);
-}
-
-TEST(AdmissionPolicyTest, AfterNMissesGatesPerKeyFrequency) {
-  AdmissionOptions options;
-  options.degraded = DegradedAdmission::kAfterNMisses;
-  options.admit_after_misses = 3;
-  AdmissionPolicy policy(options);
-  const QueryKey hot{1, 2, 0};
-  const QueryKey cold{3, 4, 1};
-  const RouteResult degraded = MakeDegradedResult(1, 4);
-  // Observations 1 and 2 are rejected; the 3rd opens the gate.
-  EXPECT_FALSE(policy.Admit(hot, degraded));
-  EXPECT_FALSE(policy.Admit(hot, degraded));
-  EXPECT_TRUE(policy.Admit(hot, degraded));
-  // Once hot, the key stays admitted.
-  EXPECT_TRUE(policy.Admit(hot, degraded));
-  // Frequency is per key: a different key starts cold.
-  EXPECT_FALSE(policy.Admit(cold, degraded));
-  const AdmissionPolicy::Stats stats = policy.GetStats();
-  EXPECT_EQ(stats.degraded_admitted, 2u);
-  EXPECT_EQ(stats.degraded_rejected, 3u);
-  // Clear resets the sketch: the hot key must re-earn admission.
-  policy.Clear();
-  EXPECT_FALSE(policy.Admit(hot, degraded));
-}
-
-TEST(RouteCacheTest, NeverModeKeepsDegradedResultsOut) {
-  RouteCacheOptions options;
-  options.admission.degraded = DegradedAdmission::kNever;
-  RouteCache cache(options);
-  cache.Insert(RouteCacheKey{1, 2, 0}, MakeDegradedResult(1, 4));
-  RouteResult got;
-  EXPECT_FALSE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
-  // Full-fidelity results for the same key still enter.
-  cache.Insert(RouteCacheKey{1, 2, 0}, MakeResult(1, 4));
-  EXPECT_TRUE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
-  EXPECT_FALSE(got.budget_degraded);
-  const RouteCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.admission.degraded_rejected, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
-}
-
-TEST(RouteCacheTest, AfterNMissesAdmitsDegradedOnSecondMiss) {
-  RouteCacheOptions options;
-  options.admission.degraded = DegradedAdmission::kAfterNMisses;
-  options.admission.admit_after_misses = 2;
-  RouteCache cache(options);
-  const RouteCacheKey key{1, 2, 0};
-  const RouteResult degraded = MakeDegradedResult(1, 4);
-  RouteResult got;
-  cache.Insert(key, degraded);  // miss 1: gated out
-  EXPECT_FALSE(cache.Lookup(key, &got));
-  cache.Insert(key, degraded);  // miss 2: admitted
-  ASSERT_TRUE(cache.Lookup(key, &got));
-  // The degrade tag travels in the cached value.
-  EXPECT_TRUE(got.budget_degraded);
-  EXPECT_TRUE(got == degraded);
-}
-
 TEST(RouteCacheTest, DegradedEntriesParticipateInLruEviction) {
-  // Admitted degraded entries are ordinary residents: they occupy bytes,
+  // Degraded entries are ordinary residents: they occupy bytes,
   // age through the LRU list, and are evicted like full-fidelity ones.
   const size_t entry = RouteCache::EntryBytes(MakeResult(0, 8));
   RouteCacheOptions options;
   options.num_shards = 1;         // deterministic LRU order
   options.hot_slots_per_shard = 0;  // exact LRU: hot hits skip recency
   options.capacity_bytes = 2 * entry;
-  RouteCache cache(options);  // kTagged: degraded entries admitted
+  RouteCache cache(options);
   auto key = [](VertexId s) { return RouteCacheKey{s, s + 1, 0}; };
   cache.Insert(key(1), MakeDegradedResult(1, 8));
   cache.Insert(key(2), MakeResult(2, 8));
@@ -1017,106 +923,6 @@ TEST_F(ServeTest, SingleFlightAloneKeepsBatchResultsByteIdentical) {
   }
 }
 
-TEST_F(ServeTest, AdmissionGateHoldsUnderEvictionPressure) {
-  // ROADMAP gap: the default 8 MiB cache never evicts at this scale, so
-  // the admission policy had only ever been exercised on an idle cache.
-  // Shrink the capacity until a single fill pass actually evicts, then
-  // verify the kAfterNMisses gate under that pressure: a hot degraded
-  // key re-seen admit_after_misses times enters the cache and serves
-  // hits, while degraded keys seen once stay out entirely.
-  std::vector<BatchQuery> queries = MakeQueries(40);
-  queries.pop_back();  // drop the invalid (s == d) tail query
-  // Dedup by (s, d, period) so "seen once" below is exact per key.
-  {
-    std::unordered_map<QueryKey, bool, QueryKeyHash> seen;
-    std::vector<BatchQuery> unique;
-    for (const BatchQuery& q : queries) {
-      const QueryKey key{
-          q.s, q.d,
-          static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
-      if (seen.emplace(key, true).second) unique.push_back(q);
-    }
-    queries = std::move(unique);
-  }
-  ASSERT_GT(queries.size(), 8u);
-
-  auto make_options = [](size_t capacity_bytes) {
-    ServingRouterOptions options;
-    options.enable_stitch_memo = false;
-    options.enable_single_flight = false;
-    // 1-settle cap: every attempted Algorithm-2 rebuild degrades.
-    options.deadline.fallback_budget_us = 0.01;
-    options.deadline.settles_per_us = 1;
-    options.deadline.min_settles = 1;
-    options.route_cache.num_shards = 1;  // deterministic LRU order
-    options.route_cache.capacity_bytes = capacity_bytes;
-    options.route_cache.admission.degraded = DegradedAdmission::kAfterNMisses;
-    options.route_cache.admission.admit_after_misses = 2;
-    return options;
-  };
-
-  // Shrink until the fill pass evicts. Everything below is sequential
-  // and single-threaded, so a capacity that evicts in the probe evicts
-  // identically in the fresh router used for the assertions.
-  size_t capacity = 1u << 15;
-  uint64_t probe_evictions = 0;
-  for (; capacity >= 512; capacity /= 2) {
-    ServingRouter probe(router_, make_options(capacity));
-    L2RQueryContext ctx = router_->MakeContext();
-    for (const BatchQuery& q : queries) {
-      (void)probe.Route(&ctx, q.s, q.d, q.departure_time);
-    }
-    probe_evictions = probe.GetStats().cache.evictions;
-    if (probe_evictions > 0) break;
-  }
-  ASSERT_GT(probe_evictions, 0u) << "no capacity in the ladder evicted";
-
-  ServingRouter serving(router_, make_options(capacity));
-  L2RQueryContext ctx = router_->MakeContext();
-  std::vector<Result<RouteResult>> first;
-  for (const BatchQuery& q : queries) {
-    first.push_back(serving.Route(&ctx, q.s, q.d, q.departure_time));
-  }
-  size_t degraded_keys = 0;
-  size_t hot = queries.size();
-  for (size_t i = 0; i < first.size(); ++i) {
-    if (first[i].ok() && first[i]->budget_degraded) {
-      ++degraded_keys;
-      if (hot == queries.size()) hot = i;  // first degraded key is "hot"
-    }
-  }
-  ASSERT_GE(degraded_keys, 2u);  // a hot key plus at least one cold one
-  const RouteCache::Stats after_fill = serving.GetStats().cache;
-  // Every degraded insert was its key's first observation: all rejected.
-  EXPECT_EQ(after_fill.admission.degraded_admitted, 0u);
-  EXPECT_EQ(after_fill.admission.degraded_rejected, degraded_keys);
-  EXPECT_GT(after_fill.evictions, 0u);
-  EXPECT_LE(after_fill.bytes, capacity);
-  EXPECT_EQ(after_fill.hits, 0u);  // distinct keys: the fill never hits
-
-  // Second observation of the hot key: recomputed (miss), now admitted.
-  const BatchQuery& hq = queries[hot];
-  const auto recompute = serving.Route(&ctx, hq.s, hq.d, hq.departure_time);
-  ExpectSameResult(first[hot], recompute, hot);
-  const RouteCache::Stats after_admit = serving.GetStats().cache;
-  EXPECT_EQ(after_admit.admission.degraded_admitted, 1u);
-  EXPECT_EQ(after_admit.hits, 0u);
-
-  // Third observation: served from cache, byte-identical, still tagged
-  // degraded. Nothing was inserted in between, so it cannot have been
-  // evicted.
-  const auto hit = serving.Route(&ctx, hq.s, hq.d, hq.departure_time);
-  ExpectSameResult(first[hot], hit, hot);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->budget_degraded);
-  const RouteCache::Stats after_hit = serving.GetStats().cache;
-  EXPECT_EQ(after_hit.hits, 1u);
-  // Cold degraded keys were never admitted: the only admitted degraded
-  // entry is the hot one.
-  EXPECT_EQ(after_hit.admission.degraded_admitted, 1u);
-  EXPECT_GE(after_hit.admission.degraded_rejected, degraded_keys);
-}
-
 TEST_F(ServeTest, DegradedRoutesAreCachedConsistently) {
   const std::vector<BatchQuery> queries = MakeQueries(40);
   ServingRouterOptions options;
@@ -1136,68 +942,6 @@ TEST_F(ServeTest, DegradedRoutesAreCachedConsistently) {
                                      queries[i].departure_time);
     ExpectSameResult(first[i], again, i);
   }
-}
-
-// A Clock whose time advances a fixed step per NowMicros() call — the
-// deterministic stopwatch CalibrateBudget's warm-up batch is timed on.
-class SteppingClock final : public Clock {
- public:
-  explicit SteppingClock(int64_t step_us) : step_us_(step_us) {}
-  int64_t NowMicros() const override { return now_us_ += step_us_; }
-  std::cv_status WaitUntil(CondVar& cv, Mutex& mu,
-                           int64_t deadline_us) override L2R_REQUIRES(mu) {
-    (void)cv;
-    (void)mu;
-    (void)deadline_us;
-    return std::cv_status::timeout;
-  }
-
- private:
-  const int64_t step_us_;
-  mutable int64_t now_us_ = 0;
-};
-
-TEST_F(ServeTest, CalibrateBudgetPinsTheCapFromAVirtualClockSample) {
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (const BatchQuery& q : MakeQueries(9)) {
-    if (q.s != q.d) pairs.emplace_back(q.s, q.d);
-  }
-  ASSERT_GE(pairs.size(), 4u);
-  const double departure = 12 * 3600.0;  // off-peak
-
-  ServingRouterOptions options;
-  options.deadline.fallback_budget_us = 500;
-  options.deadline.settles_per_us = 80;  // the guess calibration replaces
-  ServingRouter serving(router_, options);
-  const size_t guessed_cap = serving.CurrentSettleCap();
-  ASSERT_GT(guessed_cap, 0u);
-
-  // Replicate the warm-up measurement: the same plain searches settle the
-  // same vertex count (search determinism), and the stepping clock makes
-  // the elapsed time exactly one step (one NowMicros() call on each side
-  // of the warm-up loop) — so the calibrated cap is pinned exactly.
-  const TimePeriod period = router_->EffectivePeriod(departure);
-  DijkstraSearch probe(router_->net());
-  for (const auto& [s, d] : pairs) {
-    (void)probe.ShortestPath(s, d, router_->weights(period).time);
-  }
-  constexpr int64_t kStepUs = 100;
-  DeadlineBudget expected_budget(options.deadline);
-  expected_budget.Calibrate(probe.LifetimeSettles(), kStepUs);
-  const size_t expected_cap = expected_budget.MaxPreferenceSettles();
-
-  SteppingClock clock(kStepUs);
-  EXPECT_EQ(serving.CalibrateBudget(pairs, departure, &clock), expected_cap);
-  EXPECT_EQ(serving.CurrentSettleCap(), expected_cap);
-  EXPECT_NE(serving.CurrentSettleCap(), guessed_cap)
-      << "calibration sample happened to reproduce the configured guess; "
-         "pick a different kStepUs";
-
-  // Disabled budget: calibration is a no-op reporting cap 0 (uncapped).
-  ServingRouter unbudgeted(router_, ServingRouterOptions{});
-  SteppingClock clock2(kStepUs);
-  EXPECT_EQ(unbudgeted.CalibrateBudget(pairs, departure, &clock2), 0u);
-  EXPECT_EQ(unbudgeted.CurrentSettleCap(), 0u);
 }
 
 }  // namespace

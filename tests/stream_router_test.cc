@@ -114,27 +114,6 @@ TEST(ManualClockTest, ExternalNotifyWakesWithoutTimeout) {
   EXPECT_EQ(status.load(std::memory_order_acquire), 0);
 }
 
-TEST(DeadlineBudgetTest, CalibratesFromClockTimedSample) {
-  DeadlineBudgetOptions options;
-  options.fallback_budget_us = 10;
-  options.settles_per_us = 80;
-  options.min_settles = 1;
-  DeadlineBudget budget(options);
-  EXPECT_EQ(budget.MaxPreferenceSettles(), 800u);
-
-  // A configure-time warm-up timed on the injected (virtual) clock: 16k
-  // settles over 100 virtual µs re-derives 160 settles/µs.
-  ManualClock clock;
-  const int64_t t0 = clock.NowMicros();
-  clock.AdvanceMicros(100);
-  budget.Calibrate(16000, clock.NowMicros() - t0);
-  EXPECT_EQ(budget.MaxPreferenceSettles(), 1600u);
-  // Empty samples are ignored.
-  budget.Calibrate(0, 100);
-  budget.Calibrate(100, 0);
-  EXPECT_EQ(budget.MaxPreferenceSettles(), 1600u);
-}
-
 // ---------------------------------------------------------------------------
 // StreamRouter on a small built pipeline.
 

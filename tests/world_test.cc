@@ -443,9 +443,21 @@ TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
   sopts.max_batch = 1;  // size-closed batches: no clock advancement needed
   sopts.num_threads = 2;
   sopts.num_drain_threads = 2;
-  sopts.background_work = [&repairer](unsigned worker,
-                                      unsigned num_workers) {
-    return repairer.BackgroundTick(worker, num_workers);
+  // The incident below is the fresh channel's first batch: epoch 1. Each
+  // worker owns different cache shards, so the test must wait for both
+  // to finish repairing, not just for the first pass. A worker is done
+  // once a tick that started on the incident epoch finds its shards
+  // clean (a `false` return): its own earlier ticks did the repairs and
+  // bumped the tallies. Release pairs with the acquire wait below.
+  constexpr WorldEpoch kIncidentEpoch = 1;
+  std::atomic<bool> worker_clean[2] = {false, false};
+  sopts.background_work = [&](unsigned worker, unsigned num_workers) {
+    const WorldEpoch epoch = channel.CurrentEpoch();
+    const bool did_work = repairer.BackgroundTick(worker, num_workers);
+    if (!did_work && epoch >= kIncidentEpoch) {
+      worker_clean[worker].store(true, std::memory_order_release);
+    }
+    return did_work;
   };
   StreamRouter stream(&serving, sopts);
 
@@ -465,15 +477,16 @@ TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
   // Incident. The drains are parked; the next submission wakes them, and
   // once its batch is drained the idle threads pick up the repair work.
   const EdgeId e = MidEdge(plain0[0]->path);
-  channel.Apply(SlowdownBatch(e, 0.5));
+  ASSERT_EQ(channel.Apply(SlowdownBatch(e, 0.5)).epoch, kIncidentEpoch);
   const auto plain1 = PlainResults(queries);
   ExpectSameResult(plain1.back(), stream.SubmitWait(queries.back()).result,
                    queries.size() - 1);
-  RouteRepairer::BackgroundStats bg = repairer.GetBackgroundStats();
-  while (bg.passes == 0) {
+  while (!worker_clean[0].load(std::memory_order_acquire) ||
+         !worker_clean[1].load(std::memory_order_acquire)) {
     std::this_thread::yield();
-    bg = repairer.GetBackgroundStats();
   }
+  const RouteRepairer::BackgroundStats bg = repairer.GetBackgroundStats();
+  EXPECT_GE(bg.passes, 1u);
   EXPECT_GE(bg.candidates, 1u);  // query 0's entry at minimum
   EXPECT_EQ(bg.repaired + bg.full_recompute + bg.unroutable,
             bg.candidates);
