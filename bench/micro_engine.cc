@@ -10,9 +10,9 @@
 #include "region/clustering.h"
 #include "region/trajectory_graph.h"
 #include "roadnet/generator.h"
-#include "routing/astar.h"
 #include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
+#include "routing/goal_potential.h"
 #include "traj/driver_model.h"
 #include "traj/generator.h"
 
@@ -62,19 +62,24 @@ void BM_Dijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra);
 
-void BM_AStar(benchmark::State& state) {
+/// DijkstraSearch::ShortestPath on distance weights, without (arg 0) and
+/// with (arg 1) the goal-directed potential of routing/goal_potential.h.
+void BM_ShortestPathPotential(benchmark::State& state) {
   const RoadNetwork& net = World().net;
-  const EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
-  const double scale = HeuristicScaleFor(net, w);
-  AStarSearch search(net);
+  EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
+  if (state.range(0) != 0) {
+    const std::vector<std::vector<EdgeWeights*>> groups = {{&w}};
+    AttachGoalPotentials(net, groups);
+  }
+  DijkstraSearch search(net);
   Rng rng(22);
   for (auto _ : state) {
     const VertexId s = static_cast<VertexId>(rng.Index(net.NumVertices()));
     const VertexId t = static_cast<VertexId>(rng.Index(net.NumVertices()));
-    benchmark::DoNotOptimize(search.ShortestPath(s, t, w, scale));
+    benchmark::DoNotOptimize(search.ShortestPath(s, t, w));
   }
 }
-BENCHMARK(BM_AStar);
+BENCHMARK(BM_ShortestPathPotential)->Arg(0)->Arg(1);
 
 void BM_BidirectionalDijkstra(benchmark::State& state) {
   const RoadNetwork& net = World().net;

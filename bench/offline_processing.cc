@@ -37,6 +37,7 @@ void RunDataset(const DatasetSpec& spec) {
                 rep.cluster_seconds + rep.region_graph_seconds,
                 rep.learn_seconds, rep.transfer_seconds, rep.apply_seconds);
   }
+  std::printf("landmark tables: %.2f s\n", report.landmark_seconds);
   std::printf("total offline build: %.2f s\n", report.total_seconds);
 }
 

@@ -59,6 +59,7 @@
 #include <ctime>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -73,6 +74,8 @@
 #include "roadnet/snapshot.h"
 #include "roadnet/weights.h"
 #include "routing/dijkstra.h"
+#include "routing/goal_potential.h"
+#include "routing/preference_dijkstra.h"
 #include "serve/overload_controller.h"
 #include "serve/serving_router.h"
 #include "serve/stream_router.h"
@@ -177,6 +180,19 @@ struct LadderPoint {
   size_t queries = 0;
   double qps = 0;
   double mean_query_us = 0;
+  /// The same queries goal-directed (routing/goal_potential.h): landmark
+  /// tables for the travel-time array, then mean time and settles per
+  /// query for the fastest path and for Algorithm 2 under the highway
+  /// slave preference, without (`plain_`) and with (`goal_`) the potential.
+  double landmark_build_seconds = 0;
+  size_t landmark_bytes = 0;
+  double plain_mean_settles = 0;
+  double goal_mean_query_us = 0;
+  double goal_mean_settles = 0;
+  double plain_pref_mean_query_us = 0;
+  double plain_pref_mean_settles = 0;
+  double goal_pref_mean_query_us = 0;
+  double goal_pref_mean_settles = 0;
 };
 
 /// True when the two result slots are byte-equivalent routing outcomes.
@@ -1252,6 +1268,7 @@ int main() {
       DijkstraSearch dijkstra(mnet);
       Rng ladder_rng(0x5ca1eULL + static_cast<uint64_t>(ladder_scale * 100));
       p.queries = 24;
+      const uint64_t plain_settles0 = dijkstra.LifetimeSettles();
       Timer qps_timer;
       for (size_t q = 0; q < p.queries; ++q) {
         const VertexId s = static_cast<VertexId>(ladder_rng.Index(n));
@@ -1261,6 +1278,52 @@ int main() {
       const double qps_s = qps_timer.ElapsedSeconds();
       p.qps = static_cast<double>(p.queries) / qps_s;
       p.mean_query_us = qps_s * 1e6 / static_cast<double>(p.queries);
+      p.plain_mean_settles =
+          static_cast<double>(dijkstra.LifetimeSettles() - plain_settles0) /
+          static_cast<double>(p.queries);
+
+      // Goal-directed: the same query sequence with a landmark potential.
+      EdgeWeights goal = weights;
+      Timer landmark_timer;
+      const std::vector<std::vector<EdgeWeights*>> goal_group = {{&goal}};
+      AttachGoalPotentials(mnet, goal_group);
+      p.landmark_build_seconds = landmark_timer.ElapsedSeconds();
+      p.landmark_bytes = (goal.landmarks()->dist.size() +
+                          goal.landmarks()->floor.size()) *
+                         sizeof(double);
+      PreferenceDijkstra pref(mnet);
+      const RoadTypeMask highway =
+          RoadTypeBit(RoadType::kMotorway) | RoadTypeBit(RoadType::kTrunk);
+      // Mean (us, settles) per query of `route(s, t)` over the ladder's
+      // query sequence; `settles()` reads a lifetime settle counter.
+      auto per_query = [&](const auto& route, const auto& settles) {
+        Rng rng(0x5ca1eULL + static_cast<uint64_t>(ladder_scale * 100));
+        const uint64_t settles0 = settles();
+        Timer timer;
+        for (size_t q = 0; q < p.queries; ++q) {
+          const VertexId s = static_cast<VertexId>(rng.Index(n));
+          const VertexId t = static_cast<VertexId>(rng.Index(n));
+          route(s, t);
+        }
+        const double nq = static_cast<double>(p.queries);
+        return std::pair<double, double>(
+            timer.ElapsedSeconds() * 1e6 / nq,
+            static_cast<double>(settles() - settles0) / nq);
+      };
+      auto dijkstra_settles = [&] { return dijkstra.LifetimeSettles(); };
+      auto pref_settles = [&] { return pref.LifetimeSettles(); };
+      std::tie(p.goal_mean_query_us, p.goal_mean_settles) =
+          per_query([&](VertexId s, VertexId t) {
+            (void)dijkstra.ShortestPath(s, t, goal);
+          }, dijkstra_settles);
+      std::tie(p.plain_pref_mean_query_us, p.plain_pref_mean_settles) =
+          per_query([&](VertexId s, VertexId t) {
+            (void)pref.Route(s, t, weights, highway);
+          }, pref_settles);
+      std::tie(p.goal_pref_mean_query_us, p.goal_pref_mean_settles) =
+          per_query([&](VertexId s, VertexId t) {
+            (void)pref.Route(s, t, goal, highway);
+          }, pref_settles);
 
       std::remove(snap_path.c_str());
       std::remove((csv_prefix + ".vertices.csv").c_str());
@@ -1272,6 +1335,15 @@ int main() {
           ladder_scale, n, m, static_cast<double>(p.world_bytes) / 1e6,
           p.csv_cold_start_seconds, p.mmap_cold_start_seconds,
           p.cold_start_speedup, p.checksum_only_open_seconds, p.qps);
+      std::printf(
+          "[scale ladder] scale %.2f goal-directed: landmarks %.2fs, "
+          "%.1f MB; fastest %.0f -> %.0f us (%.0f -> %.0f settles); "
+          "highway preference %.0f -> %.0f us (%.0f -> %.0f settles)\n",
+          ladder_scale, p.landmark_build_seconds,
+          static_cast<double>(p.landmark_bytes) / 1e6, p.mean_query_us,
+          p.goal_mean_query_us, p.plain_mean_settles, p.goal_mean_settles,
+          p.plain_pref_mean_query_us, p.goal_pref_mean_query_us,
+          p.plain_pref_mean_settles, p.goal_pref_mean_settles);
       ladder_points.push_back(p);
     }
   } else {
@@ -1702,8 +1774,24 @@ int main() {
                    p.cold_start_speedup, p.zero_copy ? "true" : "false");
       std::fprintf(f,
                    "       \"queries\": %zu, \"qps\": %.1f, "
-                   "\"mean_query_us\": %.1f}%s\n",
-                   p.queries, p.qps, p.mean_query_us,
+                   "\"mean_query_us\": %.1f,\n",
+                   p.queries, p.qps, p.mean_query_us);
+      std::fprintf(f,
+                   "       \"landmark_build_seconds\": %.3f, "
+                   "\"landmark_bytes\": %zu, "
+                   "\"plain_mean_settles\": %.1f, "
+                   "\"goal_mean_query_us\": %.1f, "
+                   "\"goal_mean_settles\": %.1f,\n",
+                   p.landmark_build_seconds, p.landmark_bytes,
+                   p.plain_mean_settles, p.goal_mean_query_us,
+                   p.goal_mean_settles);
+      std::fprintf(f,
+                   "       \"plain_pref_mean_query_us\": %.1f, "
+                   "\"plain_pref_mean_settles\": %.1f, "
+                   "\"goal_pref_mean_query_us\": %.1f, "
+                   "\"goal_pref_mean_settles\": %.1f}%s\n",
+                   p.plain_pref_mean_query_us, p.plain_pref_mean_settles,
+                   p.goal_pref_mean_query_us, p.goal_pref_mean_settles,
                    i + 1 == ladder_points.size() ? "" : ",");
     }
     std::fprintf(f, "    ]\n  },\n");

@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "region/trajectory_graph.h"
+#include "routing/goal_potential.h"
 #include "traj/split.h"
 
 namespace l2r {
@@ -55,6 +56,22 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
   router->weights_[1] = WeightSet(*net, TimePeriod::kPeak);
 
   Timer total;
+  // Goal-directed search potentials. Distance is the same in both periods,
+  // so its arrays share one landmark table. Time and fuel get one table
+  // per served period: a shared table over the faster off-peak weights
+  // bounds peak costs loosely (peak time preference searches settled
+  // 3.3x more on City scale 0.3). Every single-target search after this
+  // point (learning, B-edge paths, serving) runs goal-directed.
+  const int periods = options.time_dependent ? kNumTimePeriods : 1;
+  std::vector<std::vector<EdgeWeights*>> groups(1);
+  for (int p = 0; p < periods; ++p) {
+    WeightSet& ws = router->weights_[p];
+    groups.front().push_back(&ws.distance);
+    groups.push_back({&ws.time});
+    groups.push_back({&ws.fuel});
+  }
+  AttachGoalPotentials(*net, groups, options.num_threads);
+  router->report_.landmark_seconds = total.ElapsedSeconds();
   if (options.time_dependent) {
     PeriodPartition parts = PartitionByPeriod(training);
     // A degenerate partition falls back to the full set so both period
@@ -514,6 +531,10 @@ void L2RRouter::RefreshEdgeWeights(std::span<const EdgeId> edges) {
   for (int p = 0; p < kNumTimePeriods; ++p) {
     for (EdgeId e : edges) weights_[p].RefreshEdge(*net_, e);
   }
+}
+
+void L2RRouter::SetGoalDirected(bool on) {
+  for (WeightSet& ws : weights_) ws.SetPotentialEnabled(on);
 }
 
 std::vector<RegionId> RouteRegionFootprint(const L2RRouter& router,

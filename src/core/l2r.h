@@ -60,6 +60,8 @@ struct L2RBuildReport {
     double transfer_null_rate = 0;
   };
   PeriodReport period[kNumTimePeriods];
+  /// Landmark tables of the goal-directed search potentials.
+  double landmark_seconds = 0;
   double total_seconds = 0;
 };
 
@@ -163,6 +165,12 @@ class L2RRouter {
   /// Not synchronized: callers must hold the world update channel's
   /// exclusive gate, which excludes all in-flight queries.
   void RefreshEdgeWeights(std::span<const EdgeId> edges);
+
+  /// Turns the goal-directed search potentials off (every search runs as
+  /// plain Dijkstra) or back on. Routes are identical either way; this is
+  /// the zero-potential reference for tests and benches. Not synchronized,
+  /// like RefreshEdgeWeights.
+  void SetGoalDirected(bool on);
 
  private:
   L2RRouter(const RoadNetwork* net, PreferenceFeatureSpace space)

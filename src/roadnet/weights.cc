@@ -1,5 +1,8 @@
 #include "roadnet/weights.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace l2r {
 
 const char* CostFeatureName(CostFeature f) {
@@ -31,22 +34,62 @@ EdgeWeights::EdgeWeights(const RoadNetwork& net, CostFeature feature,
   for (EdgeId e = 0; e < net.NumEdges(); ++e) RefreshEdge(net, e);
 }
 
+namespace {
+
+/// Straight-line length of edge `e` — what the Euclidean bound multiplies
+/// (the stored length_m may be shorter).
+double ChordM(const RoadNetwork& net, EdgeId e) {
+  const EdgeRecord& r = net.edge(e);
+  return Dist(net.VertexPos(r.from), net.VertexPos(r.to));
+}
+
+}  // namespace
+
 void EdgeWeights::RefreshEdge(const RoadNetwork& net, EdgeId e) {
+  const double old = values_[e];
+  double& v = values_[e];
   if (net.EdgeClosed(e)) {
-    values_[e] = std::numeric_limits<double>::infinity();
-    return;
+    v = std::numeric_limits<double>::infinity();
+  } else {
+    switch (feature_) {
+      case CostFeature::kDistance:
+        v = net.EdgeLengthM(e);
+        break;
+      case CostFeature::kTravelTime:
+        v = net.EdgeTravelTimeS(e, period_);
+        break;
+      case CostFeature::kFuel:
+        v = net.EdgeFuelMl(e, period_);
+        break;
+    }
   }
-  switch (feature_) {
-    case CostFeature::kDistance:
-      values_[e] = net.EdgeLengthM(e);
-      break;
-    case CostFeature::kTravelTime:
-      values_[e] = net.EdgeTravelTimeS(e, period_);
-      break;
-    case CostFeature::kFuel:
-      values_[e] = net.EdgeFuelMl(e, period_);
-      break;
+  if (euclid_scale_ > 0) {
+    const double chord = ChordM(net, e);
+    if (chord > 0) euclid_scale_ = std::min(euclid_scale_, v / chord);
   }
+  if (landmarks_ != nullptr) {
+    const double floor = landmarks_->floor[e];
+    below_floor_ += static_cast<size_t>(v < floor);
+    below_floor_ -= static_cast<size_t>(old < floor);
+  }
+}
+
+void EdgeWeights::AttachPotential(
+    const RoadNetwork& net, std::shared_ptr<const LandmarkTable> landmarks) {
+  L2R_CHECK(values_.size() == net.NumEdges());
+  L2R_CHECK(landmarks == nullptr ||
+            landmarks->floor.size() == values_.size());
+  double scale = std::numeric_limits<double>::infinity();
+  below_floor_ = 0;
+  for (EdgeId e = 0; e < values_.size(); ++e) {
+    const double chord = ChordM(net, e);
+    if (chord > 0) scale = std::min(scale, values_[e] / chord);
+    if (landmarks != nullptr && values_[e] < landmarks->floor[e]) {
+      ++below_floor_;
+    }
+  }
+  euclid_scale_ = std::isfinite(scale) ? scale : 0;
+  landmarks_ = std::move(landmarks);
 }
 
 }  // namespace l2r

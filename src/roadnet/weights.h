@@ -2,6 +2,7 @@
 #define L2R_ROADNET_WEIGHTS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "roadnet/road_network.h"
@@ -28,8 +29,40 @@ const char* CostFeatureName(CostFeature f);
 /// different from both the shortest and the fastest path.
 double FuelMilliliters(double length_m, double speed_kmh);
 
+/// ALT landmark distances for one cost feature: exact shortest-path costs
+/// to and from a few landmark vertices, computed over `floor`, the per-edge
+/// minimum of the weight arrays the table serves (L2RRouter: one array, or
+/// the two equal period arrays of distance). By the triangle inequality
+/// they bound the remaining cost of any search on those arrays from below,
+/// for as long as no array drops below its floor. routing/goal_potential.h
+/// builds them.
+struct LandmarkTable {
+  static constexpr size_t kNumLandmarks = 8;
+
+  size_t num_landmarks() const { return landmarks.size(); }
+  /// Row of vertex v: d(L_i -> v) for every landmark i, then d(v -> L_i);
+  /// +inf when unreachable.
+  const double* Row(VertexId v) const {
+    return dist.data() + static_cast<size_t>(v) * 2 * landmarks.size();
+  }
+
+  std::vector<VertexId> landmarks;
+  std::vector<double> dist;
+  std::vector<double> floor;
+  /// Absolute slack subtracted from every landmark bound, so round-off in
+  /// the table sums can never lift a bound above the true remaining cost.
+  double slack = 0;
+};
+
 /// Precomputed per-edge weights for one cost feature and time period.
 /// Shortest-path searches index this array instead of recomputing costs.
+///
+/// An array may also carry a goal-directed search potential
+/// (AttachPotential): the Euclidean bound `euclid_scale() * |v - t|` and,
+/// optionally, a shared LandmarkTable. Single-target searches on the array
+/// (DijkstraSearch::ShortestPath, PreferenceDijkstra::Route) pick it up
+/// through routing/goal_potential.h. Arrays without one (FromValues, the
+/// default) search as plain Dijkstra.
 class EdgeWeights {
  public:
   EdgeWeights() = default;
@@ -52,13 +85,43 @@ class EdgeWeights {
   /// Recomputes the value of one edge from the network's current
   /// attributes (speeds, closure bit) — the dynamic-world seam. A closed
   /// edge becomes +infinity in every feature, so searches under any
-  /// master dimension refuse to label through it.
+  /// master dimension refuse to label through it. Keeps an attached
+  /// potential admissible: the Euclidean scale is a running minimum, and
+  /// the landmark bound is off while any edge is below its table floor.
   void RefreshEdge(const RoadNetwork& net, EdgeId e);
+
+  /// Attaches a goal-directed potential: the Euclidean scale (the largest
+  /// c with w[e] >= c * |from - to| on every edge) and `landmarks`, which
+  /// may be null. The table's floor must be indexed by EdgeId.
+  void AttachPotential(const RoadNetwork& net,
+                       std::shared_ptr<const LandmarkTable> landmarks);
+
+  /// Turns the attached potential off (searches run as plain Dijkstra) or
+  /// back on — the zero-potential reference for tests and benches.
+  void SetPotentialEnabled(bool on) { potential_enabled_ = on; }
+
+  /// Cost per meter of straight-line distance that every edge costs at
+  /// least; 0 without a potential.
+  double euclid_scale() const {
+    return potential_enabled_ ? euclid_scale_ : 0;
+  }
+  /// The landmark table, or null while the landmark bound is off: none is
+  /// attached, the potential is disabled, or some edge is cheaper than
+  /// its build-time floor.
+  const LandmarkTable* landmarks() const {
+    return potential_enabled_ && below_floor_ == 0 ? landmarks_.get()
+                                                   : nullptr;
+  }
 
  private:
   CostFeature feature_ = CostFeature::kDistance;
   TimePeriod period_ = TimePeriod::kOffPeak;
   std::vector<double> values_;
+  std::shared_ptr<const LandmarkTable> landmarks_;
+  double euclid_scale_ = 0;
+  /// Edges whose value is below landmarks_->floor.
+  size_t below_floor_ = 0;
+  bool potential_enabled_ = true;
 };
 
 /// Bundle of the three cost-feature weight arrays for one time period.
@@ -89,6 +152,12 @@ struct WeightSet {
     distance.RefreshEdge(net, e);
     time.RefreshEdge(net, e);
     fuel.RefreshEdge(net, e);
+  }
+
+  void SetPotentialEnabled(bool on) {
+    distance.SetPotentialEnabled(on);
+    time.SetPotentialEnabled(on);
+    fuel.SetPotentialEnabled(on);
   }
 
   EdgeWeights distance;

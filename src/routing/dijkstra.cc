@@ -1,10 +1,24 @@
 #include "routing/dijkstra.h"
 
+#include "routing/goal_potential.h"
+
 namespace l2r {
 
 Result<Path> DijkstraSearch::ShortestPath(VertexId s, VertexId t,
                                           const EdgeWeights& w) {
-  return ShortestPathW(s, t, ArrayWeight{&w});
+  if (s >= net_.NumVertices() || t >= net_.NumVertices()) {
+    return Status::InvalidArgument("vertex id out of range");
+  }
+  reverse_ = false;
+  const GoalPotential potential(net_, w, t);
+  const VertexId hit =
+      RunToTarget(net_, ws_, s, t, ArrayWeight{&w}, potential,
+                  [t](VertexId v) { return v == t; });
+  if (hit != t) {
+    return Status::NotFound("no path " + std::to_string(s) + "->" +
+                            std::to_string(t));
+  }
+  return ExtractPath(t);
 }
 
 Path DijkstraSearch::ExtractPath(VertexId v) const {

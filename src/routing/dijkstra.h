@@ -28,12 +28,15 @@ class DijkstraSearch {
   const RoadNetwork& net() const { return net_; }
 
   /// Single-pair shortest path under `w`. NotFound if `t` is unreachable.
+  /// Goal-directed when `w` carries a potential (routing/goal_potential.h);
+  /// the route is the same either way.
   Result<Path> ShortestPath(VertexId s, VertexId t, const EdgeWeights& w);
 
   /// Single-pair shortest path under an arbitrary weight functor
   /// `weight(EdgeId) -> double` (positive). Lets callers with derived
   /// per-edge costs (e.g. personalized road-type scalings) search without
-  /// materializing an EdgeWeights array per query.
+  /// materializing an EdgeWeights array per query. Plain Dijkstra: a
+  /// functor carries no potential.
   template <typename WeightFn>
   Result<Path> ShortestPathW(VertexId s, VertexId t, const WeightFn& weight) {
     if (s >= net_.NumVertices() || t >= net_.NumVertices()) {

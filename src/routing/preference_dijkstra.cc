@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "routing/goal_potential.h"
+
 namespace l2r {
 
 namespace {
@@ -48,9 +50,10 @@ VertexId PreferenceDijkstra::Run(VertexId s, VertexId t,
     }
     return false;
   };
-  const VertexId got = RunSearchKernel<ForwardExpand>(
-      net_, ws_, s, ArrayWeight{&master}, stop, kInfCost, DistanceKey{},
-      SlaveFilter{net_, slave_mask});
+  const GoalPotential potential(net_, master, t);
+  const VertexId got =
+      RunToTarget(net_, ws_, s, t, ArrayWeight{&master}, potential, stop,
+                  SlaveFilter{net_, slave_mask});
   *exhausted = hit_budget && got != t;
   return got;
 }

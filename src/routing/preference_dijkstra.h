@@ -24,6 +24,10 @@ struct PreferencePathResult {
 /// u, only edges satisfying the slave road-type preference are explored —
 /// unless u has no satisfying out-edge, in which case all of u's edges are
 /// explored. The slave filter runs as the kernel's edge admission policy.
+/// The search is goal-directed when `master` carries a potential
+/// (routing/goal_potential.h): the filter admits a fixed subgraph, on
+/// which the full-graph bounds stay admissible, so the route is the one
+/// the unguided search returns.
 class PreferenceDijkstra {
  public:
   explicit PreferenceDijkstra(const RoadNetwork& net)
@@ -36,6 +40,8 @@ class PreferenceDijkstra {
   /// DeadlineExceeded so the caller can degrade instead of paying for the
   /// full rebuild. The cap counts settled vertices — a deterministic work
   /// measure — so budget decisions are identical across runs and threads.
+  /// A goal-directed search settles far fewer vertices, so a given cap
+  /// degrades fewer queries than it would with plain Dijkstra.
   Result<PreferencePathResult> Route(VertexId s, VertexId t,
                                      const EdgeWeights& master,
                                      RoadTypeMask slave_mask,

@@ -11,12 +11,19 @@
 #include "roadnet/weights.h"
 
 /// Header-only search kernel shared by the Dijkstra family
-/// (DijkstraSearch, AStarSearch, BidirectionalSearch, PreferenceDijkstra).
+/// (DijkstraSearch, BidirectionalSearch, PreferenceDijkstra).
 /// The direction, weight accessor, stop predicate, heap key and edge
 /// admission policy are template parameters, so the relaxation loop
 /// compiles to direct calls — no std::function indirection on the hot
 /// path. The non-template classes in dijkstra.h etc. stay as thin
 /// wrappers over this kernel so existing call sites keep compiling.
+///
+/// Canonical parents: among the tight in-edges of a vertex (those through
+/// which it reaches its final distance) the kernel keeps the one with the
+/// smallest EdgeId, whatever order they were relaxed in. A route is then
+/// a function of the distances, not of heap pop order, which is what lets
+/// a goal-directed search (routing/goal_potential.h) return exactly the
+/// route plain Dijkstra returns.
 
 namespace l2r {
 
@@ -113,8 +120,12 @@ struct IgnoreLabel {
 
 /// Relaxes every admitted edge of `u` (settled at distance `du`): creates
 /// or improves labels, pushes heap entries keyed by `key(x, g)`, and calls
-/// `on_label(x)` whenever x's label changed. Shared by RunSearchKernel and
-/// by BidirectionalSearch's alternating loop.
+/// `on_label(x)` whenever x's distance changed. An equal-distance
+/// relaxation keeps the parent with the smaller EdgeId (the canonical
+/// parent rule above); `du < nd` keeps parent chains strictly decreasing
+/// in distance, so they stay acyclic even where an edge weight vanishes in
+/// round-off. Shared by RunSearchKernel, SettleKeysUpTo and
+/// BidirectionalSearch's alternating loop.
 template <typename Expand, typename WeightFn, typename KeyFn,
           typename Explore, typename OnLabel>
 inline void RelaxVertex(const RoadNetwork& net, SearchWorkspace& ws,
@@ -142,6 +153,8 @@ inline void RelaxVertex(const RoadNetwork& net, SearchWorkspace& ws,
       ws.parent_edge[x] = e;
       ws.heap.PushOrUpdate(x, key(x, nd));
       on_label(x);
+    } else if (nd == ws.dist[x] && e < ws.parent_edge[x] && du < nd) {
+      ws.parent_edge[x] = e;
     }
   }
 }
@@ -172,6 +185,23 @@ inline VertexId RunSearchKernel(const RoadNetwork& net, SearchWorkspace& ws,
                         IgnoreLabel{});
   }
   return kInvalidVertex;
+}
+
+/// Settles every heap entry whose key is <= `bound`, relaxing as usual.
+/// Goal-directed single-target searches call it with bound = d(s, t) once
+/// t is reached (see RunToTarget in routing/goal_potential.h).
+template <typename Expand, typename WeightFn, typename KeyFn,
+          typename Explore>
+inline void SettleKeysUpTo(const RoadNetwork& net, SearchWorkspace& ws,
+                           double bound, const WeightFn& weight,
+                           const KeyFn& key, Explore explore) {
+  while (!ws.heap.empty() && ws.heap.Top().second <= bound) {
+    const VertexId u = ws.heap.Pop().first;
+    ++ws.settled_count;
+    ++ws.lifetime_settles;
+    RelaxVertex<Expand>(net, ws, u, ws.dist[u], weight, key, explore,
+                        IgnoreLabel{});
+  }
 }
 
 /// Follows parent edges from `v` back to the source of the last forward

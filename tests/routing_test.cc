@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "routing/astar.h"
 #include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
+#include "routing/goal_potential.h"
 #include "routing/preference_dijkstra.h"
 #include "routing/skyline.h"
 #include "test_util.h"
@@ -15,6 +15,7 @@ namespace {
 
 using testing::MakeGrid;
 using testing::MakeLine;
+using testing::ThreeCorridorNetwork;
 
 /// Bellman-Ford oracle for shortest-path costs.
 std::vector<double> BellmanFord(const RoadNetwork& net, VertexId s,
@@ -169,45 +170,252 @@ TEST(DijkstraTest, ReverseSearchFindsForwardPath) {
   EXPECT_NEAR(path.cost, 1000, 1e-6);  // 5+5 grid hops of 100 m
 }
 
-// ---------- A* ----------
+// ---------- goal-directed search (routing/goal_potential.h) ----------
 
-TEST(AStarTest, HeuristicScaleBounds) {
-  const RoadNetwork net = MakeLine(5, 100, RoadType::kPrimary, 60);
-  const EdgeWeights di(net, CostFeature::kDistance, TimePeriod::kOffPeak);
-  EXPECT_NEAR(HeuristicScaleFor(net, di), 1.0, 1e-6);
-  const EdgeWeights tt(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
-  EXPECT_NEAR(HeuristicScaleFor(net, tt), 1.0 / (60 / 3.6), 1e-6);
+/// Attaches a goal potential (Euclidean bound + landmark table) to `w`.
+void AttachPotential(const RoadNetwork& net, EdgeWeights* w) {
+  const std::vector<std::vector<EdgeWeights*>> groups = {{w}};
+  AttachGoalPotentials(net, groups, 2);
 }
 
-TEST(AStarTest, MatchesDijkstraOnRandomGraphs) {
+TEST(GoalPotentialTest, EuclidScaleBounds) {
+  const RoadNetwork net = MakeLine(5, 100, RoadType::kPrimary, 60);
+  EdgeWeights di(net, CostFeature::kDistance, TimePeriod::kOffPeak);
+  EXPECT_EQ(di.euclid_scale(), 0);  // nothing attached yet
+  AttachPotential(net, &di);
+  EXPECT_NEAR(di.euclid_scale(), 1.0, 1e-6);
+  EdgeWeights tt(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
+  AttachPotential(net, &tt);
+  EXPECT_NEAR(tt.euclid_scale(), 1.0 / (60 / 3.6), 1e-6);
+  ASSERT_NE(tt.landmarks(), nullptr);
+  EXPECT_EQ(tt.landmarks()->num_landmarks(), 5u);  // min(8, |V|)
+}
+
+TEST(GoalPotentialTest, MatchesDijkstraOnRandomGraphs) {
   for (uint64_t seed = 11; seed <= 14; ++seed) {
     const RoadNetwork net = RandomNetwork(seed, 80);
     const EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
-    const double scale = HeuristicScaleFor(net, w);
+    EdgeWeights goal = w;
+    AttachPotential(net, &goal);
     DijkstraSearch dijkstra(net);
-    AStarSearch astar(net);
+    DijkstraSearch directed(net);
     Rng rng(seed * 7);
     for (int q = 0; q < 25; ++q) {
       const VertexId s = static_cast<VertexId>(rng.Index(net.NumVertices()));
       const VertexId t = static_cast<VertexId>(rng.Index(net.NumVertices()));
       auto want = dijkstra.ShortestPath(s, t, w);
-      auto got = astar.ShortestPath(s, t, w, scale);
+      auto got = directed.ShortestPath(s, t, goal);
       ASSERT_EQ(want.ok(), got.ok());
       if (want.ok()) {
-        EXPECT_NEAR(got->cost, want->cost, 1e-6) << "seed " << seed;
+        EXPECT_EQ(got->cost, want->cost) << "seed " << seed;
+        EXPECT_EQ(got->vertices, want->vertices) << "seed " << seed;
       }
     }
   }
 }
 
-TEST(AStarTest, ExpandsFewerVerticesThanDijkstra) {
+TEST(GoalPotentialTest, ExpandsFewerVerticesThanDijkstra) {
   const RoadNetwork net = MakeGrid(20, 20, 100);
   const EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
+  EdgeWeights goal = w;
+  AttachPotential(net, &goal);
   DijkstraSearch dijkstra(net);
-  AStarSearch astar(net);
-  ASSERT_TRUE(dijkstra.ShortestPath(0, 399, w).ok());
-  ASSERT_TRUE(astar.ShortestPath(0, 399, w, HeuristicScaleFor(net, w)).ok());
-  EXPECT_LT(astar.LastSettledCount(), dijkstra.LastSettledCount());
+  DijkstraSearch directed(net);
+  // Across the middle row: one straight shortest path. (Corner to corner
+  // every vertex lies on a shortest path, so an exact potential settles
+  // them all.)
+  ASSERT_TRUE(dijkstra.ShortestPath(200, 219, w).ok());
+  ASSERT_TRUE(directed.ShortestPath(200, 219, goal).ok());
+  EXPECT_LT(directed.LastSettledCount() * 5, dijkstra.LastSettledCount());
+}
+
+TEST(GoalPotentialTest, ShortcutShorterThanItsChordStaysAdmissible) {
+  // Edge 1 -> 2 claims 50 m over a 500 m chord (explicit lengths may be
+  // shorter than the straight line). A scale taken from length_m would be
+  // 1 and bound the remaining cost at 1 by 500, so the search would settle
+  // 2 through the direct 400 m edge first. The chord-derived scale is 0.1
+  // and finds 0 -> 1 -> 2 (150 m).
+  RoadNetworkBuilder b;
+  b.AddVertex(Point(0, 0));
+  b.AddVertex(Point(-100, 0));
+  b.AddVertex(Point(400, 0));
+  b.AddEdge(0, 2, RoadType::kPrimary, 50, 40);
+  b.AddEdge(0, 1, RoadType::kPrimary, 50, 40);
+  b.AddEdge(1, 2, RoadType::kPrimary, 50, 40, /*length_m=*/50);
+  auto net = b.Build();
+  ASSERT_TRUE(net.ok());
+  const EdgeWeights w(*net, CostFeature::kDistance, TimePeriod::kOffPeak);
+  EdgeWeights goal = w;
+  goal.AttachPotential(*net, nullptr);  // Euclidean bound alone
+  EXPECT_NEAR(goal.euclid_scale(), 0.1, 1e-9);
+  DijkstraSearch dijkstra(*net);
+  DijkstraSearch directed(*net);
+  auto want = dijkstra.ShortestPath(0, 2, w);
+  auto got = directed.ShortestPath(0, 2, goal);
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(want->vertices, (std::vector<VertexId>{0, 1, 2}));
+  EXPECT_EQ(got->vertices, want->vertices);
+  EXPECT_EQ(got->cost, want->cost);
+  AttachPotential(*net, &goal);  // plus landmarks
+  got = directed.ShortestPath(0, 2, goal);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->vertices, want->vertices);
+  EXPECT_EQ(got->cost, want->cost);
+}
+
+/// Property: on the same values, a goal-directed PreferenceDijkstra
+/// returns exactly the zero-potential route — same vertices, same cost,
+/// same fallback flag, same status — for every (s, t, master, slave mask).
+/// The arrays are FromValues copies, so the only difference is the
+/// potential. Counts compared routes and filtered-disconnect fallbacks.
+struct MatchCounts {
+  size_t compared = 0;
+  size_t fell_back = 0;
+};
+void ExpectGoalDirectedMatchesPlain(const RoadNetwork& net,
+                                    const std::vector<VertexId>& sources,
+                                    const std::vector<VertexId>& targets,
+                                    MatchCounts* counts) {
+  std::vector<RoadTypeMask> masks = {0};
+  for (int t = 0; t < kNumRoadTypes; ++t) {
+    masks.push_back(RoadTypeBit(static_cast<RoadType>(t)));
+  }
+  masks.push_back(RoadTypeBit(RoadType::kMotorway) |
+                  RoadTypeBit(RoadType::kTrunk));
+  const WeightSet ws(net, TimePeriod::kPeak);
+  PreferenceDijkstra plain(net);
+  PreferenceDijkstra directed(net);
+  for (int f = 0; f < kNumCostFeatures; ++f) {
+    const EdgeWeights& base = ws.Get(static_cast<CostFeature>(f));
+    std::vector<double> values(base.size());
+    for (EdgeId e = 0; e < base.size(); ++e) values[e] = base[e];
+    const EdgeWeights zero = EdgeWeights::FromValues(values);
+    EdgeWeights goal = EdgeWeights::FromValues(values);
+    AttachPotential(net, &goal);
+    EXPECT_NE(goal.landmarks(), nullptr);
+    for (const VertexId s : sources) {
+      for (const VertexId t : targets) {
+        if (s == t) continue;
+        for (const RoadTypeMask mask : masks) {
+          auto want = plain.Route(s, t, zero, mask);
+          auto got = directed.Route(s, t, goal, mask);
+          ++counts->compared;
+          ASSERT_EQ(want.ok(), got.ok()) << s << "->" << t;
+          if (!want.ok()) {
+            EXPECT_EQ(want.status().code(), got.status().code());
+            continue;
+          }
+          ASSERT_EQ(got->path.vertices, want->path.vertices)
+              << s << "->" << t << " feature " << f << " mask " << mask;
+          ASSERT_EQ(got->path.cost, want->path.cost);
+          ASSERT_EQ(got->fell_back_to_unfiltered,
+                    want->fell_back_to_unfiltered);
+          counts->fell_back += got->fell_back_to_unfiltered ? 1 : 0;
+        }
+      }
+    }
+  }
+}
+
+std::vector<VertexId> AllVertices(const RoadNetwork& net) {
+  std::vector<VertexId> out(net.NumVertices());
+  for (VertexId v = 0; v < out.size(); ++v) out[v] = v;
+  return out;
+}
+
+TEST(GoalPotentialTest, PreferenceRoutesMatchZeroPotentialOnTieHeavyNets) {
+  // Every (s, t, master, slave mask) on the three-corridor network and a
+  // grid — both full of equal-cost alternatives, so the canonical tie
+  // rule is what keeps the routes identical.
+  for (const RoadNetwork& net : {ThreeCorridorNetwork(), MakeGrid(7, 6)}) {
+    const std::vector<VertexId> all = AllVertices(net);
+    MatchCounts counts;
+    ExpectGoalDirectedMatchesPlain(net, all, all, &counts);
+    EXPECT_EQ(counts.compared, all.size() * (all.size() - 1) * 3 * 8);
+  }
+}
+
+TEST(GoalPotentialTest, PreferenceRoutesMatchZeroPotentialOnRandomNets) {
+  MatchCounts counts;
+  for (uint64_t seed = 31; seed <= 33; ++seed) {
+    const RoadNetwork net = RandomNetwork(seed, 70);
+    Rng rng(seed);
+    std::vector<VertexId> sources;
+    std::vector<VertexId> targets;
+    for (int i = 0; i < 12; ++i) {
+      sources.push_back(static_cast<VertexId>(rng.Index(70)));
+      targets.push_back(static_cast<VertexId>(rng.Index(70)));
+    }
+    ExpectGoalDirectedMatchesPlain(net, sources, targets, &counts);
+  }
+  // One-way random chords let the slave filter cut off targets: the
+  // filtered-disconnect fallback is part of what was compared.
+  EXPECT_GT(counts.fell_back, 0u);
+}
+
+TEST(GoalPotentialTest, FilteredDisconnectFallbackMatchesZeroPotential) {
+  // The FallsBackWhenFilterDisconnects network: residential from 0 is a
+  // dead end, so the filtered search exhausts before the unfiltered rerun.
+  RoadNetworkBuilder b;
+  b.AddVertex({0, 0});
+  b.AddVertex({100, 0});
+  b.AddVertex({200, 0});
+  b.AddVertex({100, 100});
+  b.AddEdge(0, 1, RoadType::kResidential, 30, 25);
+  b.AddEdge(0, 3, RoadType::kPrimary, 60, 50);
+  b.AddEdge(3, 2, RoadType::kPrimary, 60, 50);
+  auto net = b.Build();
+  ASSERT_TRUE(net.ok());
+  MatchCounts counts;
+  ExpectGoalDirectedMatchesPlain(*net, {0}, {2}, &counts);
+  EXPECT_EQ(counts.fell_back, 3u);  // once per master feature
+}
+
+TEST(GoalPotentialTest, SettleCapStillReturnsDeadlineExceeded) {
+  const RoadNetwork net = MakeGrid(20, 20, 100);
+  EdgeWeights goal(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
+  AttachPotential(net, &goal);
+  PreferenceDijkstra directed(net);
+  const uint64_t before = directed.LifetimeSettles();
+  auto full = directed.Route(0, 399, goal, 0);
+  ASSERT_TRUE(full.ok());
+  const size_t settles = directed.LifetimeSettles() - before;
+  // A cap below what the goal-directed search needs still gives out.
+  EXPECT_EQ(directed.Route(0, 399, goal, 0, settles / 2).status().code(),
+            StatusCode::kDeadlineExceeded);
+  // A cap it fits under returns the same route as the uncapped search.
+  auto capped = directed.Route(0, 399, goal, 0, settles);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->path.vertices, full->path.vertices);
+}
+
+TEST(GoalPotentialTest, LandmarkBoundTracksEdgesBelowTheFloor) {
+  RoadNetwork net = MakeGrid(6, 6, 100);
+  EdgeWeights w(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
+  AttachPotential(net, &w);
+  ASSERT_NE(w.landmarks(), nullptr);
+  const double scale = w.euclid_scale();
+  // Slowdown and closure: costs only rise, the bound stays on.
+  net.SetEdgeSpeeds(3, 10, 10);
+  w.RefreshEdge(net, 3);
+  net.SetEdgeClosed(4, true);
+  w.RefreshEdge(net, 4);
+  EXPECT_NE(w.landmarks(), nullptr);
+  EXPECT_EQ(w.euclid_scale(), scale);
+  // A speed-up above the build-time speed undercuts the floor: off, and
+  // the Euclidean scale falls with it.
+  net.SetEdgeSpeeds(5, 100, 80);
+  w.RefreshEdge(net, 5);
+  EXPECT_EQ(w.landmarks(), nullptr);
+  EXPECT_LT(w.euclid_scale(), scale);
+  // Undone: on again; the Euclidean scale stays a running minimum.
+  net.SetEdgeSpeeds(5, 50, 40);
+  w.RefreshEdge(net, 5);
+  EXPECT_NE(w.landmarks(), nullptr);
+  EXPECT_LT(w.euclid_scale(), scale);
+  w.SetPotentialEnabled(false);
+  EXPECT_EQ(w.landmarks(), nullptr);
+  EXPECT_EQ(w.euclid_scale(), 0);
 }
 
 // ---------- bidirectional ----------

@@ -55,6 +55,36 @@ inline RoadNetwork MakeLine(int n, double spacing = 100,
   return std::move(built).value();
 }
 
+/// A 3-row network where the rows have distinct types and speeds so the
+/// cost features genuinely disagree:
+///  row 0 (y=0):   motorway, fast but longer to reach (via ramps)
+///  row 1 (y=100): residential, slow, shortest
+///  row 2 (y=200): secondary, moderate
+inline RoadNetwork ThreeCorridorNetwork(int cols = 10) {
+  RoadNetworkBuilder b;
+  for (int r = 0; r < 3; ++r) {
+    for (int i = 0; i < cols; ++i) {
+      b.AddVertex(Point(i * 200.0, r * 100.0));
+    }
+  }
+  auto id = [cols](int r, int i) {
+    return static_cast<VertexId>(r * cols + i);
+  };
+  for (int i = 0; i + 1 < cols; ++i) {
+    b.AddTwoWayEdge(id(0, i), id(0, i + 1), RoadType::kMotorway, 110, 100);
+    b.AddTwoWayEdge(id(1, i), id(1, i + 1), RoadType::kResidential, 30, 25);
+    b.AddTwoWayEdge(id(2, i), id(2, i + 1), RoadType::kSecondary, 55, 45);
+  }
+  // Vertical connectors (tertiary).
+  for (int i = 0; i < cols; i += 3) {
+    b.AddTwoWayEdge(id(0, i), id(1, i), RoadType::kTertiary, 45, 40);
+    b.AddTwoWayEdge(id(1, i), id(2, i), RoadType::kTertiary, 45, 40);
+  }
+  auto net = b.Build();
+  L2R_CHECK(net.ok());
+  return std::move(net).value();
+}
+
 /// A matched trajectory along `path` at time `t0` from `driver`.
 inline MatchedTrajectory MakeTraj(std::vector<VertexId> path, double t0 = 0,
                                   uint32_t driver = 0) {

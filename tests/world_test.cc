@@ -282,6 +282,72 @@ TEST_F(WorldTest, ClosureReroutesAndReopeningRestoresTheExactBytes) {
   ExpectSameResult(r0, PlainRoute(query), 0);
 }
 
+TEST_F(WorldTest, GoalDirectedRoutesMatchZeroPotentialAcrossUpdates) {
+  WorldUpdateChannel channel(net(), router_);
+  const auto queries = MakeQueries(60);
+  // Every route must equal the one the same router returns with its
+  // goal-directed potentials turned off (plain Dijkstra everywhere).
+  auto expect_matches_reference = [&](const char* stage) {
+    SCOPED_TRACE(stage);
+    router_->SetGoalDirected(false);
+    const auto want = PlainResults(queries);
+    router_->SetGoalDirected(true);
+    const auto got = PlainResults(queries);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameResult(want[i], got[i], i);
+    }
+  };
+  auto landmarks_on = [] {
+    for (int p = 0; p < kNumTimePeriods; ++p) {
+      if (router_->weights(static_cast<TimePeriod>(p)).time.landmarks() ==
+          nullptr) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Three distinct route edges: slowed, closed, sped up.
+  std::vector<EdgeId> mids;
+  for (const BatchQuery& q : queries) {
+    if (mids.size() == 3) break;
+    const auto r = PlainRoute(q);
+    if (!r.ok()) continue;
+    const EdgeId e = MidEdge(r->path);
+    if (std::find(mids.begin(), mids.end(), e) == mids.end()) {
+      mids.push_back(e);
+    }
+  }
+  ASSERT_EQ(mids.size(), 3u);
+  ASSERT_TRUE(landmarks_on());
+  expect_matches_reference("built");
+
+  // Cost increases keep every landmark bound on.
+  channel.Apply(SlowdownBatch(mids[0], 0.5));
+  EXPECT_TRUE(landmarks_on());
+  expect_matches_reference("slowdown");
+  WorldUpdateBatch close;
+  close.closures.push_back(mids[1]);
+  channel.Apply(close);
+  EXPECT_TRUE(landmarks_on());
+  expect_matches_reference("closure");
+  WorldUpdateBatch reopen;
+  reopen.reopenings.push_back(mids[1]);
+  channel.Apply(reopen);
+  EXPECT_TRUE(landmarks_on());
+  expect_matches_reference("reopening");
+  channel.Apply(SlowdownBatch(mids[0], 2.0));  // back to the build speed
+  EXPECT_TRUE(landmarks_on());
+
+  // A speed-up above the build-time speed undercuts the tables' floor:
+  // the landmark bound is off while it holds and back once it is undone.
+  channel.Apply(SlowdownBatch(mids[2], 2.0));
+  EXPECT_FALSE(landmarks_on());
+  expect_matches_reference("speed-up");
+  channel.Apply(SlowdownBatch(mids[2], 0.5));
+  EXPECT_TRUE(landmarks_on());
+  expect_matches_reference("speed-up undone");
+}
+
 TEST_F(WorldTest, ApplyWaitsOutActiveReadPins) {
   WorldUpdateChannel channel(net(), router_);
   ASSERT_EQ(channel.AcquireRead(), 0u);  // pin the world
