@@ -10,7 +10,6 @@
 #include "region/clustering.h"
 #include "region/trajectory_graph.h"
 #include "roadnet/generator.h"
-#include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
 #include "routing/goal_potential.h"
 #include "traj/driver_model.h"
@@ -80,19 +79,6 @@ void BM_ShortestPathPotential(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShortestPathPotential)->Arg(0)->Arg(1);
-
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  const RoadNetwork& net = World().net;
-  const EdgeWeights w(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
-  BidirectionalSearch search(net);
-  Rng rng(23);
-  for (auto _ : state) {
-    const VertexId s = static_cast<VertexId>(rng.Index(net.NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Index(net.NumVertices()));
-    benchmark::DoNotOptimize(search.ShortestPath(s, t, w));
-  }
-}
-BENCHMARK(BM_BidirectionalDijkstra);
 
 void BM_Clustering(benchmark::State& state) {
   const RoadNetwork& net = World().net;

@@ -1,822 +1,476 @@
 #!/usr/bin/env python3
-"""Schema + sanity validation of BENCH_query_throughput.json artifacts.
+"""Validates BENCH_query_throughput.json artifacts.
 
 Usage: scripts/bench_check.py FILE [FILE ...]
 
-Checks (per file):
-  - required top-level keys are present with sane types;
-  - latency percentile blocks are monotone (p50 <= p95 <= p99) with a
-    positive mean;
-  - serving hit rate (when the cache-on pass ran) lies in [0, 1] and
-    hits/misses are consistent with it;
-  - the thread ladder covers t = 1/2/4/8 with positive QPS;
-  - every scenario block has dedup_off/dedup_on with positive QPS,
-    duplicate_fraction in [0, 1], routed + collapsed == slots, and both
-    determinism flags true;
-  - the streaming block (unless skipped with L2R_BENCH_STREAM=0) has a
-    poisson and a bursty schedule, each with submitted == completed ==
-    slots, monotone non-negative queue-wait percentiles, close-reason
-    counts summing to the batch count, and a batch-size histogram that
-    sums back to the submitted count (no query lost or double-counted);
-  - the duplicate_heavy scenario shows a dedup-on improvement (QPS up and
-    mean latency down vs dedup-off) — the structural win, stated as a
-    generous >= 1.2x bound so CI noise cannot flake it;
-  - the deadline_sweep block (unless L2R_BENCH_DEADLINE_SWEEP=0) has
-    strictly increasing deadlines, positive QPS, monotone queue-wait
-    percentiles, and a mean batch size that does not shrink as the
-    deadline grows (5% tolerance for timing noise);
-  - the overload_sweep block (unless L2R_BENCH_OVERLOAD=0) reports
-    ok=true (every point conserved callbacks and shed with
-    kResourceExhausted), per-class splits that sum to the totals,
-    interactive drain-wait p99 under the SLO (with a noise allowance
-    for contended CI cores) at every point, bulk shed at a rate >=
-    interactive wherever anything shed, and goodput at overload
-    multipliers (>= 2x capacity) within a generous factor of the peak
-    — the controller must not collapse under overload;
-  - the dynamic_world block (unless L2R_BENCH_DYNAMIC=0 or the cache is
-    off) covers incident_injection / rush_hour_transition /
-    rolling_closures with strictly increasing epoch numbers across the
-    whole suite, zero stale serves at every point (the no-stale-serve
-    gate: every post-repair serve byte-matched a cold recompute on the
-    new epoch), per-point repair conservation (repaired + full_recompute
-    + unroutable == invalidated), every scenario's world restore
-    reproducing the epoch-0 bytes, and the single-incident point showing
-    repair cost < 30% of a wholesale recompute at >= 70% convergence;
-  - the scale_ladder block (unless L2R_BENCH_SCALE_LADDER=0) has strictly
-    increasing scales with monotone world footprints, snapshot sizes
-    consistent with the in-memory arrays, positive QPS at every rung, a
-    snapshot-mmap cold start >= 10x faster than the CSV rebuild at
-    every metro-sized rung (scale >= 1.0), and a positive checksum-only
-    (trusted-image) open timing;
-  - the scale_out block (unless L2R_BENCH_SCALE_OUT=0) covers serving-
-    stack runs at t = 1/2/4/8 and drain audits at 1/2/4 overlapping
-    drain threads, every rung byte-identical to the bare-router
-    reference, hot-path hits a subset of total hits, and QPS at t=4 at
-    least 2x the t=1 rung — unless the artifact declares
-    `single_core: true` (1 hardware thread: no parallel speedup exists
-    to measure, but the identity gates still apply in full).
+The artifact is a fixture header plus one object per block of
+bench/query_throughput.cc. Each block declares the key paths it must
+carry in SCHEMA ('a.b'; 'a[].b' means every element of the non-empty
+list a) and its value checks in one function of CHECKS, written with a
+few generic predicates (Checker): true, equal, positive, in_range,
+monotone, conserved, ratio, and the single_core hatch. Thresholds are
+the named constants below. A block that L2R_BENCH_ONLY left out is null
+and skipped.
 
-Exits 0 when every file passes, 1 with a per-violation message otherwise.
-CI runs this after each bench pass so a malformed or regressed artifact
-fails the PR instead of being uploaded silently.
+Every violation is printed on its own line, prefixed with the file and
+the block. Exits 0 when every file passes, 1 otherwise.
 """
 
 import json
 import sys
 
-REQUIRED_TOP_KEYS = [
-    "bench",
-    "unix_time",
-    "dataset",
-    "scale",
-    "num_vertices",
-    "num_edges",
-    "num_queries",
-    "failures",
-    "mix",
-    "methods",
-    "latency_us",
-    "serving",
-    "scenarios",
-    "streaming",
-    "deadline_sweep",
-    "overload_sweep",
-    "dynamic_world",
-    "scale_ladder",
-    "scale_out",
-    "deterministic_across_threads",
-    "runs",
-]
-
-STREAM_SCHEDULES = ["poisson", "bursty"]
-
-SCENARIO_NAMES = [
-    "uniform",
-    "zipf",
-    "commute_burst",
-    "adversarial_cold",
-    "duplicate_heavy",
-]
-
-EXPECTED_THREADS = [1, 2, 4, 8]
-
-EXPECTED_DRAIN_LADDER = [1, 2, 4]
-
-# The scale-out serving ladder must show real parallel speedup on a
-# multi-core host: QPS at t=4 >= 2x the t=1 rung. On a host with one
-# hardware thread (single_core: true) there is no speedup to measure —
-# the byte-identity gates still apply in full there.
-MIN_SCALE_OUT_T4_SPEEDUP = 2.0
-
-# duplicate_heavy repeats every query 8x; dedup-on must beat dedup-off by
-# at least this factor. Far below the ~8x structural ceiling, far above
-# CI timing noise.
+# duplicate_heavy repeats every query 8x; dedup-on QPS must beat dedup-off
+# by this factor: far below the ~8x ceiling, far above CI timing noise.
 MIN_DUP_HEAVY_SPEEDUP = 1.2
 
 # A longer batch deadline can only grow the mean batch; allow 5% noise.
 DEADLINE_BATCH_TOLERANCE = 0.95
 
 # Goodput at overload (multiplier >= 2) must stay within this factor of
-# the sweep's peak goodput. Clean runs hold within ~10% of peak; the
-# floor is far looser because the sweep measures real time on shared CI
-# cores (the capacity estimate itself swings run to run). The gate
-# exists to fail a controller that *collapses* under load — goodput
-# falling off a cliff past saturation — not to relitigate the tuned
-# margin, which the committed artifact documents.
+# the sweep's peak. Clean runs hold within ~10%; the floor is loose because
+# the sweep measures real time on shared cores. It fails a controller that
+# collapses under load, not a tuned margin.
 MIN_OVERLOAD_GOODPUT_FRACTION = 0.6
 
-# Same reasoning for the drain-wait SLO: the controller targets slo_us
-# and clean runs sit well inside it, but p99 on a contended CI machine
-# carries scheduling noise the controller cannot see. Gate at a modest
-# multiple so a controller that stops enforcing the SLO still fails.
+# The interactive drain-wait p99 may exceed the SLO by this factor: p99 on
+# a contended machine carries scheduling noise the controller cannot see.
 OVERLOAD_SLO_NOISE_FACTOR = 1.5
 
-DYNAMIC_SCENARIOS = [
-    "incident_injection",
-    "rush_hour_transition",
-    "rolling_closures",
-]
-
-# Snapshot mmap must beat the CSV parse-and-rebuild cold start by at
-# least this factor once the world is metro-sized (generator scale >=
-# 1.0, ~140k vertices). Measured runs sit near 20x even at scale 0.3;
-# 10x leaves room for CI page-cache and disk noise while still failing
-# a snapshot path that quietly degenerates into a full parse.
+# Snapshot mmap must beat the CSV rebuild by this factor on metro-sized
+# worlds (scale >= 1.0): measured runs sit near 20x, and a snapshot path
+# that degenerates into a full parse still fails.
 MIN_LADDER_COLD_START_SPEEDUP = 10.0
 MIN_LADDER_SPEEDUP_SCALE = 1.0
 
-LADDER_POINT_KEYS = [
-    "scale",
-    "num_vertices",
-    "num_edges",
-    "world_bytes",
-    "snapshot_bytes",
-    "gen_seconds",
-    "csv_cold_start_seconds",
-    "mmap_cold_start_seconds",
-    "checksum_only_open_seconds",
-    "cold_start_speedup",
-    "zero_copy",
-    "queries",
-    "qps",
-    "mean_query_us",
-]
+# The snapshot image is the world arrays plus a header, a section table
+# and alignment padding: never smaller, never more than this much larger.
+MAX_SNAPSHOT_OVERHEAD_BYTES = 64 * 1024
 
-# The incident case the repair pass exists for: a single incident's
-# repair must cost well under a wholesale recompute and converge for
-# most candidates in a bounded round. Settle counts are deterministic,
-# so these are exact gates, not noise-padded ones.
+# A single incident's repair must cost well under a wholesale recompute
+# and converge in a bounded round. Settle counts are deterministic, so
+# these are exact gates.
 MAX_INCIDENT_REPAIR_COST_RATIO = 0.3
 MIN_INCIDENT_CONVERGENCE = 0.7
 
-DYNAMIC_POINT_KEYS = [
-    "kind",
-    "epoch",
-    "edges_touched",
-    "cached_entries",
-    "invalidated",
-    "staleness",
-    "repaired",
-    "full_recompute",
-    "unroutable",
-    "convergence",
-    "repair_settles",
-    "wholesale_settles",
-    "repair_cost_ratio",
-    "stale_serves",
-    "serve_misses",
-]
+# Warm serving-stack QPS at t=4 must reach this multiple of t=1, unless the
+# artifact declares single_core (a 1-thread host has no speedup to show;
+# the identity gates still apply).
+MIN_SCALE_OUT_T4_SPEEDUP = 2.0
+
+EXPECTED_THREADS = [1, 2, 4, 8]
+EXPECTED_DRAINS = [1, 2, 4]
+SCENARIOS = ["uniform", "zipf", "commute_burst", "adversarial_cold",
+             "duplicate_heavy"]
+SCHEDULES = ["poisson", "bursty"]
+DYNAMIC_SCENARIOS = ["incident_injection", "rush_hour_transition",
+                     "rolling_closures"]
+LATENCY = ["mean", "p50", "p95", "p99"]
 
 
-class Violation(Exception):
-    pass
+def under(prefix, paths):
+    return [f"{prefix}.{path}" for path in paths]
 
 
-def require(cond, message):
-    if not cond:
-        raise Violation(message)
+SCHEMA = {
+    "fixture": ["bench", "unix_time", "dataset", "scale", "num_vertices",
+                "num_edges", "num_queries", "failures", "mix", "methods",
+                "deterministic_across_threads"],
+    "latency_us": LATENCY,
+    "serving": ["workload_queries", "distinct_queries",
+                *under("cache_off", LATENCY),
+                *under("cache_on", LATENCY + ["hit_rate", "hits", "misses"])],
+    "runs": ["[].threads", "[].qps"],
+    "scenarios": [f"{name}.{key}" for name in SCENARIOS for key in (
+        "slots", "distinct_used", "duplicate_fraction", "single_flight",
+        "dedup_off.qps", "dedup_off.mean_us", "dedup_on.qps",
+        "dedup_on.mean_us", "dedup_on.unique_routed",
+        "dedup_on.duplicates_collapsed", "coalesced_identical",
+        "deterministic_t1248")],
+    "streaming": ["max_batch", "batch_deadline_us", "mean_gap_us"] + [
+        f"{name}.{key}" for name in SCHEDULES for key in (
+            "slots", "submitted", "completed", "qps", "batches",
+            "closed_by_size", "closed_by_deadline", "closed_by_shutdown",
+            *under("queue_wait_us", LATENCY), "batch_size_hist")],
+    "deadline_sweep": ["max_batch", "mean_gap_us", *under("points[]", [
+        "deadline_us", "qps", "mean_batch", "closed_by_size",
+        "closed_by_deadline", *under("queue_wait_us", LATENCY)])],
+    "overload_sweep": ["capacity_qps", "bulk_fraction", "slo_us", "ok",
+                       *under("points[]", [
+                           "multiplier", "slots", "offered_qps",
+                           "goodput_qps", "submitted", "completed", "shed",
+                           "conserved", "shed_status_ok",
+                           "interactive.submitted", "interactive.shed",
+                           "bulk.submitted", "bulk.shed",
+                           *under("interactive_drain_wait_us", LATENCY),
+                           *under("controller", [
+                               "ticks", "overloaded_ticks", "deadline_cuts",
+                               "deadline_recoveries", "level_raises",
+                               "level_drops", "final_level",
+                               "final_deadline_us"])])],
+    "dynamic_world": ["pool_queries", "incident_sites", "ok",
+                      "incident_repair_cost_ratio", "incident_convergence",
+                      *under("scenarios[]", [
+                          "name", "epochs_monotone", "stale_serves",
+                          "restored_identical", *under("points[]", [
+                              "kind", "epoch", "edges_touched",
+                              "cached_entries", "invalidated", "staleness",
+                              "repaired", "full_recompute", "unroutable",
+                              "convergence", "repair_settles",
+                              "wholesale_settles", "repair_cost_ratio",
+                              "stale_serves", "serve_misses"])])],
+    "scale_ladder": under("scales[]", [
+        "scale", "num_vertices", "num_edges", "world_bytes",
+        "snapshot_bytes", "gen_seconds", "csv_cold_start_seconds",
+        "mmap_cold_start_seconds", "checksum_only_open_seconds",
+        "cold_start_speedup", "zero_copy", "queries", "qps",
+        "mean_query_us"]),
+    "scale_out": ["hw_threads", "single_core",
+                  *under("serving_runs[]", ["threads", "qps", "identical"]),
+                  *under("drain_audits[]", ["drains", "qps", "identical",
+                                            "hits", "hot_hits", "batches"])],
+}
+
+# Blocks L2R_BENCH_ONLY can leave out (written as null).
+OPTIONAL = {"streaming", "deadline_sweep", "overload_sweep", "dynamic_world",
+            "scale_ladder", "scale_out"}
 
 
-def check_latency_block(block, where):
-    for key in ("mean", "p50", "p95", "p99"):
-        require(key in block, f"{where}: missing '{key}'")
-        require(
-            isinstance(block[key], (int, float)),
-            f"{where}: '{key}' is not a number",
-        )
-    require(block["mean"] > 0, f"{where}: mean must be > 0")
-    require(
-        block["p50"] <= block["p95"] <= block["p99"],
-        f"{where}: percentiles not monotone "
-        f"(p50={block['p50']}, p95={block['p95']}, p99={block['p99']})",
-    )
+def has_path(node, path):
+    nodes = [node]
+    for step in path.split("."):
+        key, fan_out = (step[:-2], True) if step.endswith("[]") else (
+            step, False)
+        found = []
+        for n in nodes:
+            if key:
+                if not isinstance(n, dict) or key not in n:
+                    return False
+                n = n[key]
+            if fan_out:
+                if not isinstance(n, list) or not n:
+                    return False
+                found.extend(n)
+            else:
+                found.append(n)
+        nodes = found
+    return True
 
 
-def check_serving(serving):
-    require(isinstance(serving, dict), "serving: not an object")
-    for key in ("workload_queries", "distinct_queries", "cache_off"):
-        require(key in serving, f"serving: missing '{key}'")
-    check_latency_block(serving["cache_off"], "serving.cache_off")
-    cache_on = serving.get("cache_on")
-    if cache_on is None:
-        return  # cache pass skipped (L2R_BENCH_CACHE=0)
-    check_latency_block(cache_on, "serving.cache_on")
-    hit_rate = cache_on.get("hit_rate")
-    require(hit_rate is not None, "serving.cache_on: missing 'hit_rate'")
-    require(
-        0.0 <= hit_rate <= 1.0,
-        f"serving.cache_on: hit_rate {hit_rate} outside [0, 1]",
-    )
-    hits, misses = cache_on.get("hits", 0), cache_on.get("misses", 0)
-    lookups = hits + misses
+class Checker:
+    """The predicates. Violations collect in `errors`, each prefixed with
+    the block name and the `where` of the failing element."""
+
+    def __init__(self, block):
+        self.block = block
+        self.errors = []
+
+    def fail(self, where, message):
+        self.errors.append(f"{self.block}{where}: {message}")
+
+    def true(self, flag, where, what):
+        if flag is not True:
+            self.fail(where, f"{what} is not true")
+
+    def equal(self, got, want, where, what):
+        if got != want:
+            self.fail(where, f"{what} {got!r} != {want!r}")
+
+    def positive(self, value, where, what):
+        if not value > 0:
+            self.fail(where, f"{what} {value} must be > 0")
+
+    def in_range(self, value, where, what, lo=None, hi=None):
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            self.fail(where, f"{what} {value} outside [{lo}, {hi}]")
+
+    def monotone(self, seq, where, what, strict=False, tolerance=1.0):
+        """Each value >= tolerance x the largest before it (> when strict)."""
+        for i in range(1, len(seq)):
+            top = max(seq[:i])
+            if seq[i] <= top if strict else seq[i] < top * tolerance:
+                kind = "strictly increasing" if strict else "monotone"
+                self.fail(where, f"{what} not {kind} (tolerance "
+                                 f"{tolerance}): {seq}")
+                return
+
+    def conserved(self, parts, total, where, what):
+        if sum(parts) != total:
+            self.fail(where, f"{what}: {' + '.join(map(str, parts))} != "
+                             f"{total}")
+
+    def ratio(self, num, den, where, what, floor=None, below=None):
+        """num / den >= the constant named `floor`, or < the one named
+        `below`."""
+        value = num / den
+        if floor is not None and not value >= globals()[floor]:
+            self.fail(where, f"{what} {value:.3f} below {floor} = "
+                             f"{globals()[floor]}")
+        if below is not None and not value < globals()[below]:
+            self.fail(where, f"{what} {value:.3f} not below {below} = "
+                             f"{globals()[below]}")
+
+    def single_core_hatch(self, block):
+        """Whether the t=4 floor is waived: `single_core` must be a boolean
+        and may be true only on a 1-hardware-thread host."""
+        single = block["single_core"]
+        self.true(isinstance(single, bool), "", "single_core is a boolean")
+        if single:
+            self.equal(block["hw_threads"], 1, "",
+                       "hw_threads with single_core: true")
+        return single is True and block["hw_threads"] == 1
+
+
+def check_latency(block, c, where=""):
+    c.positive(block["mean"], where, "mean")
+    c.monotone([block[k] for k in LATENCY[1:]], where, "p50/p95/p99")
+
+
+def check_waits(block, c, where):
+    c.in_range(block["mean"], where, "mean", lo=0)
+    c.monotone([0] + [block[k] for k in LATENCY[1:]], where, "0/p50/p95/p99")
+
+
+def check_fixture(doc, c):
+    c.equal(doc["bench"], "query_throughput", "", "bench label")
+    c.positive(doc["num_queries"], "", "num_queries")
+    c.equal(doc["failures"], 0, "", "routing failures")
+    c.true(doc["deterministic_across_threads"], "",
+           "deterministic_across_threads")
+
+
+def check_serving(block, c):
+    check_latency(block["cache_off"], c, ".cache_off")
+    on = block["cache_on"]
+    check_latency(on, c, ".cache_on")
+    c.in_range(on["hit_rate"], ".cache_on", "hit_rate", 0.0, 1.0)
+    lookups = on["hits"] + on["misses"]
     if lookups > 0:
-        require(
-            abs(hit_rate - hits / lookups) < 1e-3,
-            f"serving.cache_on: hit_rate {hit_rate} inconsistent with "
-            f"hits={hits}, misses={misses}",
-        )
+        c.in_range(on["hit_rate"] - on["hits"] / lookups, ".cache_on",
+                   "hit_rate - hits / (hits + misses)", -1e-3, 1e-3)
 
 
-def check_runs(runs):
-    require(isinstance(runs, list) and runs, "runs: missing or empty")
-    threads = [run.get("threads") for run in runs]
-    require(
-        threads == EXPECTED_THREADS,
-        f"runs: thread ladder {threads} != {EXPECTED_THREADS}",
-    )
-    for run in runs:
-        require(
-            run.get("qps", 0) > 0,
-            f"runs: non-positive qps at t={run.get('threads')}",
-        )
+def check_runs(runs, c):
+    c.equal([r["threads"] for r in runs], EXPECTED_THREADS, "",
+            "thread ladder")
+    for r in runs:
+        c.positive(r["qps"], f"[t={r['threads']}]", "qps")
 
 
-def check_scenarios(scenarios):
-    require(isinstance(scenarios, dict), "scenarios: not an object")
-    for name in SCENARIO_NAMES:
-        require(name in scenarios, f"scenarios: missing '{name}'")
-        sc = scenarios[name]
-        where = f"scenarios.{name}"
-        for key in (
-            "slots",
-            "distinct_used",
-            "duplicate_fraction",
-            "dedup_off",
-            "dedup_on",
-            "single_flight",
-            "coalesced_identical",
-            "deterministic_t1248",
-        ):
-            require(key in sc, f"{where}: missing '{key}'")
-        require(
-            0.0 <= sc["duplicate_fraction"] <= 1.0,
-            f"{where}: duplicate_fraction outside [0, 1]",
-        )
-        require(sc["slots"] > 0, f"{where}: slots must be > 0")
+def check_scenarios(block, c):
+    for name in SCENARIOS:
+        sc, where = block[name], f".{name}"
+        c.positive(sc["slots"], where, "slots")
+        c.in_range(sc["duplicate_fraction"], where, "duplicate_fraction",
+                   0.0, 1.0)
         for mode in ("dedup_off", "dedup_on"):
-            require(
-                sc[mode].get("qps", 0) > 0,
-                f"{where}.{mode}: non-positive qps",
-            )
-            require(
-                sc[mode].get("mean_us", 0) > 0,
-                f"{where}.{mode}: non-positive mean_us",
-            )
-        routed = sc["dedup_on"].get("unique_routed", 0)
-        collapsed = sc["dedup_on"].get("duplicates_collapsed", 0)
-        require(
-            routed + collapsed == sc["slots"],
-            f"{where}: unique_routed ({routed}) + duplicates_collapsed "
-            f"({collapsed}) != slots ({sc['slots']})",
-        )
-        require(
-            sc["coalesced_identical"] is True,
-            f"{where}: coalesced results diverged from the uncoalesced run",
-        )
-        require(
-            sc["deterministic_t1248"] is True,
-            f"{where}: single-flight ladder diverged across t=1/2/4/8",
-        )
-
-    heavy = scenarios["duplicate_heavy"]
-    speedup = heavy["dedup_on"]["qps"] / heavy["dedup_off"]["qps"]
-    require(
-        speedup >= MIN_DUP_HEAVY_SPEEDUP,
-        f"scenarios.duplicate_heavy: dedup speedup {speedup:.2f}x below "
-        f"the {MIN_DUP_HEAVY_SPEEDUP}x floor",
-    )
-    require(
-        heavy["dedup_on"]["mean_us"] < heavy["dedup_off"]["mean_us"],
-        "scenarios.duplicate_heavy: dedup-on mean latency not below "
-        "dedup-off",
-    )
+            c.positive(sc[mode]["qps"], f"{where}.{mode}", "qps")
+            c.positive(sc[mode]["mean_us"], f"{where}.{mode}", "mean_us")
+        on = sc["dedup_on"]
+        c.conserved([on["unique_routed"], on["duplicates_collapsed"]],
+                    sc["slots"], where,
+                    "unique_routed + duplicates_collapsed vs slots")
+        c.true(sc["coalesced_identical"], where, "coalesced_identical")
+        c.true(sc["deterministic_t1248"], where, "deterministic_t1248")
+    heavy = block["duplicate_heavy"]
+    c.ratio(heavy["dedup_on"]["qps"], heavy["dedup_off"]["qps"],
+            ".duplicate_heavy", "dedup-on / dedup-off qps",
+            floor="MIN_DUP_HEAVY_SPEEDUP")
+    c.monotone([heavy["dedup_on"]["mean_us"], heavy["dedup_off"]["mean_us"]],
+               ".duplicate_heavy", "dedup-on vs dedup-off mean_us",
+               strict=True)
 
 
-def check_streaming(streaming):
-    if streaming is None:
-        return  # streaming pass skipped (L2R_BENCH_STREAM=0)
-    require(isinstance(streaming, dict), "streaming: not an object")
-    for key in ("max_batch", "batch_deadline_us", "mean_gap_us"):
-        require(key in streaming, f"streaming: missing '{key}'")
-    max_batch = streaming["max_batch"]
-    for name in STREAM_SCHEDULES:
-        require(name in streaming, f"streaming: missing '{name}'")
-        sc = streaming[name]
-        where = f"streaming.{name}"
-        for key in (
-            "slots",
-            "submitted",
-            "completed",
-            "qps",
-            "batches",
-            "closed_by_size",
-            "closed_by_deadline",
-            "closed_by_shutdown",
-            "queue_wait_us",
-            "batch_size_hist",
-        ):
-            require(key in sc, f"{where}: missing '{key}'")
-        require(sc["slots"] > 0, f"{where}: slots must be > 0")
-        require(
-            sc["submitted"] == sc["slots"] == sc["completed"],
-            f"{where}: submitted ({sc['submitted']}) / completed "
-            f"({sc['completed']}) != slots ({sc['slots']}) — "
-            "queries were lost or rejected",
-        )
-        require(sc["qps"] > 0, f"{where}: non-positive qps")
-        require(sc["batches"] > 0, f"{where}: no batches closed")
-        closes = (
-            sc["closed_by_size"]
-            + sc["closed_by_deadline"]
-            + sc["closed_by_shutdown"]
-        )
-        require(
-            closes == sc["batches"],
-            f"{where}: close reasons ({closes}) != batches "
-            f"({sc['batches']})",
-        )
-        wait = sc["queue_wait_us"]
-        for key in ("mean", "p50", "p95", "p99"):
-            require(key in wait, f"{where}.queue_wait_us: missing '{key}'")
-        require(
-            wait["mean"] >= 0, f"{where}.queue_wait_us: negative mean"
-        )
-        require(
-            0 <= wait["p50"] <= wait["p95"] <= wait["p99"],
-            f"{where}.queue_wait_us: percentiles not monotone "
-            f"(p50={wait['p50']}, p95={wait['p95']}, p99={wait['p99']})",
-        )
-        hist = sc["batch_size_hist"]
-        require(
-            isinstance(hist, dict) and hist,
-            f"{where}: batch_size_hist missing or empty",
-        )
-        hist_batches = sum(hist.values())
-        hist_queries = sum(int(size) * count for size, count in hist.items())
-        require(
-            all(1 <= int(size) <= max_batch for size in hist),
-            f"{where}: batch size outside [1, max_batch={max_batch}]",
-        )
-        require(
-            hist_batches == sc["batches"],
-            f"{where}: histogram batches ({hist_batches}) != batches "
-            f"({sc['batches']})",
-        )
-        require(
-            hist_queries == sc["submitted"],
-            f"{where}: histogram queries ({hist_queries}) != submitted "
-            f"({sc['submitted']}) — slots leaked from the histogram",
-        )
+def check_streaming(block, c):
+    for name in SCHEDULES:
+        s, where = block[name], f".{name}"
+        c.positive(s["slots"], where, "slots")
+        c.equal([s["submitted"], s["completed"]], [s["slots"]] * 2, where,
+                "[submitted, completed] vs slots")
+        c.positive(s["qps"], where, "qps")
+        c.positive(s["batches"], where, "batches")
+        c.conserved([s["closed_by_size"], s["closed_by_deadline"],
+                     s["closed_by_shutdown"]], s["batches"], where,
+                    "close reasons vs batches")
+        check_waits(s["queue_wait_us"], c, f"{where}.queue_wait_us")
+        hist = s["batch_size_hist"]
+        c.positive(len(hist), where, "batch_size_hist entries")
+        for size in hist:
+            c.in_range(int(size), where, "batch size", 1, block["max_batch"])
+        c.conserved(list(hist.values()), s["batches"], where,
+                    "batch_size_hist batches vs batches")
+        c.conserved([int(size) * n for size, n in hist.items()],
+                    s["submitted"], where,
+                    "batch_size_hist queries vs submitted")
 
 
-def check_wait_block(wait, where):
-    for key in ("mean", "p50", "p95", "p99"):
-        require(key in wait, f"{where}: missing '{key}'")
-    require(wait["mean"] >= 0, f"{where}: negative mean")
-    require(
-        0 <= wait["p50"] <= wait["p95"] <= wait["p99"],
-        f"{where}: percentiles not monotone "
-        f"(p50={wait['p50']}, p95={wait['p95']}, p99={wait['p99']})",
-    )
-
-
-def check_deadline_sweep(sweep):
-    if sweep is None:
-        return  # skipped (L2R_BENCH_DEADLINE_SWEEP=0)
-    require(isinstance(sweep, dict), "deadline_sweep: not an object")
-    for key in ("max_batch", "mean_gap_us", "points"):
-        require(key in sweep, f"deadline_sweep: missing '{key}'")
-    require(sweep["max_batch"] > 0, "deadline_sweep: max_batch must be > 0")
-    points = sweep["points"]
-    require(
-        isinstance(points, list) and points,
-        "deadline_sweep: points missing or empty",
-    )
-    prev_deadline = 0
-    prev_mean_batch = 0.0
+def check_deadline_sweep(block, c):
+    points = block["points"]
+    c.positive(block["max_batch"], "", "max_batch")
+    c.monotone([0] + [p["deadline_us"] for p in points], "", "deadline_us",
+               strict=True)
+    c.monotone([p["mean_batch"] for p in points], "", "mean_batch",
+               tolerance=DEADLINE_BATCH_TOLERANCE)
     for p in points:
-        where = f"deadline_sweep[deadline_us={p.get('deadline_us')}]"
-        for key in (
-            "deadline_us",
-            "qps",
-            "mean_batch",
-            "closed_by_size",
-            "closed_by_deadline",
-            "queue_wait_us",
-        ):
-            require(key in p, f"{where}: missing '{key}'")
-        require(
-            p["deadline_us"] > prev_deadline,
-            f"{where}: deadlines not strictly increasing",
-        )
-        prev_deadline = p["deadline_us"]
-        require(p["qps"] > 0, f"{where}: non-positive qps")
-        require(
-            1.0 <= p["mean_batch"] <= sweep["max_batch"],
-            f"{where}: mean_batch {p['mean_batch']} outside "
-            f"[1, max_batch={sweep['max_batch']}]",
-        )
-        # The latency/throughput tradeoff the sweep exists to expose: a
-        # longer deadline can only accumulate bigger batches.
-        require(
-            p["mean_batch"] >= prev_mean_batch * DEADLINE_BATCH_TOLERANCE,
-            f"{where}: mean_batch {p['mean_batch']} shrank vs the shorter "
-            f"deadline's {prev_mean_batch}",
-        )
-        prev_mean_batch = max(prev_mean_batch, p["mean_batch"])
-        check_wait_block(p["queue_wait_us"], f"{where}.queue_wait_us")
+        where = f"[deadline_us={p['deadline_us']}]"
+        c.positive(p["qps"], where, "qps")
+        c.in_range(p["mean_batch"], where, "mean_batch", 1.0,
+                   block["max_batch"])
+        check_waits(p["queue_wait_us"], c, f"{where}.queue_wait_us")
 
 
-def check_overload_sweep(sweep):
-    if sweep is None:
-        return  # skipped (L2R_BENCH_OVERLOAD=0)
-    require(isinstance(sweep, dict), "overload_sweep: not an object")
-    for key in ("capacity_qps", "bulk_fraction", "slo_us", "ok", "points"):
-        require(key in sweep, f"overload_sweep: missing '{key}'")
-    require(
-        sweep["capacity_qps"] > 0, "overload_sweep: non-positive capacity"
-    )
-    require(
-        sweep["ok"] is True,
-        "overload_sweep: ok is false — a point dropped a callback or shed "
-        "without kResourceExhausted",
-    )
-    points = sweep["points"]
-    require(
-        isinstance(points, list) and points,
-        "overload_sweep: points missing or empty",
-    )
-    slo_us = sweep["slo_us"]
-    peak_goodput = max(p.get("goodput_qps", 0) for p in points)
-    require(peak_goodput > 0, "overload_sweep: no point served anything")
+def check_overload_sweep(block, c):
+    c.positive(block["capacity_qps"], "", "capacity_qps")
+    c.true(block["ok"], "", "ok (every point conserved its callbacks and "
+                            "shed with kResourceExhausted)")
+    points = block["points"]
+    peak = max(p["goodput_qps"] for p in points)
     for p in points:
-        where = f"overload_sweep[x{p.get('multiplier')}]"
-        for key in (
-            "multiplier",
-            "slots",
-            "offered_qps",
-            "goodput_qps",
-            "submitted",
-            "completed",
-            "shed",
-            "conserved",
-            "shed_status_ok",
-            "interactive",
-            "bulk",
-            "interactive_drain_wait_us",
-            "controller",
-        ):
-            require(key in p, f"{where}: missing '{key}'")
-        require(p["conserved"] is True, f"{where}: callbacks not conserved")
-        require(
-            p["shed_status_ok"] is True,
-            f"{where}: a shed callback lacked kResourceExhausted",
-        )
-        interactive, bulk = p["interactive"], p["bulk"]
-        require(
-            interactive["submitted"] + bulk["submitted"] == p["submitted"],
-            f"{where}: per-class submitted does not sum to the total",
-        )
-        require(
-            interactive["shed"] + bulk["shed"] == p["shed"],
-            f"{where}: per-class shed does not sum to the total",
-        )
-        require(
-            p["completed"] + p["shed"] == p["submitted"],
-            f"{where}: completed ({p['completed']}) + shed ({p['shed']}) "
-            f"!= submitted ({p['submitted']})",
-        )
+        where = f"[x{p['multiplier']}]"
+        inter, bulk = p["interactive"], p["bulk"]
+        c.true(p["conserved"], where, "conserved")
+        c.true(p["shed_status_ok"], where, "shed_status_ok")
+        c.conserved([inter["submitted"], bulk["submitted"]], p["submitted"],
+                    where, "per-class submitted")
+        c.conserved([inter["shed"], bulk["shed"]], p["shed"], where,
+                    "per-class shed")
+        c.conserved([p["completed"], p["shed"]], p["submitted"], where,
+                    "completed + shed vs submitted")
         wait = p["interactive_drain_wait_us"]
-        check_wait_block(wait, f"{where}.interactive_drain_wait_us")
-        require(
-            wait["p99"] <= slo_us * OVERLOAD_SLO_NOISE_FACTOR,
-            f"{where}: interactive drain-wait p99 {wait['p99']} breaks the "
-            f"{slo_us}us SLO even with the {OVERLOAD_SLO_NOISE_FACTOR}x "
-            "noise allowance",
-        )
-        # Bulk sheds first: wherever anything shed, the bulk shed *rate*
-        # must be at least the interactive one.
+        check_waits(wait, c, f"{where}.interactive_drain_wait_us")
+        c.in_range(wait["p99"], where, "interactive drain-wait p99",
+                   hi=block["slo_us"] * OVERLOAD_SLO_NOISE_FACTOR)
         if p["shed"] > 0 and bulk["submitted"] > 0:
-            bulk_rate = bulk["shed"] / bulk["submitted"]
-            inter_rate = (
-                interactive["shed"] / interactive["submitted"]
-                if interactive["submitted"] > 0
-                else 0.0
-            )
-            require(
-                bulk_rate >= inter_rate,
-                f"{where}: bulk shed rate {bulk_rate:.3f} below "
-                f"interactive {inter_rate:.3f} — class priority inverted",
-            )
+            inter_rate = (inter["shed"] / inter["submitted"]
+                          if inter["submitted"] > 0 else 0.0)
+            c.in_range(bulk["shed"] / bulk["submitted"], where,
+                       "bulk shed rate (bulk sheds first)", lo=inter_rate)
         if p["multiplier"] >= 2.0:
-            require(
-                p["goodput_qps"]
-                >= MIN_OVERLOAD_GOODPUT_FRACTION * peak_goodput,
-                f"{where}: goodput {p['goodput_qps']:.0f} collapsed below "
-                f"{MIN_OVERLOAD_GOODPUT_FRACTION:.0%} of the sweep peak "
-                f"{peak_goodput:.0f}",
-            )
-        ctl = p["controller"]
-        for key in (
-            "ticks",
-            "overloaded_ticks",
-            "deadline_cuts",
-            "deadline_recoveries",
-            "level_raises",
-            "level_drops",
-            "final_level",
-            "final_deadline_us",
-        ):
-            require(key in ctl, f"{where}.controller: missing '{key}'")
-        require(ctl["ticks"] > 0, f"{where}: the controller never ticked")
+            c.ratio(p["goodput_qps"], peak, where, "goodput / sweep peak",
+                    floor="MIN_OVERLOAD_GOODPUT_FRACTION")
+        c.positive(p["controller"]["ticks"], where, "controller ticks")
 
 
-def check_dynamic_world(block):
-    if block is None:
-        return  # skipped (L2R_BENCH_DYNAMIC=0 or cache off)
-    require(isinstance(block, dict), "dynamic_world: not an object")
-    for key in (
-        "pool_queries",
-        "incident_sites",
-        "ok",
-        "incident_repair_cost_ratio",
-        "incident_convergence",
-        "scenarios",
-    ):
-        require(key in block, f"dynamic_world: missing '{key}'")
-    require(
-        block["ok"] is True,
-        "dynamic_world: ok is false — an in-bench gate tripped "
-        "(stale serve, broken restore, non-monotone epoch, or the "
-        "incident repair bound)",
-    )
-    require(
-        block["pool_queries"] > 0, "dynamic_world: empty query pool"
-    )
-    require(
-        block["incident_sites"] > 0, "dynamic_world: no incident sites"
-    )
+def check_dynamic_world(block, c):
+    c.true(block["ok"], "", "ok (the in-bench gates)")
+    c.positive(block["pool_queries"], "", "pool_queries")
+    c.positive(block["incident_sites"], "", "incident_sites")
     scenarios = block["scenarios"]
-    names = [s.get("name") for s in scenarios]
-    require(
-        names == DYNAMIC_SCENARIOS,
-        f"dynamic_world: scenarios {names} != {DYNAMIC_SCENARIOS}",
-    )
-    prev_epoch = 0
-    for sc in scenarios:
-        where = f"dynamic_world.{sc['name']}"
-        require(
-            sc.get("epochs_monotone") is True,
-            f"{where}: epochs not monotone within the scenario",
-        )
-        require(
-            sc.get("stale_serves") == 0,
-            f"{where}: {sc.get('stale_serves')} serves diverged from the "
-            "cold recompute — a stale entry was answered",
-        )
-        require(
-            sc.get("restored_identical") is True,
-            f"{where}: the restore batch did not reproduce the epoch-0 "
-            "bytes — an update leaked into the restored world",
-        )
-        points = sc.get("points")
-        require(
-            isinstance(points, list) and points,
-            f"{where}: points missing or empty",
-        )
-        for p in points:
-            pwhere = f"{where}[epoch={p.get('epoch')}]"
-            for key in DYNAMIC_POINT_KEYS:
-                require(key in p, f"{pwhere}: missing '{key}'")
-            require(
-                p["epoch"] > prev_epoch,
-                f"{pwhere}: epoch not strictly increasing across the "
-                f"suite (prev {prev_epoch})",
-            )
-            prev_epoch = p["epoch"]
-            require(
-                p["stale_serves"] == 0,
-                f"{pwhere}: {p['stale_serves']} stale serves",
-            )
-            require(
-                p["repaired"] + p["full_recompute"] + p["unroutable"]
-                == p["invalidated"],
-                f"{pwhere}: repaired ({p['repaired']}) + full_recompute "
-                f"({p['full_recompute']}) + unroutable "
-                f"({p['unroutable']}) != invalidated "
-                f"({p['invalidated']}) — repair candidates leaked",
-            )
-            require(
-                p["invalidated"] <= p["cached_entries"],
-                f"{pwhere}: invalidated exceeds the cached entries",
-            )
-            require(
-                0.0 <= p["staleness"] <= 1.0,
-                f"{pwhere}: staleness outside [0, 1]",
-            )
-            require(
-                0.0 <= p["convergence"] <= 1.0,
-                f"{pwhere}: convergence outside [0, 1]",
-            )
-            require(
-                p["wholesale_settles"] > 0,
-                f"{pwhere}: wholesale recompute settled nothing",
-            )
+    c.equal([s["name"] for s in scenarios], DYNAMIC_SCENARIOS, "",
+            "scenarios")
+    c.monotone([0] + [p["epoch"] for s in scenarios for p in s["points"]],
+               "", "epochs across the suite", strict=True)
+    for s in scenarios:
+        where = f".{s['name']}"
+        c.true(s["epochs_monotone"], where, "epochs_monotone")
+        c.equal(s["stale_serves"], 0, where, "stale_serves")
+        c.true(s["restored_identical"], where, "restored_identical")
+        for p in s["points"]:
+            pw = f"{where}[epoch={p['epoch']}]"
+            c.equal(p["stale_serves"], 0, pw, "stale_serves")
+            c.conserved([p["repaired"], p["full_recompute"],
+                         p["unroutable"]], p["invalidated"], pw,
+                        "repaired + full_recompute + unroutable vs "
+                        "invalidated")
+            c.in_range(p["invalidated"], pw, "invalidated", 0,
+                       p["cached_entries"])
+            c.in_range(p["staleness"], pw, "staleness", 0.0, 1.0)
+            c.in_range(p["convergence"], pw, "convergence", 0.0, 1.0)
+            c.positive(p["wholesale_settles"], pw, "wholesale_settles")
     first = scenarios[0]["points"][0]
-    require(
-        first["kind"] == "inject",
-        "dynamic_world: first incident point is not an inject",
-    )
-    ratio = block["incident_repair_cost_ratio"]
-    conv = block["incident_convergence"]
-    require(
-        abs(first["repair_cost_ratio"] - ratio) < 1e-6,
-        "dynamic_world: incident_repair_cost_ratio inconsistent with the "
-        "first inject point",
-    )
-    require(
-        ratio < MAX_INCIDENT_REPAIR_COST_RATIO,
-        f"dynamic_world: single-incident repair cost ratio {ratio} not "
-        f"under {MAX_INCIDENT_REPAIR_COST_RATIO}",
-    )
-    require(
-        conv >= MIN_INCIDENT_CONVERGENCE,
-        f"dynamic_world: single-incident convergence {conv} below "
-        f"{MIN_INCIDENT_CONVERGENCE}",
-    )
+    c.equal(first["kind"], "inject", "", "first point kind")
+    c.in_range(block["incident_repair_cost_ratio"] -
+               first["repair_cost_ratio"], "",
+               "incident_repair_cost_ratio - first point's", -1e-6, 1e-6)
+    c.ratio(block["incident_repair_cost_ratio"], 1, "",
+            "single-incident repair cost ratio",
+            below="MAX_INCIDENT_REPAIR_COST_RATIO")
+    c.ratio(block["incident_convergence"], 1, "",
+            "single-incident convergence", floor="MIN_INCIDENT_CONVERGENCE")
 
 
-def check_scale_ladder(block):
-    if block is None:
-        return  # skipped (L2R_BENCH_SCALE_LADDER=0)
-    require(isinstance(block, dict), "scale_ladder: not an object")
-    require("scales" in block, "scale_ladder: missing 'scales'")
-    points = block["scales"]
-    require(
-        isinstance(points, list) and points,
-        "scale_ladder: scales missing or empty",
-    )
-    prev = None
-    for p in points:
-        where = f"scale_ladder[scale={p.get('scale')}]"
-        for key in LADDER_POINT_KEYS:
-            require(key in p, f"{where}: missing '{key}'")
-        require(p["num_vertices"] > 0, f"{where}: empty world")
-        require(p["num_edges"] > 0, f"{where}: no edges")
-        require(p["qps"] > 0, f"{where}: non-positive qps")
-        require(
-            p["csv_cold_start_seconds"] > 0
-            and p["mmap_cold_start_seconds"] > 0,
-            f"{where}: non-positive cold-start timing",
-        )
-        require(
-            p["checksum_only_open_seconds"] > 0,
-            f"{where}: non-positive checksum-only open timing",
-        )
-        # The snapshot image is the world arrays plus fixed-size header,
-        # section table, and alignment padding — never more than a few KB
-        # of overhead, and never smaller than the arrays it contains.
-        require(
-            0
-            <= p["snapshot_bytes"] - p["world_bytes"]
-            <= 64 * 1024,
-            f"{where}: snapshot_bytes {p['snapshot_bytes']} inconsistent "
-            f"with world_bytes {p['world_bytes']}",
-        )
-        if prev is not None:
-            require(
-                p["scale"] > prev["scale"],
-                f"{where}: scales not strictly increasing",
-            )
-            require(
-                p["num_vertices"] > prev["num_vertices"]
-                and p["world_bytes"] > prev["world_bytes"],
-                f"{where}: footprint not monotone with scale "
-                f"({prev['num_vertices']} -> {p['num_vertices']} vertices, "
-                f"{prev['world_bytes']} -> {p['world_bytes']} bytes)",
-            )
-        prev = p
-        if p["scale"] >= MIN_LADDER_SPEEDUP_SCALE:
-            require(
-                p["cold_start_speedup"] >= MIN_LADDER_COLD_START_SPEEDUP,
-                f"{where}: cold-start speedup {p['cold_start_speedup']}x "
-                f"below the {MIN_LADDER_COLD_START_SPEEDUP}x floor — the "
-                "mmap path is not materially faster than the CSV rebuild",
-            )
+def check_scale_ladder(block, c):
+    rungs = block["scales"]
+    for key in ("scale", "num_vertices", "world_bytes"):
+        c.monotone([r[key] for r in rungs], "", key, strict=True)
+    for r in rungs:
+        where = f"[scale={r['scale']}]"
+        for key in ("num_vertices", "num_edges", "qps",
+                    "csv_cold_start_seconds", "mmap_cold_start_seconds",
+                    "checksum_only_open_seconds"):
+            c.positive(r[key], where, key)
+        c.in_range(r["snapshot_bytes"] - r["world_bytes"], where,
+                   "snapshot_bytes - world_bytes", 0,
+                   MAX_SNAPSHOT_OVERHEAD_BYTES)
+        if r["scale"] >= MIN_LADDER_SPEEDUP_SCALE:
+            c.ratio(r["cold_start_speedup"], 1, where, "cold-start speedup",
+                    floor="MIN_LADDER_COLD_START_SPEEDUP")
 
 
-def check_scale_out(block):
-    if block is None:
-        return  # skipped (L2R_BENCH_SCALE_OUT=0)
-    require(isinstance(block, dict), "scale_out: not an object")
-    for key in ("hw_threads", "single_core", "serving_runs", "drain_audits"):
-        require(key in block, f"scale_out: missing '{key}'")
-    require(block["hw_threads"] >= 1, "scale_out: hw_threads < 1")
-    single_core = block["single_core"]
-    require(
-        isinstance(single_core, bool),
-        "scale_out: single_core is not a boolean",
-    )
-    if single_core:
-        require(
-            block["hw_threads"] == 1,
-            "scale_out: single_core claimed with more than one hardware "
-            "thread — the escape hatch only covers 1-thread hosts",
-        )
-
+def check_scale_out(block, c):
+    c.in_range(block["hw_threads"], "", "hw_threads", lo=1)
+    single_core = c.single_core_hatch(block)
     runs = block["serving_runs"]
-    threads = [run.get("threads") for run in runs]
-    require(
-        threads == EXPECTED_THREADS,
-        f"scale_out: serving ladder {threads} != {EXPECTED_THREADS}",
-    )
-    qps_by_threads = {}
-    for run in runs:
-        where = f"scale_out.serving_runs[t={run.get('threads')}]"
-        require(run.get("qps", 0) > 0, f"{where}: non-positive qps")
-        require(
-            run.get("identical") is True,
-            f"{where}: serving-stack results diverged from the "
-            "bare-router reference",
-        )
-        qps_by_threads[run["threads"]] = run["qps"]
+    c.equal([r["threads"] for r in runs], EXPECTED_THREADS, "",
+            "serving ladder")
+    for r in runs:
+        where = f".serving_runs[t={r['threads']}]"
+        c.positive(r["qps"], where, "qps")
+        c.true(r["identical"], where, "identical")
     if not single_core:
-        speedup = qps_by_threads[4] / qps_by_threads[1]
-        require(
-            speedup >= MIN_SCALE_OUT_T4_SPEEDUP,
-            f"scale_out: t=4 speedup {speedup:.2f}x below the "
-            f"{MIN_SCALE_OUT_T4_SPEEDUP}x floor on a "
-            f"{block['hw_threads']}-thread host",
-        )
-
+        qps = {r["threads"]: r["qps"] for r in runs}
+        c.ratio(qps[4], qps[1], "", f"t=4 / t=1 qps on a "
+                f"{block['hw_threads']}-thread host",
+                floor="MIN_SCALE_OUT_T4_SPEEDUP")
     audits = block["drain_audits"]
-    drains = [a.get("drains") for a in audits]
-    require(
-        drains == EXPECTED_DRAIN_LADDER,
-        f"scale_out: drain ladder {drains} != {EXPECTED_DRAIN_LADDER}",
-    )
+    c.equal([a["drains"] for a in audits], EXPECTED_DRAINS, "",
+            "drain ladder")
     for a in audits:
-        where = f"scale_out.drain_audits[drains={a.get('drains')}]"
-        require(a.get("qps", 0) > 0, f"{where}: non-positive qps")
-        require(
-            a.get("identical") is True,
-            f"{where}: streamed results diverged from the reference — "
-            "overlapping drains broke byte identity",
-        )
-        require(a.get("batches", 0) > 0, f"{where}: no batches drained")
-        hits, hot_hits = a.get("hits", 0), a.get("hot_hits", 0)
-        require(
-            0 <= hot_hits <= hits,
-            f"{where}: hot_hits {hot_hits} exceeds total hits {hits} — "
-            "the seqlock hot path is a subset of the hit count",
-        )
+        where = f".drain_audits[drains={a['drains']}]"
+        c.positive(a["qps"], where, "qps")
+        c.true(a["identical"], where, "identical")
+        c.positive(a["batches"], where, "batches")
+        c.in_range(a["hot_hits"], where, "hot_hits", 0, a["hits"])
 
 
-def check_file(path):
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    for key in REQUIRED_TOP_KEYS:
-        require(key in data, f"missing top-level key '{key}'")
-    require(
-        data["bench"] == "query_throughput",
-        f"bench label '{data['bench']}' != 'query_throughput'",
-    )
-    require(data["num_queries"] > 0, "num_queries must be > 0")
-    require(data["failures"] == 0, f"{data['failures']} routing failures")
-    check_latency_block(data["latency_us"], "latency_us")
-    check_serving(data["serving"])
-    check_runs(data["runs"])
-    check_scenarios(data["scenarios"])
-    check_streaming(data["streaming"])
-    check_deadline_sweep(data["deadline_sweep"])
-    check_overload_sweep(data["overload_sweep"])
-    check_dynamic_world(data["dynamic_world"])
-    check_scale_ladder(data["scale_ladder"])
-    check_scale_out(data["scale_out"])
-    require(
-        data["deterministic_across_threads"] is True,
-        "deterministic_across_threads is not true",
-    )
+CHECKS = {
+    "fixture": check_fixture,
+    "latency_us": check_latency,
+    "serving": check_serving,
+    "runs": check_runs,
+    "scenarios": check_scenarios,
+    "streaming": check_streaming,
+    "deadline_sweep": check_deadline_sweep,
+    "overload_sweep": check_overload_sweep,
+    "dynamic_world": check_dynamic_world,
+    "scale_ladder": check_scale_ladder,
+    "scale_out": check_scale_out,
+}
+
+
+def check_doc(doc):
+    """Every violation in a parsed artifact, one message each."""
+    if not isinstance(doc, dict):
+        return ["artifact: not a JSON object"]
+    errors = []
+    for name, check in CHECKS.items():
+        c = Checker(name)
+        block = doc if name == "fixture" else doc.get(name)
+        if name != "fixture" and name not in doc:
+            c.fail("", "missing block")
+        elif block is None and name in OPTIONAL:
+            continue  # left out by L2R_BENCH_ONLY
+        else:
+            missing = [p for p in SCHEMA[name] if not has_path(block, p)]
+            for path in missing:
+                c.fail("", f"missing '{path}'")
+            try:
+                if not missing:
+                    check(block, c)
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    IndexError, ZeroDivisionError) as error:
+                c.fail("", f"malformed ({type(error).__name__}: {error})")
+        errors += c.errors
+    return errors
 
 
 def main(argv):
@@ -826,28 +480,15 @@ def main(argv):
     failed = False
     for path in argv[1:]:
         try:
-            check_file(path)
-        except Violation as violation:
-            print(f"bench_check: {path}: {violation}", file=sys.stderr)
-            failed = True
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"bench_check: {path}: unreadable: {error}", file=sys.stderr)
-            failed = True
-        except (KeyError, TypeError, AttributeError, ValueError,
-                ZeroDivisionError) as error:
-            # A truncated or shape-mangled artifact (e.g. a bench process
-            # killed mid-write) trips a structural error before a named
-            # check does. One line, not a traceback: CI logs stay
-            # readable and the exit code still fails the job.
-            print(
-                f"bench_check: {path}: malformed artifact "
-                f"({type(error).__name__}: {error}) — file is truncated "
-                f"or not a query_throughput report",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
+            with open(path, encoding="utf-8") as f:
+                errors = check_doc(json.load(f))
+        except (OSError, ValueError) as error:
+            errors = [f"unreadable: {error}"]
+        for error in errors:
+            print(f"bench_check: {path}: {error}", file=sys.stderr)
+        if not errors:
             print(f"bench_check: {path}: OK")
+        failed = failed or bool(errors)
     return 1 if failed else 0
 
 

@@ -11,7 +11,7 @@
 #include "roadnet/weights.h"
 
 /// Header-only search kernel shared by the Dijkstra family
-/// (DijkstraSearch, BidirectionalSearch, PreferenceDijkstra).
+/// (DijkstraSearch, PreferenceDijkstra).
 /// The direction, weight accessor, stop predicate, heap key and edge
 /// admission policy are template parameters, so the relaxation loop
 /// compiles to direct calls — no std::function indirection on the hot
@@ -112,8 +112,7 @@ struct ExploreAll {
   void BeginVertex(VertexId) {}
   bool ShouldExplore(EdgeId) const { return true; }
 };
-/// Label-update hook that does nothing (BidirectionalSearch uses it to
-/// test frontier meets).
+/// Label-update hook that does nothing; the kernel's own loops pass it.
 struct IgnoreLabel {
   void operator()(VertexId) const {}
 };
@@ -124,8 +123,7 @@ struct IgnoreLabel {
 /// relaxation keeps the parent with the smaller EdgeId (the canonical
 /// parent rule above); `du < nd` keeps parent chains strictly decreasing
 /// in distance, so they stay acyclic even where an edge weight vanishes in
-/// round-off. Shared by RunSearchKernel, SettleKeysUpTo and
-/// BidirectionalSearch's alternating loop.
+/// round-off. Shared by RunSearchKernel and SettleKeysUpTo.
 template <typename Expand, typename WeightFn, typename KeyFn,
           typename Explore, typename OnLabel>
 inline void RelaxVertex(const RoadNetwork& net, SearchWorkspace& ws,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
 #include "routing/goal_potential.h"
 #include "routing/preference_dijkstra.h"
@@ -416,32 +415,6 @@ TEST(GoalPotentialTest, LandmarkBoundTracksEdgesBelowTheFloor) {
   w.SetPotentialEnabled(false);
   EXPECT_EQ(w.landmarks(), nullptr);
   EXPECT_EQ(w.euclid_scale(), 0);
-}
-
-// ---------- bidirectional ----------
-
-TEST(BidirectionalTest, MatchesDijkstraOnRandomGraphs) {
-  for (uint64_t seed = 21; seed <= 24; ++seed) {
-    const RoadNetwork net = RandomNetwork(seed, 80);
-    const EdgeWeights w(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
-    DijkstraSearch dijkstra(net);
-    BidirectionalSearch bidi(net);
-    Rng rng(seed * 13);
-    for (int q = 0; q < 25; ++q) {
-      const VertexId s = static_cast<VertexId>(rng.Index(net.NumVertices()));
-      const VertexId t = static_cast<VertexId>(rng.Index(net.NumVertices()));
-      if (s == t) continue;
-      auto want = dijkstra.ShortestPath(s, t, w);
-      auto got = bidi.ShortestPath(s, t, w);
-      ASSERT_EQ(want.ok(), got.ok());
-      if (want.ok()) {
-        EXPECT_NEAR(got->cost, want->cost, 1e-6) << "seed " << seed;
-        EXPECT_TRUE(PathIsConnected(net, got->vertices));
-        EXPECT_EQ(got->vertices.front(), s);
-        EXPECT_EQ(got->vertices.back(), t);
-      }
-    }
-  }
 }
 
 // ---------- preference Dijkstra (Algorithm 2) ----------

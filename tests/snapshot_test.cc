@@ -36,7 +36,9 @@ void WriteFileBytes(const std::string& path,
                     const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   L2R_CHECK(f != nullptr);
-  L2R_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
+  if (!bytes.empty()) {
+    L2R_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -263,7 +265,9 @@ TEST_F(SnapshotRejectTest, TruncatedBelowHeader) {
 TEST_F(SnapshotRejectTest, TruncatedPayload) {
   ExpectRejected(
       WriteMutated("trunc_payload.snap",
-                   [](std::vector<uint8_t>& b) { b.resize(b.size() - 17); }),
+                   [](std::vector<uint8_t>& b) {
+                     b.erase(b.end() - 17, b.end());
+                   }),
       "size mismatch");
 }
 
