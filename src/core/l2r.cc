@@ -196,11 +196,19 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
   const std::vector<RegionEdgeFeatures> features =
       ComputeAllRegionEdgeFeatures(graph,
                                    options.region_graph.top_k_road_types);
+  TransferOptions transfer_options = options.transfer;
+  if (transfer_options.num_threads == 0) {
+    transfer_options.num_threads = options.num_threads;
+  }
   Result<TransferResult> transferred =
-      TransferPreferences(features, labeled, space_, options.transfer);
+      TransferPreferences(features, labeled, space_, transfer_options);
   if (!transferred.ok()) return transferred.status();
   preferences_[pi] = std::move(transferred->preferences);
   rep.transfer_null_rate = transferred->null_rate;
+  rep.transfer_build_seconds = transferred->build_seconds;
+  rep.transfer_solve_seconds = transferred->solve_seconds;
+  rep.transfer_adjacency_nnz = transferred->adjacency_nnz;
+  rep.transfer_solver_iterations = transferred->max_solver_iterations;
   rep.transfer_seconds = timer.ElapsedSeconds();
 
   // 5. Apply transferred preferences: attach B-edge paths (Sec. V-C).

@@ -104,6 +104,7 @@ Result<SolveStats> JacobiSolve(const SparseMatrix& a,
       return stats;
     }
   }
+  stats.iterations = options.max_iterations;
   return stats;
 }
 

@@ -33,23 +33,16 @@ std::vector<RegionEdgeFeatures> ComputeAllRegionEdgeFeatures(
   return out;
 }
 
+double MaskJaccard(uint64_t a, uint64_t b) {
+  const uint64_t uni = a | b;
+  if (uni == 0) return 0;
+  return static_cast<double>(std::popcount(a & b)) /
+         static_cast<double>(std::popcount(uni));
+}
+
 double RegionEdgeSimilarity(const RegionEdgeFeatures& a,
                             const RegionEdgeFeatures& b) {
-  double dis_sim;
-  if (a.dis <= 0 && b.dis <= 0) {
-    dis_sim = 1;  // two zero-length edges are maximally distance-similar
-  } else if (a.dis <= 0 || b.dis <= 0) {
-    dis_sim = 0;
-  } else {
-    dis_sim = a.dis < b.dis ? a.dis / b.dis : b.dis / a.dis;
-  }
-  const uint64_t inter = a.f_mask & b.f_mask;
-  const uint64_t uni = a.f_mask | b.f_mask;
-  const double jac =
-      uni == 0 ? 0
-               : static_cast<double>(std::popcount(inter)) /
-                     static_cast<double>(std::popcount(uni));
-  return dis_sim + jac;
+  return DistanceSimilarity(a.dis, b.dis) + MaskJaccard(a.f_mask, b.f_mask);
 }
 
 }  // namespace l2r

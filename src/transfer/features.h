@@ -32,8 +32,23 @@ RegionEdgeFeatures ComputeRegionEdgeFeatures(const RegionGraph& graph,
 std::vector<RegionEdgeFeatures> ComputeAllRegionEdgeFeatures(
     const RegionGraph& graph, int top_k);
 
+/// Distance term of reSim: min(dis)/max(dis), in [0, 1]. Two zero-length
+/// edges are maximally distance-similar; one zero-length edge matches
+/// nothing.
+inline double DistanceSimilarity(double a, double b) {
+  if (a <= 0 && b <= 0) return 1;
+  if (a <= 0 || b <= 0) return 0;
+  return a < b ? a / b : b / a;
+}
+
+/// Functionality term of reSim: Jaccard(F_a, F_b) over the packed masks,
+/// in [0, 1]; 0 when both are empty.
+double MaskJaccard(uint64_t a, uint64_t b);
+
 /// The paper's region-edge similarity:
 ///   reSim(a, b) = min(dis)/max(dis) + Jaccard(F_a, F_b), in [0, 2].
+/// Always DistanceSimilarity + MaskJaccard, so a caller that tabulates
+/// either term gets bit-equal sums.
 double RegionEdgeSimilarity(const RegionEdgeFeatures& a,
                             const RegionEdgeFeatures& b);
 

@@ -16,11 +16,12 @@ enum class TransferSolver : uint8_t { kConjugateGradient = 0, kJacobi = 1 };
 
 struct TransferOptions {
   /// Adjacency matrix reduction threshold (Table III; default bold 0.7):
-  /// region-edge pairs with reSim <= amr are dropped from M.
+  /// region-edge pairs with reSim <= amr are dropped from M. In [0, 2].
   double amr = 0.7;
-  /// Influence of the Laplacian transfer term (Eq. 2).
+  /// Influence of the Laplacian transfer term (Eq. 2). Finite, >= 0.
   double mu1 = 1.0;
-  /// L2 regularization (Eq. 2).
+  /// L2 regularization (Eq. 2). Finite, > 0: it keeps the system SPD when
+  /// an unlabeled edge has no neighbours.
   double mu2 = 0.01;
   TransferSolver solver = TransferSolver::kConjugateGradient;
   SolverOptions solver_options;
@@ -31,6 +32,8 @@ struct TransferOptions {
   /// probability does not exceed this (disconnected in the similarity
   /// graph).
   double null_threshold = 1e-6;
+  /// Threads for the adjacency rows and the column solves; 0 = hardware
+  /// concurrency. The result is the same at every value.
   unsigned num_threads = 0;
 };
 
@@ -46,7 +49,7 @@ struct TransferResult {
   size_t adjacency_nnz = 0;   ///< off-diagonal nnz of M (both triangles)
   double build_seconds = 0;   ///< adjacency + Laplacian assembly
   double solve_seconds = 0;   ///< all p column solves
-  int max_solver_iterations = 0;
+  int max_solver_iterations = 0;  ///< the most any column's solve took
   bool all_converged = true;
 };
 

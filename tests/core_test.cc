@@ -74,6 +74,13 @@ TEST_F(L2REndToEndTest, BuildReportIsPopulated) {
     EXPECT_GT(rep.trajectories, 0u);
     EXPECT_GT(rep.num_regions, 0u);
     EXPECT_GT(rep.num_t_edges, 0u);
+    // Transfer's split is reported and fits inside its total.
+    EXPECT_GT(rep.transfer_adjacency_nnz, 0u);
+    EXPECT_GT(rep.transfer_solver_iterations, 0);
+    EXPECT_GT(rep.transfer_build_seconds, 0);
+    EXPECT_GT(rep.transfer_solve_seconds, 0);
+    EXPECT_LE(rep.transfer_build_seconds + rep.transfer_solve_seconds,
+              rep.transfer_seconds);
   }
 }
 

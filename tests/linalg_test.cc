@@ -162,6 +162,23 @@ TEST(SolverTest, JacobiRejectsZeroDiagonal) {
   EXPECT_FALSE(JacobiSolve(a, {1, 2}, &x).ok());
 }
 
+TEST(SolverTest, CappedSolversReportMaxIterations) {
+  // A 40-unknown system needs far more than 3 iterations at 1e-9, so both
+  // solvers stop at the cap and must say so the same way.
+  const RandomSystem sys = MakeSystem(7, 40);
+  SolverOptions opts;
+  opts.max_iterations = 3;
+  std::vector<double> x;
+  auto cg = ConjugateGradient(sys.a, sys.b, &x, opts);
+  ASSERT_TRUE(cg.ok());
+  EXPECT_EQ(cg->iterations, 3);
+  EXPECT_FALSE(cg->converged);
+  auto jacobi = JacobiSolve(sys.a, sys.b, &x, opts);
+  ASSERT_TRUE(jacobi.ok());
+  EXPECT_EQ(jacobi->iterations, 3);
+  EXPECT_FALSE(jacobi->converged);
+}
+
 TEST(SolverTest, CgSolvesIdentityInstantly) {
   const SparseMatrix a =
       SparseMatrix::FromTriplets(3, {{0, 0, 1}, {1, 1, 1}, {2, 2, 1}});

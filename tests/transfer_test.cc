@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+
+#include "common/rng.h"
 #include "linalg/solvers.h"
 #include "routing/path.h"
 #include "region/clustering.h"
@@ -221,9 +226,37 @@ TEST_F(TransferTest, RejectsBadInputs) {
   EXPECT_FALSE(TransferPreferences(features, none, space_).ok());
   std::vector<std::optional<RoutingPreference>> ok_labels(4);
   ok_labels[0] = RoutingPreference{};
-  TransferOptions bad;
-  bad.amr = 7;
-  EXPECT_FALSE(TransferPreferences(features, ok_labels, space_, bad).ok());
+  ASSERT_TRUE(TransferPreferences(features, ok_labels, space_).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejects = [&](auto mutate) {
+    TransferOptions bad;
+    mutate(bad);
+    auto result = TransferPreferences(features, ok_labels, space_, bad);
+    return !result.ok() &&
+           result.status().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejects([](TransferOptions& o) { o.amr = 7; }));
+  EXPECT_TRUE(rejects([](TransferOptions& o) { o.amr = -0.1; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.amr = nan; }));
+  EXPECT_TRUE(rejects([](TransferOptions& o) { o.mu1 = -1; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.mu1 = nan; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.mu1 = inf; }));
+  EXPECT_TRUE(rejects([](TransferOptions& o) { o.mu2 = 0; }));
+  EXPECT_TRUE(rejects([](TransferOptions& o) { o.mu2 = -0.01; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.mu2 = nan; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.null_threshold = nan; }));
+  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.null_threshold = inf; }));
+  // The bounds themselves are valid.
+  EXPECT_FALSE(rejects([](TransferOptions& o) { o.amr = 0; }));
+  EXPECT_FALSE(rejects([](TransferOptions& o) { o.amr = 2; }));
+  EXPECT_FALSE(rejects([](TransferOptions& o) { o.mu1 = 0; }));
+  // A non-finite distance would make reSim NaN.
+  auto bad_features = features;
+  bad_features[1].dis = nan;
+  EXPECT_FALSE(TransferPreferences(bad_features, ok_labels, space_).ok());
+  bad_features[1].dis = inf;
+  EXPECT_FALSE(TransferPreferences(bad_features, ok_labels, space_).ok());
 }
 
 TEST_F(TransferTest, EmptyInputIsEmptyResult) {
@@ -253,6 +286,82 @@ TEST_F(TransferTest, ManyEdgesPlantedClusters) {
     ASSERT_TRUE(result->preferences[i].has_value()) << i;
     EXPECT_EQ(*result->preferences[i], *labeled[i % 2 == 0 ? 0 : 1]) << i;
   }
+}
+
+TEST_F(TransferTest, CappedRowsAndColumnSolvesAreByteIdentical) {
+  // Six masks and twelve distances make exact reSim ties common. About 8
+  // of the 600 edges share each (mask, distance) class, fewer than the cap
+  // of 16, so a full row's weakest entries are tied lower similarities and
+  // the eviction rule (first weakest entry by position) decides M.
+  Rng rng(20180416);
+  const uint64_t masks[] = {
+      RoadTypePairBit(2, 2),
+      RoadTypePairBit(2, 2) | RoadTypePairBit(2, 5),
+      RoadTypePairBit(5, 5),
+      RoadTypePairBit(5, 5) | RoadTypePairBit(3, 5) | RoadTypePairBit(3, 3),
+      RoadTypePairBit(0, 1) | RoadTypePairBit(1, 1),
+      RoadTypePairBit(2, 2) | RoadTypePairBit(5, 5)};
+  const double distances[] = {0,    400,  500,  600,  750,  800,
+                              1000, 1200, 1500, 2000, 3000, 6000};
+  std::vector<RegionEdgeFeatures> features;
+  std::vector<std::optional<RoutingPreference>> labeled;
+  for (int i = 0; i < 600; ++i) {
+    RegionEdgeFeatures f;
+    f.dis = distances[rng.Index(std::size(distances))];
+    f.f_mask = masks[rng.Index(std::size(masks))];
+    features.push_back(f);
+    labeled.emplace_back();
+    if (rng.Bernoulli(0.15)) {
+      labeled.back() = RoutingPreference{
+          static_cast<CostFeature>(rng.Index(space_.num_master())),
+          static_cast<int>(rng.Index(space_.num_slave()))};
+    }
+  }
+
+  // FNV-1a over every preference, then the adjacency and solver counts.
+  auto digest = [](const TransferResult& r) {
+    uint64_t h = 14695981039346656037ULL;
+    auto mix = [&h](uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    };
+    for (const auto& pref : r.preferences) {
+      mix(pref.has_value() ? 1 + static_cast<uint64_t>(pref->master) * 64 +
+                                 static_cast<uint64_t>(pref->slave_index)
+                           : 0);
+    }
+    mix(r.adjacency_nnz);
+    mix(r.num_null);
+    mix(static_cast<uint64_t>(r.max_solver_iterations));
+    return h;
+  };
+
+  TransferOptions options;
+  options.amr = 0.7;
+  options.max_neighbors_per_edge = 16;
+  std::vector<TransferResult> runs;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    options.num_threads = threads;
+    auto result = TransferPreferences(features, labeled, space_, options);
+    ASSERT_TRUE(result.ok()) << threads;
+    runs.push_back(std::move(result).value());
+  }
+  for (size_t t = 1; t < runs.size(); ++t) {
+    EXPECT_EQ(runs[t].preferences, runs[0].preferences) << t;
+    EXPECT_EQ(runs[t].adjacency_nnz, runs[0].adjacency_nnz) << t;
+    EXPECT_EQ(runs[t].num_null, runs[0].num_null) << t;
+    EXPECT_EQ(runs[t].max_solver_iterations, runs[0].max_solver_iterations)
+        << t;
+  }
+  // Pinned from the earlier implementation (a full rescan of a capped row
+  // per candidate, serial column solves). Evicting the last weakest entry
+  // or a stale weakest index changes these.
+  EXPECT_EQ(runs[0].adjacency_nnz, 7466u);
+  EXPECT_EQ(runs[0].num_null, 34u);
+  EXPECT_EQ(runs[0].max_solver_iterations, 134);
+  EXPECT_EQ(digest(runs[0]), 0xd8c6f85e303207e3ULL);
 }
 
 // ---------- ApplyTransferredPreferences ----------
