@@ -1,14 +1,12 @@
 #ifndef L2R_BENCH_BENCH_PIPELINE_H_
 #define L2R_BENCH_BENCH_PIPELINE_H_
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/parallel.h"
-#include "pref/learner.h"
+#include "core/l2r.h"
 #include "region/clustering.h"
 #include "region/region_graph.h"
 #include "region/trajectory_graph.h"
@@ -18,22 +16,23 @@
 namespace l2r {
 namespace bench {
 
-/// The off-peak half of the offline pipeline, exposed piecewise for the
-/// design-choice benches (Figs. 6 and 9): region graph + learned T-edge
-/// preferences + region-edge features.
+/// The offline pipeline on all training trajectories (the graph an
+/// L2RRouter built with time_dependent = false serves from), exposed
+/// piecewise for the design-choice benches (Figs. 6 and 9): region graph,
+/// the router's learned T-edge preferences (LearnTEdgePreferences), and
+/// region-edge features.
 struct PipelineSetup {
   std::unique_ptr<BuiltDataset> data;
   std::unique_ptr<RegionGraph> graph;
   std::unique_ptr<WeightSet> weights;
   PreferenceFeatureSpace space = PreferenceFeatureSpace::Default();
   /// Learned preferences for T-edges (index-aligned with graph->edges();
-  /// nullopt for B-edges and low-evidence T-edges).
+  /// nullopt for B-edges and T-edges left unlearned).
   std::vector<std::optional<RoutingPreference>> labeled;
   std::vector<RegionEdgeFeatures> features;
 };
 
-inline std::unique_ptr<PipelineSetup> BuildPipeline(
-    const DatasetSpec& spec, size_t max_learned_t_edges = 6000) {
+inline std::unique_ptr<PipelineSetup> BuildPipeline(const DatasetSpec& spec) {
   auto setup = std::make_unique<PipelineSetup>();
   auto built = BuildDataset(spec);
   if (!built.ok()) return nullptr;
@@ -49,62 +48,9 @@ inline std::unique_ptr<PipelineSetup> BuildPipeline(
   if (!graph.ok()) return nullptr;
   setup->graph = std::make_unique<RegionGraph>(std::move(*graph));
   setup->weights = std::make_unique<WeightSet>(net, TimePeriod::kOffPeak);
-
-  const RegionGraph& g = *setup->graph;
-  PreferenceLearnerOptions learner_options;
-  auto hops = [](const StoredPathRef& p) { return p.end - p.begin; };
-
-  // Highest-evidence T-edges first, as in L2RRouter::BuildPeriod.
-  std::vector<uint32_t> learn_set;
-  for (uint32_t e = 0; e < g.NumTEdges(); ++e) {
-    for (const StoredPathRef& p : g.edge(e).t_paths) {
-      if (hops(p) >= learner_options.min_path_hops) {
-        learn_set.push_back(e);
-        break;
-      }
-    }
-  }
-  auto evidence = [&](uint32_t e) {
-    uint64_t total = 0;
-    for (const StoredPathRef& p : g.edge(e).t_paths) {
-      if (hops(p) >= learner_options.min_path_hops) {
-        total += static_cast<uint64_t>(p.count) * hops(p);
-      }
-    }
-    return total;
-  };
-  if (learn_set.size() > max_learned_t_edges) {
-    std::stable_sort(learn_set.begin(), learn_set.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return evidence(a) > evidence(b);
-                     });
-    learn_set.resize(max_learned_t_edges);
-  }
-
-  setup->labeled.assign(g.NumEdges(), std::nullopt);
-  ParallelForWorker(
-      learn_set.size(),
-      [&]() {
-        return std::make_unique<PreferenceLearner>(
-            net, *setup->weights, setup->space, learner_options);
-      },
-      [&](std::unique_ptr<PreferenceLearner>& learner, size_t i) {
-        const uint32_t e = learn_set[i];
-        const RegionEdge& edge = g.edge(e);
-        std::vector<std::vector<VertexId>> paths;
-        std::vector<uint32_t> counts;
-        for (const StoredPathRef& p : edge.t_paths) {
-          if (hops(p) < learner_options.min_path_hops) continue;
-          paths.push_back(g.ResolvePath(p));
-          counts.push_back(static_cast<uint32_t>(p.count * hops(p)));
-          if (paths.size() >= learner_options.max_paths) break;
-        }
-        if (paths.empty()) return;
-        auto learned = learner->LearnForPaths(paths, counts);
-        if (learned.ok()) setup->labeled[e] = learned->pref;
-      });
-
-  setup->features = ComputeAllRegionEdgeFeatures(g, /*top_k=*/2);
+  setup->labeled = LearnTEdgePreferences(net, *setup->graph, *setup->weights,
+                                         setup->space, /*num_threads=*/0);
+  setup->features = ComputeAllRegionEdgeFeatures(*setup->graph);
   return setup;
 }
 

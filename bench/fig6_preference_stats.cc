@@ -28,20 +28,18 @@ int main() {
   std::printf("regions=%zu T-edges=%zu B-edges=%zu\n", g.NumRegions(),
               g.NumTEdges(), g.NumBEdges());
 
-  // --- (a) Unique per-path preferences per T-edge.
+  // --- (a) Unique per-path preferences per T-edge, over the paths the
+  // router learns each edge from.
   PreferenceLearner learner(net, *setup->weights, setup->space);
-  auto hops = [](const StoredPathRef& p) { return p.end - p.begin; };
   std::map<size_t, size_t> unique_counts;  // #unique prefs -> #edges
   std::array<size_t, kNumCostFeatures> master_counts{};
   size_t edges_sampled = 0;
   size_t prefs_total = 0;
   for (uint32_t e = 0; e < g.NumTEdges() && edges_sampled < 800; ++e) {
-    const RegionEdge& edge = g.edge(e);
     std::set<std::pair<int, int>> unique;
     size_t paths_used = 0;
-    for (const StoredPathRef& ref : edge.t_paths) {
-      if (hops(ref) < 4 || paths_used >= 4) continue;
-      auto learned = learner.LearnForPath(g.ResolvePath(ref));
+    for (const StoredPathRef* ref : LearnPaths(g.edge(e))) {
+      auto learned = learner.LearnForPath(g.ResolvePath(*ref));
       if (!learned.ok()) continue;
       ++paths_used;
       unique.insert({static_cast<int>(learned->pref.master),

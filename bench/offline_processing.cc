@@ -27,22 +27,25 @@ void RunDataset(const DatasetSpec& spec) {
   const L2RBuildReport& report = (*router)->build_report();
   // Transfer is split into the adjacency build (M plus the Laplacian) and
   // the p column solves; M-nnz and the solver iterations are the
-  // machine-independent size of each.
-  std::printf("%-10s %8s %8s %8s %10s %8s %8s %8s %8s %8s %9s %6s\n",
-              "period", "trajs", "regions", "T-edges", "cluster(s)",
-              "learn(s)", "xfer(s)", "adj(s)", "solve(s)", "apply(s)",
-              "M-nnz", "iters");
+  // machine-independent size of each. null% is the share of B-edges
+  // transfer left without a preference.
+  std::printf("%-10s %8s %8s %8s %8s %10s %8s %8s %8s %8s %8s %9s %6s %6s\n",
+              "period", "trajs", "regions", "T-edges", "B-edges",
+              "cluster(s)", "learn(s)", "xfer(s)", "adj(s)", "solve(s)",
+              "apply(s)", "M-nnz", "iters", "null%");
   for (int p = 0; p < kNumTimePeriods; ++p) {
     const auto& rep = report.period[p];
     if (rep.trajectories == 0) continue;
     std::printf(
-        "%-10s %8zu %8zu %8zu %10.2f %8.2f %8.2f %8.2f %8.2f %8.2f %9zu "
-        "%6d\n",
+        "%-10s %8zu %8zu %8zu %8zu %10.2f %8.2f %8.2f %8.2f %8.2f %8.2f "
+        "%9zu %6d %6.2f\n",
         p == 0 ? "off-peak" : "peak", rep.trajectories, rep.num_regions,
-        rep.num_t_edges, rep.cluster_seconds + rep.region_graph_seconds,
-        rep.learn_seconds, rep.transfer_seconds, rep.transfer_build_seconds,
+        rep.num_t_edges, rep.num_b_edges,
+        rep.cluster_seconds + rep.region_graph_seconds, rep.learn_seconds,
+        rep.transfer_seconds, rep.transfer_build_seconds,
         rep.transfer_solve_seconds, rep.apply_seconds,
-        rep.transfer_adjacency_nnz, rep.transfer_solver_iterations);
+        rep.transfer_adjacency_nnz, rep.transfer_solver_iterations,
+        100 * rep.transfer_null_rate);
   }
   std::printf("landmark tables: %.2f s\n", report.landmark_seconds);
   std::printf("total offline build: %.2f s\n", report.total_seconds);

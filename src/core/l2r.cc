@@ -13,6 +13,18 @@ namespace l2r {
 
 namespace {
 
+/// Stitching: tradeoff between connector detour (meters) and path
+/// popularity when choosing among a region edge's paths.
+constexpr double kPopularityBonusM = 50;
+/// Stitch-or-apply gate: a stitched region path is kept only when its
+/// connector overhead stays below this fraction of the query's
+/// straight-line distance; otherwise the route is rebuilt by applying the
+/// region pair's (learned or transferred) preference with Algorithm 2 —
+/// the same mechanism Sec. V-C uses for B-edges.
+constexpr double kStitchOverheadLimit = 0.50;
+
+uint64_t PathHops(const StoredPathRef& p) { return p.end - p.begin; }
+
 /// Looks for a recorded inner-region trajectory sub-path from `from` to
 /// `to` in region `r`; inner paths are sorted by traversal count, so the
 /// first hit is the most popular.
@@ -38,6 +50,59 @@ std::optional<std::vector<VertexId>> TryInnerSubPath(const RegionGraph& g,
 
 }  // namespace
 
+std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge) {
+  std::vector<const StoredPathRef*> refs;
+  for (const StoredPathRef& p : edge.t_paths) {
+    if (PathHops(p) >= kMinLearnPathHops) refs.push_back(&p);
+  }
+  std::stable_sort(refs.begin(), refs.end(),
+                   [](const StoredPathRef* a, const StoredPathRef* b) {
+                     return a->count * PathHops(*a) > b->count * PathHops(*b);
+                   });
+  if (refs.size() > kMaxLearnPaths) refs.resize(kMaxLearnPaths);
+  return refs;
+}
+
+std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
+    const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
+    const PreferenceFeatureSpace& space, unsigned num_threads) {
+  auto evidence = [&](uint32_t e) {
+    uint64_t total = 0;
+    for (const StoredPathRef& p : graph.edge(e).t_paths) {
+      if (PathHops(p) >= kMinLearnPathHops) total += p.count * PathHops(p);
+    }
+    return total;
+  };
+  std::vector<uint32_t> learn_set;
+  for (uint32_t e = 0; e < graph.NumTEdges(); ++e) {
+    if (evidence(e) > 0) learn_set.push_back(e);
+  }
+  if (learn_set.size() > kMaxLearnedTEdges) {
+    std::stable_sort(learn_set.begin(), learn_set.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return evidence(a) > evidence(b);
+                     });
+    learn_set.resize(kMaxLearnedTEdges);
+  }
+  std::vector<std::optional<RoutingPreference>> labeled(graph.NumEdges());
+  ParallelForWorker(
+      learn_set.size(),
+      [&]() { return std::make_unique<PreferenceLearner>(net, ws, space); },
+      [&](std::unique_ptr<PreferenceLearner>& learner, size_t i) {
+        const uint32_t e = learn_set[i];
+        std::vector<std::vector<VertexId>> paths;
+        std::vector<uint32_t> counts;
+        for (const StoredPathRef* p : LearnPaths(graph.edge(e))) {
+          paths.push_back(graph.ResolvePath(*p));
+          counts.push_back(static_cast<uint32_t>(p->count * PathHops(*p)));
+        }
+        auto learned = learner->LearnForPaths(paths, counts);
+        if (learned.ok()) labeled[e] = learned->pref;
+      },
+      num_threads);
+  return labeled;
+}
+
 Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
     const RoadNetwork* net, std::vector<MatchedTrajectory> training,
     const L2ROptions& options) {
@@ -46,11 +111,7 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
     return Status::InvalidArgument("no training trajectories");
   }
 
-  PreferenceFeatureSpace space =
-      options.feature_space.value_or(PreferenceFeatureSpace::Default());
-  std::unique_ptr<L2RRouter> router(new L2RRouter(net, std::move(space)));
-  router->popularity_bonus_m_ = options.popularity_bonus_m;
-  router->stitch_overhead_limit_ = options.stitch_overhead_limit;
+  std::unique_ptr<L2RRouter> router(new L2RRouter(net));
   router->time_dependent_ = options.time_dependent;
   router->weights_[0] = WeightSet(*net, TimePeriod::kOffPeak);
   router->weights_[1] = WeightSet(*net, TimePeriod::kPeak);
@@ -79,12 +140,12 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
     if (parts.offpeak.empty()) parts.offpeak = training;
     if (parts.peak.empty()) parts.peak = training;
     L2R_RETURN_NOT_OK(router->BuildPeriod(
-        TimePeriod::kOffPeak, std::move(parts.offpeak), options));
-    L2R_RETURN_NOT_OK(
-        router->BuildPeriod(TimePeriod::kPeak, std::move(parts.peak), options));
+        TimePeriod::kOffPeak, std::move(parts.offpeak), options.num_threads));
+    L2R_RETURN_NOT_OK(router->BuildPeriod(
+        TimePeriod::kPeak, std::move(parts.peak), options.num_threads));
   } else {
-    L2R_RETURN_NOT_OK(router->BuildPeriod(TimePeriod::kOffPeak,
-                                          std::move(training), options));
+    L2R_RETURN_NOT_OK(router->BuildPeriod(
+        TimePeriod::kOffPeak, std::move(training), options.num_threads));
   }
   router->report_.total_seconds = total.ElapsedSeconds();
   return router;
@@ -92,7 +153,7 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
 
 Status L2RRouter::BuildPeriod(TimePeriod period,
                               std::vector<MatchedTrajectory> trajectories,
-                              const L2ROptions& options) {
+                              unsigned num_threads) {
   const int pi = static_cast<int>(period);
   trajectories_[pi] = std::move(trajectories);
   L2RBuildReport::PeriodReport& rep = report_.period[pi];
@@ -111,8 +172,8 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
 
   // 2. Region graph with T-edges and BFS B-edges (Sec. IV-B).
   timer.Restart();
-  Result<RegionGraph> built = BuildRegionGraph(
-      *net_, *clustering, &trajectories_[pi], options.region_graph);
+  Result<RegionGraph> built =
+      BuildRegionGraph(*net_, *clustering, &trajectories_[pi]);
   if (!built.ok()) return built.status();
   graphs_[pi] = std::make_unique<RegionGraph>(std::move(*built));
   RegionGraph& graph = *graphs_[pi];
@@ -122,86 +183,17 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
   rep.region_graph_seconds = timer.ElapsedSeconds();
 
   // 3. T-edge preference learning (Sec. V-A), parallel over T-edges.
-  // Under a learning budget, the highest-evidence T-edges are learned
-  // directly; the rest stay unlabeled and get transferred preferences
-  // (they keep their trajectory paths for routing either way).
   timer.Restart();
-  std::vector<uint32_t> learn_set(graph.NumTEdges());
-  for (uint32_t e = 0; e < graph.NumTEdges(); ++e) learn_set[e] = e;
-  // Evidence of a T-edge = total traversed hops of its informative paths;
-  // short hops carry no preference signal (see PreferenceLearnerOptions).
-  auto path_hops = [](const StoredPathRef& p) -> uint64_t {
-    return p.end - p.begin;
-  };
-  auto evidence = [&](uint32_t e) {
-    uint64_t total = 0;
-    for (const StoredPathRef& p : graph.edge(e).t_paths) {
-      if (path_hops(p) >= options.learner.min_path_hops) {
-        total += static_cast<uint64_t>(p.count) * path_hops(p);
-      }
-    }
-    return total;
-  };
-  learn_set.erase(std::remove_if(learn_set.begin(), learn_set.end(),
-                                 [&](uint32_t e) { return evidence(e) == 0; }),
-                  learn_set.end());
-  if (options.max_learned_t_edges > 0 &&
-      learn_set.size() > options.max_learned_t_edges) {
-    std::stable_sort(learn_set.begin(), learn_set.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return evidence(a) > evidence(b);
-                     });
-    learn_set.resize(options.max_learned_t_edges);
-  }
-  std::vector<std::optional<RoutingPreference>> labeled(graph.NumEdges());
-  ParallelForWorker(
-      learn_set.size(),
-      [&]() {
-        return std::make_unique<PreferenceLearner>(*net_, ws, space_,
-                                                   options.learner);
-      },
-      [&](std::unique_ptr<PreferenceLearner>& learner, size_t i) {
-        const uint32_t e = learn_set[i];
-        const RegionEdge& edge = graph.edge(e);
-        // Most informative paths first: weight = traversals x hops.
-        std::vector<const StoredPathRef*> refs;
-        for (const StoredPathRef& p : edge.t_paths) {
-          if (path_hops(p) >= options.learner.min_path_hops) {
-            refs.push_back(&p);
-          }
-        }
-        std::stable_sort(refs.begin(), refs.end(),
-                         [&](const StoredPathRef* a, const StoredPathRef* b) {
-                           return a->count * path_hops(*a) >
-                                  b->count * path_hops(*b);
-                         });
-        if (refs.size() > options.learner.max_paths) {
-          refs.resize(options.learner.max_paths);
-        }
-        std::vector<std::vector<VertexId>> paths;
-        std::vector<uint32_t> counts;
-        for (const StoredPathRef* p : refs) {
-          paths.push_back(graph.ResolvePath(*p));
-          counts.push_back(
-              static_cast<uint32_t>(p->count * path_hops(*p)));
-        }
-        auto learned = learner->LearnForPaths(paths, counts);
-        if (learned.ok()) labeled[e] = learned->pref;
-      },
-      options.num_threads);
+  const std::vector<std::optional<RoutingPreference>> labeled =
+      LearnTEdgePreferences(*net_, graph, ws, space_, num_threads);
   rep.learn_seconds = timer.ElapsedSeconds();
 
   // 4. Preference transfer to B-edges (Sec. V-B).
   timer.Restart();
-  const std::vector<RegionEdgeFeatures> features =
-      ComputeAllRegionEdgeFeatures(graph,
-                                   options.region_graph.top_k_road_types);
-  TransferOptions transfer_options = options.transfer;
-  if (transfer_options.num_threads == 0) {
-    transfer_options.num_threads = options.num_threads;
-  }
-  Result<TransferResult> transferred =
-      TransferPreferences(features, labeled, space_, transfer_options);
+  TransferOptions transfer_options;
+  transfer_options.num_threads = num_threads;
+  Result<TransferResult> transferred = TransferPreferences(
+      ComputeAllRegionEdgeFeatures(graph), labeled, space_, transfer_options);
   if (!transferred.ok()) return transferred.status();
   preferences_[pi] = std::move(transferred->preferences);
   rep.transfer_null_rate = transferred->null_rate;
@@ -213,12 +205,8 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
 
   // 5. Apply transferred preferences: attach B-edge paths (Sec. V-C).
   timer.Restart();
-  ApplyOptions apply_options = options.apply;
-  if (apply_options.num_threads == 0) {
-    apply_options.num_threads = options.num_threads;
-  }
   Result<ApplyStats> applied = ApplyTransferredPreferences(
-      &graph, *net_, ws, space_, preferences_[pi], apply_options);
+      &graph, *net_, ws, space_, preferences_[pi], num_threads);
   if (!applied.ok()) return applied.status();
   rep.apply_seconds = timer.ElapsedSeconds();
   return Status::OK();
@@ -297,7 +285,7 @@ std::optional<std::vector<VertexId>> L2RRouter::BestEdgePath(
     const double connector = Dist(here, net_->VertexPos(verts.front()));
     const double onward = Dist(net_->VertexPos(verts.back()), goal);
     const double score = connector + onward -
-                         popularity_bonus_m_ * std::log2(1.0 + count);
+                         kPopularityBonusM * std::log2(1.0 + count);
     if (score < best_score) {
       best_score = score;
       best = std::move(verts);
@@ -526,9 +514,9 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
   path.vertices = std::move(out);
   // Stitch-or-apply gate: recorded paths are reused only when they
   // actually pass near the query endpoints; otherwise the preference is
-  // applied directly (see L2ROptions::stitch_overhead_limit).
+  // applied directly (see kStitchOverheadLimit).
   const double span = Dist(net_->VertexPos(s), net_->VertexPos(d));
-  if (overhead > stitch_overhead_limit_ * span) {
+  if (overhead > kStitchOverheadLimit * span) {
     return preference_route(&path, region_edges->size());
   }
   result.region_hops = region_edges->size();

@@ -16,33 +16,41 @@
 
 namespace l2r {
 
-/// Options of the full learn-to-route pipeline.
+/// Options of the full learn-to-route pipeline. Every other build
+/// parameter is a named constant in the module that uses it (README,
+/// "Offline pipeline").
 struct L2ROptions {
   /// Build separate peak and off-peak region graphs (paper Sec. III scope
   /// (1)); if false one off-peak graph serves all departure times.
   bool time_dependent = true;
-  RegionGraphOptions region_graph;
-  PreferenceLearnerOptions learner;
-  TransferOptions transfer;
-  ApplyOptions apply;
-  /// Slave feature space for preferences; defaults to none + 6 road types
-  /// + highway combo.
-  std::optional<PreferenceFeatureSpace> feature_space;
-  /// Budget on T-edges whose preferences are learned directly (the
-  /// highest-evidence edges first); the rest stay unlabeled and receive
-  /// transferred preferences like B-edges. 0 = learn all T-edges.
-  size_t max_learned_t_edges = 8000;
+  /// Threads for every parallel build step (landmarks, learning, transfer,
+  /// apply); 0 = hardware concurrency. The build is the same at every
+  /// value.
   unsigned num_threads = 0;
-  /// Stitching: tradeoff between connector detour (meters) and path
-  /// popularity when choosing among a region edge's paths.
-  double popularity_bonus_m = 50;
-  /// Stitch-or-apply gate: a stitched region path is kept only when its
-  /// connector overhead stays below this fraction of the query's
-  /// straight-line distance; otherwise the route is rebuilt by applying
-  /// the region pair's (learned or transferred) preference with
-  /// Algorithm 2 — the same mechanism Sec. V-C uses for B-edges.
-  double stitch_overhead_limit = 0.50;
 };
+
+/// Budget on T-edges whose preferences are learned directly (the
+/// highest-evidence edges first); the rest stay unlabeled and receive
+/// transferred preferences like B-edges.
+inline constexpr size_t kMaxLearnedTEdges = 8000;
+
+/// The paths a T-edge learns from (Sec. V-A): its kMaxLearnPaths most
+/// informative stored paths of at least kMinLearnPathHops hops, ranked by
+/// traversals x hops, ties in stored order. Points into edge.t_paths;
+/// empty when no path is long enough.
+std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge);
+
+/// T-edge preference learning (Sec. V-A), the offline build's step 3.
+/// Learns every T-edge that has a path of at least kMinLearnPathHops hops;
+/// when more than kMaxLearnedTEdges do, only those with the most evidence
+/// (traversals x hops summed over such paths, ties in edge order). Each
+/// edge learns from its LearnPaths, weighted by traversals x hops. The
+/// result is index-aligned with graph.edges(), nullopt for B-edges and
+/// unlearned T-edges, and the same at every `num_threads` (0 = hardware
+/// concurrency).
+std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
+    const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
+    const PreferenceFeatureSpace& space, unsigned num_threads);
 
 /// Build-time report (the offline processing the paper times in
 /// Sec. VII-C).
@@ -180,12 +188,12 @@ class L2RRouter {
   void SetGoalDirected(bool on);
 
  private:
-  L2RRouter(const RoadNetwork* net, PreferenceFeatureSpace space)
-      : net_(net), space_(std::move(space)) {}
+  explicit L2RRouter(const RoadNetwork* net)
+      : net_(net), space_(PreferenceFeatureSpace::Default()) {}
 
   Status BuildPeriod(TimePeriod period,
                      std::vector<MatchedTrajectory> trajectories,
-                     const L2ROptions& options);
+                     unsigned num_threads);
 
   /// Sec. VI Case 1, same region: most-traversed recorded inner path.
   std::optional<Path> InnerRegionRoute(const RegionGraph& graph, RegionId r,
@@ -225,8 +233,6 @@ class L2RRouter {
 
   const RoadNetwork* net_;
   PreferenceFeatureSpace space_;
-  double popularity_bonus_m_ = 50;
-  double stitch_overhead_limit_ = 0.50;
   bool time_dependent_ = true;
   WeightSet weights_[kNumTimePeriods];
   std::vector<MatchedTrajectory> trajectories_[kNumTimePeriods];

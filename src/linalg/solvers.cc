@@ -60,54 +60,6 @@ Result<SolveStats> ConjugateGradient(const SparseMatrix& a,
   return stats;
 }
 
-Result<SolveStats> JacobiSolve(const SparseMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>* x,
-                               const SolverOptions& options) {
-  const size_t n = a.n();
-  if (b.size() != n) return Status::InvalidArgument("b size mismatch");
-  const std::vector<double> diag = a.Diagonal();
-  for (const double d : diag) {
-    if (d == 0) {
-      return Status::FailedPrecondition("Jacobi needs a non-zero diagonal");
-    }
-  }
-  x->assign(n, 0);
-  std::vector<double> next(n, 0);
-  std::vector<double> ax(n);
-  const double b_norm = std::max(1.0, Norm(b));
-
-  SolveStats stats;
-  for (int it = 0; it < options.max_iterations; ++it) {
-    stats.iterations = it;
-    // next_i = (b_i - sum_{j != i} a_ij x_j) / a_ii
-    for (size_t i = 0; i < n; ++i) {
-      const SparseMatrix::RowRange row =
-          a.Row(static_cast<uint32_t>(i));
-      double off = 0;
-      for (size_t k = 0; k < row.size; ++k) {
-        if (row.cols[k] != i) off += row.values[k] * (*x)[row.cols[k]];
-      }
-      next[i] = (b[i] - off) / diag[i];
-    }
-    x->swap(next);
-    a.Multiply(*x, &ax);
-    double res = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = ax[i] - b[i];
-      res += d * d;
-    }
-    stats.residual = std::sqrt(res) / b_norm;
-    if (stats.residual <= options.tolerance) {
-      stats.converged = true;
-      ++stats.iterations;
-      return stats;
-    }
-  }
-  stats.iterations = options.max_iterations;
-  return stats;
-}
-
 Result<std::vector<double>> SolveDense(std::vector<std::vector<double>> a,
                                        std::vector<double> b) {
   const size_t n = b.size();

@@ -20,20 +20,13 @@ struct SolveStats {
   bool converged = false;
 };
 
-/// Conjugate gradient for symmetric positive definite systems — one of the
-/// two iterative methods the paper suggests for Eq. 3 [42].
+/// Conjugate gradient for symmetric positive definite systems — the
+/// iterative method this reproduction uses for Eq. 3 (the paper cites CG
+/// [42] and Jacobi [39]).
 Result<SolveStats> ConjugateGradient(const SparseMatrix& a,
                                      const std::vector<double>& b,
                                      std::vector<double>* x,
                                      const SolverOptions& options = {});
-
-/// Jacobi iteration — the other Eq. 3 method the paper cites [39].
-/// Requires a non-zero diagonal; converges for diagonally dominant systems
-/// (which the transfer system is, for mu2 > 0).
-Result<SolveStats> JacobiSolve(const SparseMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>* x,
-                               const SolverOptions& options = {});
 
 /// Dense Gaussian elimination with partial pivoting; O(n^3). Test oracle
 /// and small-system fallback.

@@ -34,7 +34,7 @@ class SparseMatrix {
   /// Diagonal entries (0 where absent).
   std::vector<double> Diagonal() const;
 
-  /// Element access, O(row nnz); for tests and the Jacobi sweep.
+  /// Element access, O(row nnz); for tests.
   double At(uint32_t row, uint32_t col) const;
 
   /// Row accessors for iteration.

@@ -1,20 +1,21 @@
 #include "pref/learner.h"
 
-#include <algorithm>
-
 #include "pref/similarity.h"
 
 namespace l2r {
 
+namespace {
+
+/// A slave feature is adopted only if it improves the summed similarity
+/// by more than this.
+constexpr double kMinSlaveImprovement = 1e-9;
+
+}  // namespace
+
 PreferenceLearner::PreferenceLearner(const RoadNetwork& net,
                                      const WeightSet& ws,
-                                     const PreferenceFeatureSpace& space,
-                                     PreferenceLearnerOptions options)
-    : net_(net),
-      ws_(ws),
-      space_(space),
-      options_(options),
-      search_(net) {}
+                                     const PreferenceFeatureSpace& space)
+    : net_(net), ws_(ws), space_(space), search_(net) {}
 
 Result<PreferenceLearner::LearnOutput> PreferenceLearner::LearnForPaths(
     const std::vector<std::vector<VertexId>>& all_paths,
@@ -26,19 +27,9 @@ Result<PreferenceLearner::LearnOutput> PreferenceLearner::LearnForPaths(
     return Status::InvalidArgument("counts/paths size mismatch");
   }
 
-  // Cap work: use the `max_paths` heaviest paths.
-  std::vector<size_t> order(all_paths.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (!all_counts.empty()) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return all_counts[a] > all_counts[b];
-    });
-  }
-  if (order.size() > options_.max_paths) order.resize(options_.max_paths);
-
   std::vector<const std::vector<VertexId>*> paths;
   std::vector<double> weights;
-  for (const size_t i : order) {
+  for (size_t i = 0; i < all_paths.size(); ++i) {
     if (all_paths[i].size() < 2) continue;
     paths.push_back(&all_paths[i]);
     weights.push_back(all_counts.empty() ? 1.0 : all_counts[i]);
@@ -80,7 +71,7 @@ Result<PreferenceLearner::LearnOutput> PreferenceLearner::LearnForPaths(
   double best_slave_score = best_master_score;
   for (int s = 1; s < space_.num_slave(); ++s) {
     const double sc = score(best_master, s);
-    if (sc > best_slave_score + options_.min_improvement) {
+    if (sc > best_slave_score + kMinSlaveImprovement) {
       best_slave_score = sc;
       best_slave = s;
     }

@@ -9,19 +9,13 @@
 
 namespace l2r {
 
-struct PreferenceLearnerOptions {
-  /// Paths per T-edge actually used for learning (the most informative —
-  /// longest × most traversed — first); bounds the number of
-  /// shortest-path computations.
-  size_t max_paths = 4;
-  /// Paths with fewer hops carry almost no preference signal (every cost
-  /// feature explains a 2-vertex hop); edges whose paths are all shorter
-  /// stay unlabeled and receive transferred preferences instead.
-  size_t min_path_hops = 4;
-  /// A slave feature is adopted only if it improves the summed similarity
-  /// by more than this.
-  double min_improvement = 1e-9;
-};
+/// Paths per T-edge used for learning (the most informative — traversals
+/// x hops — first); bounds the number of shortest-path computations.
+inline constexpr size_t kMaxLearnPaths = 4;
+/// Paths with fewer hops carry almost no preference signal (every cost
+/// feature explains a 2-vertex hop); edges whose paths are all shorter
+/// stay unlabeled and receive transferred preferences instead.
+inline constexpr size_t kMinLearnPathHops = 4;
 
 /// The coordinate-descent preference learner of Sec. V-A: first pick the
 /// master travel-cost feature whose lowest-cost paths best match the
@@ -31,8 +25,7 @@ class PreferenceLearner {
  public:
   /// `ws` supplies the per-period weight arrays the searches run on.
   PreferenceLearner(const RoadNetwork& net, const WeightSet& ws,
-                    const PreferenceFeatureSpace& space,
-                    PreferenceLearnerOptions options = {});
+                    const PreferenceFeatureSpace& space);
 
   struct LearnOutput {
     RoutingPreference pref;
@@ -40,8 +33,9 @@ class PreferenceLearner {
     double similarity = 0;
   };
 
-  /// Learns V* for one T-edge's path set. `counts[i]` weights path i (its
-  /// trajectory traversal count); pass an empty vector for uniform weights.
+  /// Learns V* for one T-edge's path set, scoring every path given (the
+  /// caller picks them: see LearnPaths in core/l2r.h). `counts[i]` weights
+  /// path i; pass an empty vector for uniform weights.
   Result<LearnOutput> LearnForPaths(
       const std::vector<std::vector<VertexId>>& paths,
       const std::vector<uint32_t>& counts);
@@ -54,7 +48,6 @@ class PreferenceLearner {
   const RoadNetwork& net_;
   const WeightSet& ws_;
   const PreferenceFeatureSpace& space_;
-  PreferenceLearnerOptions options_;
   PreferenceDijkstra search_;
 };
 

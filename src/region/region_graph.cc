@@ -9,6 +9,14 @@ namespace l2r {
 
 namespace {
 
+/// Build caps: transfer centers kept per region, unique paths stored per
+/// T-edge and per region's inner paths, and region pairs recorded per
+/// trajectory (a trajectory through m regions yields up to m(m-1)/2).
+constexpr size_t kMaxTransferCentersPerRegion = 8;
+constexpr size_t kMaxPathsPerTEdge = 64;
+constexpr size_t kMaxInnerPathsPerRegion = 128;
+constexpr size_t kMaxRegionPairsPerTraj = 120;
+
 uint64_t DirectedKey(RegionId a, RegionId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
@@ -78,8 +86,7 @@ std::vector<VertexId> RegionGraph::ResolvePath(
 
 Result<RegionGraph> BuildRegionGraph(
     const RoadNetwork& net, const ClusteringResult& clustering,
-    const std::vector<MatchedTrajectory>* trajs,
-    const RegionGraphOptions& options) {
+    const std::vector<MatchedTrajectory>* trajs) {
   if (trajs == nullptr) {
     return Status::InvalidArgument("trajs must not be null");
   }
@@ -147,8 +154,7 @@ Result<RegionGraph> BuildRegionGraph(
         center_hits[run.region].push_back(path[run.last]);
       }
       if (run.last > run.first &&
-          inner_paths[run.region].size() <
-              options.max_inner_paths_per_region) {
+          inner_paths[run.region].size() < kMaxInnerPathsPerRegion) {
         const uint64_t h = HashSlice(path, run.first, run.last);
         if (uint32_t* idx = inner_unique[run.region].Find(h)) {
           ++inner_paths[run.region][*idx].count;
@@ -164,10 +170,10 @@ Result<RegionGraph> BuildRegionGraph(
     // Region-pair paths: trajectory left runs[i] at its last vertex and
     // entered runs[j] at its first vertex.
     size_t pairs = 0;
-    for (size_t i = 0; i < runs.size() && pairs < options.max_region_pairs_per_traj; ++i) {
+    for (size_t i = 0; i < runs.size() && pairs < kMaxRegionPairsPerTraj;
+         ++i) {
       for (size_t j = i + 1;
-           j < runs.size() && pairs < options.max_region_pairs_per_traj;
-           ++j) {
+           j < runs.size() && pairs < kMaxRegionPairsPerTraj; ++j) {
         if (runs[i].region == runs[j].region) continue;
         ++pairs;
         const uint64_t key = DirectedKey(runs[i].region, runs[j].region);
@@ -185,7 +191,7 @@ Result<RegionGraph> BuildRegionGraph(
         const uint64_t h = HashSlice(path, begin, end);
         if (uint32_t* idx = acc.unique.Find(h)) {
           ++acc.paths[*idx].count;
-        } else if (acc.paths.size() < options.max_paths_per_t_edge) {
+        } else if (acc.paths.size() < kMaxPathsPerTEdge) {
           acc.unique.Insert(h, static_cast<uint32_t>(acc.paths.size()));
           acc.paths.push_back(StoredPathRef{ti, begin, end, 1});
         }
@@ -237,10 +243,7 @@ Result<RegionGraph> BuildRegionGraph(
                        return a.second > b.second;
                      });
     for (const auto& [v, cnt] : centers) {
-      if (info.transfer_centers.size() >=
-          options.max_transfer_centers_per_region) {
-        break;
-      }
+      if (info.transfer_centers.size() >= kMaxTransferCentersPerRegion) break;
       info.transfer_centers.push_back(v);
     }
     // Regions never entered by a recorded trajectory run still need

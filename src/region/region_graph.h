@@ -35,7 +35,7 @@ struct RegionInfo {
   /// define the region's functionality feature F (Sec. V-B).
   std::array<uint64_t, kNumRoadTypes> road_type_counts{};
   /// Transfer centers: vertices where trajectories enter/leave the region,
-  /// most frequent first (capped by RegionGraphOptions).
+  /// most frequent first (at most 8 per region).
   std::vector<VertexId> transfer_centers;
   /// Inner-region paths recorded from trajectories (Sec. IV-B).
   std::vector<StoredPathRef> inner_paths;
@@ -56,17 +56,6 @@ struct RegionEdge {
   /// B-edge: paths identified via the transferred preference (Algorithm 2),
   /// one per transfer-center pair.
   std::vector<std::vector<VertexId>> b_paths;
-};
-
-struct RegionGraphOptions {
-  /// k for the region-functionality top-k road types.
-  int top_k_road_types = 2;
-  size_t max_transfer_centers_per_region = 8;
-  size_t max_paths_per_t_edge = 64;
-  size_t max_inner_paths_per_region = 128;
-  /// Cap on region pairs recorded per trajectory (a trajectory through m
-  /// regions yields up to m(m-1)/2 pairs).
-  size_t max_region_pairs_per_traj = 120;
 };
 
 /// The region graph G_R (Sec. IV-B): regions as vertices, T-edges from
@@ -109,8 +98,7 @@ class RegionGraph {
  private:
   friend Result<RegionGraph> BuildRegionGraph(
       const RoadNetwork& net, const ClusteringResult& clustering,
-      const std::vector<MatchedTrajectory>* trajs,
-      const RegionGraphOptions& options);
+      const std::vector<MatchedTrajectory>* trajs);
 
   std::vector<RegionInfo> regions_;
   std::vector<RegionEdge> edges_;
@@ -132,8 +120,7 @@ class RegionGraph {
 /// region connects to its nearby regions.
 Result<RegionGraph> BuildRegionGraph(
     const RoadNetwork& net, const ClusteringResult& clustering,
-    const std::vector<MatchedTrajectory>* trajs,
-    const RegionGraphOptions& options = {});
+    const std::vector<MatchedTrajectory>* trajs);
 
 }  // namespace l2r
 

@@ -1,7 +1,6 @@
 #ifndef L2R_ROUTING_DIJKSTRA_H_
 #define L2R_ROUTING_DIJKSTRA_H_
 
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -17,9 +16,7 @@ namespace l2r {
 /// clearing. Not thread-safe; use one instance per thread.
 ///
 /// The hot loop lives in routing/search_kernel.h; the templated RunUntilT /
-/// RunUntilReverseT entry points compile the stop predicate into the loop,
-/// while the std::function overloads remain for callers that need runtime
-/// predicates.
+/// RunUntilReverseT entry points compile the stop predicate into the loop.
 class DijkstraSearch {
  public:
   explicit DijkstraSearch(const RoadNetwork& net)
@@ -63,18 +60,13 @@ class DijkstraSearch {
     return RunSearchKernel<ForwardExpand>(net_, ws_, s, ArrayWeight{&w},
                                           stop, max_cost);
   }
-  VertexId RunUntil(VertexId s, const EdgeWeights& w,
-                    const std::function<bool(VertexId)>& stop,
-                    double max_cost = kInfCost) {
-    return RunUntilT(s, w, stop, max_cost);
-  }
 
   /// One-to-all within `max_cost`.
   void RunBounded(VertexId s, const EdgeWeights& w, double max_cost) {
     RunUntilT(s, w, NeverStop{}, max_cost);
   }
 
-  /// Like RunUntil but searching backward over in-edges from `d`: DistTo(v)
+  /// Like RunUntilT but searching backward over in-edges from `d`: DistTo(v)
   /// then holds the cost of the forward path v -> d. Use ExtractReversePath
   /// to materialize it.
   template <typename StopFn>
@@ -84,16 +76,11 @@ class DijkstraSearch {
     return RunSearchKernel<ReverseExpand>(net_, ws_, d, ArrayWeight{&w},
                                           stop, max_cost);
   }
-  VertexId RunUntilReverse(VertexId d, const EdgeWeights& w,
-                           const std::function<bool(VertexId)>& stop,
-                           double max_cost = kInfCost) {
-    return RunUntilReverseT(d, w, stop, max_cost);
-  }
 
-  /// Path v -> ... -> d (forward orientation) after RunUntilReverse.
+  /// Path v -> ... -> d (forward orientation) after RunUntilReverseT.
   Path ExtractReversePath(VertexId v) const;
 
-  /// Valid after RunUntil/RunBounded (or a successful ShortestPath).
+  /// Valid after RunUntilT/RunBounded (or a successful ShortestPath).
   bool Reached(VertexId v) const { return ws_.Reached(v); }
   double DistTo(VertexId v) const { return ws_.DistTo(v); }
   /// Path from the last query's source to `v` (v must be reached).

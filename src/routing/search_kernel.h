@@ -112,24 +112,18 @@ struct ExploreAll {
   void BeginVertex(VertexId) {}
   bool ShouldExplore(EdgeId) const { return true; }
 };
-/// Label-update hook that does nothing; the kernel's own loops pass it.
-struct IgnoreLabel {
-  void operator()(VertexId) const {}
-};
-
 /// Relaxes every admitted edge of `u` (settled at distance `du`): creates
-/// or improves labels, pushes heap entries keyed by `key(x, g)`, and calls
-/// `on_label(x)` whenever x's distance changed. An equal-distance
+/// or improves labels and pushes heap entries keyed by `key(x, g)`. An
+/// equal-distance
 /// relaxation keeps the parent with the smaller EdgeId (the canonical
 /// parent rule above); `du < nd` keeps parent chains strictly decreasing
 /// in distance, so they stay acyclic even where an edge weight vanishes in
 /// round-off. Shared by RunSearchKernel and SettleKeysUpTo.
 template <typename Expand, typename WeightFn, typename KeyFn,
-          typename Explore, typename OnLabel>
+          typename Explore>
 inline void RelaxVertex(const RoadNetwork& net, SearchWorkspace& ws,
                         VertexId u, double du, const WeightFn& weight,
-                        const KeyFn& key, Explore& explore,
-                        const OnLabel& on_label) {
+                        const KeyFn& key, Explore& explore) {
   explore.BeginVertex(u);
   for (const EdgeId e : Expand::Edges(net, u)) {
     if (!explore.ShouldExplore(e)) continue;
@@ -145,12 +139,10 @@ inline void RelaxVertex(const RoadNetwork& net, SearchWorkspace& ws,
       ws.dist[x] = nd;
       ws.parent_edge[x] = e;
       ws.heap.Push(x, key(x, nd));
-      on_label(x);
     } else if (nd < ws.dist[x]) {
       ws.dist[x] = nd;
       ws.parent_edge[x] = e;
       ws.heap.PushOrUpdate(x, key(x, nd));
-      on_label(x);
     } else if (nd == ws.dist[x] && e < ws.parent_edge[x] && du < nd) {
       ws.parent_edge[x] = e;
     }
@@ -179,8 +171,7 @@ inline VertexId RunSearchKernel(const RoadNetwork& net, SearchWorkspace& ws,
     ++ws.settled_count;
     ++ws.lifetime_settles;
     if (stop(u)) return u;
-    RelaxVertex<Expand>(net, ws, u, ws.dist[u], weight, key, explore,
-                        IgnoreLabel{});
+    RelaxVertex<Expand>(net, ws, u, ws.dist[u], weight, key, explore);
   }
   return kInvalidVertex;
 }
@@ -197,8 +188,7 @@ inline void SettleKeysUpTo(const RoadNetwork& net, SearchWorkspace& ws,
     const VertexId u = ws.heap.Pop().first;
     ++ws.settled_count;
     ++ws.lifetime_settles;
-    RelaxVertex<Expand>(net, ws, u, ws.dist[u], weight, key, explore,
-                        IgnoreLabel{});
+    RelaxVertex<Expand>(net, ws, u, ws.dist[u], weight, key, explore);
   }
 }
 

@@ -31,9 +31,6 @@ ServingRouter::ServingRouter(const L2RRouter* router,
           });
     }
   }
-  if (options.enable_single_flight) {
-    flights_ = std::make_unique<SingleFlight>();
-  }
   hooks_.memo = memo_.get();
   settle_cap_.store(budget_.MaxPreferenceSettles(),
                     std::memory_order_relaxed);
@@ -62,10 +59,7 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
   WorldReadPin pin(world_);
   const WorldEpoch epoch = pin.epoch();
   const TimePeriod period = router_->EffectivePeriod(departure_time);
-  QueryKey key;
-  if (cache_ != nullptr || flights_ != nullptr) {
-    key = QueryKey{s, d, static_cast<uint8_t>(period)};
-  }
+  const QueryKey key{s, d, static_cast<uint8_t>(period)};
   if (cache_ != nullptr) {
     RouteResult hit;
     WorldEpoch hit_epoch = 0;
@@ -82,8 +76,8 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
     }
   }
   // Cold path: compute, count the degrade, populate the cache. Runs once
-  // per flight when coalescing is on; followers of that flight receive a
-  // copy without re-entering here.
+  // per flight; followers of that flight receive a copy without
+  // re-entering here.
   const auto cold = [&]() -> Result<RouteResult> {
     ServeHooks hooks = hooks_;
     hooks.budget.max_preference_settles =
@@ -106,15 +100,14 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
   // Every cold/error dispatch runs on the pinned (current) epoch.
   // Relaxed: pure serve tally, documented order in the header.
   current_epoch_serves_.fetch_add(1, std::memory_order_relaxed);
-  if (flights_ == nullptr) return cold();
-  return flights_->Do(key, epoch, cold);
+  return flights_.Do(key, epoch, cold);
 }
 
 ServingRouter::Stats ServingRouter::GetStats() const {
   Stats stats;
   if (cache_ != nullptr) stats.cache = cache_->GetStats();
   if (memo_ != nullptr) stats.memo = memo_->GetStats();
-  if (flights_ != nullptr) stats.single_flight = flights_->GetStats();
+  stats.single_flight = flights_.GetStats();
   stats.queries = queries_.load(std::memory_order_relaxed);
   stats.budget_degraded = budget_degraded_.load(std::memory_order_relaxed);
   stats.epoch_serves = GetEpochServeCounts();

@@ -18,9 +18,6 @@ struct ServingRouterOptions {
   RouteCacheOptions route_cache;
   bool enable_stitch_memo = true;
   StitchMemoOptions stitch_memo;
-  /// Coalesce concurrent identical (s, d, period) cache misses: one
-  /// caller computes, the rest wait for a byte-identical copy.
-  bool enable_single_flight = true;
   DeadlineBudgetOptions deadline;
   /// Dynamic world view (world/WorldUpdateChannel), or null for the
   /// frozen-world seed behavior. When set, every query runs under a read
@@ -96,7 +93,6 @@ class ServingRouter final : public QueryService {
 
   bool cache_enabled() const { return cache_ != nullptr; }
   bool memo_enabled() const { return memo_ != nullptr; }
-  bool single_flight_enabled() const { return flights_ != nullptr; }
   const DeadlineBudget& deadline_budget() const { return budget_; }
   WorldViewIface* world() const { return world_; }
   /// The repair pass (world/RouteRepairer) sweeps + reinserts here; null
@@ -110,7 +106,9 @@ class ServingRouter final : public QueryService {
   const L2RRouter* router_;
   std::unique_ptr<RouteCache> cache_;     ///< null when disabled
   std::unique_ptr<StitchMemo> memo_;      ///< null when disabled
-  std::unique_ptr<SingleFlight> flights_; ///< null when disabled
+  /// Coalesces concurrent identical (s, d, period) misses: one caller
+  /// computes, the rest wait for a byte-identical copy.
+  SingleFlight flights_;
   DeadlineBudget budget_;
   ServeHooks hooks_;  ///< memo, fixed at construction; settle cap below
   /// Dynamic world view; immutable after construction (null = frozen).

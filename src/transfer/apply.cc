@@ -7,11 +7,19 @@
 
 namespace l2r {
 
+namespace {
+
+/// Transfer-center pairs routed per B-edge (the paper identifies one path
+/// per pair; this bounds the number of searches).
+constexpr size_t kMaxCenterPairs = 9;
+
+}  // namespace
+
 Result<ApplyStats> ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,
-    const ApplyOptions& options) {
+    unsigned num_threads) {
   if (graph == nullptr) return Status::InvalidArgument("graph is null");
   if (preferences.size() != graph->NumEdges()) {
     return Status::InvalidArgument("preferences size mismatch");
@@ -50,7 +58,7 @@ Result<ApplyStats> ApplyTransferredPreferences(
         size_t pairs = 0;
         for (const VertexId a : from.transfer_centers) {
           for (const VertexId b : to.transfer_centers) {
-            if (pairs >= options.max_center_pairs) break;
+            if (pairs >= kMaxCenterPairs) break;
             if (a == b) continue;
             auto routed = search.Route(a, b, master_w, slave);
             if (!routed.ok()) continue;
@@ -58,14 +66,14 @@ Result<ApplyStats> ApplyTransferredPreferences(
             if (routed->fell_back_to_unfiltered) ++slave_fallbacks;
             edge.b_paths.push_back(std::move(routed->path.vertices));
           }
-          if (pairs >= options.max_center_pairs) break;
+          if (pairs >= kMaxCenterPairs) break;
         }
         if (!edge.b_paths.empty()) {
           ++with_paths;
           total_paths += edge.b_paths.size();
         }
       },
-      options.num_threads);
+      num_threads);
 
   ApplyStats stats;
   stats.b_edges_with_paths = with_paths;

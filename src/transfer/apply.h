@@ -7,13 +7,6 @@
 
 namespace l2r {
 
-struct ApplyOptions {
-  /// Cap on transfer-center pairs per B-edge (the paper identifies one
-  /// path per pair; this bounds the number of searches).
-  size_t max_center_pairs = 9;
-  unsigned num_threads = 0;
-};
-
 struct ApplyStats {
   size_t b_edges_with_paths = 0;
   size_t b_edges_fastest_fallback = 0;  ///< null-preference B-edges
@@ -24,12 +17,15 @@ struct ApplyStats {
 /// Step 3 (Sec. V-C): for every B-edge, identify paths between transfer
 /// centers of its two regions with the transferred preference, using the
 /// modified Dijkstra of Algorithm 2. B-edges with null preferences get
-/// fastest paths (Sec. VII-B). Fills RegionEdge::b_paths in place.
+/// fastest paths (Sec. VII-B). Fills RegionEdge::b_paths in place: one
+/// path per routable transfer-center pair, at most 9 per B-edge.
+/// `num_threads`: 0 = hardware concurrency; the paths are the same at
+/// every value.
 Result<ApplyStats> ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,
-    const ApplyOptions& options = {});
+    unsigned num_threads = 0);
 
 }  // namespace l2r
 

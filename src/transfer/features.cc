@@ -5,14 +5,13 @@
 namespace l2r {
 
 RegionEdgeFeatures ComputeRegionEdgeFeatures(const RegionGraph& graph,
-                                             const RegionEdge& edge,
-                                             int top_k) {
+                                             const RegionEdge& edge) {
   RegionEdgeFeatures out;
   const RegionInfo& a = graph.region(edge.from);
   const RegionInfo& b = graph.region(edge.to);
   out.dis = Dist(a.centroid, b.centroid);
-  const RoadTypeMask ma = a.TopRoadTypes(top_k);
-  const RoadTypeMask mb = b.TopRoadTypes(top_k);
+  const RoadTypeMask ma = a.TopRoadTypes(kTopRoadTypes);
+  const RoadTypeMask mb = b.TopRoadTypes(kTopRoadTypes);
   for (int ta = 0; ta < kNumRoadTypes; ++ta) {
     if (!MaskContains(ma, static_cast<RoadType>(ta))) continue;
     for (int tb = 0; tb < kNumRoadTypes; ++tb) {
@@ -24,11 +23,11 @@ RegionEdgeFeatures ComputeRegionEdgeFeatures(const RegionGraph& graph,
 }
 
 std::vector<RegionEdgeFeatures> ComputeAllRegionEdgeFeatures(
-    const RegionGraph& graph, int top_k) {
+    const RegionGraph& graph) {
   std::vector<RegionEdgeFeatures> out;
   out.reserve(graph.NumEdges());
   for (const RegionEdge& e : graph.edges()) {
-    out.push_back(ComputeRegionEdgeFeatures(graph, e, top_k));
+    out.push_back(ComputeRegionEdgeFeatures(graph, e));
   }
   return out;
 }

@@ -10,13 +10,16 @@ namespace l2r {
 
 /// Feature description of one region edge (Sec. V-B): the centroid distance
 /// `dis` of its two regions, and the functionality feature F — the
-/// Cartesian product of the two regions' top-k road-type sets — packed as a
-/// 36-bit mask over (type_a, type_b) pairs so Jaccard similarity is two
-/// popcounts.
+/// Cartesian product of the two regions' top-k road-type sets (k =
+/// kTopRoadTypes) — packed as a 36-bit mask over (type_a, type_b) pairs so
+/// Jaccard similarity is two popcounts.
 struct RegionEdgeFeatures {
   double dis = 0;
   uint64_t f_mask = 0;
 };
+
+/// k of the top-k road types that define a region's functionality F.
+inline constexpr int kTopRoadTypes = 2;
 
 /// Bit for the ordered road-type pair (ta, tb).
 inline constexpr uint64_t RoadTypePairBit(int ta, int tb) {
@@ -25,12 +28,11 @@ inline constexpr uint64_t RoadTypePairBit(int ta, int tb) {
 
 /// Computes features for a region edge of `graph`.
 RegionEdgeFeatures ComputeRegionEdgeFeatures(const RegionGraph& graph,
-                                             const RegionEdge& edge,
-                                             int top_k);
+                                             const RegionEdge& edge);
 
 /// Features for all edges of `graph`, index-aligned with graph.edges().
 std::vector<RegionEdgeFeatures> ComputeAllRegionEdgeFeatures(
-    const RegionGraph& graph, int top_k);
+    const RegionGraph& graph);
 
 /// Distance term of reSim: min(dis)/max(dis), in [0, 1]. Two zero-length
 /// edges are maximally distance-similar; one zero-length edge matches

@@ -5,8 +5,17 @@
 
 #include "common/parallel.h"
 #include "common/timer.h"
+#include "linalg/solvers.h"
 
 namespace l2r {
+
+namespace {
+
+/// An unlabeled edge's preference is null when its largest master score
+/// does not exceed this (disconnected in the similarity graph).
+constexpr double kNullThreshold = 1e-6;
+
+}  // namespace
 
 Result<TransferResult> TransferPreferences(
     const std::vector<RegionEdgeFeatures>& features,
@@ -26,9 +35,6 @@ Result<TransferResult> TransferPreferences(
   // mu2 > 0 keeps A SPD even for an unlabeled edge with no neighbours.
   if (!(std::isfinite(options.mu2) && options.mu2 > 0)) {
     return Status::InvalidArgument("mu2 must be finite and > 0");
-  }
-  if (!std::isfinite(options.null_threshold)) {
-    return Status::InvalidArgument("null_threshold must be finite");
   }
   for (const RegionEdgeFeatures& f : features) {
     if (!std::isfinite(f.dis)) {
@@ -189,10 +195,7 @@ Result<TransferResult> TransferPreferences(
               pref.slave_index == x - space.num_master();
           if (is_master_col || is_slave_col) b[i] = 1.0;
         }
-        Result<SolveStats> solved =
-            options.solver == TransferSolver::kJacobi
-                ? JacobiSolve(a, b, &yhat[x], options.solver_options)
-                : ConjugateGradient(a, b, &yhat[x], options.solver_options);
+        Result<SolveStats> solved = ConjugateGradient(a, b, &yhat[x]);
         if (solved.ok()) {
           column_stats[x] = *solved;
         } else {
@@ -220,7 +223,7 @@ Result<TransferResult> TransferPreferences(
     for (int x = 1; x < space.num_master(); ++x) {
       if (yhat[x][i] > yhat[best_master][i]) best_master = x;
     }
-    if (yhat[best_master][i] <= options.null_threshold) {
+    if (yhat[best_master][i] <= kNullThreshold) {
       ++result.num_null;
       continue;
     }

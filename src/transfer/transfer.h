@@ -5,14 +5,10 @@
 #include <vector>
 
 #include "common/result.h"
-#include "linalg/solvers.h"
 #include "pref/preference.h"
 #include "transfer/features.h"
 
 namespace l2r {
-
-/// Which iterative method solves Eq. 3 (the paper cites both).
-enum class TransferSolver : uint8_t { kConjugateGradient = 0, kJacobi = 1 };
 
 struct TransferOptions {
   /// Adjacency matrix reduction threshold (Table III; default bold 0.7):
@@ -23,15 +19,9 @@ struct TransferOptions {
   /// L2 regularization (Eq. 2). Finite, > 0: it keeps the system SPD when
   /// an unlabeled edge has no neighbours.
   double mu2 = 0.01;
-  TransferSolver solver = TransferSolver::kConjugateGradient;
-  SolverOptions solver_options;
   /// Per-row cap on adjacency neighbours (keeps M sparse when many edges
   /// are mutually similar; keeps the strongest similarities). 0 = no cap.
   size_t max_neighbors_per_edge = 64;
-  /// A B-edge's transferred preference is null when its largest master
-  /// probability does not exceed this (disconnected in the similarity
-  /// graph).
-  double null_threshold = 1e-6;
   /// Threads for the adjacency rows and the column solves; 0 = hardware
   /// concurrency. The result is the same at every value.
   unsigned num_threads = 0;
@@ -56,7 +46,10 @@ struct TransferResult {
 /// Graph-based transduction of routing preferences from T-edges to B-edges
 /// (Sec. V-B): builds the amr-thresholded similarity graph over region
 /// edges, forms the unnormalized Laplacian L = D - M, and solves
-/// (S + mu1 L + mu2 I) yhat_x = S y_x for each feature column x.
+/// (S + mu1 L + mu2 I) yhat_x = S y_x for each feature column x by
+/// conjugate gradient (SolverOptions defaults). An unlabeled edge whose
+/// largest master score stays near zero (disconnected in the similarity
+/// graph) gets a null preference.
 ///
 /// `labeled[i]` carries T-edge i's learned preference, nullopt for B-edges
 /// (and for T-edges deliberately held out, as in the paper's Fig. 9

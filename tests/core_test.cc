@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/l2r.h"
 #include "eval/datasets.h"
 #include "pref/similarity.h"
@@ -172,6 +175,65 @@ TEST_F(L2REndToEndTest, InvalidQueriesRejected) {
       router_->Route(&ctx, 0, static_cast<VertexId>(net().NumVertices()), 0)
           .ok());
   EXPECT_FALSE(router_->Route(nullptr, 0, 1, 0).ok());
+}
+
+/// FNV-1a over what the offline build decides, per served period: every
+/// region edge's preference, every B-edge's paths, and the build report's
+/// counts (timings excluded).
+uint64_t BuildDigest(const L2RRouter& router) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (int p = 0; p < kNumTimePeriods; ++p) {
+    const TimePeriod period = static_cast<TimePeriod>(p);
+    if (!router.has_region_graph(period)) continue;
+    for (const auto& pref : router.edge_preferences(period)) {
+      mix(pref.has_value() ? 1 + static_cast<uint64_t>(pref->master) * 64 +
+                                 static_cast<uint64_t>(pref->slave_index)
+                           : 0);
+    }
+    for (const RegionEdge& e : router.region_graph(period).edges()) {
+      if (e.is_t_edge) continue;
+      mix(e.b_paths.size());
+      for (const std::vector<VertexId>& path : e.b_paths) {
+        mix(path.size());
+        for (const VertexId v : path) mix(v);
+      }
+    }
+    const L2RBuildReport::PeriodReport& rep = router.build_report().period[p];
+    mix(rep.trajectories);
+    mix(rep.num_regions);
+    mix(rep.num_t_edges);
+    mix(rep.num_b_edges);
+    mix(std::bit_cast<uint64_t>(rep.transfer_null_rate));
+    mix(rep.transfer_adjacency_nnz);
+    mix(static_cast<uint64_t>(rep.transfer_solver_iterations));
+  }
+  return h;
+}
+
+TEST_F(L2REndToEndTest, OfflineBuildIsPinned) {
+  // Any change to the region graph, to which T-edges are learned and from
+  // which paths, or to the transfer and apply steps changes the digest; a
+  // change meant to alter the build re-pins it.
+#ifdef L2R_CORE_TEST_FULL
+  constexpr uint64_t kPinned = 0x32ae20b108e84ca3ULL;
+#else
+  constexpr uint64_t kPinned = 0xd84ad03f93a2cc4cULL;
+#endif
+  const uint64_t digest = BuildDigest(*router_);
+  EXPECT_EQ(digest, kPinned) << std::hex << digest;
+
+  L2ROptions serial;
+  serial.num_threads = 1;
+  auto rebuilt =
+      L2RRouter::Build(&dataset_->world.net, dataset_->split.train, serial);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(BuildDigest(**rebuilt), digest);
 }
 
 TEST_F(L2REndToEndTest, EdgePreferencesExposed) {

@@ -119,34 +119,6 @@ TEST_P(SolverParamTest, CgMatchesDenseOracle) {
   }
 }
 
-TEST_P(SolverParamTest, JacobiMatchesDenseOracle) {
-  const RandomSystem sys = MakeSystem(GetParam() + 100, 40);
-  auto oracle = SolveDense(sys.dense, sys.b);
-  ASSERT_TRUE(oracle.ok());
-  std::vector<double> x;
-  SolverOptions opts;
-  opts.max_iterations = 5000;
-  auto stats = JacobiSolve(sys.a, sys.b, &x, opts);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(stats->converged);
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], (*oracle)[i], 1e-5);
-  }
-}
-
-TEST_P(SolverParamTest, CgAndJacobiAgree) {
-  const RandomSystem sys = MakeSystem(GetParam() + 200, 30);
-  std::vector<double> xc;
-  std::vector<double> xj;
-  SolverOptions opts;
-  opts.max_iterations = 5000;
-  ASSERT_TRUE(ConjugateGradient(sys.a, sys.b, &xc, opts).ok());
-  ASSERT_TRUE(JacobiSolve(sys.a, sys.b, &xj, opts).ok());
-  for (size_t i = 0; i < xc.size(); ++i) {
-    EXPECT_NEAR(xc[i], xj[i], 1e-5);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverParamTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
@@ -156,15 +128,9 @@ TEST(SolverTest, CgRejectsSizeMismatch) {
   EXPECT_FALSE(ConjugateGradient(a, {1, 2, 3}, &x).ok());
 }
 
-TEST(SolverTest, JacobiRejectsZeroDiagonal) {
-  const SparseMatrix a = SparseMatrix::FromTriplets(2, {{0, 0, 1}});
-  std::vector<double> x;
-  EXPECT_FALSE(JacobiSolve(a, {1, 2}, &x).ok());
-}
-
 TEST(SolverTest, CappedSolversReportMaxIterations) {
-  // A 40-unknown system needs far more than 3 iterations at 1e-9, so both
-  // solvers stop at the cap and must say so the same way.
+  // A 40-unknown system needs far more than 3 iterations at 1e-9, so CG
+  // stops at the cap and must say so.
   const RandomSystem sys = MakeSystem(7, 40);
   SolverOptions opts;
   opts.max_iterations = 3;
@@ -173,10 +139,6 @@ TEST(SolverTest, CappedSolversReportMaxIterations) {
   ASSERT_TRUE(cg.ok());
   EXPECT_EQ(cg->iterations, 3);
   EXPECT_FALSE(cg->converged);
-  auto jacobi = JacobiSolve(sys.a, sys.b, &x, opts);
-  ASSERT_TRUE(jacobi.ok());
-  EXPECT_EQ(jacobi->iterations, 3);
-  EXPECT_FALSE(jacobi->converged);
 }
 
 TEST(SolverTest, CgSolvesIdentityInstantly) {

@@ -140,7 +140,7 @@ TEST(DijkstraTest, RunUntilStopsAtPredicate) {
   DijkstraSearch search(net);
   const EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
   const VertexId hit =
-      search.RunUntil(0, w, [](VertexId v) { return v >= 4; });
+      search.RunUntilT(0, w, [](VertexId v) { return v >= 4; });
   EXPECT_EQ(hit, 4u);
   EXPECT_TRUE(search.Reached(4));
   EXPECT_FALSE(search.Reached(9));
@@ -160,7 +160,7 @@ TEST(DijkstraTest, ReverseSearchFindsForwardPath) {
   DijkstraSearch search(net);
   const EdgeWeights w(net, CostFeature::kDistance, TimePeriod::kOffPeak);
   const VertexId hit =
-      search.RunUntilReverse(35, w, [](VertexId v) { return v == 0; });
+      search.RunUntilReverseT(35, w, [](VertexId v) { return v == 0; });
   ASSERT_EQ(hit, 0u);
   const Path path = search.ExtractReversePath(0);
   EXPECT_EQ(path.vertices.front(), 0u);

@@ -910,7 +910,6 @@ TEST_F(ServeTest, SingleFlightAloneKeepsBatchResultsByteIdentical) {
     options.enable_route_cache = false;
     options.enable_stitch_memo = false;
     ServingRouter serving(router_, options);
-    ASSERT_TRUE(serving.single_flight_enabled());
     BatchRouter batch_router(&serving, BatchRouterOptions{threads, false});
     const auto got = batch_router.RouteAll(batch);
     ASSERT_EQ(got.size(), batch.size());

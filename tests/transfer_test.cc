@@ -170,22 +170,6 @@ TEST_F(TransferTest, TransfersToMostSimilarEdges) {
   EXPECT_EQ(result->num_null, 0u);
 }
 
-TEST_F(TransferTest, JacobiSolverAgrees) {
-  const auto features = Fig7Features();
-  std::vector<std::optional<RoutingPreference>> labeled(4);
-  labeled[0] = RoutingPreference{CostFeature::kDistance, 3};
-  labeled[1] = RoutingPreference{CostFeature::kTravelTime, 6};
-  TransferOptions options;
-  options.solver = TransferSolver::kJacobi;
-  options.solver_options.max_iterations = 5000;
-  auto result = TransferPreferences(features, labeled, space_, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result->preferences[2],
-            (RoutingPreference{CostFeature::kDistance, 3}));
-  EXPECT_EQ(*result->preferences[3],
-            (RoutingPreference{CostFeature::kTravelTime, 6}));
-}
-
 TEST_F(TransferTest, HighAmrDisconnectsAndYieldsNulls) {
   auto features = Fig7Features();
   // Make even the similar pairs less similar than amr=1.9.
@@ -245,8 +229,6 @@ TEST_F(TransferTest, RejectsBadInputs) {
   EXPECT_TRUE(rejects([](TransferOptions& o) { o.mu2 = 0; }));
   EXPECT_TRUE(rejects([](TransferOptions& o) { o.mu2 = -0.01; }));
   EXPECT_TRUE(rejects([&](TransferOptions& o) { o.mu2 = nan; }));
-  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.null_threshold = nan; }));
-  EXPECT_TRUE(rejects([&](TransferOptions& o) { o.null_threshold = inf; }));
   // The bounds themselves are valid.
   EXPECT_FALSE(rejects([](TransferOptions& o) { o.amr = 0; }));
   EXPECT_FALSE(rejects([](TransferOptions& o) { o.amr = 2; }));
