@@ -15,7 +15,7 @@
 // Always-on blocks: latency_us (sequential per-query latency), serving
 // (cache-off vs cache-on over a skewed repeated-query workload), runs
 // (cold batch QPS at t = 1/2/4/8) and scenarios (bench/workloads.h traffic
-// shapes with batch dedup off/on and a single-flight ladder). Selectable
+// shapes with batch dedup off/on and an uncached thread ladder). Selectable
 // blocks: streaming, deadline_sweep, overload_sweep, dynamic_world,
 // scale_ladder and scale_out. Blocks run in table order; dynamic_world
 // updates the fixture's world in place and restores it byte-exactly (an
@@ -413,8 +413,9 @@ Json RunsBlock(const Fixture& fx, bool* ok) {
 
 /// Named traffic shapes over the distinct pool (bench/workloads.h), each
 /// with batch dedup off and on (bare router, t = 1, so the delta is pure
-/// dedup), then raced through single-flight (cache and memo off, so every
-/// duplicate coalesces) at t = 1/2/4/8 against the dedup-off results.
+/// dedup), then raced through an uncached ServingRouter (cache and memo
+/// off, so every duplicate reaches the cold path) at t = 1/2/4/8 against
+/// the dedup-off results.
 Json ScenariosBlock(const Fixture& fx, bool* ok) {
   const size_t distinct = fx.queries.size();
   Json out = Json::Object();
@@ -431,14 +432,10 @@ Json ScenariosBlock(const Fixture& fx, bool* ok) {
     const double on_best = BestOf(2, on, sq);
 
     bool deterministic = true;
-    uint64_t leaders = 0;
-    uint64_t coalesced_flights = 0;
     for (const unsigned threads : kThreadCounts) {
-      ServingRouter sf(fx.router.get(), Serving(false, 0));
-      BatchRouter batch(&sf, BatchRouterOptions{threads, false});
+      ServingRouter uncached(fx.router.get(), Serving(false, 0));
+      BatchRouter batch(&uncached, BatchRouterOptions{threads, false});
       deterministic &= Mismatches(want, batch.RouteAll(sq)) == 0;
-      leaders += sf.GetStats().single_flight.leaders;
-      coalesced_flights += sf.GetStats().single_flight.coalesced;
     }
     *ok &= coalesced && deterministic;
     const size_t distinct_used =
@@ -456,9 +453,6 @@ Json ScenariosBlock(const Fixture& fx, bool* ok) {
                                 {"mean_us", on_best * 1e6 / n},
                                 {"unique_routed", sq.size() - collapsed},
                                 {"duplicates_collapsed", collapsed}})},
-                 {"single_flight",
-                  Json::Object({{"leaders", leaders},
-                                {"coalesced", coalesced_flights}})},
                  {"coalesced_identical", coalesced},
                  {"deterministic_t1248", deterministic}}));
   }
@@ -938,10 +932,10 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
   return Json::Object({{"scales", rungs}});
 }
 
-/// The full serving stack (route cache with its seqlock hot path, stitch
-/// memo, single-flight; no budget, so every result must byte-match the
-/// reference) warm at t = 1/2/4/8 batch threads, then a StreamRouter audit
-/// at 1/2/4 overlapping drain threads. Both ladders gate on byte identity.
+/// The full serving stack (route cache with its seqlock hot path and
+/// stitch memo; no budget, so every result must byte-match the reference)
+/// warm at t = 1/2/4/8 batch threads, then a StreamRouter audit at 1/2/4
+/// overlapping drain threads. Both ladders gate on byte identity.
 Json ScaleOutBlock(const Fixture& fx, bool* ok) {
   const double n = static_cast<double>(fx.queries.size());
   const unsigned hw_threads = std::thread::hardware_concurrency();

@@ -81,11 +81,10 @@ SCHEMA = {
                 *under("cache_on", LATENCY + ["hit_rate", "hits", "misses"])],
     "runs": ["[].threads", "[].qps"],
     "scenarios": [f"{name}.{key}" for name in SCENARIOS for key in (
-        "slots", "distinct_used", "duplicate_fraction", "single_flight",
-        "dedup_off.qps", "dedup_off.mean_us", "dedup_on.qps",
-        "dedup_on.mean_us", "dedup_on.unique_routed",
-        "dedup_on.duplicates_collapsed", "coalesced_identical",
-        "deterministic_t1248")],
+        "slots", "distinct_used", "duplicate_fraction", "dedup_off.qps",
+        "dedup_off.mean_us", "dedup_on.qps", "dedup_on.mean_us",
+        "dedup_on.unique_routed", "dedup_on.duplicates_collapsed",
+        "coalesced_identical", "deterministic_t1248")],
     "streaming": ["max_batch", "batch_deadline_us", "mean_gap_us"] + [
         f"{name}.{key}" for name in SCHEDULES for key in (
             "slots", "submitted", "completed", "qps", "batches",

@@ -23,8 +23,8 @@ namespace l2r {
 /// analytics) is shed before kInteractive work (a user waiting on a
 /// route) so the interactive latency SLO holds through overload. The
 /// class never reaches the search kernels — a route's bytes are a pure
-/// function of (s, d, period) regardless of who asked — so dedup,
-/// caching and single-flight all stay class-blind.
+/// function of (s, d, period) regardless of who asked — so dedup and
+/// caching both stay class-blind.
 enum class QueryClass : uint8_t {
   kInteractive = 0,
   kBulk = 1,
@@ -44,9 +44,9 @@ inline const char* QueryClassName(QueryClass cls) {
 /// depends on (s, d) and the departure period only (all departure times
 /// mapping to one period share an answer — quantize with
 /// L2RRouter::EffectivePeriod). This is the identity under which queries
-/// are deduplicated: BatchRouter's batch-level dedup, serve/'s RouteCache
-/// and serve/'s SingleFlight all key on it, so "identical query" means the
-/// same thing at every layer.
+/// are deduplicated: BatchRouter's batch-level dedup and serve/'s
+/// RouteCache both key on it, so "identical query" means the same thing
+/// at every layer.
 struct QueryKey {
   VertexId s = kInvalidVertex;
   VertexId d = kInvalidVertex;
@@ -55,7 +55,7 @@ struct QueryKey {
   bool operator==(const QueryKey&) const = default;
 };
 
-/// Shared full-avalanche hash: the low bits select cache/flight shards, so
+/// Shared full-avalanche hash: the low bits select cache shards, so
 /// every key bit must reach them.
 struct QueryKeyHash {
   size_t operator()(const QueryKey& key) const {
@@ -70,9 +70,9 @@ struct QueryKeyHash {
 /// Version number of the mutable world. Epoch 0 is the frozen world the
 /// router was built against; every applied update batch
 /// (world/WorldUpdateChannel) bumps it by exactly one. Serving-layer
-/// entries (route cache, stitch memo, single-flight) are stamped with the
-/// epoch they were computed on and stay servable until some region they
-/// depend on is dirtied by a later epoch.
+/// entries (route cache, stitch memo) are stamped with the epoch they were
+/// computed on and stay servable until some region they depend on is
+/// dirtied by a later epoch.
 using WorldEpoch = uint64_t;
 
 /// Footprint sentinel for results whose bytes depend on more than the

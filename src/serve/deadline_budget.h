@@ -40,10 +40,7 @@ class DeadlineBudget {
   /// The settle cap handed to the preference search; 0 = unlimited.
   size_t MaxPreferenceSettles() const {
     if (!enabled()) return 0;
-    const double settles =
-        options_.fallback_budget_us * options_.settles_per_us;
-    const size_t cap = static_cast<size_t>(settles);
-    return cap < options_.min_settles ? options_.min_settles : cap;
+    return SettleCap(options_.fallback_budget_us * options_.settles_per_us);
   }
 
   QueryBudget ToQueryBudget() const {
@@ -54,19 +51,28 @@ class DeadlineBudget {
   /// controller's degraded-serving lever (OverloadDecision::budget_scale
   /// via ServingRouter::SetBudgetScale). Keeps the min_settles floor, so
   /// even panic-level scaling cannot starve rebuilds that would finish
-  /// well inside any real deadline. scale >= 1 is the plain cap.
+  /// well inside any real deadline. scale >= 1 is the plain cap; a NaN or
+  /// non-positive scale gives the min_settles floor.
   size_t ScaledSettleCap(double scale) const {
     if (!enabled()) return 0;
     if (scale >= 1.0) return MaxPreferenceSettles();
-    const double settles =
-        options_.fallback_budget_us * options_.settles_per_us * scale;
-    const size_t cap = static_cast<size_t>(settles);
-    return cap < options_.min_settles ? options_.min_settles : cap;
+    return SettleCap(options_.fallback_budget_us * options_.settles_per_us *
+                     scale);
   }
 
   const DeadlineBudgetOptions& options() const { return options_; }
 
  private:
+  /// `settles` as a cap in [min_settles, SIZE_MAX]. The double-to-size_t
+  /// cast is only defined inside that range, so a NaN or non-positive
+  /// count takes the floor and one past SIZE_MAX (1e300, inf) saturates.
+  size_t SettleCap(double settles) const {
+    if (!(settles > 0)) return options_.min_settles;
+    if (settles >= static_cast<double>(SIZE_MAX)) return SIZE_MAX;
+    const size_t cap = static_cast<size_t>(settles);
+    return cap < options_.min_settles ? options_.min_settles : cap;
+  }
+
   DeadlineBudgetOptions options_;
 };
 

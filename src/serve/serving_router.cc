@@ -44,8 +44,7 @@ ServingRouter::~ServingRouter() {
 
 void ServingRouter::SetBudgetScale(double scale) {
   if (!budget_.enabled()) return;
-  const double clamped = scale <= 0 ? 0 : scale;
-  settle_cap_.store(budget_.ScaledSettleCap(clamped),
+  settle_cap_.store(budget_.ScaledSettleCap(scale),
                     std::memory_order_relaxed);
 }
 
@@ -75,40 +74,39 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
       return hit;
     }
   }
-  // Cold path: compute, count the degrade, populate the cache. Runs once
-  // per flight; followers of that flight receive a copy without
-  // re-entering here.
-  const auto cold = [&]() -> Result<RouteResult> {
-    ServeHooks hooks = hooks_;
-    hooks.budget.max_preference_settles =
-        settle_cap_.load(std::memory_order_relaxed);
-    Result<RouteResult> result =
-        router_->Route(ctx, s, d, departure_time, hooks);
-    if (result.ok()) {
-      if (result->budget_degraded) {
-        budget_degraded_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (cache_ != nullptr) {
-        cache_->Insert(key, *result, epoch,
-                       world_ != nullptr
-                           ? RouteRegionFootprint(*router_, *result, period)
-                           : std::vector<RegionId>{});
-      }
-    }
-    return result;
-  };
-  // Every cold/error dispatch runs on the pinned (current) epoch.
+  // Cold path: compute, count the degrade, populate the cache. Every
+  // cold/error dispatch runs on the pinned (current) epoch.
   // Relaxed: pure serve tally, documented order in the header.
   current_epoch_serves_.fetch_add(1, std::memory_order_relaxed);
-  return flights_.Do(key, epoch, cold);
+  ServeHooks hooks = hooks_;
+  hooks.budget.max_preference_settles =
+      settle_cap_.load(std::memory_order_relaxed);
+  Result<RouteResult> result =
+      router_->Route(ctx, s, d, departure_time, hooks);
+  if (result.ok()) {
+    if (result->budget_degraded) {
+      budget_degraded_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (cache_ != nullptr) {
+      cache_->Insert(key, *result, epoch,
+                     world_ != nullptr
+                         ? RouteRegionFootprint(*router_, *result, period)
+                         : std::vector<RegionId>{});
+    }
+  }
+  return result;
 }
 
 ServingRouter::Stats ServingRouter::GetStats() const {
   Stats stats;
   if (cache_ != nullptr) stats.cache = cache_->GetStats();
   if (memo_ != nullptr) stats.memo = memo_->GetStats();
-  stats.single_flight = flights_.GetStats();
   stats.queries = queries_.load(std::memory_order_relaxed);
+  // Every query that missed the cache computed; the saturation covers a
+  // relaxed snapshot taken while queries are in flight.
+  stats.single_flight.leaders = stats.queries > stats.cache.hits
+                                    ? stats.queries - stats.cache.hits
+                                    : 0;
   stats.budget_degraded = budget_degraded_.load(std::memory_order_relaxed);
   stats.epoch_serves = GetEpochServeCounts();
   return stats;
@@ -123,11 +121,6 @@ EpochServeCounts ServingRouter::GetEpochServeCounts() const {
   counts.stale_valid_epoch =
       stale_valid_epoch_serves_.load(std::memory_order_relaxed);
   return counts;
-}
-
-void ServingRouter::Clear() {
-  if (cache_ != nullptr) cache_->Clear();
-  if (memo_ != nullptr) memo_->Clear();
 }
 
 }  // namespace l2r

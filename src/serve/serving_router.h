@@ -8,7 +8,6 @@
 #include "core/l2r.h"
 #include "serve/deadline_budget.h"
 #include "serve/route_cache.h"
-#include "serve/single_flight.h"
 #include "serve/stitch_memo.h"
 
 namespace l2r {
@@ -22,38 +21,43 @@ struct ServingRouterOptions {
   /// Dynamic world view (world/WorldUpdateChannel), or null for the
   /// frozen-world seed behavior. When set, every query runs under a read
   /// pin (start-to-finish on one epoch), cache entries are stamped with
-  /// epoch + region footprint and validated on lookup, single-flights are
-  /// keyed per epoch, and the stitch memo is swept selectively from the
-  /// channel's dirty events. Must outlive the ServingRouter.
+  /// epoch + region footprint and validated on lookup, and the stitch memo
+  /// is swept selectively from the channel's dirty events. Must outlive
+  /// the ServingRouter.
   WorldViewIface* world = nullptr;
 };
 
 /// The serving layer: sits between BatchRouter (or any front-end) and
 /// L2RRouter. A query first consults the sharded RouteCache keyed on
-/// (s, d, EffectivePeriod); a miss joins the SingleFlight for its key (so
-/// concurrent identical misses compute once) and the flight leader runs
-/// the cold path with the stitch memo and the deadline budget's settle
-/// cap threaded through ServeHooks, then populates the cache.
+/// (s, d, EffectivePeriod); a miss runs the cold path with the stitch
+/// memo and the deadline budget's settle cap threaded through ServeHooks,
+/// then populates the cache. Duplicates are suppressed upstream by
+/// BatchRouter's batch dedup and here by the cache: two concurrent
+/// identical misses both compute the same bytes on the same pinned epoch,
+/// and the second RouteCache::Insert just refreshes the key.
 ///
 /// Determinism guarantees (all required by BatchRouter's contract):
 ///  - cache hits return byte-identical copies of cold-path results;
-///  - single-flight followers receive byte-identical copies of the
-///    leader's cold-path result;
 ///  - memo hits equal recomputation (pure functions of router state);
 ///  - the budget is a settle-count cap, so degrade decisions are
 ///    reproducible — RouteResult::budget_degraded is part of the result,
 ///    not an observability side channel.
-/// Errors (invalid queries, unreachable pairs) are never cached, but they
-/// are fanned out to single-flight followers like values.
+/// Errors (invalid queries, unreachable pairs) are never cached.
 class ServingRouter final : public QueryService {
  public:
   struct Stats {
     RouteCache::Stats cache;
     StitchMemo::Stats memo;
-    SingleFlight::Stats single_flight;
+    /// Cold-path tallies under the names servebench reads
+    /// (`serve.single_flight.coalesced_ratio`): `leaders` is the number
+    /// of cold computations, queries - cache.hits, and `coalesced` is
+    /// always 0 because no in-flight coalescing layer exists.
+    struct {
+      uint64_t leaders = 0;
+      uint64_t coalesced = 0;
+    } single_flight;
     uint64_t queries = 0;
-    /// Cold-path computations that degraded (coalesced followers of a
-    /// degraded flight are not re-counted).
+    /// Cold-path computations that degraded.
     uint64_t budget_degraded = 0;
     /// Per-epoch serve split (dynamic world; all-current when frozen).
     EpochServeCounts epoch_serves;
@@ -72,12 +76,10 @@ class ServingRouter final : public QueryService {
   Stats GetStats() const;
   EpochServeCounts GetEpochServeCounts() const override;
 
-  /// Drops cached routes and memoized stitch state (the underlying router
-  /// is immutable, so this is only needed when swapping routers).
-  void Clear();
-
   /// Overload-control seam: rescales the deadline budget's settle cap to
-  /// `scale` (clamped to (0, 1]; no-op when the budget is disabled).
+  /// `scale` (see DeadlineBudget::ScaledSettleCap: above 1 is the plain
+  /// cap, NaN or <= 0 the min_settles floor; no-op when the budget is
+  /// disabled).
   /// Wire it to StreamOptions::budget_sink so the controller can trade
   /// route fidelity for capacity at level >= 2. Safe from any thread;
   /// applies to cold computations that start after the call. Degrade
@@ -106,9 +108,6 @@ class ServingRouter final : public QueryService {
   const L2RRouter* router_;
   std::unique_ptr<RouteCache> cache_;     ///< null when disabled
   std::unique_ptr<StitchMemo> memo_;      ///< null when disabled
-  /// Coalesces concurrent identical (s, d, period) misses: one caller
-  /// computes, the rest wait for a byte-identical copy.
-  SingleFlight flights_;
   DeadlineBudget budget_;
   ServeHooks hooks_;  ///< memo, fixed at construction; settle cap below
   /// Dynamic world view; immutable after construction (null = frozen).

@@ -159,17 +159,6 @@ void StitchMemo::InvalidateRegions(int period_index,
   }
 }
 
-void StitchMemo::Clear() {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (int p = 0; p < kNumTimePeriods; ++p) {
-      shard->edge_choice[p].clear();
-      shard->connector[p].clear();
-    }
-    shard->bytes = 0;
-  }
-}
-
 StitchMemo::Stats StitchMemo::GetStats() const {
   Stats stats;
   for (const auto& shard : shards_) {

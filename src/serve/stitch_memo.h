@@ -77,7 +77,6 @@ class StitchMemo final : public StitchMemoIface {
   void RememberConnector(int period_index, VertexId from, VertexId to,
                          const std::vector<VertexId>& path) override;
 
-  void Clear();
   Stats GetStats() const;
 
  private:

@@ -119,8 +119,8 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 /// continuously via Submit, accumulates them into batches closed by
 /// whichever comes first of max_batch or the batch deadline, and drains
 /// each closed batch through a BatchRouter (dedup) into the configured
-/// QueryService (cache + single-flight + budget) — so all the batch-path
-/// machinery composes with arrival jitter.
+/// QueryService (cache + budget) — so all the batch-path machinery
+/// composes with arrival jitter.
 ///
 /// Overload control (opt-in via StreamOptions::overload): the batcher
 /// additionally runs the OverloadController once per control period on

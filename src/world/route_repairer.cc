@@ -10,6 +10,16 @@ namespace l2r {
 
 namespace {
 
+/// Floor of the seeded settle cap, so tiny stale paths still get a useful
+/// first round.
+constexpr size_t kMinInitialRepairCap = 512;
+/// Initial cap = max(kMinInitialRepairCap, this * |stale path vertices|):
+/// the bounded-radius re-search is sized by the route it replaces.
+constexpr double kRepairCapPerStaleVertex = 8.0;
+/// Cap-doubling rounds before falling back to the full serving-cap
+/// recompute.
+constexpr int kMaxRepairRounds = 3;
+
 /// A departure time mapping to `period` under PeriodOf (noon is off-peak,
 /// 08:00 is morning rush) — the cache key stores only the period, so the
 /// repairer reconstructs a representative departure time to route with.
@@ -20,9 +30,7 @@ double DepartureTimeFor(uint8_t period) {
 
 }  // namespace
 
-RouteRepairer::RouteRepairer(ServingRouter* serving,
-                             const RouteRepairOptions& options)
-    : serving_(serving), options_(options) {
+RouteRepairer::RouteRepairer(ServingRouter* serving) : serving_(serving) {
   L2R_CHECK(serving != nullptr);
   L2R_CHECK(serving->route_cache() != nullptr);
   L2R_CHECK(serving->world() != nullptr);
@@ -130,14 +138,14 @@ void RouteRepairer::RepairEntries(std::vector<RouteCache::StaleEntry>& stale,
     // cap proportional to the path being replaced, double per round, and
     // finish at exactly the serving cap so the fallback recompute (and
     // its degrade bit, if any) reproduces the serving cold path.
-    size_t cap = static_cast<size_t>(options_.cap_per_stale_vertex *
+    size_t cap = static_cast<size_t>(kRepairCapPerStaleVertex *
                                      entry.stale.path.vertices.size());
-    if (cap < options_.min_initial_cap) cap = options_.min_initial_cap;
+    if (cap < kMinInitialRepairCap) cap = kMinInitialRepairCap;
 
     Result<RouteResult> repaired = Status::Internal("unrun");
     bool converged = false;
     bool unroutable = false;
-    for (int round = 0; round < options_.max_rounds; ++round, cap *= 2) {
+    for (int round = 0; round < kMaxRepairRounds; ++round, cap *= 2) {
       if (serving_cap != 0 && cap >= serving_cap) break;
       ServeHooks round_hooks = hooks;
       round_hooks.budget.max_preference_settles = cap;

@@ -13,18 +13,6 @@
 
 namespace l2r {
 
-struct RouteRepairOptions {
-  /// Floor of the seeded settle cap, so tiny stale paths still get a
-  /// useful first round.
-  size_t min_initial_cap = 512;
-  /// Initial cap = max(min_initial_cap, this * |stale path vertices|) —
-  /// the bounded-radius re-search is sized by the route it replaces.
-  double cap_per_stale_vertex = 8.0;
-  /// Cap-doubling rounds before falling back to the full serving-cap
-  /// recompute.
-  int max_rounds = 3;
-};
-
 /// Incremental ripup-and-reroute repair pass (the global-routing loop of
 /// rip-up/re-route, transplanted to serving): after an update batch,
 /// sweeps the stale entries out of the route cache and re-routes each on
@@ -73,8 +61,7 @@ class RouteRepairer {
 
   /// `serving` must have the route cache enabled and a world attached;
   /// must outlive the repairer.
-  explicit RouteRepairer(ServingRouter* serving,
-                         const RouteRepairOptions& options = {});
+  explicit RouteRepairer(ServingRouter* serving);
 
   /// Sweeps every invalidated cache entry and re-routes it on the current
   /// epoch, reinserting the repaired result with its new stamp +
@@ -111,7 +98,6 @@ class RouteRepairer {
                      Report* report);
 
   ServingRouter* serving_;
-  RouteRepairOptions options_;
   /// Background coordination: the world epoch each cache shard was last
   /// swept at. Pure coordination values (a stale read just means one
   /// redundant — still correct — sweep), so all accesses are relaxed;

@@ -1,4 +1,4 @@
-#include "serve/chaos_service.h"
+#include "chaos_service.h"
 
 #include <thread>
 

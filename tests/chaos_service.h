@@ -1,5 +1,5 @@
-#ifndef L2R_SERVE_CHAOS_SERVICE_H_
-#define L2R_SERVE_CHAOS_SERVICE_H_
+#ifndef L2R_TESTS_CHAOS_SERVICE_H_
+#define L2R_TESTS_CHAOS_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -42,9 +42,9 @@ struct ChaosOptions {
 
 /// Fault-injection decorator over any QueryService: seeded latency
 /// spikes, error bursts and slow-degrade phases, so the overload
-/// controller's response to a misbehaving backend is tested and
-/// benchmarked instead of hoped for. With all rates 0 it is a
-/// byte-transparent passthrough.
+/// controller's response to a misbehaving backend is tested instead of
+/// hoped for. With all rates 0 it is a byte-transparent passthrough.
+/// Test support: only the overload and concurrency stress suites link it.
 ///
 /// Determinism: every fault decision is a pure hash of (seed, n) where n
 /// is the query's arrival index at this decorator — no RNG state, no
@@ -93,4 +93,4 @@ class ChaosService final : public QueryService {
 
 }  // namespace l2r
 
-#endif  // L2R_SERVE_CHAOS_SERVICE_H_
+#endif  // L2R_TESTS_CHAOS_SERVICE_H_

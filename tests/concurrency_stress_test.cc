@@ -1,14 +1,15 @@
 // Real-thread hammers for the serving stack's shared state (CTest label
-// `tsan`): RouteCache, SingleFlight, StitchMemo, WorkspacePool,
-// ManualClock's advance/wait protocol, the global ThreadPool, and a
-// StreamRouter under genuinely concurrent submitters. Each test uses at
-// least 8 threads and no sleeps — forward progress comes from joins,
-// condition variables and yield-loops on observable state, so the suite
-// is exactly as meaningful under TSan (where it is the main race-finder)
-// as in the plain fast suite.
+// `tsan`): RouteCache, StitchMemo, WorkspacePool, ManualClock's
+// advance/wait protocol, the global ThreadPool, a ServingRouter racing
+// identical cache misses, and a StreamRouter under genuinely concurrent
+// submitters. Each test uses at least 8 threads and no sleeps — forward
+// progress comes from joins, condition variables and yield-loops on
+// observable state, so the suite is exactly as meaningful under TSan
+// (where it is the main race-finder) as in the plain fast suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -21,14 +22,13 @@
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
-#include "serve/chaos_service.h"
 #include "serve/clock.h"
 #include "serve/overload_controller.h"
 #include "serve/route_cache.h"
 #include "serve/serving_router.h"
-#include "serve/single_flight.h"
 #include "serve/stitch_memo.h"
 #include "serve/stream_router.h"
+#include "chaos_service.h"
 #include "test_util.h"
 
 namespace l2r {
@@ -376,46 +376,6 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// SingleFlight: many threads coalescing on few keys.
-
-TEST(SingleFlightStress, EveryCallerGetsTheKeyedResult) {
-  SingleFlight flights;
-  constexpr VertexId kKeySpace = 8;  // fewer keys than threads: coalesce
-  constexpr int kOpsPerThread = 1000;
-  std::atomic<uint64_t> computes{0};
-  std::atomic<uint64_t> wrong{0};
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const VertexId s =
-            static_cast<VertexId>((i * 13 + t * 7) % kKeySpace);
-        const QueryKey key{s, s + 1, 0};
-        const RouteResult want = MakeResult(s, 4);
-        const Result<RouteResult> got = flights.Do(key, [&] {
-          computes.fetch_add(1, std::memory_order_relaxed);
-          // A non-trivial window during which followers can pile on.
-          RouteResult r = MakeResult(s, 4);
-          return Result<RouteResult>(std::move(r));
-        });
-        if (!got.ok() || !(*got == want)) {
-          wrong.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(std::memory_order_acquire), 0u);
-  const SingleFlight::Stats stats = flights.GetStats();
-  const uint64_t total = static_cast<uint64_t>(kThreads) * kOpsPerThread;
-  EXPECT_EQ(stats.leaders + stats.coalesced, total);
-  EXPECT_EQ(stats.leaders, computes.load(std::memory_order_acquire));
-  EXPECT_GE(stats.leaders, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // StitchMemo: concurrent Remember/Find on both tables.
 
 TEST(StitchMemoStress, ConcurrentRememberFindStaysExact) {
@@ -542,9 +502,9 @@ TEST(ThreadPoolStress, ConcurrentSectionsStayIsolated) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamRouter + ServingRouter on a real (small) pipeline.
+// ServingRouter and StreamRouter on a real (small) pipeline.
 
-class StreamStressTest : public ::testing::Test {
+class ServingStressTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     DatasetSpec spec = CityDataset(0.04);
@@ -582,20 +542,74 @@ class StreamStressTest : public ::testing::Test {
   static L2RRouter* router_;
 };
 
-BuiltDataset* StreamStressTest::dataset_ = nullptr;
-L2RRouter* StreamStressTest::router_ = nullptr;
+BuiltDataset* ServingStressTest::dataset_ = nullptr;
+L2RRouter* ServingStressTest::router_ = nullptr;
+
+TEST_F(ServingStressTest, ConcurrentIdenticalMissesMatchTheColdPath) {
+  // 8 threads route the same 4 keys through a cache-on ServingRouter with
+  // no batch dedup in front, so identical misses race each other through
+  // the cold path into RouteCache::Insert. Every result must be
+  // byte-identical to the bare router's, the cache must end with one
+  // entry per key, and every query must be exactly one lookup.
+  std::vector<BatchQuery> keys;
+  std::vector<QueryKey> seen;
+  std::vector<RouteResult> want;
+  {
+    L2RQueryContext ctx = router_->MakeContext();
+    for (const BatchQuery& q : MakeQueries(64)) {
+      if (keys.size() == 4) break;
+      const QueryKey key{
+          q.s, q.d,
+          static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      Result<RouteResult> r = router_->Route(&ctx, q.s, q.d, q.departure_time);
+      if (!r.ok()) continue;  // errors are never cached
+      keys.push_back(q);
+      seen.push_back(key);
+      want.push_back(std::move(r).value());
+    }
+  }
+  ASSERT_EQ(keys.size(), 4u);
+
+  ServingRouter serving(router_);
+  constexpr int kOpsPerThread = 200;
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      L2RQueryContext ctx = router_->MakeContext();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const size_t k = static_cast<size_t>(i + t) % keys.size();
+        const Result<RouteResult> got = serving.Route(
+            &ctx, keys[k].s, keys[k].d, keys[k].departure_time);
+        if (!got.ok() || !(*got == want[k])) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(wrong.load(std::memory_order_acquire), 0u);
+  const ServingRouter::Stats stats = serving.GetStats();
+  EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(stats.cache.entries, keys.size());
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.queries);
+  EXPECT_EQ(stats.single_flight.leaders, stats.cache.misses);
+  EXPECT_EQ(stats.single_flight.coalesced, 0u);
+}
 
 /// The stream hammers below are parameterized over the drain-thread
 /// count (the DrainLadder instantiation: 1 and 4). With 4 batchers the
 /// drains genuinely overlap, so the seqlock hot path, the controller-tick
 /// arbitration and the shutdown paths race real batcher threads.
 class StreamDrainStressTest
-    : public StreamStressTest,
+    : public ServingStressTest,
       public ::testing::WithParamInterface<unsigned> {};
 
 TEST_P(StreamDrainStressTest, ConcurrentSubmittersThroughServingStack) {
   // 8 submitter threads race Submit against deadline/size closes on the
-  // system clock, through the full serving stack (cache + single-flight).
+  // system clock, through the full serving stack (cache + memo).
   // Every accepted query must complete exactly once with a result that is
   // byte-identical to the single-threaded cold answer for its key.
   const unsigned num_drains = GetParam();
@@ -655,8 +669,8 @@ TEST_P(StreamDrainStressTest, ConcurrentSubmittersThroughServingStack) {
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.failed_on_shutdown, 0u);
   // The serving layer saw every query (dedup may collapse duplicates
-  // inside a batch before they reach it, so <=), and coalescing /
-  // caching actually engaged across the concurrent submitters.
+  // inside a batch before they reach it, so <=), and caching actually
+  // engaged across the concurrent submitters.
   const ServingRouter::Stats serve_stats = serving.GetStats();
   EXPECT_GT(serve_stats.queries, 0u);
   EXPECT_LE(serve_stats.queries, total);

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,12 +21,12 @@
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
-#include "serve/chaos_service.h"
 #include "serve/clock.h"
 #include "serve/deadline_budget.h"
 #include "serve/overload_controller.h"
 #include "serve/serving_router.h"
 #include "serve/stream_router.h"
+#include "chaos_service.h"
 #include "test_util.h"
 
 namespace l2r {
@@ -228,6 +230,26 @@ TEST(DeadlineBudgetTest, ScaledSettleCapScalesLinearlyWithFloor) {
   EXPECT_EQ(off.ScaledSettleCap(0.25), 0u);
 }
 
+TEST(DeadlineBudgetTest, NanScalesAndHugeBudgetsGiveDefinedCaps) {
+  DeadlineBudgetOptions options;
+  options.fallback_budget_us = 10;
+  options.settles_per_us = 80;
+  options.min_settles = 64;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const DeadlineBudget budget(options);
+  // A NaN or negative scale takes the min_settles floor.
+  EXPECT_EQ(budget.ScaledSettleCap(nan), 64u);
+  EXPECT_EQ(budget.ScaledSettleCap(-1.0), 64u);
+  // A budget worth more than SIZE_MAX settles saturates there.
+  for (const double huge : {1e300, std::numeric_limits<double>::infinity()}) {
+    options.fallback_budget_us = huge;
+    const DeadlineBudget big(options);
+    EXPECT_EQ(big.MaxPreferenceSettles(), SIZE_MAX) << huge;
+    EXPECT_EQ(big.ScaledSettleCap(0.5), SIZE_MAX) << huge;
+    EXPECT_EQ(big.ScaledSettleCap(nan), 64u) << huge;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline fixture: ChaosService + the closed loop on a small built world.
 
@@ -289,6 +311,8 @@ TEST_F(OverloadServeTest, ServingRouterAppliesTheBudgetScale) {
   EXPECT_EQ(serving.CurrentSettleCap(), 800u);
   serving.SetBudgetScale(0.0);  // clamped into the min_settles floor
   EXPECT_EQ(serving.CurrentSettleCap(), 1u);
+  serving.SetBudgetScale(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(serving.CurrentSettleCap(), 1u);  // NaN takes the floor too
 
   // Queries still serve under the tightest scale.
   const std::vector<BatchQuery> queries = MakeQueries(1);
@@ -303,6 +327,30 @@ TEST_F(OverloadServeTest, ServingRouterAppliesTheBudgetScale) {
   EXPECT_EQ(unbudgeted.CurrentSettleCap(), 0u);
   unbudgeted.SetBudgetScale(0.25);
   EXPECT_EQ(unbudgeted.CurrentSettleCap(), 0u);
+}
+
+TEST_F(OverloadServeTest, ServingRouterSaturatesAnInfiniteBudget) {
+  ServingRouterOptions options;
+  options.deadline.fallback_budget_us =
+      std::numeric_limits<double>::infinity();
+  ServingRouter unbounded(router_, options);
+  EXPECT_EQ(unbounded.CurrentSettleCap(), SIZE_MAX);
+  unbounded.SetBudgetScale(0.5);
+  EXPECT_EQ(unbounded.CurrentSettleCap(), SIZE_MAX);
+
+  // A saturated cap serves the undegraded cold-path answer.
+  const std::vector<BatchQuery> queries = MakeQueries(1);
+  ASSERT_EQ(queries.size(), 1u);
+  L2RQueryContext ctx = router_->MakeContext();
+  const auto got = unbounded.Route(&ctx, queries[0].s, queries[0].d,
+                                   queries[0].departure_time);
+  const auto want = router_->Route(&ctx, queries[0].s, queries[0].d,
+                                   queries[0].departure_time);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (got.ok()) {
+    EXPECT_FALSE(got->budget_degraded);
+    EXPECT_TRUE(*got == *want);
+  }
 }
 
 TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {

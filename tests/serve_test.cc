@@ -13,7 +13,6 @@
 #include "serve/deadline_budget.h"
 #include "serve/route_cache.h"
 #include "serve/serving_router.h"
-#include "serve/single_flight.h"
 #include "serve/stitch_memo.h"
 #include "test_util.h"
 
@@ -407,190 +406,6 @@ TEST(RouteCacheTest, DegradedEntriesParticipateInLruEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// SingleFlight units.
-
-TEST(SingleFlightTest, FollowerReceivesLeadersResultWithoutRecomputing) {
-  SingleFlight flights;
-  const QueryKey key{1, 2, 0};
-  const RouteResult value = MakeResult(5, 3);
-  std::atomic<int> computes{0};
-  std::atomic<bool> leader_in_compute{false};
-  std::atomic<bool> release_leader{false};
-
-  std::thread leader([&] {
-    const auto r = flights.Do(key, [&]() -> Result<RouteResult> {
-      computes.fetch_add(1);
-      leader_in_compute.store(true);
-      while (!release_leader.load()) std::this_thread::yield();
-      return value;
-    });
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(*r == value);
-  });
-  // Hold the leader inside compute() so the follower must coalesce.
-  while (!leader_in_compute.load()) std::this_thread::yield();
-  std::thread follower([&] {
-    const auto r = flights.Do(key, [&]() -> Result<RouteResult> {
-      computes.fetch_add(1);
-      return value;
-    });
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(*r == value);
-  });
-  // Join() counts the follower before it blocks, so waiting on the stat
-  // makes the schedule deterministic: release only after coalescing.
-  while (flights.GetStats().coalesced < 1) std::this_thread::yield();
-  release_leader.store(true);
-  leader.join();
-  follower.join();
-
-  EXPECT_EQ(computes.load(), 1);
-  const SingleFlight::Stats stats = flights.GetStats();
-  EXPECT_EQ(stats.leaders, 1u);
-  EXPECT_EQ(stats.coalesced, 1u);
-}
-
-TEST(SingleFlightTest, ErrorsFanOutToFollowers) {
-  SingleFlight flights;
-  const QueryKey key{1, 2, 0};
-  std::atomic<bool> leader_in_compute{false};
-  std::atomic<bool> release_leader{false};
-
-  std::thread leader([&] {
-    const auto r = flights.Do(key, [&]() -> Result<RouteResult> {
-      leader_in_compute.store(true);
-      while (!release_leader.load()) std::this_thread::yield();
-      return Result<RouteResult>(Status::NotFound("no route"));
-    });
-    EXPECT_FALSE(r.ok());
-  });
-  while (!leader_in_compute.load()) std::this_thread::yield();
-  std::thread follower([&] {
-    const auto r = flights.Do(key, [&]() -> Result<RouteResult> {
-      ADD_FAILURE() << "follower must not compute";
-      return Result<RouteResult>(Status::Internal("unreachable"));
-    });
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  });
-  while (flights.GetStats().coalesced < 1) std::this_thread::yield();
-  release_leader.store(true);
-  leader.join();
-  follower.join();
-}
-
-TEST(SingleFlightTest, DistinctKeysDoNotCoalesce) {
-  SingleFlight flights;
-  // Sequential calls: each flight completes before the next joins, so
-  // every call leads — including repeat calls for the same key (flights
-  // are removed at publish; lasting reuse is the cache's job).
-  for (int i = 0; i < 3; ++i) {
-    const QueryKey key{static_cast<VertexId>(i), 9, 0};
-    const auto r = flights.Do(key, [&]() -> Result<RouteResult> {
-      return MakeResult(static_cast<VertexId>(i), 2);
-    });
-    ASSERT_TRUE(r.ok());
-  }
-  const auto again = flights.Do(QueryKey{0, 9, 0}, [&] {
-    return Result<RouteResult>(MakeResult(0, 2));
-  });
-  ASSERT_TRUE(again.ok());
-  const SingleFlight::Stats stats = flights.GetStats();
-  EXPECT_EQ(stats.leaders, 4u);
-  EXPECT_EQ(stats.coalesced, 0u);
-}
-
-TEST(SingleFlightTest, DifferentEpochsOfOneKeyNeverCoalesce) {
-  SingleFlight flights;
-  const QueryKey key{1, 2, 0};
-  std::atomic<bool> leader_started{false};
-  std::atomic<bool> release_leader{false};
-  std::thread leader([&] {
-    const auto r = flights.Do(key, WorldEpoch{0}, [&] {
-      leader_started.store(true);
-      while (!release_leader.load()) std::this_thread::yield();
-      return Result<RouteResult>(MakeResult(1, 2));
-    });
-    EXPECT_TRUE(r.ok());
-  });
-  while (!leader_started.load()) std::this_thread::yield();
-  // The epoch-1 call for the same key must start its own flight, not
-  // join the in-progress epoch-0 one (joining would deadlock right here:
-  // the epoch-0 leader publishes only after this call returns).
-  const auto r = flights.Do(key, WorldEpoch{1}, [&] {
-    return Result<RouteResult>(MakeResult(9, 3));
-  });
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r == MakeResult(9, 3));
-  release_leader.store(true);
-  leader.join();
-  const SingleFlight::Stats stats = flights.GetStats();
-  EXPECT_EQ(stats.leaders, 2u);
-  EXPECT_EQ(stats.coalesced, 0u);
-}
-
-TEST(SingleFlightTest, ConcurrentMixedKeysStayConsistent) {
-  SingleFlight flights;
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 2000;
-  std::atomic<uint64_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&flights, &mismatches, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const VertexId s = static_cast<VertexId>((t * 13 + i) % 17);
-        const QueryKey key{s, s + 1, static_cast<uint8_t>(i % 2)};
-        const size_t hops = 2 + s % 3;
-        const auto r = flights.Do(key, [s, hops]() -> Result<RouteResult> {
-          return MakeResult(s, hops);
-        });
-        // Leader or follower, the result must be the deterministic
-        // function of the key.
-        if (!r.ok() || !(*r == MakeResult(s, hops))) ++mismatches;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  const SingleFlight::Stats stats = flights.GetStats();
-  EXPECT_EQ(stats.leaders + stats.coalesced,
-            static_cast<uint64_t>(kThreads) * kOpsPerThread);
-}
-
-TEST(SingleFlightTest, DuplicateBurstConservesLeaderAndCoalescedCounts) {
-  // 8 threads hammer ONE key: maximal contention on the leader-election
-  // CAS window. The leaders_/coalesced_ tallies are relaxed atomics (see
-  // the order comment in single_flight.h) — this pins the conservation
-  // law they promise: every Do() call is counted exactly once, as leader
-  // or as coalesced, never both, never dropped.
-  SingleFlight flights;
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 2000;
-  const QueryKey key{1, 2, 0};
-  const RouteResult value = MakeResult(1, 4);
-  std::atomic<uint64_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&flights, &mismatches, &key, &value] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const auto r = flights.Do(key, [&value]() -> Result<RouteResult> {
-          return value;
-        });
-        if (!r.ok() || !(*r == value)) ++mismatches;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  const SingleFlight::Stats stats = flights.GetStats();
-  EXPECT_EQ(stats.leaders + stats.coalesced,
-            static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  // At least one flight ran (a duplicate burst coalesces, but sequential
-  // stragglers each lead — both sides of the ledger must be populated).
-  EXPECT_GE(stats.leaders, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // StitchMemo units.
 
 TEST(StitchMemoTest, EdgeChoiceAndConnectorRoundTripPerPeriod) {
@@ -856,7 +671,7 @@ TEST_F(ServeTest, AllDuplicateBatchesCoalesceByteIdentically) {
   const auto want = PlainResults(batch);
 
   for (const unsigned threads : {1u, 4u}) {
-    ServingRouter serving(router_);  // cache + memo + single-flight on
+    ServingRouter serving(router_);  // cache + memo on
     BatchRouter dedup(&serving, BatchRouterOptions{threads, true});
     const auto got = dedup.RouteAll(batch);
     ASSERT_EQ(got.size(), batch.size());
@@ -882,7 +697,7 @@ TEST_F(ServeTest, InterleavedDuplicateBatchesCoalesceByteIdentically) {
 
   for (const unsigned threads : {1u, 4u}) {
     // Dedup through the full serving stack: batch-level coalescing in
-    // front, single-flight + cache behind.
+    // front, the cache behind.
     ServingRouter serving(router_);
     BatchRouter dedup(&serving, BatchRouterOptions{threads, true});
     const auto got = dedup.RouteAll(batch);
@@ -894,10 +709,10 @@ TEST_F(ServeTest, InterleavedDuplicateBatchesCoalesceByteIdentically) {
   }
 }
 
-TEST_F(ServeTest, SingleFlightAloneKeepsBatchResultsByteIdentical) {
-  // Batch dedup off and cache off: every duplicate slot reaches the
-  // single-flight layer itself, concurrently at t=4. Results must still
-  // be byte-identical to the cold path, whatever coalescing happened.
+TEST_F(ServeTest, UncachedServingRouterKeepsBatchResultsByteIdentical) {
+  // Batch dedup, cache and memo off: every duplicate slot runs the cold
+  // path itself, concurrently at t=4. Results must still be byte-identical
+  // to the bare router, and every query counts as a cold computation.
   const std::vector<BatchQuery> base = MakeQueries(12);
   std::vector<BatchQuery> batch;
   for (int rep = 0; rep < 4; ++rep) {
@@ -916,9 +731,9 @@ TEST_F(ServeTest, SingleFlightAloneKeepsBatchResultsByteIdentical) {
     for (size_t i = 0; i < got.size(); ++i) {
       ExpectSameResult(want[i], got[i], i);
     }
-    // Every call either led or coalesced; nothing is lost or duplicated.
-    const SingleFlight::Stats stats = serving.GetStats().single_flight;
-    EXPECT_EQ(stats.leaders + stats.coalesced, batch.size());
+    const ServingRouter::Stats stats = serving.GetStats();
+    EXPECT_EQ(stats.single_flight.leaders, batch.size());
+    EXPECT_EQ(stats.single_flight.coalesced, 0u);
   }
 }
 

@@ -465,7 +465,7 @@ TEST_F(WorldTest, RepairerReinsertsByteIdenticalEntriesOnTheNewEpoch) {
   const EdgeId e = MidEdge(warm[0]->path);
   channel.Apply(SlowdownBatch(e, 0.5));
 
-  RouteRepairer repairer(&serving, RouteRepairOptions{});
+  RouteRepairer repairer(&serving);
   const RouteRepairer::Report report = repairer.RepairAll();
   EXPECT_EQ(report.epoch, 1u);
   EXPECT_GE(report.candidates, 1u);  // query 0's entry at minimum
@@ -501,7 +501,7 @@ TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
   ServingRouterOptions options;
   options.world = &channel;
   ServingRouter serving(router_, options);
-  RouteRepairer repairer(&serving, RouteRepairOptions{});
+  RouteRepairer repairer(&serving);
 
   ManualClock clock;
   StreamOptions sopts;
