@@ -72,7 +72,6 @@ namespace {
 /// Serving fallback budget and mean streaming arrival gap (microseconds).
 constexpr double kBudgetUs = 25;
 constexpr double kStreamGapUs = 50;
-constexpr size_t kMaxBatch = 64;
 constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
 
 size_t ThroughputQueries() {
@@ -267,8 +266,7 @@ double BestOf(int reps, BatchRouter& batch,
 
 ServingRouterOptions Serving(bool cache, double budget_us) {
   ServingRouterOptions options;
-  options.enable_route_cache = cache;
-  options.enable_stitch_memo = cache;
+  options.enable_cache = cache;
   options.deadline.fallback_budget_us = budget_us;
   return options;
 }
@@ -329,7 +327,6 @@ QueueWaitRun ReplayQueueWaits(const Fixture& fx,
                               int64_t deadline_us) {
   ServingRouter serving(fx.router.get(), Serving(true, kBudgetUs));
   StreamOptions options;
-  options.max_batch = kMaxBatch;
   options.batch_deadline_us = deadline_us;
   options.dedup = true;
   StreamRouter stream(&serving, options);
@@ -467,7 +464,7 @@ Json StreamingBlock(const Fixture& fx, bool* ok) {
   const size_t slots = 2 * fx.queries.size();
   const std::vector<BatchQuery> order = Pick(
       fx.queries, bench::ZipfScenario(fx.queries.size(), slots, 727).order);
-  Json out = Json::Object({{"max_batch", kMaxBatch},
+  Json out = Json::Object({{"max_batch", StreamRouter::kMaxBatch},
                            {"batch_deadline_us", kDeadlineUs},
                            {"mean_gap_us", kStreamGapUs}});
   for (const bench::ArrivalSchedule& schedule :
@@ -521,7 +518,7 @@ Json DeadlineSweepBlock(const Fixture& fx, bool*) {
          {"closed_by_deadline", run.stats.closed_by_deadline},
          {"queue_wait_us", Summary(run.queue_wait_us)}}));
   }
-  return Json::Object({{"max_batch", kMaxBatch},
+  return Json::Object({{"max_batch", StreamRouter::kMaxBatch},
                        {"mean_gap_us", kStreamGapUs},
                        {"points", points}});
 }
@@ -532,7 +529,7 @@ Json DeadlineSweepBlock(const Fixture& fx, bool*) {
 /// controller, not the hit rate, absorbs the excess.
 Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
   constexpr double kBulkFraction = 0.3;
-  constexpr int64_t kSloUs = 50'000;
+  constexpr int64_t kSloUs = OverloadController::kSloQueueWaitUs;
   const double capacity_qps = 1e6 / std::max(fx.capacity_gap_us, 1.0);
   bool sweep_ok = true;
   Json points = Json::Array();
@@ -552,25 +549,12 @@ Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
         bench::OverloadArrivals(slots, fx.capacity_gap_us, multiplier, 1333);
 
     ServingRouter serving(fx.router.get(), Serving(false, kBudgetUs));
-    OverloadControllerOptions oc;
-    // The period bounds the flood a level drop can re-admit before the
-    // next tick reacts (period x offered rate), and that flood is served,
-    // late, so the period must be small next to the SLO.
-    oc.control_period_us = 2'000;
-    oc.slo_queue_wait_us = kSloUs;
-    oc.min_batch_deadline_us = 100;
-    oc.max_batch_deadline_us = 1000;
-    oc.trip_ticks = 1;
-    oc.release_ticks = 3;
-    // Shed once the backlog needs slo/8 to drain, panic at slo/4: a served
-    // query's wait stays well inside the SLO even on top of a flood.
-    oc.shed_depth = std::max<size_t>(
-        32, static_cast<size_t>(capacity_qps * kSloUs / 8e6));
-    oc.resume_depth = oc.shed_depth / 4;
-    oc.panic_depth = 2 * oc.shed_depth;
-    OverloadController controller(oc);
+    // Shed once the backlog needs slo/8 to drain, panic (2 x shed) at
+    // slo/4: a served query's wait stays well inside the SLO even on top
+    // of a flood.
+    OverloadController controller(std::max<size_t>(
+        32, static_cast<size_t>(capacity_qps * kSloUs / 8e6)));
     StreamOptions options;
-    options.max_batch = kMaxBatch;
     options.dedup = false;
     options.num_threads = 1;
     options.overload = &controller;
@@ -955,7 +939,6 @@ Json ScaleOutBlock(const Fixture& fx, bool* ok) {
     // A fresh cache per rung, so cold-path and hot-path serves both occur.
     ServingRouter serving(fx.router.get(), Serving(true, 0));
     StreamOptions options;
-    options.max_batch = kMaxBatch;
     options.batch_deadline_us = 200;
     options.num_threads = 2;
     options.num_drain_threads = drains;

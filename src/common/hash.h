@@ -19,13 +19,6 @@ inline uint64_t Mix64(uint64_t key) {
   return key;
 }
 
-/// Smallest power of two >= n (n = 0 or 1 yields 1).
-inline size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace l2r
 
 #endif  // L2R_COMMON_HASH_H_

@@ -88,7 +88,6 @@ class BatchRouter {
   size_t ContextsCreated() const { return contexts_.CreatedCount(); }
 
   unsigned num_threads() const { return num_threads_; }
-  bool dedup_enabled() const { return dedup_; }
   /// The serving layer queries are routed through, or null when batches
   /// run on the bare router. Streaming front-ends use this to surface
   /// service-level counters (e.g. per-epoch serve counts) in their stats.

@@ -4,22 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/serve_hooks.h"
-
 namespace l2r {
 
 struct DeadlineBudgetOptions {
   /// Per-query budget for the preference-route (Algorithm 2) fallback, in
   /// microseconds; 0 disables the budget entirely.
   double fallback_budget_us = 0;
-  /// Calibration: how many vertices the preference search settles per
-  /// microsecond on this hardware. The default is conservative for the
-  /// generated city worlds (BM_Dijkstra settles ~4.3k vertices in ~35 us,
-  /// i.e. >100/us; a lower figure only makes the budget stricter).
-  double settles_per_us = 80;
-  /// Floor on the derived cap so aggressive budgets cannot starve short
-  /// rebuilds that would have finished well inside any real deadline.
-  size_t min_settles = 256;
 };
 
 /// Translates a wall-clock fallback budget into the deterministic settle
@@ -31,49 +21,51 @@ struct DeadlineBudgetOptions {
 /// operator-facing; the settle cap is what the engine sees.
 class DeadlineBudget {
  public:
+  /// Calibration: how many vertices the preference search settles per
+  /// microsecond. Conservative for the generated city worlds (BM_Dijkstra
+  /// settles ~4.3k vertices in ~35 us, i.e. >100/us; a lower figure only
+  /// makes the budget stricter).
+  static constexpr double kSettlesPerUs = 80;
+  /// Floor on the derived cap so aggressive budgets cannot starve short
+  /// rebuilds that would have finished well inside any real deadline.
+  static constexpr size_t kMinSettles = 256;
+
   DeadlineBudget() = default;
   explicit DeadlineBudget(const DeadlineBudgetOptions& options)
-      : options_(options) {}
+      : budget_us_(options.fallback_budget_us) {}
 
-  bool enabled() const { return options_.fallback_budget_us > 0; }
+  bool enabled() const { return budget_us_ > 0; }
 
   /// The settle cap handed to the preference search; 0 = unlimited.
   size_t MaxPreferenceSettles() const {
     if (!enabled()) return 0;
-    return SettleCap(options_.fallback_budget_us * options_.settles_per_us);
-  }
-
-  QueryBudget ToQueryBudget() const {
-    return QueryBudget{MaxPreferenceSettles()};
+    return SettleCap(budget_us_ * kSettlesPerUs);
   }
 
   /// Settle cap under an overload-control scale in (0, 1] — the
   /// controller's degraded-serving lever (OverloadDecision::budget_scale
-  /// via ServingRouter::SetBudgetScale). Keeps the min_settles floor, so
+  /// via ServingRouter::SetBudgetScale). Keeps the kMinSettles floor, so
   /// even panic-level scaling cannot starve rebuilds that would finish
   /// well inside any real deadline. scale >= 1 is the plain cap; a NaN or
-  /// non-positive scale gives the min_settles floor.
+  /// non-positive scale gives the kMinSettles floor.
   size_t ScaledSettleCap(double scale) const {
     if (!enabled()) return 0;
     if (scale >= 1.0) return MaxPreferenceSettles();
-    return SettleCap(options_.fallback_budget_us * options_.settles_per_us *
-                     scale);
+    return SettleCap(budget_us_ * kSettlesPerUs * scale);
   }
-
-  const DeadlineBudgetOptions& options() const { return options_; }
 
  private:
-  /// `settles` as a cap in [min_settles, SIZE_MAX]. The double-to-size_t
+  /// `settles` as a cap in [kMinSettles, SIZE_MAX]. The double-to-size_t
   /// cast is only defined inside that range, so a NaN or non-positive
   /// count takes the floor and one past SIZE_MAX (1e300, inf) saturates.
-  size_t SettleCap(double settles) const {
-    if (!(settles > 0)) return options_.min_settles;
+  static size_t SettleCap(double settles) {
+    if (!(settles > 0)) return kMinSettles;
     if (settles >= static_cast<double>(SIZE_MAX)) return SIZE_MAX;
     const size_t cap = static_cast<size_t>(settles);
-    return cap < options_.min_settles ? options_.min_settles : cap;
+    return cap < kMinSettles ? kMinSettles : cap;
   }
 
-  DeadlineBudgetOptions options_;
+  double budget_us_ = 0;
 };
 
 }  // namespace l2r

@@ -6,21 +6,11 @@
 
 namespace l2r {
 
-OverloadController::OverloadController(
-    const OverloadControllerOptions& options)
-    : options_(options), batch_deadline_us_(options.max_batch_deadline_us) {
-  L2R_CHECK(options_.control_period_us > 0);
-  L2R_CHECK(options_.slo_queue_wait_us > 0);
-  L2R_CHECK(options_.min_batch_deadline_us >= 0);
-  L2R_CHECK(options_.min_batch_deadline_us <= options_.max_batch_deadline_us);
-  L2R_CHECK(options_.deadline_backoff > 0 && options_.deadline_backoff < 1);
-  L2R_CHECK(options_.deadline_recover_us >= 0);
-  L2R_CHECK(options_.resume_depth <= options_.shed_depth);
-  L2R_CHECK(options_.shed_depth <= options_.panic_depth);
-  L2R_CHECK(options_.trip_ticks >= 1);
-  L2R_CHECK(options_.release_ticks >= 1);
-  L2R_CHECK(options_.degraded_budget_scale > 0 &&
-            options_.degraded_budget_scale <= 1);
+OverloadController::OverloadController(size_t shed_depth)
+    : shed_depth_(shed_depth),
+      resume_depth_(shed_depth / 4),
+      panic_depth_(2 * shed_depth) {
+  L2R_CHECK(shed_depth > 0);
 }
 
 OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
@@ -32,19 +22,19 @@ OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
   // calm only when both signals sit comfortably inside their bounds
   // (half the SLO, the resume watermark). The middle ground advances
   // neither streak, which is what keeps the ladder from oscillating.
-  const bool overloaded = (obs.wait_p99_us > options_.slo_queue_wait_us) ||
-                          obs.queue_depth >= options_.shed_depth;
-  const bool calm = obs.queue_depth <= options_.resume_depth &&
+  const bool overloaded = (obs.wait_p99_us > kSloQueueWaitUs) ||
+                          obs.queue_depth >= shed_depth_;
+  const bool calm = obs.queue_depth <= resume_depth_ &&
                     (obs.wait_p99_us < 0 ||
-                     2 * obs.wait_p99_us <= options_.slo_queue_wait_us);
+                     2 * obs.wait_p99_us <= kSloQueueWaitUs);
 
   if (overloaded) {
     ++overloaded_ticks_;
     overload_streak_ += 1;
     calm_streak_ = 0;
     const int64_t cut = static_cast<int64_t>(
-        static_cast<double>(batch_deadline_us_) * options_.deadline_backoff);
-    const int64_t next = std::max(options_.min_batch_deadline_us, cut);
+        static_cast<double>(batch_deadline_us_) * kDeadlineBackoff);
+    const int64_t next = std::max(kMinBatchDeadlineUs, cut);
     if (next < batch_deadline_us_) {
       batch_deadline_us_ = next;
       ++deadline_cuts_;
@@ -52,9 +42,8 @@ OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
   } else if (calm) {
     calm_streak_ += 1;
     overload_streak_ = 0;
-    const int64_t next = std::min(
-        options_.max_batch_deadline_us,
-        batch_deadline_us_ + options_.deadline_recover_us);
+    const int64_t next = std::min(kMaxBatchDeadlineUs,
+                                  batch_deadline_us_ + kDeadlineRecoverUs);
     if (next > batch_deadline_us_) {
       batch_deadline_us_ = next;
       ++deadline_recoveries_;
@@ -64,17 +53,17 @@ OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
     calm_streak_ = 0;
   }
 
-  if (obs.queue_depth >= options_.panic_depth && level_ < 3) {
+  if (obs.queue_depth >= panic_depth_ && level_ < 3) {
     // Waits this deep are already lost; jump to queue protection rather
     // than walking the ladder one trip window at a time.
     level_raises_ += static_cast<uint64_t>(3 - level_);
     level_ = 3;
     overload_streak_ = 0;
-  } else if (overload_streak_ >= options_.trip_ticks && level_ < 3) {
+  } else if (overload_streak_ >= kTripTicks && level_ < 3) {
     ++level_;
     ++level_raises_;
     overload_streak_ = 0;
-  } else if (calm_streak_ >= options_.release_ticks && level_ > 0) {
+  } else if (calm_streak_ >= kReleaseTicks && level_ > 0) {
     --level_;
     ++level_drops_;
     calm_streak_ = 0;
@@ -88,7 +77,7 @@ OverloadDecision OverloadController::DecisionLocked() const {
   d.level = level_;
   d.batch_deadline_us = batch_deadline_us_;
   d.shed_bulk = level_ >= 1;
-  d.budget_scale = level_ >= 2 ? options_.degraded_budget_scale : 1.0;
+  d.budget_scale = level_ >= 2 ? kDegradedBudgetScale : 1.0;
   d.shed_interactive = level_ >= 3;
   return d;
 }

@@ -9,42 +9,6 @@
 
 namespace l2r {
 
-struct OverloadControllerOptions {
-  /// Tick length on the injected clock, microseconds. The stream batcher
-  /// feeds one OverloadObservation per tick.
-  int64_t control_period_us = 10'000;
-  /// SLO bound on the interactive drain-wait p99 (submit -> drain start
-  /// on the injected clock, backlog included). A tick whose observed p99
-  /// exceeds this is overloaded.
-  int64_t slo_queue_wait_us = 20'000;
-  /// Adaptive batch-deadline range. max is also the starting (calm)
-  /// deadline; min is where batches stop amortizing dispatch (take it
-  /// from the deadline_sweep bench block).
-  int64_t min_batch_deadline_us = 50;
-  int64_t max_batch_deadline_us = 1000;
-  /// Multiplicative deadline cut on an overloaded tick, in (0, 1).
-  double deadline_backoff = 0.5;
-  /// Additive deadline recovery per calm tick, microseconds.
-  int64_t deadline_recover_us = 100;
-  /// Pending-queue depth (open + closed-but-undrained queries) that marks
-  /// a tick overloaded even before waits blow past the SLO.
-  size_t shed_depth = 256;
-  /// Depth at or below which a tick counts as calm (hysteresis low
-  /// watermark; must be <= shed_depth).
-  size_t resume_depth = 64;
-  /// Depth that escalates straight to the top shedding level: waits are
-  /// already unsalvageable, protect the queue itself.
-  size_t panic_depth = 4096;
-  /// Consecutive overloaded ticks before the shed level rises one step.
-  int trip_ticks = 2;
-  /// Consecutive calm ticks before the shed level drops one step.
-  int release_ticks = 4;
-  /// DeadlineBudget settle-cap multiplier applied at level >= 2 (see
-  /// ServingRouter::SetBudgetScale): degraded-but-correct answers buy
-  /// capacity before interactive queries are shed.
-  double degraded_budget_scale = 0.25;
-};
-
 /// One control tick's worth of serving-stack signals, all on the
 /// injected clock so a scripted sequence reproduces bit-identical
 /// control decisions under ManualClock.
@@ -65,7 +29,7 @@ struct OverloadObservation {
 
 /// What the serving stack should do until the next tick. Levels compose
 /// cumulatively — each keeps everything the previous level did:
-///   0  nominal: full deadline recovery toward max_batch_deadline_us;
+///   0  nominal: full deadline recovery toward kMaxBatchDeadlineUs;
 ///   1  shed kBulk at admission;
 ///   2  + scale the DeadlineBudget settle cap down (serve degraded);
 ///   3  + shed kInteractive too (queue protection of last resort).
@@ -87,10 +51,17 @@ struct OverloadDecision {
 ///
 /// Control law: AIMD on the batch deadline (multiplicative cut while
 /// overloaded, additive recovery while calm) plus a hysteresis ladder of
-/// shed levels — `trip_ticks` consecutive overloaded ticks raise the
-/// level, `release_ticks` calm ticks lower it, and `panic_depth` jumps
+/// shed levels — kTripTicks consecutive overloaded ticks raise the
+/// level, kReleaseTicks calm ticks lower it, and the panic depth jumps
 /// straight to the top. Bulk always sheds a full level before
 /// interactive, which is the per-class QoS contract.
+///
+/// The one setting is the shed depth: the pending-queue depth (open +
+/// closed-but-undrained queries) that marks a tick overloaded even before
+/// waits blow past the SLO. It is the value that depends on the host's
+/// measured capacity. A tick at or below shed/4 (the resume depth) counts
+/// as calm, and 2 x shed (the panic depth) escalates straight to level 3.
+/// Every other parameter is a constant below.
 ///
 /// Determinism: Tick is a pure function of the observation sequence (no
 /// clock reads, no randomness), so any arrival script replayed on
@@ -113,7 +84,34 @@ class OverloadController {
     int64_t batch_deadline_us = 0;
   };
 
-  explicit OverloadController(const OverloadControllerOptions& options = {});
+  /// Tick length on the injected clock; the stream batcher feeds one
+  /// OverloadObservation per tick. Small next to the SLO, because it
+  /// bounds the flood a level drop can re-admit before the next tick.
+  static constexpr int64_t kControlPeriodUs = 2'000;
+  /// SLO bound on the interactive drain-wait p99 (submit -> drain start,
+  /// backlog included). A tick whose observed p99 exceeds it is
+  /// overloaded; one at or under half of it may count as calm.
+  static constexpr int64_t kSloQueueWaitUs = 50'000;
+  /// Adaptive batch-deadline range. The max is also the starting (calm)
+  /// deadline; the min is where batches stop amortizing dispatch (the
+  /// deadline_sweep bench block).
+  static constexpr int64_t kMinBatchDeadlineUs = 100;
+  static constexpr int64_t kMaxBatchDeadlineUs = 1'000;
+  /// Multiplicative deadline cut on an overloaded tick.
+  static constexpr double kDeadlineBackoff = 0.5;
+  /// Additive deadline recovery per calm tick.
+  static constexpr int64_t kDeadlineRecoverUs = 100;
+  /// Consecutive overloaded ticks before the shed level rises one step.
+  static constexpr int kTripTicks = 1;
+  /// Consecutive calm ticks before the shed level drops one step.
+  static constexpr int kReleaseTicks = 3;
+  /// DeadlineBudget settle-cap multiplier applied at level >= 2 (see
+  /// ServingRouter::SetBudgetScale): degraded-but-correct answers buy
+  /// capacity before interactive queries are shed.
+  static constexpr double kDegradedBudgetScale = 0.25;
+
+  /// `shed_depth` >= 1 (see the class comment).
+  explicit OverloadController(size_t shed_depth);
 
   /// Consumes one tick's observation and returns the decision to apply
   /// until the next tick.
@@ -123,16 +121,17 @@ class OverloadController {
   OverloadDecision Current() const L2R_EXCLUDES(mu_);
 
   Stats GetStats() const L2R_EXCLUDES(mu_);
-  const OverloadControllerOptions& options() const { return options_; }
 
  private:
   OverloadDecision DecisionLocked() const L2R_REQUIRES(mu_);
 
-  const OverloadControllerOptions options_;
+  const size_t shed_depth_;
+  const size_t resume_depth_;
+  const size_t panic_depth_;
 
   mutable Mutex mu_;
   int level_ L2R_GUARDED_BY(mu_) = 0;
-  int64_t batch_deadline_us_ L2R_GUARDED_BY(mu_);
+  int64_t batch_deadline_us_ L2R_GUARDED_BY(mu_) = kMaxBatchDeadlineUs;
   int overload_streak_ L2R_GUARDED_BY(mu_) = 0;
   int calm_streak_ L2R_GUARDED_BY(mu_) = 0;
   uint64_t ticks_ L2R_GUARDED_BY(mu_) = 0;

@@ -1,11 +1,29 @@
 #include "serve/route_cache.h"
 
-#include <algorithm>
 #include <bit>
 
-#include "common/hash.h"
-
 namespace l2r {
+
+namespace {
+
+/// Total byte budget across shards; eviction is per-shard LRU within an
+/// equal share.
+constexpr size_t kCapacityBytes = 8u << 20;
+/// Lock-striping width (a power of two: shard selection masks the hash).
+constexpr size_t kNumShards = 16;
+/// Seqlock hot slots per shard (a power of two: HotIndex masks the hash).
+constexpr size_t kHotSlotsPerShard = 64;
+constexpr size_t kShardCapacity = kCapacityBytes / kNumShards;
+static_assert(std::has_single_bit(kNumShards));
+static_assert(std::has_single_bit(kHotSlotsPerShard));
+
+size_t HotIndex(uint64_t hash) {
+  // Shard selection eats the low bits; index slots with higher ones so
+  // the two mappings decorrelate.
+  return (hash >> 20) & (kHotSlotsPerShard - 1);
+}
+
+}  // namespace
 
 uint64_t RouteCache::HashKey(const RouteCacheKey& key) {
   return static_cast<uint64_t>(QueryKeyHash{}(key));
@@ -28,26 +46,23 @@ bool RouteCache::EntryValid(const Entry& e) const {
   return true;
 }
 
-RouteCache::RouteCache(const RouteCacheOptions& options) {
-  const size_t shards =
-      RoundUpPow2(std::max<size_t>(1, options.num_shards));
-  hot_slots_ = options.hot_slots_per_shard == 0
-                   ? 0
-                   : RoundUpPow2(options.hot_slots_per_shard);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
+RouteCache::RouteCache() {
+  shards_.reserve(kNumShards);
+  for (size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    if (hot_slots_ != 0) {
-      shards_.back()->hot = std::make_unique<HotSlot[]>(hot_slots_);
-    }
+    shards_.back()->hot = std::make_unique<HotSlot[]>(kHotSlotsPerShard);
   }
-  shard_capacity_ = options.capacity_bytes / shards;
+}
+
+size_t RouteCache::CapacityBytes() { return kCapacityBytes; }
+
+RouteCache::Shard& RouteCache::ShardFor(uint64_t hash) {
+  return *shards_[hash & (kNumShards - 1)];
 }
 
 bool RouteCache::HotLookup(Shard& shard, const RouteCacheKey& key,
                            uint64_t hash, RouteResult* out,
                            WorldEpoch* epoch_out) {
-  if (hot_slots_ == 0) return false;
   HotSlot& slot = shard.hot[HotIndex(hash)];
   const SeqLock::Seq begin = slot.seq.ReadBegin();
   if (!SeqLock::Stable(begin)) return false;  // write in progress
@@ -112,7 +127,6 @@ bool RouteCache::HotLookup(Shard& shard, const RouteCacheKey& key,
 }
 
 void RouteCache::HotPublish(Shard& shard, uint64_t hash, const Entry& e) {
-  if (hot_slots_ == 0) return;
   HotSlot& slot = shard.hot[HotIndex(hash)];
   const size_t num_path = e.result.path.vertices.size();
   const size_t num_regions = e.regions.size();
@@ -159,7 +173,6 @@ void RouteCache::HotPublish(Shard& shard, uint64_t hash, const Entry& e) {
 
 void RouteCache::HotErase(Shard& shard, uint64_t hash,
                           const RouteCacheKey& key) {
-  if (hot_slots_ == 0) return;
   HotSlot& slot = shard.hot[HotIndex(hash)];
   // Under shard.mu we are the only writer, so these relaxed loads see
   // the slot's true contents (readers never write; order via seqlock).
@@ -239,13 +252,13 @@ void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
-  if (bytes > shard_capacity_) {
+  if (bytes > kShardCapacity) {
     // Never cached — and the slot must not keep advertising an older
     // stamp of this key either.
     HotErase(shard, hash, key);
     return;
   }
-  while (shard.bytes + bytes > shard_capacity_ && !shard.lru.empty()) {
+  while (shard.bytes + bytes > kShardCapacity && !shard.lru.empty()) {
     auto& victim = shard.lru.back();
     shard.bytes -= EntryCharge(victim);
     HotErase(shard, HashKey(victim.key), victim.key);
@@ -258,12 +271,6 @@ void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
   shard.bytes += bytes;
   ++shard.inserts;
   HotPublish(shard, hash, *shard.lru.begin());
-}
-
-void RouteCache::ExtractInvalid(std::vector<StaleEntry>* out) {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ExtractInvalidShard(i, out);
-  }
 }
 
 void RouteCache::ExtractInvalidShard(size_t shard_idx,
@@ -291,7 +298,7 @@ void RouteCache::Clear() {
     shard->lru.clear();
     shard->map.clear();
     shard->bytes = 0;
-    for (size_t i = 0; i < hot_slots_; ++i) {
+    for (size_t i = 0; i < kHotSlotsPerShard; ++i) {
       HotSlot& slot = shard->hot[i];
       const SeqLock::Seq odd = slot.seq.WriteBegin();
       slot.used.store(0, std::memory_order_relaxed);

@@ -22,24 +22,11 @@ namespace l2r {
 /// departure times with L2RRouter::EffectivePeriod).
 using RouteCacheKey = QueryKey;
 
-struct RouteCacheOptions {
-  /// Total capacity across shards, in (approximate) bytes of cached
-  /// RouteResults. Eviction is per-shard LRU.
-  size_t capacity_bytes = 8u << 20;
-  /// Lock-striping width; rounded up to a power of two. More shards =
-  /// less contention, slightly worse per-shard LRU fidelity.
-  unsigned num_shards = 16;
-  /// Seqlock-published hot slots per shard (rounded up to a power of
-  /// two): a direct-mapped read-side table Lookup probes *without taking
-  /// the shard mutex*. 0 disables the hot path (every lookup locks),
-  /// which also restores exact LRU recency — hot hits never touch the
-  /// recency list (see Lookup).
-  unsigned hot_slots_per_shard = 64;
-};
-
 /// Sharded, mutex-striped LRU cache of complete RouteResults. Serves
 /// repeated (source, dest, period) queries without touching the search
-/// kernels.
+/// kernels. Sizing is fixed in route_cache.cc: 8 MiB of (approximate)
+/// RouteResult bytes over 16 lock stripes, each evicting LRU within its
+/// 512 KiB share, with 64 hot slots per stripe.
 ///
 /// Hot read path (scale-out serving): each shard additionally publishes
 /// its most-recently stored entries into a fixed, direct-mapped table of
@@ -52,17 +39,19 @@ struct RouteCacheOptions {
 /// Writers (insert, locked-path hit promotion, invalidation, eviction,
 /// Clear) update the slots under the shard mutex, which is exactly the
 /// external writer serialization SeqLock requires. A hot hit does NOT
-/// touch LRU recency — recency becomes approximate when the hot path is
-/// enabled (set hot_slots_per_shard = 0 where exact LRU order matters).
+/// touch LRU recency, so recency is approximate for entries small enough
+/// to inline; an entry too large for a slot (more than 64 path vertices
+/// or 8 footprint regions) only ever hits on the locked path, in exact
+/// LRU order.
 ///
 /// Dynamic world: each entry carries the WorldEpoch it was computed on
 /// plus its region footprint (RouteRegionFootprint). When a world view is
 /// attached (SetWorld), Lookup validates the entry against the world's
 /// per-region dirty table and treats a stale entry as a miss, erasing it
 /// in place — invalidation is *selective* and lazy, never a wholesale
-/// flush. ExtractInvalid sweeps stale entries out eagerly so the repair
-/// pass (world/RouteRepairer) can re-route them. Without a world attached
-/// entries never go stale (the frozen-world seed behavior).
+/// flush. ExtractInvalidShard sweeps stale entries out eagerly so the
+/// repair pass (world/RouteRepairer) can re-route them. Without a world
+/// attached entries never go stale (the frozen-world seed behavior).
 ///
 /// Every insert is admitted, budget-degraded results included: the
 /// degrade tag travels in the cached value (RouteResult::budget_degraded),
@@ -84,20 +73,20 @@ class RouteCache {
     uint64_t inserts = 0;
     uint64_t evictions = 0;
     /// Entries dropped because a later epoch dirtied their footprint
-    /// (lazy at Lookup or eager via ExtractInvalid).
+    /// (lazy at Lookup or eager via ExtractInvalidShard).
     uint64_t invalidated = 0;
     size_t entries = 0;
     size_t bytes = 0;
   };
 
-  /// A stale entry removed by ExtractInvalid: the key to re-route and the
-  /// stale result that seeds the repair pass's bounded re-search.
+  /// A stale entry removed by ExtractInvalidShard: the key to re-route
+  /// and the stale result that seeds the repair pass's bounded re-search.
   struct StaleEntry {
     RouteCacheKey key;
     RouteResult stale;
   };
 
-  explicit RouteCache(const RouteCacheOptions& options = {});
+  RouteCache();
 
   /// Attaches the dynamic-world view entries are validated against.
   /// Must be called before concurrent use (not synchronized itself); pass
@@ -123,15 +112,12 @@ class RouteCache {
   void Insert(const RouteCacheKey& key, const RouteResult& value,
               WorldEpoch epoch = 0, std::vector<RegionId> regions = {});
 
-  /// Removes every entry whose footprint was dirtied after its epoch and
-  /// appends them to `*out` (any order). Used by the repair pass to turn
-  /// lazy invalidation into an explicit re-route work list.
-  void ExtractInvalid(std::vector<StaleEntry>* out);
-
-  /// Per-shard variant of ExtractInvalid for partitioned background
-  /// repair (world/RouteRepairer::BackgroundTick): sweeps only shard
-  /// `shard_idx` (< NumShards()), so N repair workers pinned to disjoint
-  /// shard sets never contend on the same stripe.
+  /// Removes every entry of shard `shard_idx` (< NumShards()) whose
+  /// footprint was dirtied after its epoch and appends them to `*out`,
+  /// most recently used first. The repair pass (world/RouteRepairer) turns lazy
+  /// invalidation into an explicit re-route work list this way, one
+  /// shard at a time, so repair workers pinned to disjoint shard sets
+  /// never contend on the same stripe.
   void ExtractInvalidShard(size_t shard_idx, std::vector<StaleEntry>* out);
 
   void Clear();
@@ -140,8 +126,10 @@ class RouteCache {
   /// consistent-per-shard snapshot.
   Stats GetStats() const;
 
+  /// Lock stripes; a key lives in shard QueryKeyHash{}(key) % NumShards().
   size_t NumShards() const { return shards_.size(); }
-  size_t CapacityBytes() const { return shards_.size() * shard_capacity_; }
+  /// Total byte budget across shards (each shard evicts within its share).
+  static size_t CapacityBytes();
 
   /// Approximate heap footprint of one cached entry (used for the byte
   /// budget; exposed so tests can reason about eviction thresholds).
@@ -205,9 +193,9 @@ class RouteCache {
     uint64_t inserts L2R_GUARDED_BY(mu) = 0;
     uint64_t evictions L2R_GUARDED_BY(mu) = 0;
     uint64_t invalidated L2R_GUARDED_BY(mu) = 0;
-    /// Seqlock read path (null when hot_slots_per_shard == 0). Slots are
-    /// written under mu but deliberately not GUARDED_BY it: readers
-    /// access them lock-free by design, mediated by each slot's SeqLock.
+    /// Seqlock read path. Slots are written under mu but deliberately not
+    /// GUARDED_BY it: readers access them lock-free by design, mediated
+    /// by each slot's SeqLock.
     std::unique_ptr<HotSlot[]> hot;
     /// Pure tally of lock-free hits (relaxed: nothing is published
     /// through it; common/thread_annotations.h has the rationale).
@@ -239,21 +227,11 @@ class RouteCache {
   void HotErase(Shard& shard, uint64_t hash, const RouteCacheKey& key)
       L2R_REQUIRES(shard.mu);
 
-  Shard& ShardFor(uint64_t hash) {
-    return *shards_[hash & (shards_.size() - 1)];
-  }
-  size_t HotIndex(uint64_t hash) const {
-    // Shard selection eats the low bits; index slots with higher ones so
-    // the two mappings decorrelate.
-    return (hash >> 20) & (hot_slots_ - 1);
-  }
+  Shard& ShardFor(uint64_t hash);
 
   /// Shards are heap-allocated: mutexes are neither movable nor copyable,
   /// and a stable address per shard keeps iterators/locks simple.
   std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_capacity_ = 0;
-  /// Hot slots per shard (power of two; 0 = hot path disabled).
-  size_t hot_slots_ = 0;
   /// Set once at configure time, read on every Lookup (see SetWorld).
   const WorldViewIface* world_ = nullptr;
 };

@@ -8,12 +8,10 @@ ServingRouter::ServingRouter(const L2RRouter* router,
                              const ServingRouterOptions& options)
     : router_(router), budget_(options.deadline), world_(options.world) {
   L2R_CHECK(router != nullptr);
-  if (options.enable_route_cache) {
-    cache_ = std::make_unique<RouteCache>(options.route_cache);
+  if (options.enable_cache) {
+    cache_ = std::make_unique<RouteCache>();
     cache_->SetWorld(world_);
-  }
-  if (options.enable_stitch_memo) {
-    memo_ = std::make_unique<StitchMemo>(options.stitch_memo);
+    memo_ = std::make_unique<StitchMemo>();
     if (world_ != nullptr) {
       // The memo's invalidation sweep resolves stored path vertices to
       // regions at sweep time (see StitchMemo::InvalidateRegions).

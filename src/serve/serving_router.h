@@ -13,10 +13,9 @@
 namespace l2r {
 
 struct ServingRouterOptions {
-  bool enable_route_cache = true;
-  RouteCacheOptions route_cache;
-  bool enable_stitch_memo = true;
-  StitchMemoOptions stitch_memo;
+  /// The RouteCache in front of the cold path plus the StitchMemo inside
+  /// it; false serves every query cold.
+  bool enable_cache = true;
   DeadlineBudgetOptions deadline;
   /// Dynamic world view (world/WorldUpdateChannel), or null for the
   /// frozen-world seed behavior. When set, every query runs under a read
@@ -78,7 +77,7 @@ class ServingRouter final : public QueryService {
 
   /// Overload-control seam: rescales the deadline budget's settle cap to
   /// `scale` (see DeadlineBudget::ScaledSettleCap: above 1 is the plain
-  /// cap, NaN or <= 0 the min_settles floor; no-op when the budget is
+  /// cap, NaN or <= 0 the kMinSettles floor; no-op when the budget is
   /// disabled).
   /// Wire it to StreamOptions::budget_sink so the controller can trade
   /// route fidelity for capacity at level >= 2. Safe from any thread;
@@ -93,9 +92,6 @@ class ServingRouter final : public QueryService {
     return settle_cap_.load(std::memory_order_relaxed);
   }
 
-  bool cache_enabled() const { return cache_ != nullptr; }
-  bool memo_enabled() const { return memo_ != nullptr; }
-  const DeadlineBudget& deadline_budget() const { return budget_; }
   WorldViewIface* world() const { return world_; }
   /// The repair pass (world/RouteRepairer) sweeps + reinserts here; null
   /// when the cache is disabled.

@@ -1,6 +1,7 @@
 #include "serve/stitch_memo.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -8,6 +9,13 @@
 namespace l2r {
 
 namespace {
+
+/// Total byte budget across shards and periods.
+constexpr size_t kCapacityBytes = 4u << 20;
+/// Lock-striping width (a power of two: shard selection masks the hash).
+constexpr size_t kNumShards = 16;
+constexpr size_t kShardCapacity = kCapacityBytes / kNumShards;
+static_assert(std::has_single_bit(kNumShards));
 
 uint64_t PackPair(VertexId a, VertexId b) {
   return (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b);
@@ -22,16 +30,18 @@ size_t StitchMemo::EdgeKeyHash::operator()(const EdgeKey& k) const {
 
 size_t StitchMemo::PathBytes(const std::vector<VertexId>& path) {
   constexpr size_t kNodeOverhead = 80;
-  return path.capacity() * sizeof(VertexId) + kNodeOverhead;
+  return path.size() * sizeof(VertexId) + kNodeOverhead;
 }
 
-StitchMemo::StitchMemo(const StitchMemoOptions& options) {
-  const size_t shards = RoundUpPow2(std::max<size_t>(1, options.num_shards));
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
+StitchMemo::StitchMemo() {
+  shards_.reserve(kNumShards);
+  for (size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shard_capacity_ = options.capacity_bytes / shards;
+}
+
+StitchMemo::Shard& StitchMemo::ShardAt(size_t hash) const {
+  return *shards_[hash & (kNumShards - 1)];
 }
 
 bool StitchMemo::FindEdgeChoice(int period_index, uint32_t edge, VertexId cur,
@@ -60,7 +70,7 @@ void StitchMemo::RememberEdgeChoice(int period_index, uint32_t edge,
   const size_t bytes = PathBytes(path);
   Shard& shard = ShardAt(EdgeKeyHash{}(key));
   MutexLock lock(shard.mu);
-  if (shard.bytes + bytes > shard_capacity_) {
+  if (shard.bytes + bytes > kShardCapacity) {
     ++shard.rejected_full;
     return;
   }
@@ -94,7 +104,7 @@ void StitchMemo::RememberConnector(int period_index, VertexId from,
   const size_t bytes = PathBytes(path);
   Shard& shard = ShardAt(static_cast<size_t>(Mix64(key)));
   MutexLock lock(shard.mu);
-  if (shard.bytes + bytes > shard_capacity_) {
+  if (shard.bytes + bytes > kShardCapacity) {
     ++shard.rejected_full;
     return;
   }

@@ -13,15 +13,6 @@
 
 namespace l2r {
 
-struct StitchMemoOptions {
-  /// Total byte budget across shards and periods. The memo is insert-only
-  /// (values are recomputable, so a full memo simply stops growing rather
-  /// than paying eviction bookkeeping on the hot path).
-  size_t capacity_bytes = 4u << 20;
-  /// Lock-striping width; rounded up to a power of two.
-  unsigned num_shards = 16;
-};
-
 /// Concurrent memo for the region-path stitcher: remembers (1) which
 /// stored path BestEdgePath chose for (region edge, entry vertex, query
 /// destination) — skipping the scan that resolves every stored path of
@@ -32,6 +23,11 @@ struct StitchMemoOptions {
 /// Values are pure functions of the immutable router state, so hits are
 /// byte-identical to recomputation (the determinism contract of
 /// StitchMemoIface). Find copies the value out under the shard lock.
+///
+/// The memo is insert-only within a 4 MiB budget over 16 lock stripes
+/// (constants in stitch_memo.cc): values are recomputable, so a full
+/// stripe turns inserts away (Stats::rejected_full) rather than paying
+/// eviction bookkeeping on the hot path.
 class StitchMemo final : public StitchMemoIface {
  public:
   struct Stats {
@@ -46,7 +42,7 @@ class StitchMemo final : public StitchMemoIface {
     size_t bytes = 0;
   };
 
-  explicit StitchMemo(const StitchMemoOptions& options = {});
+  StitchMemo();
 
   /// Attaches the vertex-to-region resolver InvalidateRegions uses to
   /// compute a stored path's footprint at sweep time (memo entries do not
@@ -108,17 +104,15 @@ class StitchMemo final : public StitchMemoIface {
     uint64_t invalidated L2R_GUARDED_BY(mu) = 0;
   };
 
+  /// Byte charge of a stored path. It counts size(), not capacity():
+  /// the stored copy's capacity is its size, whatever slack the caller's
+  /// vector carries, so a Remember charge equals the refund its entry
+  /// gets at invalidation.
   static size_t PathBytes(const std::vector<VertexId>& path);
 
-  const Shard& ShardAt(size_t hash) const {
-    return *shards_[hash & (shards_.size() - 1)];
-  }
-  Shard& ShardAt(size_t hash) {
-    return *shards_[hash & (shards_.size() - 1)];
-  }
+  Shard& ShardAt(size_t hash) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_capacity_ = 0;
   /// Set once at configure time (see SetRegionResolver).
   RegionResolver resolver_;
 };

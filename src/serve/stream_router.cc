@@ -25,54 +25,36 @@ int64_t BatchDeadline(int64_t now, int64_t batch_deadline_us) {
 StreamRouter::StreamRouter(const L2RRouter* router,
                            const StreamOptions& options)
     : options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Shared()),
-      controller_(options.overload),
       batch_router_(router,
                     BatchRouterOptions{options.num_threads, options.dedup}) {
-  L2R_CHECK(options_.max_batch >= 1);
-  L2R_CHECK(options_.num_drain_threads >= 1);
-  L2R_CHECK(options_.batch_deadline_us >= 0);
-  dyn_deadline_us_ = controller_ != nullptr
-                         ? controller_->options().max_batch_deadline_us
-                         : options_.batch_deadline_us;
-  // The first tick is anchored to construction time, before any batcher
-  // starts: anchoring it on a batcher thread instead would race thread
-  // startup against the first clock advance under ManualClock, making
-  // the first tick's timing scheduling-dependent.
-  if (controller_ != nullptr) {
-    next_tick_us_ =
-        clock_->NowMicros() + controller_->options().control_period_us;
-  }
-  StartBatchers();
+  Start();
 }
 
 StreamRouter::StreamRouter(QueryService* service,
                            const StreamOptions& options)
     : options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Shared()),
-      controller_(options.overload),
       batch_router_(service,
                     BatchRouterOptions{options.num_threads, options.dedup}) {
-  L2R_CHECK(options_.max_batch >= 1);
-  L2R_CHECK(options_.num_drain_threads >= 1);
-  L2R_CHECK(options_.batch_deadline_us >= 0);
-  dyn_deadline_us_ = controller_ != nullptr
-                         ? controller_->options().max_batch_deadline_us
-                         : options_.batch_deadline_us;
-  // The first tick is anchored to construction time, before any batcher
-  // starts: anchoring it on a batcher thread instead would race thread
-  // startup against the first clock advance under ManualClock, making
-  // the first tick's timing scheduling-dependent.
-  if (controller_ != nullptr) {
-    next_tick_us_ =
-        clock_->NowMicros() + controller_->options().control_period_us;
-  }
-  StartBatchers();
+  Start();
 }
 
-void StreamRouter::StartBatchers() {
+void StreamRouter::Start() {
+  L2R_CHECK(options_.num_drain_threads >= 1);
+  L2R_CHECK(options_.batch_deadline_us >= 0);
+  {
+    MutexLock guard(mu_);
+    dyn_deadline_us_ = controller_ != nullptr
+                           ? OverloadController::kMaxBatchDeadlineUs
+                           : options_.batch_deadline_us;
+    // The first tick is anchored to construction time, before any batcher
+    // starts: anchoring it on a batcher thread instead would race thread
+    // startup against the first clock advance under ManualClock, making
+    // the first tick's timing scheduling-dependent.
+    if (controller_ != nullptr) {
+      next_tick_us_ =
+          clock_->NowMicros() + OverloadController::kControlPeriodUs;
+    }
+  }
   // Batcher threads read drain_threads() (the immutable option), never
   // batchers_, which this loop is still appending to while they run.
   const unsigned n = options_.num_drain_threads;
@@ -105,7 +87,7 @@ bool StreamRouter::Submit(const BatchQuery& query, StreamCallback done) {
       }
       open_.push_back(Pending{query, std::move(done), now});
       bool closed = false;
-      if (open_.size() >= options_.max_batch) {
+      if (open_.size() >= kMaxBatch) {
         // Size closes happen here, not on the batcher, so batch
         // composition is a pure function of the submission sequence: the
         // submit that fills a batch always closes it, and the next submit
@@ -219,7 +201,7 @@ OverloadDecision StreamRouter::ControllerTickLocked() {
   // long drain the clock may be many periods ahead, and one fresh
   // observation is worth more than a burst of catch-up ticks over the
   // same starved accumulators.
-  next_tick_us_ = obs.now_us + controller_->options().control_period_us;
+  next_tick_us_ = obs.now_us + OverloadController::kControlPeriodUs;
   return decision;
 }
 
@@ -287,15 +269,7 @@ void StreamRouter::BatcherLoop(unsigned worker) {
       continue;
     }
     if (stopping_) {
-      if (options_.shutdown == StreamShutdownPolicy::kFlush) {
-        CloseOpenLocked(CloseReason::kShutdown, clock_->NowMicros());
-      } else {
-        std::vector<Pending> pending = std::move(open_);
-        open_.clear();
-        lock.Unlock();
-        FailPending(std::move(pending));
-        lock.Lock();
-      }
+      CloseOpenLocked(CloseReason::kShutdown, clock_->NowMicros());
       continue;
     }
     if (clock_->NowMicros() >= open_deadline_us_) {
@@ -353,16 +327,6 @@ StreamRouter::DrainOutcome StreamRouter::DrainBatch(ClosedBatch batch) {
   return outcome;
 }
 
-void StreamRouter::FailPending(std::vector<Pending> pending) {
-  for (Pending& p : pending) {
-    StreamResult out;
-    out.result = Result<RouteResult>(
-        Status::FailedPrecondition("stream router shut down before batch"));
-    p.done(out);
-    failed_on_shutdown_.fetch_add(1, std::memory_order_release);
-  }
-}
-
 StreamRouter::Stats StreamRouter::GetStats() const {
   Stats stats;
   // Sampled before mu_: the service keeps its own thread-safe counters
@@ -372,8 +336,6 @@ StreamRouter::Stats StreamRouter::GetStats() const {
     stats.epoch_serves = service->GetEpochServeCounts();
   }
   stats.completed = completed_.load(std::memory_order_acquire);
-  stats.failed_on_shutdown =
-      failed_on_shutdown_.load(std::memory_order_acquire);
   for (size_t c = 0; c < kNumQueryClasses; ++c) {
     stats.completed_by_class[c] =
         completed_by_class_[c].load(std::memory_order_relaxed);

@@ -20,24 +20,12 @@
 
 namespace l2r {
 
-/// How a StreamRouter disposes of queries still queued when Shutdown()
-/// (or the destructor) runs. Either way every accepted query gets its
-/// callback exactly once — shutdown never hangs and never drops one.
-enum class StreamShutdownPolicy : uint8_t {
-  /// Route the remaining queries as one final (shutdown-closed) batch.
-  kFlush,
-  /// Fail each remaining callback with FailedPrecondition immediately.
-  kFail,
-};
-
 struct StreamOptions {
-  /// Close the open batch as soon as it holds this many queries (>= 1).
-  size_t max_batch = 64;
   /// Close the open batch once its first query is this old (microseconds
-  /// on the injected clock), even when below max_batch. 0 closes a batch
-  /// as soon as the batcher observes any queued query. Ignored when
-  /// `overload` is set: the controller owns the deadline then, starting
-  /// from its max_batch_deadline_us.
+  /// on the injected clock), even when below StreamRouter::kMaxBatch. 0
+  /// closes a batch as soon as the batcher observes any queued query.
+  /// Ignored when `overload` is set: the controller owns the deadline
+  /// then, starting from OverloadController::kMaxBatchDeadlineUs.
   int64_t batch_deadline_us = 1000;
   /// Drain parallelism (BatchRouter threads); 0 = DefaultThreadCount().
   unsigned num_threads = 0;
@@ -53,14 +41,14 @@ struct StreamOptions {
   /// formed from bursty arrivals concentrate identical queries, the case
   /// dedup exists for.
   bool dedup = true;
-  StreamShutdownPolicy shutdown = StreamShutdownPolicy::kFlush;
   /// Time + wakeup seam (serve/clock.h); null = SystemClock::Shared().
   /// Must outlive the StreamRouter.
   Clock* clock = nullptr;
   /// Closed-loop overload control (serve/overload_controller.h); null =
   /// fixed knobs, no shedding. Must outlive the StreamRouter. The
   /// batcher thread feeds the controller one observation per
-  /// control_period_us on the injected clock and applies each decision:
+  /// OverloadController::kControlPeriodUs on the injected clock and
+  /// applies each decision:
   /// the batch deadline (to subsequently opened batches), admission
   /// shedding per QueryClass, and budget_scale through `budget_sink`.
   /// The controller's mutex is a leaf, so sharing one across routers is
@@ -91,9 +79,8 @@ struct StreamOptions {
 /// admission latency without side channels.
 struct StreamResult {
   Result<RouteResult> result{Status::Internal("not routed")};
-  /// 1-based sequence number of the closed batch (0 for callbacks failed
-  /// by StreamShutdownPolicy::kFail and for shed queries, which never
-  /// joined a batch).
+  /// 1-based sequence number of the closed batch (0 for shed queries,
+  /// which never joined a batch).
   uint64_t batch_seq = 0;
   size_t batch_size = 0;
   bool closed_by_deadline = false;
@@ -109,7 +96,7 @@ struct StreamResult {
   /// Submit -> drain start on the injected clock, clamped at 0. Unlike
   /// queue_wait_us this includes time the closed batch spent queued
   /// behind earlier drains — the backlog signal the overload controller
-  /// watches. 0 for shed and shutdown-failed callbacks.
+  /// watches. 0 for shed callbacks.
   int64_t drain_wait_us = 0;
 };
 
@@ -117,7 +104,7 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 
 /// Streaming front-end over the batch serving stack: accepts queries
 /// continuously via Submit, accumulates them into batches closed by
-/// whichever comes first of max_batch or the batch deadline, and drains
+/// whichever comes first of kMaxBatch or the batch deadline, and drains
 /// each closed batch through a BatchRouter (dedup) into the configured
 /// QueryService (cache + budget) — so all the batch-path machinery
 /// composes with arrival jitter.
@@ -130,8 +117,13 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 /// (bulk first), and the budget scale via budget_sink. A shed query's
 /// callback fires synchronously inside Submit with kResourceExhausted:
 /// the shutdown invariant (every accepted callback fires exactly once)
-/// extends to shedding, so submitted == completed + shed +
-/// failed_on_shutdown always reconciles.
+/// extends to shedding, so submitted == completed + shed always
+/// reconciles.
+///
+/// Shutdown (explicit or from the destructor) stops accepting queries,
+/// routes whatever is still queued as one final shutdown-closed batch,
+/// and joins the drain threads: it never hangs and never drops a
+/// callback.
 ///
 /// Threading: Submit is safe from any thread and never blocks on
 /// routing; size-triggered closes happen inside Submit (so batch
@@ -160,11 +152,16 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 /// observation sequence), so scripted overload scenarios replay exactly.
 class StreamRouter {
  public:
+  /// A batch closes as soon as it holds this many queries.
+  static constexpr size_t kMaxBatch = 64;
+
   struct Stats {
     uint64_t submitted = 0;  ///< accepted Submits, shed included
     uint64_t completed = 0;  ///< callbacks invoked with a routed result
     uint64_t rejected = 0;   ///< Submits refused after shutdown began
-    uint64_t failed_on_shutdown = 0;  ///< callbacks failed by kFail
+    /// Always 0: shutdown flushes every queued query. Kept for readers
+    /// that reconcile submitted == completed + shed + failed_on_shutdown.
+    uint64_t failed_on_shutdown = 0;
     uint64_t shed = 0;  ///< callbacks refused with kResourceExhausted
     uint64_t submitted_by_class[kNumQueryClasses] = {0, 0};
     uint64_t completed_by_class[kNumQueryClasses] = {0, 0};
@@ -198,16 +195,16 @@ class StreamRouter {
                         const StreamOptions& options = {});
   explicit StreamRouter(QueryService* service,
                         const StreamOptions& options = {});
-  /// Shutdown()s (flushing or failing queued queries per the policy).
+  /// Shutdown()s, flushing queued queries.
   ~StreamRouter();
 
   StreamRouter(const StreamRouter&) = delete;
   StreamRouter& operator=(const StreamRouter&) = delete;
 
   /// Enqueues one query; `done` fires exactly once — on the batcher
-  /// thread when its batch drains, on the calling thread with
-  /// kResourceExhausted when admission sheds it, or on shutdown per the
-  /// policy. Returns false — without invoking or keeping `done` — once
+  /// thread when its batch drains (the final shutdown batch included),
+  /// or on the calling thread with kResourceExhausted when admission
+  /// sheds it. Returns false — without invoking or keeping `done` — once
   /// shutdown began.
   bool Submit(const BatchQuery& query, StreamCallback done)
       L2R_EXCLUDES(mu_);
@@ -219,14 +216,12 @@ class StreamRouter {
   /// close while this blocks).
   StreamResult SubmitWait(const BatchQuery& query);
 
-  /// Stops accepting queries, disposes of queued ones per the shutdown
-  /// policy, and joins every batcher thread. Idempotent; must not be
-  /// called from a stream callback.
+  /// Stops accepting queries, routes queued ones as a final batch, and
+  /// joins every batcher thread. Idempotent; must not be called from a
+  /// stream callback.
   void Shutdown() L2R_EXCLUDES(mu_);
 
   Stats GetStats() const L2R_EXCLUDES(mu_);
-  const StreamOptions& options() const { return options_; }
-  const Clock& clock() const { return *clock_; }
   unsigned drain_threads() const { return options_.num_drain_threads; }
 
  private:
@@ -265,16 +260,17 @@ class StreamRouter {
   /// the same loop; the worker index only parameterizes background_work
   /// shard pinning.
   void BatcherLoop(unsigned worker) L2R_EXCLUDES(mu_);
-  /// Starts the drain threads (constructor tail, after state is ready).
-  void StartBatchers();
+  /// The constructors' shared body: checks the options, anchors the
+  /// first controller tick and starts the drain threads.
+  void Start();
   /// Runs with mu_ released: routing and callbacks never hold the lock.
   DrainOutcome DrainBatch(ClosedBatch batch) L2R_EXCLUDES(mu_);
-  /// Fails every pending callback with FailedPrecondition (kFail path).
-  void FailPending(std::vector<Pending> pending) L2R_EXCLUDES(mu_);
 
   const StreamOptions options_;
-  Clock* clock_;
-  OverloadController* controller_;  ///< null = overload control off
+  Clock* const clock_ = options_.clock != nullptr ? options_.clock
+                                                  : SystemClock::Shared();
+  /// Null = overload control off.
+  OverloadController* const controller_ = options_.overload;
   BatchRouter batch_router_;
 
   mutable Mutex mu_;
@@ -302,10 +298,10 @@ class StreamRouter {
   uint64_t tick_shed_ L2R_GUARDED_BY(mu_) = 0;
   uint64_t tick_degraded_ L2R_GUARDED_BY(mu_) = 0;
   std::vector<int64_t> tick_waits_ L2R_GUARDED_BY(mu_);
-  // Counters guarded by mu_ except completed_*/failed_on_shutdown_, which
-  // the drain path updates outside the lock (release order pairs with
-  // the acquire load in GetStats, so a caller that observed completed ==
-  // submitted also observes every callback's side effects).
+  // Counters guarded by mu_ except completed_*, which the drain path
+  // updates outside the lock (release order pairs with the acquire load
+  // in GetStats, so a caller that observed completed == submitted also
+  // observes every callback's side effects).
   uint64_t submitted_ L2R_GUARDED_BY(mu_) = 0;
   uint64_t rejected_ L2R_GUARDED_BY(mu_) = 0;
   uint64_t shed_ L2R_GUARDED_BY(mu_) = 0;
@@ -318,7 +314,6 @@ class StreamRouter {
   std::map<size_t, uint64_t> batch_size_hist_ L2R_GUARDED_BY(mu_);
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> completed_by_class_[kNumQueryClasses];
-  std::atomic<uint64_t> failed_on_shutdown_{0};
 
   /// Last member: threads start after the rest of the state is ready.
   std::vector<std::thread> batchers_;

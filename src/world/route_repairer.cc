@@ -44,54 +44,11 @@ RouteRepairer::RouteRepairer(ServingRouter* serving) : serving_(serving) {
   }
 }
 
-RouteRepairer::Report RouteRepairer::RepairAll() {
-  Report report;
-  // Pin the world: the epoch (and the weights repairs run against) cannot
-  // move mid-pass, so every reinserted stamp is consistent.
-  WorldReadPin pin(serving_->world());
-  report.epoch = pin.epoch();
-
-  std::vector<RouteCache::StaleEntry> stale;
-  serving_->route_cache()->ExtractInvalid(&stale);
-  // The wholesale pass covered every shard: record the sweep so idle
-  // background workers do not redundantly re-sweep this epoch (relaxed
-  // coordination epoch stores; rationale at the member).
-  for (size_t i = 0; i < num_shards_; ++i) {
-    shard_swept_epoch_[i].store(report.epoch, std::memory_order_relaxed);
-  }
-  report.candidates = stale.size();
-  if (stale.empty()) return report;
-  RepairEntries(stale, &report);
-  return report;
-}
+RouteRepairer::Report RouteRepairer::RepairAll() { return Sweep(0, 1); }
 
 bool RouteRepairer::BackgroundTick(unsigned worker, unsigned num_workers) {
-  if (num_workers == 0) num_workers = 1;
-  // Pin the world for the whole tick: sweep and re-routes all happen on
-  // one epoch, exactly like RepairAll.
-  WorldReadPin pin(serving_->world());
-  const WorldEpoch epoch = pin.epoch();
-
-  std::vector<RouteCache::StaleEntry> stale;
-  for (size_t s = worker; s < num_shards_; s += num_workers) {
-    // Relaxed coordination load/store (orders documented at the
-    // member): shard pinning means no *other worker* writes slot s; a
-    // concurrent RepairAll can, but any lost update only re-marks an
-    // epoch already swept, costing one redundant sweep of a clean
-    // shard — never a missed one.
-    if (shard_swept_epoch_[s].load(std::memory_order_relaxed) == epoch) {
-      continue;
-    }
-    serving_->route_cache()->ExtractInvalidShard(s, &stale);
-    // Relaxed coordination store (rationale at the member).
-    shard_swept_epoch_[s].store(epoch, std::memory_order_relaxed);
-  }
-  if (stale.empty()) return false;
-
-  Report report;
-  report.epoch = epoch;
-  report.candidates = stale.size();
-  RepairEntries(stale, &report);
+  const Report report = Sweep(worker, num_workers == 0 ? 1 : num_workers);
+  if (report.candidates == 0) return false;
   // Pure tallies, relaxed (common/thread_annotations.h rationale) —
   // except the pass count, bumped last with release: it publishes this
   // pass's tallies to GetBackgroundStats' acquire load.
@@ -103,6 +60,36 @@ bool RouteRepairer::BackgroundTick(unsigned worker, unsigned num_workers) {
   bg_settles_.fetch_add(report.repair_settles, std::memory_order_relaxed);
   bg_passes_.fetch_add(1, std::memory_order_release);
   return true;
+}
+
+RouteRepairer::Report RouteRepairer::Sweep(unsigned worker,
+                                           unsigned num_workers) {
+  // Pin the world for the whole sweep: the epoch (and the weights repairs
+  // run against) cannot move mid-pass, so every reinserted stamp is
+  // consistent.
+  WorldReadPin pin(serving_->world());
+  Report report;
+  report.epoch = pin.epoch();
+
+  std::vector<RouteCache::StaleEntry> stale;
+  for (size_t s = worker; s < num_shards_; s += num_workers) {
+    // Relaxed coordination load/store (orders documented at the
+    // member). A shard already swept on this epoch holds no stale entry:
+    // every insert since carries this epoch's stamp. Shard pinning means
+    // no *other worker* writes slot s; a concurrent RepairAll can, but
+    // any lost update only re-marks an epoch already swept, costing one
+    // redundant sweep of a clean shard — never a missed one.
+    if (shard_swept_epoch_[s].load(std::memory_order_relaxed) ==
+        report.epoch) {
+      continue;
+    }
+    serving_->route_cache()->ExtractInvalidShard(s, &stale);
+    // Relaxed coordination store (rationale at the member).
+    shard_swept_epoch_[s].store(report.epoch, std::memory_order_relaxed);
+  }
+  report.candidates = stale.size();
+  if (!stale.empty()) RepairEntries(stale, &report);
+  return report;
 }
 
 RouteRepairer::BackgroundStats RouteRepairer::GetBackgroundStats() const {

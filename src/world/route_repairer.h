@@ -26,15 +26,16 @@ namespace l2r {
 /// the uncapped search, which equals the serving-cap search; the final
 /// round is the serving-cap search).
 ///
-/// Two ways to run it:
-///  - RepairAll(): the synchronous wholesale pass — one caller sweeps
-///    every cache shard after an update batch (the update/maintenance
+/// Both entry points run one sweep: worker w of n sweeps the cache shards
+/// with index % n == w whose swept-epoch lags the current world epoch,
+/// then repairs what it swept.
+///  - RepairAll(): worker 0 of 1, i.e. every shard — the synchronous pass
+///    one caller runs after an update batch (the update/maintenance
 ///    thread). Not safe to overlap with itself.
 ///  - BackgroundTick(worker, num_workers): the scale-out folding — wire
 ///    it to StreamOptions::background_work so idle drain threads repair
 ///    the cache *while serving continues*. Shard ownership is pinned per
-///    worker (worker w owns the cache shards with index % num_workers ==
-///    w), so concurrent workers never sweep the same stripe, and a
+///    worker, so concurrent workers never sweep the same stripe, and the
 ///    per-shard swept-epoch table makes the no-work poll a handful of
 ///    relaxed loads. Safe to call concurrently from distinct workers.
 /// Either way, cost is measured in settled vertices (deterministic), so
@@ -66,7 +67,8 @@ class RouteRepairer {
   /// Sweeps every invalidated cache entry and re-routes it on the current
   /// epoch, reinserting the repaired result with its new stamp +
   /// footprint. Holds a world read pin throughout, so the epoch cannot
-  /// move mid-pass.
+  /// move mid-pass. Shards a BackgroundTick already swept on this epoch
+  /// hold nothing stale and are skipped.
   Report RepairAll();
 
   /// Background-drain variant (see the class comment): sweeps and
@@ -92,8 +94,12 @@ class RouteRepairer {
   BackgroundStats GetBackgroundStats() const;
 
  private:
-  /// Shared repair loop: re-routes `stale` on `report->epoch` (the
-  /// caller's pinned epoch) and reinserts, accumulating into `report`.
+  /// The one sweep (see the class comment): extracts the stale entries
+  /// of worker `worker`'s lagging shards under a world read pin and
+  /// repairs them.
+  Report Sweep(unsigned worker, unsigned num_workers);
+  /// Re-routes `stale` on `report->epoch` (the sweep's pinned epoch) and
+  /// reinserts, accumulating into `report`.
   void RepairEntries(std::vector<RouteCache::StaleEntry>& stale,
                      Report* report);
 

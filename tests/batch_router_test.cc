@@ -135,7 +135,6 @@ TEST_F(BatchRouterTest, DedupMatchesNonDedupByteForByte) {
 
   for (const unsigned threads : {1u, 4u}) {
     BatchRouter dedup(router_, BatchRouterOptions{threads, true});
-    EXPECT_TRUE(dedup.dedup_enabled());
     const auto got = dedup.RouteAll(batch);
     ASSERT_EQ(got.size(), batch.size());
     for (size_t i = 0; i < got.size(); ++i) {

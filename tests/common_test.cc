@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
-#include "common/csv.h"
 #include "common/result.h"
 #include "common/seqlock.h"
 #include "common/rng.h"
@@ -233,42 +231,6 @@ TEST(StringsTest, ParseIntStrict) {
   EXPECT_EQ(ParseInt(" -7 ").value(), -7);
   EXPECT_FALSE(ParseInt("42.5").ok());
   EXPECT_FALSE(ParseInt("x").ok());
-}
-
-// ---------- csv ----------
-
-TEST(CsvTest, ParseSimpleLine) {
-  const auto fields = ParseCsvLine("a,b,c");
-  EXPECT_EQ(fields, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(CsvTest, ParseQuotedFields) {
-  const auto fields = ParseCsvLine("\"a,b\",\"x\"\"y\",z");
-  EXPECT_EQ(fields, (std::vector<std::string>{"a,b", "x\"y", "z"}));
-}
-
-TEST(CsvTest, EscapeWhenNeeded) {
-  EXPECT_EQ(CsvEscape("plain"), "plain");
-  EXPECT_EQ(CsvEscape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvEscape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(CsvTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/l2r_csv_test.csv";
-  const std::vector<std::vector<std::string>> rows = {
-      {"1", "x,y", "line"}, {"2", "\"quoted\"", ""}};
-  ASSERT_TRUE(WriteCsvFile(path, {"id", "a", "b"}, rows).ok());
-  auto read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  ASSERT_EQ(read->size(), 3u);  // header + 2 rows
-  EXPECT_EQ((*read)[0], (std::vector<std::string>{"id", "a", "b"}));
-  EXPECT_EQ((*read)[1], rows[0]);
-  EXPECT_EQ((*read)[2], rows[1]);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, ReadMissingFileFails) {
-  EXPECT_FALSE(ReadCsvFile("/nonexistent/l2r.csv").ok());
 }
 
 // ---------- stats / timer ----------

@@ -132,16 +132,24 @@ TEST(WorkspacePoolStress, CrossThreadReturnContention) {
 // ---------------------------------------------------------------------------
 // RouteCache: concurrent Lookup/Insert churn across overlapping keys.
 
+/// Eviction pressure for the cache hammers: inserts a key no one looks
+/// up, unique per (thread, op), with a 4 KiB path. The hammers spend
+/// every other op on it: 12k-16k such inserts, several times the 8 MiB
+/// cache, so eviction runs throughout and evicts the looked-up keys too.
+void InsertChurnKey(RouteCache& cache, int thread, int op,
+                    WorldEpoch epoch = 0, std::vector<RegionId> regions = {}) {
+  const VertexId s = static_cast<VertexId>(1000 + thread * 10'000 + op);
+  cache.Insert(RouteCacheKey{s, s + 1, 0}, MakeResult(s, 1000), epoch,
+               std::move(regions));
+}
+
 TEST(RouteCacheStress, ConcurrentLookupInsertChurn) {
   // Every key has exactly one correct value (a pure function of the key),
   // mirroring the production contract that admission and eviction change
   // *which* keys hit, never the bytes a hit returns. Any torn read or
   // cross-key mixup is a hard failure; TSan additionally checks the
   // shard-striping locking underneath.
-  RouteCacheOptions options;
-  options.num_shards = 4;  // fewer shards than threads: force contention
-  options.capacity_bytes = 64u << 10;  // small: eviction churn is constant
-  RouteCache cache(options);
+  RouteCache cache;
   constexpr VertexId kKeySpace = 64;
   constexpr int kOpsPerThread = 4000;
   std::atomic<uint64_t> wrong_bytes{0};
@@ -150,6 +158,10 @@ TEST(RouteCacheStress, ConcurrentLookupInsertChurn) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
+        if (i % 2 == 1) {
+          InsertChurnKey(cache, t, i);
+          continue;
+        }
         const VertexId s =
             static_cast<VertexId>((i * 31 + t * 17) % kKeySpace);
         const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
@@ -170,15 +182,16 @@ TEST(RouteCacheStress, ConcurrentLookupInsertChurn) {
   EXPECT_EQ(wrong_bytes.load(std::memory_order_acquire), 0u);
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_LE(stats.bytes, cache.CapacityBytes());
+            static_cast<uint64_t>(kThreads) * kOpsPerThread / 2);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, RouteCache::CapacityBytes());
 }
 
 // ---------------------------------------------------------------------------
 // RouteCache hot path: seqlock torn-read hammer on one slot.
 
 TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
-  // One shard, one key, hence one hot slot: the writer republishes it
+  // One key, hence one shard and one hot slot: the writer republishes it
   // with epoch-derived payloads (varying length, cost, vertices) while 7
   // readers hammer Lookup. The seqlock contract under fire: a reader
   // observes a fully settled (key, stamp, payload) triple — the payload
@@ -186,9 +199,7 @@ TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
   // the locked map. A mixed entry (fields from two publishes) is a hard
   // failure here and, because the payload fields are relaxed atomics
   // under the fence protocol, a data race under TSan.
-  RouteCacheOptions options;
-  options.num_shards = 1;
-  RouteCache cache(options);
+  RouteCache cache;
   const RouteCacheKey key{7, 9, 1};
   auto versioned = [](WorldEpoch v) {
     return MakeResult(static_cast<VertexId>(v % 997),
@@ -298,18 +309,15 @@ class AtomicWorld final : public WorldViewIface {
 };
 
 TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
-  // 6 worker threads churn Insert/Lookup through a cache small enough to
-  // evict constantly while 2 bumper threads dirty regions, so selective
-  // invalidation races both hits and evictions. Two contracts under
-  // fire, checked value-level here and lock-level under TSan:
+  // 6 worker threads churn Insert/Lookup through a cache that evicts
+  // constantly (InsertChurnKey) while 2 bumper threads dirty regions, so
+  // selective invalidation races both hits and evictions. Two contracts
+  // under fire, checked value-level here and lock-level under TSan:
   //  - a hit's bytes are a pure function of its key (no torn entries);
   //  - no hit is served from an entry whose footprint was already dirty
   //    past its stamp *before* the lookup began (monotone dirty epochs
   //    make the pre-sampled floor a sound race-free lower bound).
-  RouteCacheOptions options;
-  options.num_shards = 4;              // fewer shards than threads
-  options.capacity_bytes = 64u << 10;  // small: constant eviction churn
-  RouteCache cache(options);
+  RouteCache cache;
   AtomicWorld world;
   cache.SetWorld(&world);
 
@@ -325,6 +333,11 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
   for (int t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
+        if (i % 2 == 1) {
+          InsertChurnKey(cache, t, i, world.CurrentEpoch(),
+                         {static_cast<RegionId>(i % AtomicWorld::kRegions)});
+          continue;
+        }
         const VertexId s =
             static_cast<VertexId>((i * 31 + t * 17) % kKeySpace);
         const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
@@ -361,18 +374,22 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
   EXPECT_EQ(stale_serves.load(std::memory_order_acquire), 0u);
   RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
-  EXPECT_LE(stats.bytes, cache.CapacityBytes());
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, RouteCache::CapacityBytes());
 
   // Quiesced: one eager sweep drains everything stale, after which every
   // resident entry is valid and a second sweep finds nothing.
-  std::vector<RouteCache::StaleEntry> stale;
-  cache.ExtractInvalid(&stale);
-  for (const RouteCache::StaleEntry& e : stale) {
+  auto sweep = [&cache] {
+    std::vector<RouteCache::StaleEntry> stale;
+    for (size_t i = 0; i < cache.NumShards(); ++i) {
+      cache.ExtractInvalidShard(i, &stale);
+    }
+    return stale;
+  };
+  for (const RouteCache::StaleEntry& e : sweep()) {
     EXPECT_EQ(e.stale.path.vertices.front(), e.key.s);  // intact bytes
   }
-  std::vector<RouteCache::StaleEntry> again;
-  cache.ExtractInvalid(&again);
-  EXPECT_TRUE(again.empty());
+  EXPECT_TRUE(sweep().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -627,7 +644,8 @@ TEST_P(StreamDrainStressTest, ConcurrentSubmittersThroughServingStack) {
 
   ServingRouter serving(router_);
   StreamOptions options;
-  options.max_batch = 5;  // mix size closes and deadline closes
+  // 8 submitters can outpace 64 queries per 200 us, so size closes and
+  // deadline closes mix.
   options.batch_deadline_us = 200;
   options.num_threads = 2;
   options.num_drain_threads = num_drains;
@@ -685,7 +703,7 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   // admission shedding and the budget scale under them, and a chaos layer
   // injects backend errors under the drain. With overlapping drains the
   // controller-tick arbitration, the shed bookkeeping, and the shutdown
-  // fail-path all race each other. The invariants that must survive:
+  // flush all race each other. The invariants that must survive:
   // every accepted query gets exactly one callback, every shed callback
   // carries kResourceExhausted, and submitted == completed + shed +
   // failed_on_shutdown at any drain count.
@@ -693,19 +711,14 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   const std::vector<BatchQuery> queries = MakeQueries(16);
   ASSERT_GE(queries.size(), 8u);
 
-  OverloadControllerOptions oc;
-  oc.control_period_us = 200;  // many ticks per run
-  oc.slo_queue_wait_us = 500;
-  oc.min_batch_deadline_us = 50;
-  oc.max_batch_deadline_us = 200;
-  oc.shed_depth = 16;  // small enough that the flood trips it for real
-  oc.resume_depth = 4;
-  oc.panic_depth = 64;
-  oc.trip_ticks = 1;
-  oc.release_ticks = 1;
-  OverloadController controller(oc);
+  // Shed depth 16 (panic at 32): small enough that the flood trips it
+  // for real.
+  OverloadController controller(16);
 
+  // Cache off: every served query runs the cold path, so the flood lasts
+  // across control periods instead of draining from the cache at once.
   ServingRouterOptions serve_options;
+  serve_options.enable_cache = false;
   serve_options.deadline.fallback_budget_us = 25;
   ServingRouter serving(router_, serve_options);
   ChaosOptions chaos_options;
@@ -715,7 +728,6 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   ChaosService chaos(&serving, chaos_options);
 
   StreamOptions options;
-  options.max_batch = 8;
   options.num_threads = 2;
   options.num_drain_threads = num_drains;
   options.dedup = false;  // every served slot must reach the chaos layer
@@ -762,6 +774,9 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
     if (s.completed + s.shed + s.failed_on_shutdown >= kTotal) break;
     std::this_thread::yield();
   }
+  // A fast host can serve the whole flood inside the first 2 ms period;
+  // idle ticks still come, so wait for one before shutting down.
+  while (controller.GetStats().ticks == 0) std::this_thread::yield();
   stream.Shutdown();
 
   for (size_t i = 0; i < kTotal; ++i) {

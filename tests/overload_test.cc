@@ -52,22 +52,11 @@ TEST(StatusTest, ResourceExhaustedIsADistinctRetriableCode) {
 // ---------------------------------------------------------------------------
 // OverloadController: control law on hand-fed observation sequences.
 
-OverloadControllerOptions SmallControllerOptions() {
-  OverloadControllerOptions o;
-  o.control_period_us = 1'000;
-  o.slo_queue_wait_us = 10'000;
-  o.min_batch_deadline_us = 100;
-  o.max_batch_deadline_us = 1'000;
-  o.deadline_backoff = 0.5;
-  o.deadline_recover_us = 100;
-  o.shed_depth = 8;
-  o.resume_depth = 2;
-  o.panic_depth = 64;
-  o.trip_ticks = 2;
-  o.release_ticks = 2;
-  o.degraded_budget_scale = 0.25;
-  return o;
-}
+// The controller's constants: period 2 ms, SLO 50 ms, batch deadline
+// 100..1000 us (cut x0.5, recover +100 us), trip after 1 overloaded tick,
+// release after 3 calm ones, budget x0.25 from level 2. A shed depth of
+// 8 puts the resume depth at 2 and the panic depth at 16.
+constexpr size_t kShedDepth = 8;
 
 OverloadObservation Obs(int64_t now_us, size_t depth, int64_t p99_us = -1) {
   OverloadObservation obs;
@@ -78,7 +67,7 @@ OverloadObservation Obs(int64_t now_us, size_t depth, int64_t p99_us = -1) {
 }
 
 TEST(OverloadControllerTest, StartsCalmAtTheMaxDeadline) {
-  OverloadController controller(SmallControllerOptions());
+  OverloadController controller(kShedDepth);
   const OverloadDecision d = controller.Current();
   EXPECT_EQ(d.level, 0);
   EXPECT_EQ(d.batch_deadline_us, 1'000);
@@ -88,32 +77,27 @@ TEST(OverloadControllerTest, StartsCalmAtTheMaxDeadline) {
 }
 
 TEST(OverloadControllerTest, LadderClimbsOneLevelPerTripShedsBulkFirst) {
-  OverloadController controller(SmallControllerOptions());
+  OverloadController controller(kShedDepth);
   // Depth at the shed watermark: overloaded, but far from panic.
   int64_t now = 0;
-  auto overloaded_tick = [&] { return controller.Tick(Obs(now += 1'000, 8)); };
+  auto overloaded_tick = [&] {
+    return controller.Tick(Obs(now += 2'000, kShedDepth));
+  };
 
-  // trip_ticks = 2: the first overloaded tick cuts the deadline but does
-  // not shed yet.
+  // One overloaded tick trips a level: bulk only, and the deadline cut.
   OverloadDecision d = overloaded_tick();
-  EXPECT_EQ(d.level, 0);
-  EXPECT_FALSE(d.shed_bulk);
-  EXPECT_LT(d.batch_deadline_us, 1'000);
-
-  d = overloaded_tick();  // second consecutive: level 1 — bulk only
   EXPECT_EQ(d.level, 1);
   EXPECT_TRUE(d.shed_bulk);
   EXPECT_FALSE(d.shed_interactive);
   EXPECT_DOUBLE_EQ(d.budget_scale, 1.0);
+  EXPECT_LT(d.batch_deadline_us, 1'000);
 
-  overloaded_tick();
   d = overloaded_tick();  // level 2 — degrade the budget, keep serving
   EXPECT_EQ(d.level, 2);
   EXPECT_TRUE(d.shed_bulk);
   EXPECT_FALSE(d.shed_interactive);
   EXPECT_DOUBLE_EQ(d.budget_scale, 0.25);
 
-  overloaded_tick();
   d = overloaded_tick();  // level 3 — interactive last
   EXPECT_EQ(d.level, 3);
   EXPECT_TRUE(d.shed_bulk);
@@ -126,34 +110,34 @@ TEST(OverloadControllerTest, LadderClimbsOneLevelPerTripShedsBulkFirst) {
   EXPECT_TRUE(d.shed_bulk);
 
   const OverloadController::Stats stats = controller.GetStats();
-  EXPECT_EQ(stats.ticks, 7u);
-  EXPECT_EQ(stats.overloaded_ticks, 7u);
+  EXPECT_EQ(stats.ticks, 4u);
+  EXPECT_EQ(stats.overloaded_ticks, 4u);
   EXPECT_EQ(stats.level_raises, 3u);
   EXPECT_EQ(stats.level_drops, 0u);
 }
 
 TEST(OverloadControllerTest, SloViolationAloneTripsWithoutDepth) {
-  OverloadController controller(SmallControllerOptions());
-  // Depth is tiny but the interactive p99 broke the SLO: still overloaded.
-  controller.Tick(Obs(1'000, 1, 20'000));
-  const OverloadDecision d = controller.Tick(Obs(2'000, 1, 20'000));
+  OverloadController controller(kShedDepth);
+  // Depth is tiny but the interactive p99 broke the 50 ms SLO: still
+  // overloaded.
+  const OverloadDecision d = controller.Tick(Obs(2'000, 1, 60'000));
   EXPECT_EQ(d.level, 1);
   EXPECT_TRUE(d.shed_bulk);
 }
 
 TEST(OverloadControllerTest, DeadlineAimdCutsToFloorAndRecoversToCap) {
-  OverloadController controller(SmallControllerOptions());
+  OverloadController controller(kShedDepth);
   int64_t now = 0;
   // Multiplicative cuts: 1000 -> 500 -> 250 -> 125 -> 100 (floor).
-  EXPECT_EQ(controller.Tick(Obs(now += 1'000, 8)).batch_deadline_us, 500);
-  EXPECT_EQ(controller.Tick(Obs(now += 1'000, 8)).batch_deadline_us, 250);
-  EXPECT_EQ(controller.Tick(Obs(now += 1'000, 8)).batch_deadline_us, 125);
-  EXPECT_EQ(controller.Tick(Obs(now += 1'000, 8)).batch_deadline_us, 100);
-  EXPECT_EQ(controller.Tick(Obs(now += 1'000, 8)).batch_deadline_us, 100);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 500);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 250);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 125);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 100);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 100);
   // Additive recovery, +100 per calm tick, capped at the max.
   int64_t deadline = 100;
   for (int i = 0; i < 12; ++i) {
-    deadline = controller.Tick(Obs(now += 1'000, 0)).batch_deadline_us;
+    deadline = controller.Tick(Obs(now += 2'000, 0)).batch_deadline_us;
   }
   EXPECT_EQ(deadline, 1'000);
   const OverloadController::Stats stats = controller.GetStats();
@@ -162,28 +146,31 @@ TEST(OverloadControllerTest, DeadlineAimdCutsToFloorAndRecoversToCap) {
 }
 
 TEST(OverloadControllerTest, PanicDepthJumpsStraightToTheTopLevel) {
-  OverloadController controller(SmallControllerOptions());
-  const OverloadDecision d = controller.Tick(Obs(1'000, 64));
+  OverloadController controller(kShedDepth);
+  // One short of the panic depth (2 x shed) climbs a single level.
+  EXPECT_EQ(controller.Tick(Obs(2'000, 2 * kShedDepth - 1)).level, 1);
+  OverloadController panicked(kShedDepth);
+  const OverloadDecision d = panicked.Tick(Obs(2'000, 2 * kShedDepth));
   EXPECT_EQ(d.level, 3);
   EXPECT_TRUE(d.shed_bulk);
   EXPECT_TRUE(d.shed_interactive);
   EXPECT_DOUBLE_EQ(d.budget_scale, 0.25);
-  EXPECT_EQ(controller.GetStats().level_raises, 3u);
+  EXPECT_EQ(panicked.GetStats().level_raises, 3u);
 }
 
 TEST(OverloadControllerTest, MiddleGroundHoldsTheLevelHysteresisReleases) {
-  OverloadController controller(SmallControllerOptions());
+  OverloadController controller(kShedDepth);
   int64_t now = 0;
-  controller.Tick(Obs(now += 1'000, 8));
-  ASSERT_EQ(controller.Tick(Obs(now += 1'000, 8)).level, 1);
-  // Depth between resume (2) and shed (8): neither overloaded nor calm —
-  // the level must hold indefinitely, not decay.
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(controller.Tick(Obs(now += 1'000, 5)).level, 1);
+  ASSERT_EQ(controller.Tick(Obs(now += 2'000, kShedDepth)).level, 1);
+  // Depth between resume (shed/4 = 2) and shed (8): neither overloaded
+  // nor calm — the level must hold indefinitely, not decay.
+  for (const size_t depth : {3, 5, 7, 3, 5, 7}) {
+    EXPECT_EQ(controller.Tick(Obs(now += 2'000, depth)).level, 1);
   }
-  // Two calm ticks (release_ticks) drop exactly one level.
-  controller.Tick(Obs(now += 1'000, 0));
-  const OverloadDecision d = controller.Tick(Obs(now += 1'000, 0));
+  // Three calm ticks (depth <= resume) drop exactly one level.
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 2)).level, 1);
+  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 0)).level, 1);
+  const OverloadDecision d = controller.Tick(Obs(now += 2'000, 0));
   EXPECT_EQ(d.level, 0);
   EXPECT_FALSE(d.shed_bulk);
   EXPECT_EQ(controller.GetStats().level_drops, 1u);
@@ -193,14 +180,14 @@ TEST(OverloadControllerTest, DecisionTraceIsAPureFunctionOfObservations) {
   // Two controllers fed the same observation sequence must emit identical
   // decision traces — the property that makes scripted ManualClock
   // overload scenarios replay exactly.
-  OverloadController a(SmallControllerOptions());
-  OverloadController b(SmallControllerOptions());
+  OverloadController a(kShedDepth);
+  OverloadController b(kShedDepth);
   Rng rng(17);
   int64_t now = 0;
   for (int i = 0; i < 200; ++i) {
     const OverloadObservation obs =
-        Obs(now += 1'000, rng.Index(80),
-            rng.Bernoulli(0.3) ? static_cast<int64_t>(rng.Index(30'000)) : -1);
+        Obs(now += 2'000, rng.Index(20),
+            rng.Bernoulli(0.3) ? static_cast<int64_t>(rng.Index(80'000)) : -1);
     const OverloadDecision da = a.Tick(obs);
     const OverloadDecision db = b.Tick(obs);
     ASSERT_EQ(da.level, db.level) << "tick " << i;
@@ -216,15 +203,14 @@ TEST(OverloadControllerTest, DecisionTraceIsAPureFunctionOfObservations) {
 
 TEST(DeadlineBudgetTest, ScaledSettleCapScalesLinearlyWithFloor) {
   DeadlineBudgetOptions options;
-  options.fallback_budget_us = 10;
-  options.settles_per_us = 80;
-  options.min_settles = 64;
+  options.fallback_budget_us = 10;  // 80 settles/us: an 800-settle cap
   DeadlineBudget budget(options);
   EXPECT_EQ(budget.MaxPreferenceSettles(), 800u);
   EXPECT_EQ(budget.ScaledSettleCap(1.0), 800u);
   EXPECT_EQ(budget.ScaledSettleCap(2.0), 800u);  // never above the plain cap
-  EXPECT_EQ(budget.ScaledSettleCap(0.25), 200u);
-  EXPECT_EQ(budget.ScaledSettleCap(0.01), 64u);  // min_settles floor holds
+  EXPECT_EQ(budget.ScaledSettleCap(0.5), 400u);
+  EXPECT_EQ(budget.ScaledSettleCap(0.25), 256u);  // 200: the floor holds
+  EXPECT_EQ(budget.ScaledSettleCap(0.01), 256u);
   // A disabled budget stays disabled (0 = unlimited) under any scale.
   DeadlineBudget off;
   EXPECT_EQ(off.ScaledSettleCap(0.25), 0u);
@@ -233,20 +219,18 @@ TEST(DeadlineBudgetTest, ScaledSettleCapScalesLinearlyWithFloor) {
 TEST(DeadlineBudgetTest, NanScalesAndHugeBudgetsGiveDefinedCaps) {
   DeadlineBudgetOptions options;
   options.fallback_budget_us = 10;
-  options.settles_per_us = 80;
-  options.min_settles = 64;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const DeadlineBudget budget(options);
-  // A NaN or negative scale takes the min_settles floor.
-  EXPECT_EQ(budget.ScaledSettleCap(nan), 64u);
-  EXPECT_EQ(budget.ScaledSettleCap(-1.0), 64u);
+  // A NaN or negative scale takes the kMinSettles floor.
+  EXPECT_EQ(budget.ScaledSettleCap(nan), 256u);
+  EXPECT_EQ(budget.ScaledSettleCap(-1.0), 256u);
   // A budget worth more than SIZE_MAX settles saturates there.
   for (const double huge : {1e300, std::numeric_limits<double>::infinity()}) {
     options.fallback_budget_us = huge;
     const DeadlineBudget big(options);
     EXPECT_EQ(big.MaxPreferenceSettles(), SIZE_MAX) << huge;
     EXPECT_EQ(big.ScaledSettleCap(0.5), SIZE_MAX) << huge;
-    EXPECT_EQ(big.ScaledSettleCap(nan), 64u) << huge;
+    EXPECT_EQ(big.ScaledSettleCap(nan), 256u) << huge;
   }
 }
 
@@ -300,19 +284,17 @@ L2RRouter* OverloadServeTest::router_ = nullptr;
 
 TEST_F(OverloadServeTest, ServingRouterAppliesTheBudgetScale) {
   ServingRouterOptions options;
-  options.deadline.fallback_budget_us = 10;
-  options.deadline.settles_per_us = 80;
-  options.deadline.min_settles = 1;
+  options.deadline.fallback_budget_us = 10;  // 80 settles/us: 800 settles
   ServingRouter serving(router_, options);
   EXPECT_EQ(serving.CurrentSettleCap(), 800u);
-  serving.SetBudgetScale(0.25);
-  EXPECT_EQ(serving.CurrentSettleCap(), 200u);
+  serving.SetBudgetScale(0.5);
+  EXPECT_EQ(serving.CurrentSettleCap(), 400u);
   serving.SetBudgetScale(5.0);  // scale is capped at the plain budget
   EXPECT_EQ(serving.CurrentSettleCap(), 800u);
-  serving.SetBudgetScale(0.0);  // clamped into the min_settles floor
-  EXPECT_EQ(serving.CurrentSettleCap(), 1u);
+  serving.SetBudgetScale(0.0);  // clamped into the kMinSettles floor
+  EXPECT_EQ(serving.CurrentSettleCap(), 256u);
   serving.SetBudgetScale(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(serving.CurrentSettleCap(), 1u);  // NaN takes the floor too
+  EXPECT_EQ(serving.CurrentSettleCap(), 256u);  // NaN takes the floor too
 
   // Queries still serve under the tightest scale.
   const std::vector<BatchQuery> queries = MakeQueries(1);
@@ -358,22 +340,22 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
   ASSERT_EQ(queries.size(), 8u);
 
   ManualClock clock;
-  OverloadControllerOptions oc = SmallControllerOptions();
-  oc.shed_depth = 4;
-  oc.resume_depth = 1;
-  oc.panic_depth = 1'000;  // out of reach: this test stays at level 1
-  oc.trip_ticks = 1;
-  OverloadController controller(oc);
+  // Shed depth 4: resume at 1, panic at 8 — out of reach of the 6
+  // queries below, so this test stays at level 1.
+  OverloadController controller(4);
 
   ServingRouter serving(router_);
+  // Fewer than kMaxBatch queries: only the (adaptive) deadline closes
+  // batches.
   StreamOptions options;
-  options.max_batch = 100;  // only the (adaptive) deadline closes batches
   options.num_threads = 1;
   options.clock = &clock;
   options.overload = &controller;
   StreamRouter stream(&serving, options);
 
-  // Six interactive queries pile up at t = 0: depth 6 >= shed_depth 4.
+  // Six interactive queries pile up at t = 1500, in a batch due at
+  // t = 2500: depth 6 >= shed depth 4 when the first tick comes.
+  clock.AdvanceMicros(1'500);
   std::atomic<uint64_t> served{0};
   for (size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(stream.Submit(queries[i], [&served](const StreamResult& r) {
@@ -382,10 +364,13 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
   }
   EXPECT_EQ(stream.GetStats().completed, 0u);
 
-  // t = 1000: the controller tick fires first (depth 6 overloaded,
-  // trip_ticks 1 -> level 1, deadline cut to 500), then the batch closes
-  // by its original deadline and drains.
-  clock.AdvanceMicros(1'000);
+  // t = 2000: the controller tick fires (depth 6 overloaded, one tick
+  // trips level 1, deadline cut to 500). t = 2500: the batch closes by
+  // its original deadline and drains.
+  clock.AdvanceMicros(500);
+  AwaitTicks(controller, 1);
+  EXPECT_EQ(stream.GetStats().completed, 0u);
+  clock.AdvanceMicros(500);
   while (stream.GetStats().completed < 6) std::this_thread::yield();
   EXPECT_EQ(served.load(std::memory_order_acquire), 6u);
   {
@@ -413,7 +398,8 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
   EXPECT_EQ(shed_result.drain_wait_us, 0);
 
   // Interactive is still admitted at level 1 and serves under the *cut*
-  // deadline: the batch opened at t = 1000 closes at t = 1500.
+  // deadline: the batch opened at t = 2500 closes at t = 3000, before
+  // the next tick at t = 4000.
   std::atomic<bool> interactive_done{false};
   ASSERT_TRUE(
       stream.Submit(queries[7], [&interactive_done](const StreamResult& r) {
@@ -451,18 +437,12 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
   ASSERT_EQ(queries.size(), 7u);
 
   ManualClock clock;
-  OverloadControllerOptions oc = SmallControllerOptions();
-  oc.shed_depth = 2;
-  oc.resume_depth = 1;
-  oc.panic_depth = 4;
-  oc.trip_ticks = 1;
-  oc.release_ticks = 2;
-  OverloadController controller(oc);
+  // Shed depth 2: resume at 0, panic at 4.
+  OverloadController controller(2);
 
   ServingRouter serving(router_);
   std::atomic<int> scale_cents{100};  // budget_sink trace, in percent
   StreamOptions options;
-  options.max_batch = 100;
   options.num_threads = 1;
   options.clock = &clock;
   options.overload = &controller;
@@ -472,11 +452,15 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
   };
   StreamRouter stream(&serving, options);
 
-  // Five queries at t = 0: depth 5 >= panic_depth 4 -> straight to level 3.
+  // Five queries at t = 1500, due at t = 2500: the tick at t = 2000 sees
+  // depth 5 >= panic depth 4 -> straight to level 3.
+  clock.AdvanceMicros(1'500);
   for (size_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(stream.Submit(queries[i], [](const StreamResult&) {}));
   }
-  clock.AdvanceMicros(1'000);
+  clock.AdvanceMicros(500);
+  AwaitTicks(controller, 1);
+  clock.AdvanceMicros(500);
   while (stream.GetStats().completed < 5) std::this_thread::yield();
   EXPECT_EQ(stream.GetStats().overload_level, 3);
   // Level >= 2 pushed the degraded budget scale through the sink.
@@ -495,12 +479,11 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
   EXPECT_EQ(shed_result.result.status().code(),
             StatusCode::kResourceExhausted);
 
-  // Idle calm ticks walk the ladder back down (release_ticks = 2 per
-  // level), even with no arrivals — then admission and the full budget
-  // come back.
+  // Idle calm ticks walk the ladder back down (three per level), even
+  // with no arrivals — then admission and the full budget come back.
   uint64_t ticks = controller.GetStats().ticks;
   for (int i = 0; i < 30 && controller.GetStats().level > 0; ++i) {
-    clock.AdvanceMicros(1'000);
+    clock.AdvanceMicros(OverloadController::kControlPeriodUs);
     AwaitTicks(controller, ticks + 1);
     ticks = controller.GetStats().ticks;
   }
@@ -658,12 +641,9 @@ TEST_F(OverloadServeTest, ChaoticStreamNeverDropsACallback) {
   ASSERT_GE(queries.size(), 4u);
 
   ManualClock clock;
-  OverloadControllerOptions oc = SmallControllerOptions();
-  oc.shed_depth = 6;
-  oc.resume_depth = 2;
-  oc.panic_depth = 12;
-  oc.trip_ticks = 1;
-  OverloadController controller(oc);
+  // Shed depth 3: resume at 0, panic at 6, within reach of the paced
+  // arrivals below (one per 300 us against a 1 ms batch deadline).
+  OverloadController controller(3);
 
   ServingRouter serving(router_);
   ChaosOptions chaos_options;
@@ -674,7 +654,6 @@ TEST_F(OverloadServeTest, ChaoticStreamNeverDropsACallback) {
   ChaosService chaos(&serving, chaos_options);
 
   StreamOptions options;
-  options.max_batch = 4;
   options.num_threads = 1;
   options.dedup = false;  // every served slot reaches the chaos layer
   options.clock = &clock;

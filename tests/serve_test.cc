@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
@@ -40,6 +41,38 @@ RouteResult MakeDegradedResult(VertexId a, size_t hops) {
   return r;
 }
 
+/// Hops of the largest MakeResult entry of which `n` fit in one cache
+/// shard: n such entries fill the shard, and any further entry overflows
+/// it. Past 64 path vertices an entry is never published to a hot slot,
+/// so its hits take the locked path and refresh LRU recency exactly.
+size_t HopsFillingShard(const RouteCache& cache, size_t n) {
+  const size_t entry_bytes =
+      RouteCache::CapacityBytes() / cache.NumShards() / n;
+  const size_t path_bytes = entry_bytes - RouteCache::EntryBytes({});
+  return path_bytes / sizeof(VertexId) - 1;
+}
+
+/// `n` distinct off-peak keys that share one cache shard.
+std::vector<RouteCacheKey> SameShardKeys(const RouteCache& cache, size_t n) {
+  std::vector<RouteCacheKey> keys;
+  const size_t shard = QueryKeyHash{}(RouteCacheKey{1, 2, 0}) %
+                       cache.NumShards();
+  for (VertexId s = 1; keys.size() < n; ++s) {
+    const RouteCacheKey key{s, s + 1, 0};
+    if (QueryKeyHash{}(key) % cache.NumShards() == shard) keys.push_back(key);
+  }
+  return keys;
+}
+
+/// Every stale entry of every shard (RouteCache::ExtractInvalidShard).
+std::vector<RouteCache::StaleEntry> ExtractAllInvalid(RouteCache& cache) {
+  std::vector<RouteCache::StaleEntry> stale;
+  for (size_t i = 0; i < cache.NumShards(); ++i) {
+    cache.ExtractInvalidShard(i, &stale);
+  }
+  return stale;
+}
+
 TEST(RouteCacheTest, HitReturnsExactInsertedValue) {
   RouteCache cache;
   const RouteCacheKey key{7, 9, 1};
@@ -71,79 +104,82 @@ TEST(RouteCacheTest, PeriodIsPartOfTheKey) {
 }
 
 TEST(RouteCacheTest, LruEvictionRespectsByteCapacityAndRecency) {
-  const RouteResult r = MakeResult(0, 8);
-  const size_t entry = RouteCache::EntryBytes(r);
-  RouteCacheOptions options;
-  options.num_shards = 1;         // deterministic LRU order
-  options.hot_slots_per_shard = 0;  // exact LRU: hot hits skip recency
-  options.capacity_bytes = 3 * entry;
-  RouteCache cache(options);
-  auto key = [](VertexId s) { return RouteCacheKey{s, s + 1, 0}; };
-  cache.Insert(key(1), MakeResult(1, 8));
-  cache.Insert(key(2), MakeResult(2, 8));
-  cache.Insert(key(3), MakeResult(3, 8));
+  // Entries too large for a hot slot, three to a shard, all in one
+  // shard: every hit takes the locked path, so LRU order is exact.
+  RouteCache cache;
+  const size_t hops = HopsFillingShard(cache, 3);
+  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 4);
+  cache.Insert(key[0], MakeResult(1, hops));
+  cache.Insert(key[1], MakeResult(2, hops));
+  cache.Insert(key[2], MakeResult(3, hops));
   RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key(1), &got));  // touch 1: now 2 is LRU
-  cache.Insert(key(4), MakeResult(4, 8));   // evicts 2
-  EXPECT_TRUE(cache.Lookup(key(1), &got));
-  EXPECT_FALSE(cache.Lookup(key(2), &got));
-  EXPECT_TRUE(cache.Lookup(key(3), &got));
-  EXPECT_TRUE(cache.Lookup(key(4), &got));
+  ASSERT_TRUE(cache.Lookup(key[0], &got));  // touch 0: now 1 is LRU
+  cache.Insert(key[3], MakeResult(4, hops));  // evicts 1
+  EXPECT_TRUE(cache.Lookup(key[0], &got));
+  EXPECT_FALSE(cache.Lookup(key[1], &got));
+  EXPECT_TRUE(cache.Lookup(key[2], &got));
+  EXPECT_TRUE(cache.Lookup(key[3], &got));
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 3u);
-  EXPECT_LE(stats.bytes, options.capacity_bytes);
+  EXPECT_EQ(stats.hot_hits, 0u);
+  EXPECT_LE(stats.bytes, RouteCache::CapacityBytes() / cache.NumShards());
 }
 
 TEST(RouteCacheTest, ByteAccountingStaysExactUnderEvictionChurn) {
   // The byte budget is charged from the stored copy, so source vectors
   // carrying excess capacity must not leak phantom bytes into the shard
   // accounting as entries churn through eviction.
-  RouteCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_bytes = 3 * RouteCache::EntryBytes(MakeResult(0, 8));
-  RouteCache cache(options);
-  for (VertexId s = 0; s < 200; ++s) {
-    RouteResult r = MakeResult(s, 8);
-    r.path.vertices.reserve(64);  // excess caller-side capacity
-    cache.Insert(RouteCacheKey{s, s + 1, 0}, r);
+  RouteCache cache;
+  const size_t hops = HopsFillingShard(cache, 3);
+  const std::vector<RouteCacheKey> keys = SameShardKeys(cache, 200);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    RouteResult r = MakeResult(keys[i].s, hops);
+    r.path.vertices.reserve(2 * (hops + 1));  // excess caller-side capacity
+    cache.Insert(keys[i], r);
   }
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 3u);  // full occupancy survives the churn
-  EXPECT_LE(stats.bytes, options.capacity_bytes);
+  EXPECT_EQ(stats.bytes, 3 * RouteCache::EntryBytes(MakeResult(0, hops)));
   EXPECT_EQ(stats.evictions, 200u - 3u);
   // The most recent entries are still resident and intact.
   RouteResult got;
-  ASSERT_TRUE(cache.Lookup(RouteCacheKey{199, 200, 0}, &got));
-  EXPECT_TRUE(got == MakeResult(199, 8));
+  ASSERT_TRUE(cache.Lookup(keys.back(), &got));
+  EXPECT_TRUE(got == MakeResult(keys.back().s, hops));
 }
 
 TEST(RouteCacheTest, OversizeEntryIsNotCached) {
-  RouteCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_bytes = 64;  // smaller than any entry
-  RouteCache cache(options);
-  cache.Insert(RouteCacheKey{1, 2, 0}, MakeResult(1, 50));
+  RouteCache cache;
+  // One entry larger than a whole shard.
+  cache.Insert(RouteCacheKey{1, 2, 0},
+               MakeResult(1, 2 * HopsFillingShard(cache, 1)));
   RouteResult got;
   EXPECT_FALSE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 TEST(RouteCacheTest, ConcurrentMixedLoadStaysConsistent) {
-  RouteCacheOptions options;
-  options.num_shards = 4;
-  options.capacity_bytes = 1u << 16;  // small: forces eviction under load
-  RouteCache cache(options);
+  RouteCache cache;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
+  // Odd ops insert a key no one looks up again, 4 KiB each: 16k of them
+  // overflow the cache several times, so eviction runs under the load.
+  constexpr size_t kChurnHops = 1000;
   std::atomic<uint64_t> value_mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &value_mismatches, t] {
       RouteResult got;
       for (int i = 0; i < kOpsPerThread; ++i) {
+        if (i % 2 == 1) {
+          const VertexId s =
+              static_cast<VertexId>(1000 + t * kOpsPerThread + i);
+          cache.Insert(RouteCacheKey{s, s + 1, 0},
+                       MakeResult(s, kChurnHops));
+          continue;
+        }
         const VertexId s = static_cast<VertexId>((t * 7 + i) % 97);
-        const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(i % 2)};
+        const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(i % 4 / 2)};
         if (cache.Lookup(key, &got)) {
           // Values are keyed deterministically, so a hit must match what
           // any thread inserted for this key.
@@ -158,8 +194,9 @@ TEST(RouteCacheTest, ConcurrentMixedLoadStaysConsistent) {
   EXPECT_EQ(value_mismatches.load(), 0u);
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_LE(stats.bytes, options.capacity_bytes);
+            static_cast<uint64_t>(kThreads) * kOpsPerThread / 2);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, RouteCache::CapacityBytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -200,20 +237,21 @@ TEST(RouteCacheTest, OversizeFootprintStaysOnTheLockedPath) {
 }
 
 TEST(RouteCacheTest, EvictionClearsTheVictimsHotSlot) {
-  const size_t entry = RouteCache::EntryBytes(MakeResult(0, 8));
-  RouteCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_bytes = 2 * entry;
-  RouteCache cache(options);
-  auto key = [](VertexId s) { return RouteCacheKey{s, s + 1, 0}; };
-  cache.Insert(key(1), MakeResult(1, 8));
-  cache.Insert(key(2), MakeResult(2, 8));
-  cache.Insert(key(3), MakeResult(3, 8));  // evicts 1 (never touched)
+  // A small (hot-published) entry, then two that each fill half the
+  // shard: the third insert evicts the small one.
+  RouteCache cache;
+  const size_t half = HopsFillingShard(cache, 2);
+  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 3);
+  cache.Insert(key[0], MakeResult(1, 8));
   RouteResult got;
+  ASSERT_TRUE(cache.Lookup(key[0], &got));
+  ASSERT_EQ(cache.GetStats().hot_hits, 1u);  // served from its hot slot
+  cache.Insert(key[1], MakeResult(2, half));
+  cache.Insert(key[2], MakeResult(3, half));  // evicts 0 (hot hits skip LRU)
   // The victim must miss — its hot slot may not keep serving it.
-  EXPECT_FALSE(cache.Lookup(key(1), &got));
-  EXPECT_TRUE(cache.Lookup(key(2), &got));
-  EXPECT_TRUE(cache.Lookup(key(3), &got));
+  EXPECT_FALSE(cache.Lookup(key[0], &got));
+  EXPECT_TRUE(cache.Lookup(key[1], &got));
+  EXPECT_TRUE(cache.Lookup(key[2], &got));
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
@@ -359,8 +397,7 @@ TEST(RouteCacheTest, ExtractInvalidSweepsExactlyTheStaleEntries) {
   cache.Insert(RouteCacheKey{5, 6, 0}, MakeResult(5, 4), 0, {1, 9});
   world.MarkDirty(0, 1, 1);
 
-  std::vector<RouteCache::StaleEntry> stale;
-  cache.ExtractInvalid(&stale);
+  std::vector<RouteCache::StaleEntry> stale = ExtractAllInvalid(cache);
   ASSERT_EQ(stale.size(), 2u);
   for (const RouteCache::StaleEntry& entry : stale) {
     EXPECT_TRUE(entry.key == (RouteCacheKey{1, 2, 0}) ||
@@ -374,34 +411,29 @@ TEST(RouteCacheTest, ExtractInvalidSweepsExactlyTheStaleEntries) {
   RouteResult got;
   EXPECT_TRUE(cache.Lookup(RouteCacheKey{3, 4, 0}, &got));
   // A second sweep finds nothing left to repair.
-  stale.clear();
-  cache.ExtractInvalid(&stale);
-  EXPECT_TRUE(stale.empty());
+  EXPECT_TRUE(ExtractAllInvalid(cache).empty());
 }
 
 TEST(RouteCacheTest, DegradedEntriesParticipateInLruEviction) {
   // Degraded entries are ordinary residents: they occupy bytes,
   // age through the LRU list, and are evicted like full-fidelity ones.
-  const size_t entry = RouteCache::EntryBytes(MakeResult(0, 8));
-  RouteCacheOptions options;
-  options.num_shards = 1;         // deterministic LRU order
-  options.hot_slots_per_shard = 0;  // exact LRU: hot hits skip recency
-  options.capacity_bytes = 2 * entry;
-  RouteCache cache(options);
-  auto key = [](VertexId s) { return RouteCacheKey{s, s + 1, 0}; };
-  cache.Insert(key(1), MakeDegradedResult(1, 8));
-  cache.Insert(key(2), MakeResult(2, 8));
+  // Two locked-path entries to a shard, all in one shard (exact LRU).
+  RouteCache cache;
+  const size_t hops = HopsFillingShard(cache, 2);
+  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 4);
+  cache.Insert(key[0], MakeDegradedResult(1, hops));
+  cache.Insert(key[1], MakeResult(2, hops));
   RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key(1), &got));
+  ASSERT_TRUE(cache.Lookup(key[0], &got));
   EXPECT_TRUE(got.budget_degraded);
-  // 2 is now LRU; a third insert evicts it and keeps the degraded entry.
-  cache.Insert(key(3), MakeResult(3, 8));
-  EXPECT_TRUE(cache.Lookup(key(1), &got));
-  EXPECT_FALSE(cache.Lookup(key(2), &got));
-  EXPECT_TRUE(cache.Lookup(key(3), &got));
+  // 1 is now LRU; a third insert evicts it and keeps the degraded entry.
+  cache.Insert(key[2], MakeResult(3, hops));
+  EXPECT_TRUE(cache.Lookup(key[0], &got));
+  EXPECT_FALSE(cache.Lookup(key[1], &got));
+  EXPECT_TRUE(cache.Lookup(key[2], &got));
   // And a degraded entry is itself evictable once least-recently used.
-  cache.Insert(key(4), MakeResult(4, 8));  // evicts 1 (LRU after misses)
-  EXPECT_FALSE(cache.Lookup(key(1), &got));
+  cache.Insert(key[3], MakeResult(4, hops));  // evicts 0 (LRU after 2's hit)
+  EXPECT_FALSE(cache.Lookup(key[0], &got));
   EXPECT_EQ(cache.GetStats().evictions, 2u);
 }
 
@@ -436,18 +468,48 @@ TEST(StitchMemoTest, EdgeChoiceAndConnectorRoundTripPerPeriod) {
 }
 
 TEST(StitchMemoTest, FullMemoRejectsInsteadOfEvicting) {
-  StitchMemoOptions options;
-  options.num_shards = 1;
-  options.capacity_bytes = 160;  // room for ~1 small path
-  StitchMemo memo(options);
-  memo.RememberConnector(0, 1, 2, {1, 2});
-  memo.RememberConnector(0, 3, 4, {3, 4});  // over budget: dropped
+  // 200 KB connectors: a 4 MiB memo over 16 stripes holds one per stripe,
+  // so by the 17th some stripe is full and turns the insert away.
+  StitchMemo memo;
+  const std::vector<VertexId> big(50'000, 7);
+  std::vector<bool> stored;
+  while (memo.GetStats().rejected_full == 0 && stored.size() < 32) {
+    const VertexId to = static_cast<VertexId>(stored.size() + 1);
+    memo.RememberConnector(0, 0, to, big);
+    stored.push_back(memo.GetStats().rejected_full == 0);
+  }
+  ASSERT_LE(stored.size(), 17u);
   std::vector<VertexId> got;
-  EXPECT_TRUE(memo.FindConnector(0, 1, 2, &got));
-  EXPECT_FALSE(memo.FindConnector(0, 3, 4, &got));
+  for (size_t i = 0; i < stored.size(); ++i) {
+    // Nothing stored was evicted to make room; the rejected one is absent.
+    EXPECT_EQ(memo.FindConnector(0, 0, static_cast<VertexId>(i + 1), &got),
+              stored[i])
+        << i;
+  }
   const StitchMemo::Stats stats = memo.GetStats();
-  EXPECT_GE(stats.rejected_full, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.rejected_full, 1u);
+  EXPECT_EQ(stats.entries, stored.size() - 1);
+}
+
+TEST(StitchMemoTest, InvalidationRefundsEveryByteItCharged) {
+  // Stitched paths grow by push_back, so the caller's vector carries
+  // spare capacity the stored copy does not. The charge at Remember and
+  // the refund at InvalidateRegions must still agree, or every sweep
+  // leaves phantom bytes behind and the memo rejects inserts early.
+  StitchMemo memo;
+  memo.SetRegionResolver([](int, VertexId) { return RegionId{3}; });
+  std::vector<VertexId> path{4, 5, 6};
+  path.reserve(1000);
+  for (const bool wholesale : {false, true}) {
+    memo.RememberEdgeChoice(0, 11, 4, 6, path);
+    memo.RememberConnector(0, 4, 6, path);
+    ASSERT_EQ(memo.GetStats().entries, 2u);
+    ASSERT_GT(memo.GetStats().bytes, 0u);
+    memo.InvalidateRegions(0, {3}, wholesale);
+    const StitchMemo::Stats stats = memo.GetStats();
+    EXPECT_EQ(stats.entries, 0u) << wholesale;
+    EXPECT_EQ(stats.bytes, 0u) << wholesale;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -457,17 +519,16 @@ TEST(DeadlineBudgetTest, DisabledBudgetMeansNoCap) {
   const DeadlineBudget budget{DeadlineBudgetOptions{}};
   EXPECT_FALSE(budget.enabled());
   EXPECT_EQ(budget.MaxPreferenceSettles(), 0u);
-  EXPECT_EQ(budget.ToQueryBudget().max_preference_settles, 0u);
 }
 
 TEST(DeadlineBudgetTest, CapDerivesFromMicrosecondsAndFloor) {
+  // 80 settles per microsecond, floored at 256 settles.
   DeadlineBudgetOptions options;
   options.fallback_budget_us = 100;
-  options.settles_per_us = 50;
-  options.min_settles = 256;
-  EXPECT_EQ(DeadlineBudget(options).MaxPreferenceSettles(), 5000u);
-  options.fallback_budget_us = 1;  // 50 settles, below the floor
+  EXPECT_EQ(DeadlineBudget(options).MaxPreferenceSettles(), 8000u);
+  options.fallback_budget_us = 1;  // 80 settles, below the floor
   EXPECT_EQ(DeadlineBudget(options).MaxPreferenceSettles(), 256u);
+  EXPECT_EQ(DeadlineBudget::kMinSettles, 256u);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,6 +567,33 @@ class ServeTest : public ::testing::Test {
     }
     queries.push_back(BatchQuery{0, 0, 0});  // invalid: s == d
     return queries;
+  }
+
+  /// Up to `cap` seeded random vertex pairs whose cold answer is an
+  /// Algorithm 2 preference route that settles more than
+  /// DeadlineBudget::kMinSettles vertices: the bare router degrades them
+  /// under that settle cap. (Held-out trips in this small world are too
+  /// short to need that many.)
+  static std::vector<BatchQuery> LongPreferenceQueries(size_t cap) {
+    ServeHooks floor;
+    floor.budget.max_preference_settles = DeadlineBudget::kMinSettles;
+    L2RQueryContext ctx = router_->MakeContext();
+    const size_t n = dataset_->world.net.NumVertices();
+    Rng rng(5);
+    std::vector<BatchQuery> out;
+    for (int tries = 0; tries < 8000 && out.size() < cap; ++tries) {
+      const BatchQuery q{static_cast<VertexId>(rng.Index(n)),
+                         static_cast<VertexId>(rng.Index(n)),
+                         tries % 2 == 0 ? 12 * 3600.0 : 8 * 3600.0};
+      const auto plain = router_->Route(&ctx, q.s, q.d, q.departure_time);
+      if (!plain.ok() || plain->method != RouteMethod::kPreferenceRoute) {
+        continue;
+      }
+      const auto capped =
+          router_->Route(&ctx, q.s, q.d, q.departure_time, floor);
+      if (capped.ok() && capped->budget_degraded) out.push_back(q);
+    }
+    return out;
   }
 
   /// Cold-path ground truth through the plain Route API.
@@ -587,45 +675,41 @@ TEST_F(ServeTest, StitchMemoAloneDoesNotChangeResults) {
   const std::vector<BatchQuery> queries = MakeQueries(40);
   const auto want = PlainResults(queries);
 
-  ServingRouterOptions options;
-  options.enable_route_cache = false;  // isolate the memo
-  ServingRouter serving(router_, options);
-  ASSERT_TRUE(serving.memo_enabled());
-  ASSERT_FALSE(serving.cache_enabled());
+  // The memo on its own, threaded straight into the router's cold path.
+  StitchMemo memo;
+  ServeHooks hooks;
+  hooks.memo = &memo;
   L2RQueryContext ctx = router_->MakeContext();
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < queries.size(); ++i) {
-      const auto got = serving.Route(&ctx, queries[i].s, queries[i].d,
-                                     queries[i].departure_time);
+      const auto got = router_->Route(&ctx, queries[i].s, queries[i].d,
+                                      queries[i].departure_time, hooks);
       ExpectSameResult(want[i], got, i);
     }
   }
   // The second pass re-stitches the same region paths, so the memo must
   // have been consulted successfully.
-  const StitchMemo::Stats stats = serving.GetStats().memo;
+  const StitchMemo::Stats stats = memo.GetStats();
   EXPECT_GT(stats.edge_hits + stats.connector_hits, 0u);
 }
 
 TEST_F(ServeTest, BudgetDegradeIsDeterministicAndFlagged) {
-  const std::vector<BatchQuery> queries = MakeQueries(40);
+  // The held-out queries plus some whose Algorithm 2 run settles more
+  // than the smallest cap a budget can derive (DeadlineBudget's
+  // 256-settle floor): those must degrade under it.
+  std::vector<BatchQuery> queries = MakeQueries(40);
+  const std::vector<BatchQuery> long_pref = LongPreferenceQueries(8);
+  ASSERT_FALSE(long_pref.empty());
+  queries.insert(queries.end(), long_pref.begin(), long_pref.end());
   const auto want = PlainResults(queries);
-  size_t plain_pref_routes = 0;
-  for (const auto& r : want) {
-    if (r.ok() && r->method == RouteMethod::kPreferenceRoute) {
-      ++plain_pref_routes;
-    }
-  }
 
   ServingRouterOptions options;
-  options.enable_route_cache = false;
-  options.enable_stitch_memo = false;
-  // A 1-settle cap: any attempted Algorithm-2 rebuild exhausts the budget
-  // immediately and must degrade.
+  options.enable_cache = false;
+  // 0.01 us is below one settle: the cap sits at the floor, so any
+  // Algorithm-2 rebuild that settles more than 256 vertices degrades.
   options.deadline.fallback_budget_us = 0.01;
-  options.deadline.settles_per_us = 1;
-  options.deadline.min_settles = 1;
   ServingRouter serving(router_, options);
-  ASSERT_EQ(serving.deadline_budget().MaxPreferenceSettles(), 1u);
+  ASSERT_EQ(serving.CurrentSettleCap(), DeadlineBudget::kMinSettles);
 
   L2RQueryContext ctx = router_->MakeContext();
   std::vector<Result<RouteResult>> first;
@@ -646,11 +730,10 @@ TEST_F(ServeTest, BudgetDegradeIsDeterministicAndFlagged) {
       ExpectSameResult(want[i], first[i], i);
     }
   }
-  // Every query the cold path answered via Algorithm 2 must have degraded
-  // under the 1-settle cap (queries whose rebuild failed outright on the
-  // cold path can add more: their capped search exhausts before proving
-  // NotFound).
-  EXPECT_GE(degraded, plain_pref_routes);
+  // Every query whose Algorithm 2 run needs more than the floor must
+  // have degraded (others may add more: a capped search can exhaust
+  // before proving NotFound).
+  EXPECT_GE(degraded, long_pref.size());
   EXPECT_EQ(serving.GetStats().budget_degraded, degraded);
 
   // Degrade decisions are result state, not timing: a re-run reproduces
@@ -722,8 +805,7 @@ TEST_F(ServeTest, UncachedServingRouterKeepsBatchResultsByteIdentical) {
 
   for (const unsigned threads : {1u, 4u}) {
     ServingRouterOptions options;
-    options.enable_route_cache = false;
-    options.enable_stitch_memo = false;
+    options.enable_cache = false;
     ServingRouter serving(router_, options);
     BatchRouter batch_router(&serving, BatchRouterOptions{threads, false});
     const auto got = batch_router.RouteAll(batch);
@@ -738,17 +820,18 @@ TEST_F(ServeTest, UncachedServingRouterKeepsBatchResultsByteIdentical) {
 }
 
 TEST_F(ServeTest, DegradedRoutesAreCachedConsistently) {
-  const std::vector<BatchQuery> queries = MakeQueries(40);
+  std::vector<BatchQuery> queries = MakeQueries(40);
+  const std::vector<BatchQuery> long_pref = LongPreferenceQueries(8);
+  queries.insert(queries.end(), long_pref.begin(), long_pref.end());
   ServingRouterOptions options;
-  options.deadline.fallback_budget_us = 0.01;
-  options.deadline.settles_per_us = 1;
-  options.deadline.min_settles = 1;
+  options.deadline.fallback_budget_us = 0.01;  // the 256-settle floor
   ServingRouter serving(router_, options);
   L2RQueryContext ctx = router_->MakeContext();
   std::vector<Result<RouteResult>> first;
   for (const BatchQuery& q : queries) {
     first.push_back(serving.Route(&ctx, q.s, q.d, q.departure_time));
   }
+  EXPECT_GT(serving.GetStats().budget_degraded, 0u);
   // Warm pass: hits return the same (possibly degraded) results the miss
   // pass computed and cached.
   for (size_t i = 0; i < queries.size(); ++i) {

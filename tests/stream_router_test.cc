@@ -181,7 +181,6 @@ TEST_F(StreamRouterTest, DeadlineClosesPartialBatchWithExactQueueWaits) {
 
   ManualClock clock;
   StreamOptions options;
-  options.max_batch = 8;  // never reached: the deadline must close it
   options.batch_deadline_us = 1000;
   options.num_threads = 1;
   options.clock = &clock;
@@ -198,7 +197,7 @@ TEST_F(StreamRouterTest, DeadlineClosesPartialBatchWithExactQueueWaits) {
   clock.AdvanceMicros(150);
   submit(2);                 // t = 250
   // Nothing can complete before the deadline: the batch is below
-  // max_batch and virtual time has not reached t = 1000.
+  // kMaxBatch and virtual time has not reached t = 1000.
   EXPECT_EQ(stream.GetStats().completed, 0u);
   clock.AdvanceMicros(750);  // t = 1000: exactly the deadline
   AwaitCompleted(stream, queries.size());
@@ -225,35 +224,32 @@ TEST_F(StreamRouterTest, DeadlineClosesPartialBatchWithExactQueueWaits) {
 }
 
 TEST_F(StreamRouterTest, MaxBatchClosesEarlyWithoutReachingTheDeadline) {
-  const std::vector<BatchQuery> queries = MakeQueries(4);
-  ASSERT_EQ(queries.size(), 4u);
+  const std::vector<BatchQuery> pool = MakeQueries(4);
+  ASSERT_EQ(pool.size(), 4u);
+  constexpr size_t kSlots = StreamRouter::kMaxBatch;
 
   ManualClock clock;
   StreamOptions options;
-  options.max_batch = 4;
   options.batch_deadline_us = 1'000'000;  // far away: size must win
   options.num_threads = 1;
   options.clock = &clock;
   StreamRouter stream(router_, options);
 
-  std::vector<StreamResult> got(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
+  std::vector<StreamResult> got(kSlots);
+  for (size_t i = 0; i < kSlots; ++i) {
     if (i > 0) clock.AdvanceMicros(10);
-    ASSERT_TRUE(stream.Submit(queries[i],
+    ASSERT_TRUE(stream.Submit(pool[i % pool.size()],
                               [&got, i](const StreamResult& r) { got[i] = r; }));
   }
-  // The 4th submit closed the batch itself — no clock advance needed.
-  AwaitCompleted(stream, queries.size());
+  // The 64th submit closed the batch itself — no clock advance needed.
+  AwaitCompleted(stream, kSlots);
 
-  // Close time = the filling submit (t = 30).
-  EXPECT_EQ(got[0].queue_wait_us, 30);
-  EXPECT_EQ(got[1].queue_wait_us, 20);
-  EXPECT_EQ(got[2].queue_wait_us, 10);
-  EXPECT_EQ(got[3].queue_wait_us, 0);
-  for (const StreamResult& r : got) {
-    EXPECT_EQ(r.batch_seq, 1u);
-    EXPECT_EQ(r.batch_size, 4u);
-    EXPECT_FALSE(r.closed_by_deadline);
+  // Close time = the filling submit (t = 630).
+  for (size_t i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(got[i].queue_wait_us, static_cast<int64_t>(10 * (63 - i))) << i;
+    EXPECT_EQ(got[i].batch_seq, 1u) << i;
+    EXPECT_EQ(got[i].batch_size, kSlots) << i;
+    EXPECT_FALSE(got[i].closed_by_deadline) << i;
   }
   const StreamRouter::Stats stats = stream.GetStats();
   EXPECT_EQ(stats.closed_by_size, 1u);
@@ -261,12 +257,12 @@ TEST_F(StreamRouterTest, MaxBatchClosesEarlyWithoutReachingTheDeadline) {
 }
 
 TEST_F(StreamRouterTest, SubmissionsRacingAClosingBatchLandInTheNextBatch) {
-  const std::vector<BatchQuery> queries = MakeQueries(4);
-  ASSERT_EQ(queries.size(), 4u);
+  const std::vector<BatchQuery> pool = MakeQueries(4);
+  ASSERT_EQ(pool.size(), 4u);
+  constexpr size_t kBatch = StreamRouter::kMaxBatch;
 
   ManualClock clock;
   StreamOptions options;
-  options.max_batch = 2;
   options.batch_deadline_us = 1'000'000;
   options.num_threads = 1;
   options.clock = &clock;
@@ -274,30 +270,30 @@ TEST_F(StreamRouterTest, SubmissionsRacingAClosingBatchLandInTheNextBatch) {
 
   std::atomic<bool> drain_started{false};
   std::atomic<bool> release_drain{false};
-  std::vector<StreamResult> got(queries.size());
+  std::vector<StreamResult> got(2 * kBatch);
+  auto submit = [&](size_t i) {
+    ASSERT_TRUE(stream.Submit(pool[i % pool.size()],
+                              [&got, i](const StreamResult& r) { got[i] = r; }));
+  };
   // Slot 0's callback parks the batcher mid-drain so the test can submit
   // while batch 1 is deterministically "closing".
-  ASSERT_TRUE(stream.Submit(queries[0], [&](const StreamResult& r) {
+  ASSERT_TRUE(stream.Submit(pool[0], [&](const StreamResult& r) {
     got[0] = r;
     drain_started.store(true);
     while (!release_drain.load()) std::this_thread::yield();
   }));
-  ASSERT_TRUE(stream.Submit(
-      queries[1], [&](const StreamResult& r) { got[1] = r; }));  // closes #1
+  for (size_t i = 1; i < kBatch; ++i) submit(i);  // the last closes #1
   while (!drain_started.load()) std::this_thread::yield();
 
   // Batch 1 is mid-drain: this submission must open batch 2, not join 1.
-  ASSERT_TRUE(stream.Submit(
-      queries[2], [&](const StreamResult& r) { got[2] = r; }));
+  submit(kBatch);
   release_drain.store(true);
-  ASSERT_TRUE(stream.Submit(
-      queries[3], [&](const StreamResult& r) { got[3] = r; }));  // closes #2
-  AwaitCompleted(stream, queries.size());
+  for (size_t i = kBatch + 1; i < 2 * kBatch; ++i) submit(i);  // closes #2
+  AwaitCompleted(stream, 2 * kBatch);
 
-  EXPECT_EQ(got[0].batch_seq, 1u);
-  EXPECT_EQ(got[1].batch_seq, 1u);
-  EXPECT_EQ(got[2].batch_seq, 2u);
-  EXPECT_EQ(got[3].batch_seq, 2u);
+  for (size_t i = 0; i < 2 * kBatch; ++i) {
+    EXPECT_EQ(got[i].batch_seq, i < kBatch ? 1u : 2u) << i;
+  }
   EXPECT_EQ(stream.GetStats().batches, 2u);
   EXPECT_EQ(stream.GetStats().closed_by_size, 2u);
 }
@@ -320,9 +316,10 @@ TEST_F(StreamRouterTest, JitteredArrivalsMatchPreformedBatchAcrossLadder) {
     gaps.reserve(kLadderEvents);
     for (size_t i = 0; i < kLadderEvents; ++i) {
       slots.push_back(pool[rng.Index(pool.size())]);
-      // Exponential inter-arrival jitter, mean 120 µs against a 500 µs
-      // batch deadline: some batches close by size, some by deadline.
-      gaps.push_back(static_cast<int64_t>(rng.Exponential(1.0 / 120.0)));
+      // Exponential inter-arrival jitter, mean 6 µs against a 500 µs
+      // batch deadline: 64 arrivals take ~384 µs on average, so some
+      // batches close by size and some by deadline.
+      gaps.push_back(static_cast<int64_t>(rng.Exponential(1.0 / 6.0)));
     }
 
     BatchRouter reference(router_, BatchRouterOptions{1, false});
@@ -330,9 +327,8 @@ TEST_F(StreamRouterTest, JitteredArrivalsMatchPreformedBatchAcrossLadder) {
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       ManualClock clock;
-      ServingRouter serving(router_);  // cache + memo + single-flight on
+      ServingRouter serving(router_);  // cache + memo on
       StreamOptions options;
-      options.max_batch = 8;
       options.batch_deadline_us = 500;
       options.num_threads = threads;
       options.dedup = true;
@@ -363,7 +359,7 @@ TEST_F(StreamRouterTest, JitteredArrivalsMatchPreformedBatchAcrossLadder) {
       for (const auto& [size, count] : stats.batch_size_hist) {
         batches += count;
         queries_in_batches += size * count;
-        EXPECT_LE(size, options.max_batch);
+        EXPECT_LE(size, StreamRouter::kMaxBatch);
       }
       EXPECT_EQ(batches, stats.batches);
       EXPECT_EQ(queries_in_batches, slots.size());
@@ -386,7 +382,7 @@ TEST_F(StreamRouterTest, DrainThreadLadderMatchesReferenceByteForByte) {
   std::vector<int64_t> gaps;
   for (size_t i = 0; i < kLadderEvents; ++i) {
     slots.push_back(pool[rng.Index(pool.size())]);
-    gaps.push_back(static_cast<int64_t>(rng.Exponential(1.0 / 120.0)));
+    gaps.push_back(static_cast<int64_t>(rng.Exponential(1.0 / 6.0)));
   }
 
   BatchRouter reference(router_, BatchRouterOptions{1, false});
@@ -396,7 +392,6 @@ TEST_F(StreamRouterTest, DrainThreadLadderMatchesReferenceByteForByte) {
     ManualClock clock;
     ServingRouter serving(router_);
     StreamOptions options;
-    options.max_batch = 8;
     options.batch_deadline_us = 500;
     options.num_threads = 2;
     options.num_drain_threads = drains;
@@ -430,9 +425,7 @@ TEST_F(StreamRouterTest, OverlappingDrainsTickExactlyOncePerPeriod) {
   // not periods x drain threads. Idle ticks run with no queries at all —
   // that is also how a tripped stream recovers during a lull.
   ManualClock clock;
-  OverloadControllerOptions oc;
-  oc.control_period_us = 1000;
-  OverloadController controller(oc);
+  OverloadController controller(256);
   StreamOptions options;
   options.num_threads = 1;
   options.num_drain_threads = 4;
@@ -442,7 +435,8 @@ TEST_F(StreamRouterTest, OverlappingDrainsTickExactlyOncePerPeriod) {
   ASSERT_EQ(stream.drain_threads(), 4u);
 
   for (uint64_t period = 1; period <= 5; ++period) {
-    clock.AdvanceMicros(oc.control_period_us);  // exactly one boundary
+    // Exactly one boundary.
+    clock.AdvanceMicros(OverloadController::kControlPeriodUs);
     // Wait for the winning thread's tick, then hold: virtual time is
     // frozen, so a duplicate tick (a second thread through the same
     // boundary) is the only way the count could move past period.
@@ -464,7 +458,6 @@ TEST_F(StreamRouterTest, ShutdownFlushesQueuedQueries) {
 
   ManualClock clock;
   StreamOptions options;
-  options.max_batch = 8;
   options.batch_deadline_us = 1'000'000;  // unreachable: shutdown flushes
   options.num_threads = 1;
   options.clock = &clock;
@@ -485,37 +478,6 @@ TEST_F(StreamRouterTest, ShutdownFlushesQueuedQueries) {
     EXPECT_EQ(got[i].batch_seq, 1u);
     EXPECT_FALSE(got[i].closed_by_deadline);
   }
-}
-
-TEST_F(StreamRouterTest, ShutdownFailPolicyFailsQueuedQueriesDeterministically) {
-  const std::vector<BatchQuery> queries = MakeQueries(3);
-  ASSERT_EQ(queries.size(), 3u);
-
-  ManualClock clock;
-  StreamOptions options;
-  options.max_batch = 8;
-  options.batch_deadline_us = 1'000'000;
-  options.num_threads = 1;
-  options.shutdown = StreamShutdownPolicy::kFail;
-  options.clock = &clock;
-  StreamRouter stream(router_, options);
-  std::vector<StreamResult> got(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(stream.Submit(queries[i],
-                              [&got, i](const StreamResult& r) { got[i] = r; }));
-  }
-  stream.Shutdown();
-
-  const StreamRouter::Stats stats = stream.GetStats();
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_EQ(stats.failed_on_shutdown, queries.size());
-  EXPECT_EQ(stats.batches, 0u);  // failed queries never joined a batch
-  for (const StreamResult& r : got) {
-    ASSERT_FALSE(r.result.ok());
-    EXPECT_EQ(r.result.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(r.batch_seq, 0u);
-  }
-  // Destruction after an explicit Shutdown is a no-op (idempotent).
 }
 
 TEST_F(StreamRouterTest, SubmitAfterShutdownIsRejectedWithoutCallback) {
@@ -546,11 +508,12 @@ TEST_F(StreamRouterTest, SubmitWaitRoundTripsThroughTheBatchPath) {
   BatchRouter reference(router_, BatchRouterOptions{1, false});
   const std::vector<Result<RouteResult>> want = reference.RouteAll(queries);
 
-  // max_batch = 1: every submit closes its own batch, so the blocking
-  // convenience needs no clock advance and no real sleeps even on the
-  // default SystemClock.
+  // batch_deadline_us = 0: the batcher observes an already-expired
+  // deadline and closes every batch at once, so the blocking convenience
+  // needs no clock advance and no real sleeps even on the default
+  // SystemClock.
   StreamOptions options;
-  options.max_batch = 1;
+  options.batch_deadline_us = 0;
   options.num_threads = 1;
   StreamRouter stream(router_, options);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -558,20 +521,9 @@ TEST_F(StreamRouterTest, SubmitWaitRoundTripsThroughTheBatchPath) {
     ExpectSameResult(want[i], got.result, i);
     EXPECT_EQ(got.batch_size, 1u);
     EXPECT_EQ(got.queue_wait_us, 0);
-    EXPECT_FALSE(got.closed_by_deadline);
+    EXPECT_TRUE(got.closed_by_deadline);
   }
-  EXPECT_EQ(stream.GetStats().closed_by_size, queries.size());
-
-  // batch_deadline_us = 0 exercises the other real-clock no-sleep path:
-  // the batcher observes an already-expired deadline and closes at once.
-  StreamOptions expired;
-  expired.max_batch = 8;
-  expired.batch_deadline_us = 0;
-  expired.num_threads = 1;
-  StreamRouter immediate(router_, expired);
-  const StreamResult got = immediate.SubmitWait(queries[0]);
-  ExpectSameResult(want[0], got.result, 0);
-  EXPECT_TRUE(got.closed_by_deadline);
+  EXPECT_EQ(stream.GetStats().closed_by_deadline, queries.size());
 }
 
 TEST_F(StreamRouterTest, StatsSampleTheEpochServeSplitFromTheService) {
@@ -583,7 +535,7 @@ TEST_F(StreamRouterTest, StatsSampleTheEpochServeSplitFromTheService) {
   // cold inserts and warm hits alike — counts as current-epoch.
   ServingRouter serving(router_);
   StreamOptions options;
-  options.max_batch = 1;
+  options.batch_deadline_us = 0;  // every submit closes at once
   options.num_threads = 1;
   StreamRouter stream(&serving, options);
   for (int pass = 0; pass < 2; ++pass) {

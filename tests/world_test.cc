@@ -475,8 +475,11 @@ TEST_F(WorldTest, RepairerReinsertsByteIdenticalEntriesOnTheNewEpoch) {
   EXPECT_GT(report.repair_settles, 0u);
   EXPECT_GE(report.ConvergenceRate(), 0.0);
   EXPECT_LE(report.ConvergenceRate(), 1.0);
-  // A second pass finds nothing stale: the cache is fully repaired.
+  // A second pass finds nothing stale: the cache is fully repaired, and
+  // a background tick (the same sweep over one worker's shards) finds
+  // every shard already swept on this epoch.
   EXPECT_EQ(repairer.RepairAll().candidates, 0u);
+  EXPECT_FALSE(repairer.BackgroundTick(0, 1));
 
   // Every repaired entry serves the exact bytes a cold recompute on the
   // new epoch produces, and serves them from the cache (zero misses).
@@ -506,7 +509,7 @@ TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
   ManualClock clock;
   StreamOptions sopts;
   sopts.clock = &clock;
-  sopts.max_batch = 1;  // size-closed batches: no clock advancement needed
+  sopts.batch_deadline_us = 0;  // closes at once: no clock advance needed
   sopts.num_threads = 2;
   sopts.num_drain_threads = 2;
   // The incident below is the fresh channel's first batch: epoch 1. Each
@@ -583,7 +586,7 @@ TEST_F(WorldTest, StreamOnManualClockServesOnlyCurrentWorldBytes) {
   ManualClock clock;
   StreamOptions sopts;
   sopts.clock = &clock;
-  sopts.max_batch = 1;  // size-closed batches: no clock advancement needed
+  sopts.batch_deadline_us = 0;  // closes at once: no clock advance needed
   sopts.num_threads = 2;
   StreamRouter stream(&serving, sopts);
 
