@@ -48,8 +48,11 @@ inline std::unique_ptr<PipelineSetup> BuildPipeline(const DatasetSpec& spec) {
   if (!graph.ok()) return nullptr;
   setup->graph = std::make_unique<RegionGraph>(std::move(*graph));
   setup->weights = std::make_unique<WeightSet>(net, TimePeriod::kOffPeak);
+  const SlaveReachability reach =
+      SlaveReachability::Build(net, setup->space.slaves());
   setup->labeled = LearnTEdgePreferences(net, *setup->graph, *setup->weights,
-                                         setup->space, /*num_threads=*/0);
+                                         setup->space, &reach,
+                                         /*num_threads=*/0);
   setup->features = ComputeAllRegionEdgeFeatures(*setup->graph);
   return setup;
 }

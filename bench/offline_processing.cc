@@ -48,6 +48,7 @@ void RunDataset(const DatasetSpec& spec) {
         100 * rep.transfer_null_rate);
   }
   std::printf("landmark tables: %.2f s\n", report.landmark_seconds);
+  std::printf("slave reachability oracle: %.3f s\n", report.reach_seconds);
   std::printf("total offline build: %.2f s\n", report.total_seconds);
 }
 

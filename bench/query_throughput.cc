@@ -51,6 +51,7 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "core/batch_router.h"
+#include "pref/preference.h"
 #include "roadnet/generator.h"
 #include "roadnet/io.h"
 #include "roadnet/snapshot.h"
@@ -58,6 +59,7 @@
 #include "routing/dijkstra.h"
 #include "routing/goal_potential.h"
 #include "routing/preference_dijkstra.h"
+#include "routing/slave_reachability.h"
 #include "serve/overload_controller.h"
 #include "serve/serving_router.h"
 #include "serve/stream_router.h"
@@ -793,9 +795,10 @@ Json DynamicWorldBlock(const Fixture& fx, bool* ok) {
 
 /// Metro worlds at the bench scale x {1, 10/3, 10} (0.3/1.0/3.0 at the
 /// default; rounded to 3 decimals so each rung is exactly the printed
-/// one): footprint, CSV rebuild vs snapshot mmap cold start, and fastest /
-/// Algorithm 2 (highway slave) queries on the mapped image, plain and
-/// goal-directed.
+/// one): footprint, CSV rebuild vs snapshot mmap cold start, the slave
+/// reachability oracle over the default feature space's masks, and
+/// fastest / Algorithm 2 (highway slave, through the oracle) queries on
+/// the mapped image, plain and goal-directed.
 Json ScaleLadderBlock(const Fixture& fx, bool*) {
   const std::string snap_path = OutPath() + ".ladder.snap";
   const std::string csv_prefix = OutPath() + ".ladder";
@@ -838,7 +841,11 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
     const EdgeWeights weights(mnet, CostFeature::kTravelTime,
                               TimePeriod::kOffPeak);
     DijkstraSearch dijkstra(mnet);
-    PreferenceDijkstra pref(mnet);
+    Timer reach_timer;
+    const SlaveReachability reach = SlaveReachability::Build(
+        mnet, PreferenceFeatureSpace::Default().slaves());
+    const double reach_seconds = reach_timer.ElapsedSeconds();
+    PreferenceDijkstra pref(mnet, &reach);
     const RoadTypeMask highway =
         RoadTypeBit(RoadType::kMotorway) | RoadTypeBit(RoadType::kTrunk);
     // Mean {us, settles} per query of `route(s, t)` over the rung's fixed
@@ -905,6 +912,8 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
          {"landmark_bytes", (goal.landmarks()->dist.size() +
                              goal.landmarks()->floor.size()) *
                                 sizeof(double)},
+         {"reach_build_seconds", Json(reach_seconds, 3)},
+         {"reach_bytes", reach.MemoryBytes()},
          {"plain_mean_settles", Json(plain_settles, 1)},
          {"goal_mean_query_us", goal_us},
          {"goal_mean_settles", Json(goal_settles, 1)},

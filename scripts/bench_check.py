@@ -122,7 +122,7 @@ SCHEMA = {
         "snapshot_bytes", "gen_seconds", "csv_cold_start_seconds",
         "mmap_cold_start_seconds", "checksum_only_open_seconds",
         "cold_start_speedup", "zero_copy", "queries", "qps",
-        "mean_query_us"]),
+        "mean_query_us", "reach_build_seconds", "reach_bytes"]),
     "scale_out": ["hw_threads", "single_core",
                   *under("serving_runs[]", ["threads", "qps", "identical"]),
                   *under("drain_audits[]", ["drains", "qps", "identical",
@@ -395,7 +395,7 @@ def check_scale_ladder(block, c):
         where = f"[scale={r['scale']}]"
         for key in ("num_vertices", "num_edges", "qps",
                     "csv_cold_start_seconds", "mmap_cold_start_seconds",
-                    "checksum_only_open_seconds"):
+                    "checksum_only_open_seconds", "reach_bytes"):
             c.positive(r[key], where, key)
         c.in_range(r["snapshot_bytes"] - r["world_bytes"], where,
                    "snapshot_bytes - world_bytes", 0,

@@ -65,7 +65,8 @@ std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge) {
 
 std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
     const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
-    const PreferenceFeatureSpace& space, unsigned num_threads) {
+    const PreferenceFeatureSpace& space, const SlaveReachability* reach,
+    unsigned num_threads) {
   auto evidence = [&](uint32_t e) {
     uint64_t total = 0;
     for (const StoredPathRef& p : graph.edge(e).t_paths) {
@@ -87,7 +88,9 @@ std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
   std::vector<std::optional<RoutingPreference>> labeled(graph.NumEdges());
   ParallelForWorker(
       learn_set.size(),
-      [&]() { return std::make_unique<PreferenceLearner>(net, ws, space); },
+      [&]() {
+        return std::make_unique<PreferenceLearner>(net, ws, space, reach);
+      },
       [&](std::unique_ptr<PreferenceLearner>& learner, size_t i) {
         const uint32_t e = learn_set[i];
         std::vector<std::vector<VertexId>> paths;
@@ -133,6 +136,12 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
   }
   AttachGoalPotentials(*net, groups, options.num_threads);
   router->report_.landmark_seconds = total.ElapsedSeconds();
+  // Every preference search after this point (learning, B-edge paths,
+  // serving) skips filtered passes the oracle proves futile.
+  Timer reach_timer;
+  router->reach_ = SlaveReachability::Build(*net, router->space_.slaves(),
+                                            options.num_threads);
+  router->report_.reach_seconds = reach_timer.ElapsedSeconds();
   if (options.time_dependent) {
     PeriodPartition parts = PartitionByPeriod(training);
     // A degenerate partition falls back to the full set so both period
@@ -185,7 +194,7 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
   // 3. T-edge preference learning (Sec. V-A), parallel over T-edges.
   timer.Restart();
   const std::vector<std::optional<RoutingPreference>> labeled =
-      LearnTEdgePreferences(*net_, graph, ws, space_, num_threads);
+      LearnTEdgePreferences(*net_, graph, ws, space_, &reach_, num_threads);
   rep.learn_seconds = timer.ElapsedSeconds();
 
   // 4. Preference transfer to B-edges (Sec. V-B).
@@ -206,7 +215,7 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
   // 5. Apply transferred preferences: attach B-edge paths (Sec. V-C).
   timer.Restart();
   Result<ApplyStats> applied = ApplyTransferredPreferences(
-      &graph, *net_, ws, space_, preferences_[pi], num_threads);
+      &graph, *net_, ws, space_, preferences_[pi], &reach_, num_threads);
   if (!applied.ok()) return applied.status();
   rep.apply_seconds = timer.ElapsedSeconds();
   return Status::OK();

@@ -10,6 +10,7 @@
 #include "pref/learner.h"
 #include "region/region_graph.h"
 #include "routing/dijkstra.h"
+#include "routing/slave_reachability.h"
 #include "transfer/apply.h"
 #include "transfer/transfer.h"
 #include "traj/trajectory.h"
@@ -46,11 +47,13 @@ std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge);
 /// (traversals x hops summed over such paths, ties in edge order). Each
 /// edge learns from its LearnPaths, weighted by traversals x hops. The
 /// result is index-aligned with graph.edges(), nullopt for B-edges and
-/// unlearned T-edges, and the same at every `num_threads` (0 = hardware
-/// concurrency).
+/// unlearned T-edges, and the same with or without `reach` (which only
+/// skips futile filtered passes; null = none) and at every `num_threads`
+/// (0 = hardware concurrency).
 std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
     const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
-    const PreferenceFeatureSpace& space, unsigned num_threads);
+    const PreferenceFeatureSpace& space, const SlaveReachability* reach,
+    unsigned num_threads);
 
 /// Build-time report (the offline processing the paper times in
 /// Sec. VII-C).
@@ -77,6 +80,8 @@ struct L2RBuildReport {
   PeriodReport period[kNumTimePeriods];
   /// Landmark tables of the goal-directed search potentials.
   double landmark_seconds = 0;
+  /// The slave-filter reachability oracle (routing/slave_reachability.h).
+  double reach_seconds = 0;
   double total_seconds = 0;
 };
 
@@ -106,8 +111,11 @@ struct RouteResult {
 /// Reusable per-thread query workspace (allocation-free routing).
 class L2RQueryContext {
  public:
-  explicit L2RQueryContext(const RoadNetwork& net)
-      : dijkstra(net), pref_dijkstra(net) {}
+  /// `reach`: see PreferenceDijkstra (L2RRouter::MakeContext passes the
+  /// router's oracle).
+  explicit L2RQueryContext(const RoadNetwork& net,
+                           const SlaveReachability* reach = nullptr)
+      : dijkstra(net), pref_dijkstra(net, reach) {}
 
   /// Vertices settled by this context over its lifetime, across both
   /// search kernels — the deterministic work measure behind the
@@ -144,7 +152,11 @@ class L2RRouter {
                             double departure_time,
                             const ServeHooks& hooks = {}) const;
 
-  L2RQueryContext MakeContext() const { return L2RQueryContext(*net_); }
+  /// A context whose preference searches use slave_reachability(); it
+  /// must not outlive the router.
+  L2RQueryContext MakeContext() const {
+    return L2RQueryContext(*net_, &reach_);
+  }
 
   /// The period whose graph/weights answer a query departing at
   /// `departure_time` — the route cache quantizes its keys with this, so
@@ -170,6 +182,10 @@ class L2RRouter {
     return weights_[static_cast<int>(p)];
   }
   const PreferenceFeatureSpace& feature_space() const { return space_; }
+  /// Reachability oracle over every slave mask of feature_space(), shared
+  /// by both periods: masks depend only on topology and road types, which
+  /// live updates never change.
+  const SlaveReachability& slave_reachability() const { return reach_; }
   const RoadNetwork& net() const { return *net_; }
 
   /// Recomputes the cached per-edge weight arrays (both periods, all three
@@ -233,6 +249,7 @@ class L2RRouter {
 
   const RoadNetwork* net_;
   PreferenceFeatureSpace space_;
+  SlaveReachability reach_;
   bool time_dependent_ = true;
   WeightSet weights_[kNumTimePeriods];
   std::vector<MatchedTrajectory> trajectories_[kNumTimePeriods];

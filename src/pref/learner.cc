@@ -14,8 +14,9 @@ constexpr double kMinSlaveImprovement = 1e-9;
 
 PreferenceLearner::PreferenceLearner(const RoadNetwork& net,
                                      const WeightSet& ws,
-                                     const PreferenceFeatureSpace& space)
-    : net_(net), ws_(ws), space_(space), search_(net) {}
+                                     const PreferenceFeatureSpace& space,
+                                     const SlaveReachability* reach)
+    : net_(net), ws_(ws), space_(space), search_(net, reach) {}
 
 Result<PreferenceLearner::LearnOutput> PreferenceLearner::LearnForPaths(
     const std::vector<std::vector<VertexId>>& all_paths,

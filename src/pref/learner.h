@@ -23,9 +23,12 @@ inline constexpr size_t kMinLearnPathHops = 4;
 /// that further improves the match (or none).
 class PreferenceLearner {
  public:
-  /// `ws` supplies the per-period weight arrays the searches run on.
+  /// `ws` supplies the per-period weight arrays the searches run on;
+  /// `reach` (optional, see PreferenceDijkstra) skips their futile
+  /// filtered passes without changing what is learned.
   PreferenceLearner(const RoadNetwork& net, const WeightSet& ws,
-                    const PreferenceFeatureSpace& space);
+                    const PreferenceFeatureSpace& space,
+                    const SlaveReachability* reach = nullptr);
 
   struct LearnOutput {
     RoutingPreference pref;

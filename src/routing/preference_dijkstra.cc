@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "routing/goal_potential.h"
 
 namespace l2r {
@@ -17,14 +18,7 @@ struct SlaveFilter {
   bool none_sat = true;
 
   void BeginVertex(VertexId u) {
-    if (mask == 0) return;
-    none_sat = true;
-    for (const EdgeId e : net.OutEdges(u)) {
-      if (MaskContains(mask, net.edge(e).road_type)) {
-        none_sat = false;
-        break;
-      }
-    }
+    if (mask != 0) none_sat = NoneSatisfies(net, u, mask);
   }
   bool ShouldExplore(EdgeId e) const {
     if (mask == 0 || none_sat) return true;
@@ -33,6 +27,12 @@ struct SlaveFilter {
 };
 
 }  // namespace
+
+PreferenceDijkstra::PreferenceDijkstra(const RoadNetwork& net,
+                                       const SlaveReachability* reach)
+    : net_(net), reach_(reach), ws_(net.NumVertices()) {
+  L2R_CHECK(reach == nullptr || reach->num_vertices() == net.NumVertices());
+}
 
 VertexId PreferenceDijkstra::Run(VertexId s, VertexId t,
                                  const EdgeWeights& master,
@@ -73,16 +73,22 @@ Result<PreferencePathResult> PreferenceDijkstra::Route(
   }
   PreferencePathResult out;
   bool exhausted = false;
-  if (Run(s, t, master, slave_mask, max_settles, &exhausted) == t) {
-    out.path = Extract(t);
-    return out;
-  }
-  if (exhausted) {
-    return Status::DeadlineExceeded("preference search settle budget");
-  }
-  if (slave_mask == 0) {
-    return Status::NotFound("no path " + std::to_string(s) + "->" +
-                            std::to_string(t));
+  // A pass the oracle proves futile can only end with t unreached (or, under
+  // a cap, out of settles); skipping it changes no uncapped result.
+  const bool futile =
+      reach_ != nullptr && reach_->Unreachable(slave_mask, s, t);
+  if (!futile) {
+    if (Run(s, t, master, slave_mask, max_settles, &exhausted) == t) {
+      out.path = Extract(t);
+      return out;
+    }
+    if (exhausted) {
+      return Status::DeadlineExceeded("preference search settle budget");
+    }
+    if (slave_mask == 0) {
+      return Status::NotFound("no path " + std::to_string(s) + "->" +
+                              std::to_string(t));
+    }
   }
   // The slave filter can disconnect t (Algorithm 2 leaves this case
   // unspecified); fall back to the unfiltered master-cost search.

@@ -13,18 +13,11 @@ namespace l2r {
 /// injected clock so a scripted sequence reproduces bit-identical
 /// control decisions under ManualClock.
 struct OverloadObservation {
-  int64_t now_us = 0;
-  /// Callbacks completed (served) during the tick.
-  uint64_t served = 0;
-  /// Queries shed during the tick.
-  uint64_t shed = 0;
   /// Pending depth at tick time: open batch + closed-but-undrained.
   size_t queue_depth = 0;
   /// p99 of interactive drain waits observed during the tick; -1 when no
   /// interactive query completed (depth alone drives the decision then).
   int64_t wait_p99_us = -1;
-  /// Budget-degraded fraction of the tick's served results, in [0, 1].
-  double degrade_fraction = 0;
 };
 
 /// What the serving stack should do until the next tick. Levels compose
@@ -45,9 +38,9 @@ struct OverloadDecision {
 /// Closed-loop overload control for the streaming serving stack. PR 5
 /// measured queue-wait p99 sitting exactly on the hand-set
 /// batch_deadline_us; this controller closes that loop: it watches
-/// served QPS, pending depth, drain-wait percentiles and the degrade
-/// rate (one OverloadObservation per tick) and decides the batch
-/// deadline, the shed set, and the budget scale for the next tick.
+/// pending depth and the interactive drain-wait p99 (one
+/// OverloadObservation per tick) and decides the batch deadline, the shed
+/// set, and the budget scale for the next tick.
 ///
 /// Control law: AIMD on the batch deadline (multiplicative cut while
 /// overloaded, additive recovery while calm) plus a hysteresis ladder of

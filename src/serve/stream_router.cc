@@ -106,7 +106,6 @@ bool StreamRouter::Submit(const BatchQuery& query, StreamCallback done) {
     }
     ++shed_;
     ++shed_by_class_[cls];
-    ++tick_shed_;
   }
   // Shed: the query was *accepted* (true return, counted in submitted)
   // but refused service — its callback fires right here, synchronously on
@@ -170,10 +169,8 @@ void StreamRouter::CloseOpenLocked(CloseReason reason, int64_t close_us) {
 }
 
 OverloadDecision StreamRouter::ControllerTickLocked() {
+  const int64_t now_us = clock_->NowMicros();
   OverloadObservation obs;
-  obs.now_us = clock_->NowMicros();
-  obs.served = tick_served_;
-  obs.shed = tick_shed_;
   obs.queue_depth = open_.size() + undrained_;
   if (!tick_waits_.empty()) {
     std::sort(tick_waits_.begin(), tick_waits_.end());
@@ -181,13 +178,6 @@ OverloadDecision StreamRouter::ControllerTickLocked() {
         std::min(tick_waits_.size() - 1, (tick_waits_.size() * 99) / 100);
     obs.wait_p99_us = tick_waits_[idx];
   }
-  if (tick_served_ > 0) {
-    obs.degrade_fraction = static_cast<double>(tick_degraded_) /
-                           static_cast<double>(tick_served_);
-  }
-  tick_served_ = 0;
-  tick_shed_ = 0;
-  tick_degraded_ = 0;
   tick_waits_.clear();
   // The controller's mutex is a leaf: Tick never calls back out, so
   // holding mu_ across it cannot deadlock (see OverloadController docs).
@@ -201,7 +191,7 @@ OverloadDecision StreamRouter::ControllerTickLocked() {
   // long drain the clock may be many periods ahead, and one fresh
   // observation is worth more than a burst of catch-up ticks over the
   // same starved accumulators.
-  next_tick_us_ = obs.now_us + OverloadController::kControlPeriodUs;
+  next_tick_us_ = now_us + OverloadController::kControlPeriodUs;
   return decision;
 }
 
@@ -238,8 +228,6 @@ void StreamRouter::BatcherLoop(unsigned worker) {
       DrainOutcome outcome = DrainBatch(std::move(batch));
       lock.Lock();
       undrained_ -= outcome.queries;
-      tick_served_ += outcome.queries;
-      tick_degraded_ += outcome.degraded;
       tick_waits_.insert(tick_waits_.end(), outcome.interactive_waits.begin(),
                          outcome.interactive_waits.end());
       continue;
@@ -313,9 +301,6 @@ StreamRouter::DrainOutcome StreamRouter::DrainBatch(ClosedBatch batch) {
             std::max<int64_t>(0, batch.close_us - pending.submit_us);
         out.drain_wait_us =
             std::max<int64_t>(0, drain_start_us - pending.submit_us);
-        if (out.result.ok() && out.result->budget_degraded) {
-          ++outcome.degraded;
-        }
         if (pending.query.query_class == QueryClass::kInteractive) {
           outcome.interactive_waits.push_back(out.drain_wait_us);
         }

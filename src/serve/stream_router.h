@@ -111,10 +111,10 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 ///
 /// Overload control (opt-in via StreamOptions::overload): the batcher
 /// additionally runs the OverloadController once per control period on
-/// the injected clock, feeding it served/shed counts, pending depth,
-/// interactive drain-wait p99 and the degrade rate, and applying its
-/// decision — adaptive batch deadline, per-class admission shedding
-/// (bulk first), and the budget scale via budget_sink. A shed query's
+/// the injected clock, feeding it pending depth and the interactive
+/// drain-wait p99, and applying its decision — adaptive batch deadline,
+/// per-class admission shedding (bulk first), and the budget scale via
+/// budget_sink. A shed query's
 /// callback fires synchronously inside Submit with kResourceExhausted:
 /// the shutdown invariant (every accepted callback fires exactly once)
 /// extends to shedding, so submitted == completed + shed always
@@ -241,7 +241,6 @@ class StreamRouter {
   /// observation; carried back under mu_ by the batcher.
   struct DrainOutcome {
     size_t queries = 0;
-    uint64_t degraded = 0;
     std::vector<int64_t> interactive_waits;
   };
 
@@ -293,10 +292,7 @@ class StreamRouter {
   int overload_level_ L2R_GUARDED_BY(mu_) = 0;
   int64_t next_tick_us_ L2R_GUARDED_BY(mu_) = 0;
   uint64_t controller_ticks_ L2R_GUARDED_BY(mu_) = 0;
-  // Per-tick accumulators, reset by every controller tick.
-  uint64_t tick_served_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t tick_shed_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t tick_degraded_ L2R_GUARDED_BY(mu_) = 0;
+  // Per-tick accumulator, reset by every controller tick.
   std::vector<int64_t> tick_waits_ L2R_GUARDED_BY(mu_);
   // Counters guarded by mu_ except completed_*, which the drain path
   // updates outside the lock (release order pairs with the acquire load

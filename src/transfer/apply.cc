@@ -19,7 +19,7 @@ Result<ApplyStats> ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,
-    unsigned num_threads) {
+    const SlaveReachability* reach, unsigned num_threads) {
   if (graph == nullptr) return Status::InvalidArgument("graph is null");
   if (preferences.size() != graph->NumEdges()) {
     return Status::InvalidArgument("preferences size mismatch");
@@ -37,7 +37,8 @@ Result<ApplyStats> ApplyTransferredPreferences(
   std::atomic<size_t> slave_fallbacks{0};
 
   ParallelForWorker(
-      b_edge_ids.size(), [&net]() { return PreferenceDijkstra(net); },
+      b_edge_ids.size(),
+      [&net, reach]() { return PreferenceDijkstra(net, reach); },
       [&](PreferenceDijkstra& search, size_t i) {
         const uint32_t eid = b_edge_ids[i];
         RegionEdge& edge = graph->mutable_edge(eid);

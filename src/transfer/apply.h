@@ -3,6 +3,7 @@
 
 #include "common/result.h"
 #include "region/region_graph.h"
+#include "routing/slave_reachability.h"
 #include "transfer/transfer.h"
 
 namespace l2r {
@@ -19,13 +20,14 @@ struct ApplyStats {
 /// modified Dijkstra of Algorithm 2. B-edges with null preferences get
 /// fastest paths (Sec. VII-B). Fills RegionEdge::b_paths in place: one
 /// path per routable transfer-center pair, at most 9 per B-edge.
-/// `num_threads`: 0 = hardware concurrency; the paths are the same at
-/// every value.
+/// `reach` (optional, see PreferenceDijkstra) skips futile filtered
+/// passes; `num_threads`: 0 = hardware concurrency. The paths are the same
+/// with or without `reach` and at every thread count.
 Result<ApplyStats> ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,
-    unsigned num_threads = 0);
+    const SlaveReachability* reach = nullptr, unsigned num_threads = 0);
 
 }  // namespace l2r
 

@@ -58,9 +58,8 @@ TEST(StatusTest, ResourceExhaustedIsADistinctRetriableCode) {
 // 8 puts the resume depth at 2 and the panic depth at 16.
 constexpr size_t kShedDepth = 8;
 
-OverloadObservation Obs(int64_t now_us, size_t depth, int64_t p99_us = -1) {
+OverloadObservation Obs(size_t depth, int64_t p99_us = -1) {
   OverloadObservation obs;
-  obs.now_us = now_us;
   obs.queue_depth = depth;
   obs.wait_p99_us = p99_us;
   return obs;
@@ -79,10 +78,7 @@ TEST(OverloadControllerTest, StartsCalmAtTheMaxDeadline) {
 TEST(OverloadControllerTest, LadderClimbsOneLevelPerTripShedsBulkFirst) {
   OverloadController controller(kShedDepth);
   // Depth at the shed watermark: overloaded, but far from panic.
-  int64_t now = 0;
-  auto overloaded_tick = [&] {
-    return controller.Tick(Obs(now += 2'000, kShedDepth));
-  };
+  auto overloaded_tick = [&] { return controller.Tick(Obs(kShedDepth)); };
 
   // One overloaded tick trips a level: bulk only, and the deadline cut.
   OverloadDecision d = overloaded_tick();
@@ -120,24 +116,23 @@ TEST(OverloadControllerTest, SloViolationAloneTripsWithoutDepth) {
   OverloadController controller(kShedDepth);
   // Depth is tiny but the interactive p99 broke the 50 ms SLO: still
   // overloaded.
-  const OverloadDecision d = controller.Tick(Obs(2'000, 1, 60'000));
+  const OverloadDecision d = controller.Tick(Obs(1, 60'000));
   EXPECT_EQ(d.level, 1);
   EXPECT_TRUE(d.shed_bulk);
 }
 
 TEST(OverloadControllerTest, DeadlineAimdCutsToFloorAndRecoversToCap) {
   OverloadController controller(kShedDepth);
-  int64_t now = 0;
   // Multiplicative cuts: 1000 -> 500 -> 250 -> 125 -> 100 (floor).
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 500);
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 250);
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 125);
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 100);
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 8)).batch_deadline_us, 100);
+  EXPECT_EQ(controller.Tick(Obs(8)).batch_deadline_us, 500);
+  EXPECT_EQ(controller.Tick(Obs(8)).batch_deadline_us, 250);
+  EXPECT_EQ(controller.Tick(Obs(8)).batch_deadline_us, 125);
+  EXPECT_EQ(controller.Tick(Obs(8)).batch_deadline_us, 100);
+  EXPECT_EQ(controller.Tick(Obs(8)).batch_deadline_us, 100);
   // Additive recovery, +100 per calm tick, capped at the max.
   int64_t deadline = 100;
   for (int i = 0; i < 12; ++i) {
-    deadline = controller.Tick(Obs(now += 2'000, 0)).batch_deadline_us;
+    deadline = controller.Tick(Obs(0)).batch_deadline_us;
   }
   EXPECT_EQ(deadline, 1'000);
   const OverloadController::Stats stats = controller.GetStats();
@@ -148,9 +143,9 @@ TEST(OverloadControllerTest, DeadlineAimdCutsToFloorAndRecoversToCap) {
 TEST(OverloadControllerTest, PanicDepthJumpsStraightToTheTopLevel) {
   OverloadController controller(kShedDepth);
   // One short of the panic depth (2 x shed) climbs a single level.
-  EXPECT_EQ(controller.Tick(Obs(2'000, 2 * kShedDepth - 1)).level, 1);
+  EXPECT_EQ(controller.Tick(Obs(2 * kShedDepth - 1)).level, 1);
   OverloadController panicked(kShedDepth);
-  const OverloadDecision d = panicked.Tick(Obs(2'000, 2 * kShedDepth));
+  const OverloadDecision d = panicked.Tick(Obs(2 * kShedDepth));
   EXPECT_EQ(d.level, 3);
   EXPECT_TRUE(d.shed_bulk);
   EXPECT_TRUE(d.shed_interactive);
@@ -160,17 +155,16 @@ TEST(OverloadControllerTest, PanicDepthJumpsStraightToTheTopLevel) {
 
 TEST(OverloadControllerTest, MiddleGroundHoldsTheLevelHysteresisReleases) {
   OverloadController controller(kShedDepth);
-  int64_t now = 0;
-  ASSERT_EQ(controller.Tick(Obs(now += 2'000, kShedDepth)).level, 1);
+  ASSERT_EQ(controller.Tick(Obs(kShedDepth)).level, 1);
   // Depth between resume (shed/4 = 2) and shed (8): neither overloaded
   // nor calm — the level must hold indefinitely, not decay.
   for (const size_t depth : {3, 5, 7, 3, 5, 7}) {
-    EXPECT_EQ(controller.Tick(Obs(now += 2'000, depth)).level, 1);
+    EXPECT_EQ(controller.Tick(Obs(depth)).level, 1);
   }
   // Three calm ticks (depth <= resume) drop exactly one level.
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 2)).level, 1);
-  EXPECT_EQ(controller.Tick(Obs(now += 2'000, 0)).level, 1);
-  const OverloadDecision d = controller.Tick(Obs(now += 2'000, 0));
+  EXPECT_EQ(controller.Tick(Obs(2)).level, 1);
+  EXPECT_EQ(controller.Tick(Obs(0)).level, 1);
+  const OverloadDecision d = controller.Tick(Obs(0));
   EXPECT_EQ(d.level, 0);
   EXPECT_FALSE(d.shed_bulk);
   EXPECT_EQ(controller.GetStats().level_drops, 1u);
@@ -183,10 +177,9 @@ TEST(OverloadControllerTest, DecisionTraceIsAPureFunctionOfObservations) {
   OverloadController a(kShedDepth);
   OverloadController b(kShedDepth);
   Rng rng(17);
-  int64_t now = 0;
   for (int i = 0; i < 200; ++i) {
     const OverloadObservation obs =
-        Obs(now += 2'000, rng.Index(20),
+        Obs(rng.Index(20),
             rng.Bernoulli(0.3) ? static_cast<int64_t>(rng.Index(80'000)) : -1);
     const OverloadDecision da = a.Tick(obs);
     const OverloadDecision db = b.Tick(obs);

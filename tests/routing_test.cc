@@ -7,6 +7,7 @@
 #include "routing/goal_potential.h"
 #include "routing/preference_dijkstra.h"
 #include "routing/skyline.h"
+#include "routing/slave_reachability.h"
 #include "test_util.h"
 
 namespace l2r {
@@ -33,6 +34,18 @@ std::vector<double> BellmanFord(const RoadNetwork& net, VertexId s,
     if (!changed) break;
   }
   return dist;
+}
+
+/// The non-zero slave masks of the default preference feature space: the
+/// six road types one by one, plus highway (motorway | trunk).
+std::vector<RoadTypeMask> SlaveMasks() {
+  std::vector<RoadTypeMask> masks;
+  for (int t = 0; t < kNumRoadTypes; ++t) {
+    masks.push_back(RoadTypeBit(static_cast<RoadType>(t)));
+  }
+  masks.push_back(RoadTypeBit(RoadType::kMotorway) |
+                  RoadTypeBit(RoadType::kTrunk));
+  return masks;
 }
 
 /// A random strongly-connected-ish network for property tests.
@@ -276,11 +289,7 @@ void ExpectGoalDirectedMatchesPlain(const RoadNetwork& net,
                                     const std::vector<VertexId>& targets,
                                     MatchCounts* counts) {
   std::vector<RoadTypeMask> masks = {0};
-  for (int t = 0; t < kNumRoadTypes; ++t) {
-    masks.push_back(RoadTypeBit(static_cast<RoadType>(t)));
-  }
-  masks.push_back(RoadTypeBit(RoadType::kMotorway) |
-                  RoadTypeBit(RoadType::kTrunk));
+  for (const RoadTypeMask mask : SlaveMasks()) masks.push_back(mask);
   const WeightSet ws(net, TimePeriod::kPeak);
   PreferenceDijkstra plain(net);
   PreferenceDijkstra directed(net);
@@ -499,6 +508,170 @@ TEST(PreferenceDijkstraTest, FallsBackWhenFilterDisconnects) {
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->fell_back_to_unfiltered);
   EXPECT_EQ(res->path.vertices, (std::vector<VertexId>{0, 3, 2}));
+}
+
+// ---------- slave reachability oracle ----------
+
+/// Breadth-first search over Algorithm 2's filtered subgraph, written
+/// independently of the oracle and the search: u keeps its in-mask
+/// out-edges, or all of them when none is in the mask.
+std::vector<bool> FilteredReach(const RoadNetwork& net, VertexId s,
+                                RoadTypeMask mask) {
+  std::vector<bool> seen(net.NumVertices(), false);
+  std::vector<VertexId> queue = {s};
+  seen[s] = true;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const VertexId u = queue[head];
+    bool any_in_mask = false;
+    for (const EdgeId e : net.OutEdges(u)) {
+      any_in_mask |= MaskContains(mask, net.edge(e).road_type);
+    }
+    for (const EdgeId e : net.OutEdges(u)) {
+      const EdgeRecord& rec = net.edge(e);
+      if (any_in_mask && !MaskContains(mask, rec.road_type)) continue;
+      if (!seen[rec.to]) {
+        seen[rec.to] = true;
+        queue.push_back(rec.to);
+      }
+    }
+  }
+  return seen;
+}
+
+/// The oracle test nets: seeded random nets (one-way chords, so filters
+/// cut targets off), the three-corridor network and a grid.
+std::vector<RoadNetwork> OracleNets() {
+  std::vector<RoadNetwork> nets;
+  for (uint64_t seed = 41; seed <= 45; ++seed) {
+    nets.push_back(RandomNetwork(seed, 40));
+  }
+  nets.push_back(ThreeCorridorNetwork());
+  nets.push_back(MakeGrid(7, 6));
+  return nets;
+}
+
+TEST(SlaveReachabilityTest, UnreachableIsSoundForEveryPairAndMask) {
+  size_t unreachable = 0;
+  size_t proven = 0;
+  for (const RoadNetwork& net : OracleNets()) {
+    const std::vector<RoadTypeMask> masks = SlaveMasks();
+    const SlaveReachability reach = SlaveReachability::Build(net, masks);
+    EXPECT_EQ(reach.num_vertices(), net.NumVertices());
+    for (const RoadTypeMask mask : masks) {
+      for (VertexId s = 0; s < net.NumVertices(); ++s) {
+        const std::vector<bool> seen = FilteredReach(net, s, mask);
+        for (VertexId t = 0; t < net.NumVertices(); ++t) {
+          const bool says = reach.Unreachable(mask, s, t);
+          ASSERT_FALSE(says && seen[t])
+              << "mask " << int{mask} << " " << s << "->" << t;
+          unreachable += seen[t] ? 0 : 1;
+          proven += says ? 1 : 0;
+          // A mask Build did not index proves nothing.
+          EXPECT_FALSE(reach.Unreachable(0, s, t));
+        }
+      }
+    }
+  }
+  EXPECT_GT(unreachable, 0u);
+  // The labels must catch nearly every cut-off pair to be worth their
+  // bytes (99% on these nets).
+  EXPECT_GE(proven * 10, unreachable * 9) << proven << " of " << unreachable;
+}
+
+TEST(SlaveReachabilityTest, EmptyOracleKnowsNoMask) {
+  const SlaveReachability empty;
+  EXPECT_EQ(empty.num_vertices(), 0u);
+  EXPECT_EQ(empty.MemoryBytes(), 0u);
+  EXPECT_FALSE(empty.Unreachable(RoadTypeBit(RoadType::kPrimary), 0, 1));
+}
+
+/// Route with and without the oracle: same status, vertices, cost and
+/// fallback flag for every (s, t, master, slave mask), on goal-directed
+/// arrays as the router uses them. Where the oracle short-circuits, the
+/// search settles exactly what the unfiltered run alone settles.
+TEST(SlaveReachabilityTest, RoutesAreIdenticalWithAndWithoutTheOracle) {
+  size_t shortcuts = 0;
+  for (const RoadNetwork& net : OracleNets()) {
+    const std::vector<RoadTypeMask> masks = SlaveMasks();
+    const SlaveReachability reach = SlaveReachability::Build(net, masks);
+    WeightSet ws(net, TimePeriod::kPeak);
+    for (EdgeWeights* w : {&ws.distance, &ws.time, &ws.fuel}) {
+      AttachPotential(net, w);
+    }
+    PreferenceDijkstra bare(net);
+    PreferenceDijkstra oracle(net, &reach);
+    PreferenceDijkstra unfiltered(net);
+    for (int f = 0; f < kNumCostFeatures; ++f) {
+      const EdgeWeights& w = ws.Get(static_cast<CostFeature>(f));
+      for (const RoadTypeMask mask : masks) {
+        for (VertexId s = 0; s < net.NumVertices(); ++s) {
+          for (VertexId t = 0; t < net.NumVertices(); ++t) {
+            auto want = bare.Route(s, t, w, mask);
+            const uint64_t before = oracle.LifetimeSettles();
+            auto got = oracle.Route(s, t, w, mask);
+            const uint64_t settles = oracle.LifetimeSettles() - before;
+            ASSERT_EQ(want.ok(), got.ok()) << s << "->" << t;
+            if (!want.ok()) {
+              ASSERT_EQ(want.status().code(), got.status().code());
+            } else {
+              ASSERT_EQ(got->path.vertices, want->path.vertices)
+                  << s << "->" << t << " feature " << f << " mask "
+                  << int{mask};
+              ASSERT_EQ(got->path.cost, want->path.cost);
+              ASSERT_EQ(got->fell_back_to_unfiltered,
+                        want->fell_back_to_unfiltered);
+            }
+            if (!reach.Unreachable(mask, s, t)) continue;
+            ++shortcuts;
+            const uint64_t before_alone = unfiltered.LifetimeSettles();
+            (void)unfiltered.Route(s, t, w, 0);
+            ASSERT_EQ(settles, unfiltered.LifetimeSettles() - before_alone);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shortcuts, 0u);
+}
+
+TEST(SlaveReachabilityTest, SkippedPassSpendsNoneOfTheSettleCap) {
+  // Find a query whose futile filtered pass settles more than the
+  // unfiltered run needs, and cap both searches at the unfiltered run.
+  for (uint64_t seed = 41; seed <= 45; ++seed) {
+    const RoadNetwork net = RandomNetwork(seed, 70);
+    const std::vector<RoadTypeMask> masks = SlaveMasks();
+    const SlaveReachability reach = SlaveReachability::Build(net, masks);
+    EdgeWeights w(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
+    AttachPotential(net, &w);
+    PreferenceDijkstra bare(net);
+    PreferenceDijkstra oracle(net, &reach);
+    for (const RoadTypeMask mask : masks) {
+      for (VertexId s = 0; s < net.NumVertices(); ++s) {
+        for (VertexId t = 0; t < net.NumVertices(); ++t) {
+          if (!reach.Unreachable(mask, s, t)) continue;
+          uint64_t before = oracle.LifetimeSettles();
+          auto full = oracle.Route(s, t, w, mask);
+          if (!full.ok()) continue;
+          const uint64_t cap = oracle.LifetimeSettles() - before;
+          before = bare.LifetimeSettles();
+          ASSERT_TRUE(bare.Route(s, t, w, mask).ok());
+          const uint64_t filtered = bare.LifetimeSettles() - before - cap;
+          if (filtered <= cap) continue;
+          // Without the oracle the futile pass runs into the cap.
+          EXPECT_EQ(bare.Route(s, t, w, mask, cap).status().code(),
+                    StatusCode::kDeadlineExceeded);
+          // With it, the query returns the unbudgeted route.
+          auto capped = oracle.Route(s, t, w, mask, cap);
+          ASSERT_TRUE(capped.ok());
+          EXPECT_EQ(capped->path.vertices, full->path.vertices);
+          EXPECT_EQ(capped->path.cost, full->path.cost);
+          EXPECT_TRUE(capped->fell_back_to_unfiltered);
+          return;
+        }
+      }
+    }
+  }
+  FAIL() << "no futile filtered pass larger than its unfiltered run";
 }
 
 // ---------- skyline ----------

@@ -22,6 +22,7 @@
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
+#include "routing/preference_dijkstra.h"
 #include "serve/clock.h"
 #include "serve/serving_router.h"
 #include "serve/stream_router.h"
@@ -346,6 +347,70 @@ TEST_F(WorldTest, GoalDirectedRoutesMatchZeroPotentialAcrossUpdates) {
   channel.Apply(SlowdownBatch(mids[2], 0.5));
   EXPECT_TRUE(landmarks_on());
   expect_matches_reference("speed-up undone");
+}
+
+TEST_F(WorldTest, SlaveOracleLeavesRoutesUnchangedAcrossUpdates) {
+  // The oracle indexes the build-time topology. Live updates only change
+  // speeds and closures, so every route must stay what the search without
+  // the oracle returns, through a closure and its reopening.
+  WorldUpdateChannel channel(net(), router_);
+  const auto queries = MakeQueries(40);
+  const SlaveReachability& reach = router_->slave_reachability();
+  size_t shortcuts = 0;
+  auto expect_identical = [&](const char* stage) {
+    SCOPED_TRACE(stage);
+    // The full router: contexts with and without the oracle.
+    L2RQueryContext bare_ctx(router_->net());
+    const auto want = PlainResults(queries);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const BatchQuery& q = queries[i];
+      ExpectSameResult(
+          want[i], router_->Route(&bare_ctx, q.s, q.d, q.departure_time), i);
+    }
+    // Algorithm 2 itself, for every period, master and slave mask.
+    PreferenceDijkstra bare(router_->net());
+    PreferenceDijkstra oracle(router_->net(), &reach);
+    for (int p = 0; p < kNumTimePeriods; ++p) {
+      const WeightSet& ws = router_->weights(static_cast<TimePeriod>(p));
+      for (int f = 0; f < kNumCostFeatures; ++f) {
+        const EdgeWeights& w = ws.Get(static_cast<CostFeature>(f));
+        for (const RoadTypeMask mask : router_->feature_space().slaves()) {
+          for (const BatchQuery& q : queries) {
+            auto a = bare.Route(q.s, q.d, w, mask);
+            auto b = oracle.Route(q.s, q.d, w, mask);
+            ASSERT_EQ(a.ok(), b.ok()) << q.s << "->" << q.d;
+            if (!a.ok()) {
+              EXPECT_EQ(a.status().code(), b.status().code());
+              continue;
+            }
+            EXPECT_EQ(a->path.vertices, b->path.vertices);
+            EXPECT_EQ(a->path.cost, b->path.cost);
+            EXPECT_EQ(a->fell_back_to_unfiltered, b->fell_back_to_unfiltered);
+            shortcuts += reach.Unreachable(mask, q.s, q.d) ? 1 : 0;
+          }
+        }
+      }
+    }
+  };
+  // A route edge to close: the middle edge of the first routable query.
+  EdgeId closed = kInvalidEdge;
+  for (const BatchQuery& q : queries) {
+    const auto r = PlainRoute(q);
+    if (!r.ok()) continue;
+    closed = MidEdge(r->path);
+    break;
+  }
+  ASSERT_NE(closed, kInvalidEdge);
+  expect_identical("built");
+  WorldUpdateBatch close;
+  close.closures.push_back(closed);
+  channel.Apply(close);
+  expect_identical("closure");
+  WorldUpdateBatch reopen;
+  reopen.reopenings.push_back(closed);
+  channel.Apply(reopen);
+  expect_identical("reopening");
+  EXPECT_GT(shortcuts, 0u);
 }
 
 TEST_F(WorldTest, ApplyWaitsOutActiveReadPins) {
