@@ -18,9 +18,8 @@ namespace l2r {
 namespace bench {
 
 /// Workload scale shared by the reproduction benches. Override with
-/// L2R_BENCH_SCALE (e.g. L2R_BENCH_SCALE=1.0 for the full-size runs used
-/// in EXPERIMENTS.md; the default keeps every binary in the minutes
-/// range).
+/// L2R_BENCH_SCALE (e.g. L2R_BENCH_SCALE=1.0 for the full-size
+/// workloads; the default keeps every binary in the minutes range).
 inline double BenchScale() {
   const char* env = std::getenv("L2R_BENCH_SCALE");
   return env != nullptr ? std::atof(env) : 0.3;

@@ -53,7 +53,6 @@
 #include "core/batch_router.h"
 #include "pref/preference.h"
 #include "roadnet/generator.h"
-#include "roadnet/io.h"
 #include "roadnet/snapshot.h"
 #include "roadnet/weights.h"
 #include "routing/dijkstra.h"
@@ -795,13 +794,12 @@ Json DynamicWorldBlock(const Fixture& fx, bool* ok) {
 
 /// Metro worlds at the bench scale x {1, 10/3, 10} (0.3/1.0/3.0 at the
 /// default; rounded to 3 decimals so each rung is exactly the printed
-/// one): footprint, CSV rebuild vs snapshot mmap cold start, the slave
-/// reachability oracle over the default feature space's masks, and
-/// fastest / Algorithm 2 (highway slave, through the oracle) queries on
-/// the mapped image, plain and goal-directed.
+/// one): footprint, snapshot mmap cold start, the slave reachability
+/// oracle over the default feature space's masks, and fastest /
+/// Algorithm 2 (highway slave, through the oracle) queries on the mapped
+/// image, plain and goal-directed.
 Json ScaleLadderBlock(const Fixture& fx, bool*) {
   const std::string snap_path = OutPath() + ".ladder.snap";
-  const std::string csv_prefix = OutPath() + ".ladder";
   constexpr size_t kQueries = 24;
   Json rungs = Json::Array();
   for (const double factor : {1.0, 10.0 / 3.0, 10.0}) {
@@ -818,24 +816,10 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
     if (auto s = WorldSnapshot::Write(*metro, snap_path); !s.ok()) {
       Fail("scale ladder: write", s);
     }
-    if (auto s = ExportWorldCsv(*metro, csv_prefix); !s.ok()) {
-      Fail("scale ladder: csv", s);
-    }
-    Timer csv_timer;
-    auto from_csv = ImportWorldCsv(csv_prefix);
-    const double csv_seconds = csv_timer.ElapsedSeconds();
-    if (!from_csv.ok()) Fail("scale ladder: csv import", from_csv.status());
     Timer mmap_timer;
     auto mapped = WorldSnapshot::Open(snap_path);
     const double mmap_seconds = mmap_timer.ElapsedSeconds();
     if (!mapped.ok()) Fail("scale ladder: open", mapped.status());
-    // Trusted open: checksum and bounds only; the delta to the validated
-    // open is what the O(n+m) structural pass costs at this scale.
-    Timer trusted_timer;
-    auto trusted =
-        WorldSnapshot::Open(snap_path, SnapshotOpenMode::kChecksumOnly);
-    const double trusted_seconds = trusted_timer.ElapsedSeconds();
-    if (!trusted.ok()) Fail("scale ladder: trusted open", trusted.status());
 
     const RoadNetwork& mnet = mapped->world().net;
     const EdgeWeights weights(mnet, CostFeature::kTravelTime,
@@ -890,8 +874,6 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
         [&](VertexId s, VertexId t) { (void)pref.Route(s, t, goal, highway); },
         pref_settles);
     std::remove(snap_path.c_str());
-    std::remove((csv_prefix + ".vertices.csv").c_str());
-    std::remove((csv_prefix + ".edges.csv").c_str());
 
     rungs.Push(Json::Object(
         {{"scale", Json(scale, 3)},
@@ -900,10 +882,7 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
          {"world_bytes", world_bytes},
          {"snapshot_bytes", mapped->file_bytes()},
          {"gen_seconds", Json(gen_seconds, 3)},
-         {"csv_cold_start_seconds", Json(csv_seconds, 4)},
          {"mmap_cold_start_seconds", Json(mmap_seconds, 6)},
-         {"checksum_only_open_seconds", Json(trusted_seconds, 6)},
-         {"cold_start_speedup", Json(csv_seconds / mmap_seconds, 1)},
          {"zero_copy", mnet.snapshot_backed()},
          {"queries", kQueries},
          {"qps", 1e6 / plain_us},

@@ -2,9 +2,9 @@
 // two trajectory workloads. Paper reference shapes:
 //   D1 (Denmark):  (0,10] 91.6%, (10,50] 7.6%, (50,100] 0.5%, (100,500] 0.3%
 //   D2 (Chengdu):  (0,2] 15.8%, (2,5] 56.9%, (5,10] 23.5%, (10,35] 3.8%
-// Our synthetic workloads use scaled bucket edges (DESIGN.md §4); the
-// shape to match is "mass concentrated on short urban trips with a thin
-// long-distance tail".
+// Metro scales D1's bucket edges to its smaller extent (README "Synthetic
+// stand-ins"); the shape to match is "mass concentrated on short urban
+// trips with a thin long-distance tail".
 
 #include <cstdio>
 #include <vector>

@@ -18,7 +18,7 @@ using namespace l2r;  // NOLINT — example code
 
 int main() {
   // 1. A small synthetic city + trajectory workload (stands in for the
-  //    paper's OSM network + GPS data; see DESIGN.md).
+  //    paper's OSM network + GPS data; see README "Synthetic stand-ins").
   DatasetSpec spec = CityDataset(/*traj_scale=*/0.2);  // ~2000 trajectories
   spec.name = "quickstart-city";
   std::printf("Generating world '%s'...\n", spec.name.c_str());

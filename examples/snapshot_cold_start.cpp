@@ -1,21 +1,20 @@
 // Snapshot cold start: generate a metro-scale world, write it as a
-// zero-copy binary snapshot, and compare serving cold-start paths —
-// CSV parse-and-rebuild vs mmap of the snapshot image. Finishes by
-// routing the same queries on the built and the mapped world and
-// checking the answers are identical.
+// zero-copy binary snapshot, and time the serving cold start — a
+// validated mmap open of the snapshot image. Finishes by routing the
+// same queries on the built and the mapped world and checking the
+// answers are identical.
 //
 //   ./build/examples/snapshot_cold_start [scale]   (default 0.3)
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/timer.h"
 #include "roadnet/generator.h"
-#include "roadnet/io.h"
 #include "roadnet/snapshot.h"
 #include "roadnet/weights.h"
-#include "roadnet/world_source.h"
 #include "routing/dijkstra.h"
 
 using namespace l2r;  // NOLINT — example code
@@ -36,46 +35,31 @@ int main(int argc, char** argv) {
               world->num_patches, gen_s);
 
   const std::string snap_path = "/tmp/l2r_metro.snap";
-  const std::string csv_prefix = "/tmp/l2r_metro";
   Timer write_timer;
   if (auto s = WorldSnapshot::Write(*world, snap_path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   std::printf("Snapshot written in %.3fs\n", write_timer.ElapsedSeconds());
-  if (auto s = ExportWorldCsv(*world, csv_prefix); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-
-  Timer csv_timer;
-  auto from_csv = ImportWorldCsv(csv_prefix);
-  const double csv_s = csv_timer.ElapsedSeconds();
-  if (!from_csv.ok()) {
-    std::fprintf(stderr, "%s\n", from_csv.status().ToString().c_str());
-    return 1;
-  }
 
   Timer mmap_timer;
-  auto mapped = WorldSource::FromSnapshot(snap_path).Acquire();
+  auto snap = WorldSnapshot::Open(snap_path);
   const double mmap_s = mmap_timer.ElapsedSeconds();
-  if (!mapped.ok()) {
-    std::fprintf(stderr, "%s\n", mapped.status().ToString().c_str());
+  if (!snap.ok()) {
+    std::fprintf(stderr, "%s\n", snap.status().ToString().c_str());
     return 1;
   }
-
-  std::printf("Cold start: CSV rebuild %.3fs, snapshot mmap %.6fs (%.0fx)\n",
-              csv_s, mmap_s, csv_s / mmap_s);
-  std::printf("  zero-copy mapping: %s\n",
-              mapped->net.snapshot_backed() ? "yes" : "no (heap fallback)");
+  std::printf("Cold start: validated snapshot open %.6fs (%llu bytes)\n",
+              mmap_s, static_cast<unsigned long long>(snap->file_bytes()));
+  const World mapped = std::move(*snap).TakeWorld();
 
   // Same route on the built world and the mapped image must match.
   const EdgeWeights w_built(world->net, CostFeature::kTravelTime,
                             TimePeriod::kOffPeak);
-  const EdgeWeights w_mapped(mapped->net, CostFeature::kTravelTime,
+  const EdgeWeights w_mapped(mapped.net, CostFeature::kTravelTime,
                              TimePeriod::kOffPeak);
   DijkstraSearch d_built(world->net);
-  DijkstraSearch d_mapped(mapped->net);
+  DijkstraSearch d_mapped(mapped.net);
   const VertexId n = static_cast<VertexId>(world->net.NumVertices());
   int checked = 0;
   for (VertexId s = 1; s < n && checked < 8; s += n / 9 + 1, ++checked) {
@@ -91,7 +75,5 @@ int main(int argc, char** argv) {
               checked);
 
   std::remove(snap_path.c_str());
-  std::remove((csv_prefix + ".vertices.csv").c_str());
-  std::remove((csv_prefix + ".edges.csv").c_str());
   return 0;
 }

@@ -44,11 +44,6 @@ def first_shedding(doc):
     return next(p for p in doc["overload_sweep"]["points"] if p["shed"] > 0)
 
 
-def metro_rung(doc):
-    return next(r for r in doc["scale_ladder"]["scales"]
-                if r["scale"] >= bench_check.MIN_LADDER_SPEEDUP_SCALE)
-
-
 def set_goodputs(doc, last_fraction):
     points = doc["overload_sweep"]["points"]
     peak = max(p["goodput_qps"] for p in points)
@@ -98,9 +93,6 @@ THRESHOLDS = [
     ("dynamic_world", "MIN_INCIDENT_CONVERGENCE", lambda d, s: setitem(
         d["dynamic_world"], "incident_convergence",
         bench_check.MIN_INCIDENT_CONVERGENCE - s * EPS)),
-    ("scale_ladder", "MIN_LADDER_COLD_START_SPEEDUP", lambda d, s: setitem(
-        metro_rung(d), "cold_start_speedup",
-        bench_check.MIN_LADDER_COLD_START_SPEEDUP - s * EPS)),
     ("scale_ladder", "snapshot_bytes - world_bytes", lambda d, s: setitem(
         d["scale_ladder"]["scales"][0], "snapshot_bytes",
         d["scale_ladder"]["scales"][0]["world_bytes"]
@@ -158,8 +150,8 @@ MUTATIONS = [
     ("dynamic_world", "wholesale_settles", lambda d: setitem(
         d["dynamic_world"]["scenarios"][2]["points"][0],
         "wholesale_settles", 0)),
-    ("scale_ladder", "checksum_only_open_seconds", lambda d: setitem(
-        d["scale_ladder"]["scales"][1], "checksum_only_open_seconds", 0)),
+    ("scale_ladder", "mmap_cold_start_seconds", lambda d: setitem(
+        d["scale_ladder"]["scales"][1], "mmap_cold_start_seconds", 0)),
     ("scale_out", "batches", lambda d: setitem(
         d["scale_out"]["drain_audits"][1], "batches", 0)),
     ("dynamic_world", "first point kind", lambda d: setitem(
@@ -260,8 +252,8 @@ MUTATIONS = [
         d["overload_sweep"]["points"][0].pop("controller")),
     ("dynamic_world", "serve_misses", lambda d:
         d["dynamic_world"]["scenarios"][1]["points"][0].pop("serve_misses")),
-    ("scale_ladder", "checksum_only_open_seconds", lambda d:
-        d["scale_ladder"]["scales"][0].pop("checksum_only_open_seconds")),
+    ("scale_ladder", "mmap_cold_start_seconds", lambda d:
+        d["scale_ladder"]["scales"][0].pop("mmap_cold_start_seconds")),
     ("scale_out", "missing 'drain_audits", lambda d:
         d["scale_out"].pop("drain_audits")),
     ("streaming", "missing block", lambda d: d.pop("streaming")),

@@ -9,8 +9,9 @@
 
 namespace l2r {
 
-/// Options of the simulated online routing service (DESIGN.md §2: the
-/// stand-in for the paper's Google Directions API comparison).
+/// Options of the simulated online routing service, the stand-in for the
+/// paper's Google Directions API comparison (README "Synthetic
+/// stand-ins").
 struct WebRouterOptions {
   /// The service's global knowledge is free-flow speeds; it does not know
   /// local congestion, so it always routes on off-peak travel times.

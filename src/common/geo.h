@@ -9,8 +9,8 @@
 namespace l2r {
 
 /// A point in a planar coordinate system, in meters. Road networks in this
-/// library live in local planar coordinates (east = +x, north = +y); see
-/// DESIGN.md. Helpers to go to/from WGS84 are provided for presentation.
+/// library live in local planar coordinates (east = +x, north = +y).
+/// Helpers to go to/from WGS84 are provided for presentation.
 struct Point {
   double x = 0;
   double y = 0;

@@ -30,9 +30,6 @@ class MappedFile {
 
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
-  /// True when the pages are genuinely memory-mapped (shareable across
-  /// processes); false for the heap-buffer fallback.
-  bool zero_copy() const { return mapped_ != nullptr; }
 
  private:
   void Reset();

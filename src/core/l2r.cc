@@ -214,9 +214,8 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
 
   // 5. Apply transferred preferences: attach B-edge paths (Sec. V-C).
   timer.Restart();
-  Result<ApplyStats> applied = ApplyTransferredPreferences(
-      &graph, *net_, ws, space_, preferences_[pi], &reach_, num_threads);
-  if (!applied.ok()) return applied.status();
+  L2R_RETURN_NOT_OK(ApplyTransferredPreferences(
+      &graph, *net_, ws, space_, preferences_[pi], &reach_, num_threads));
   rep.apply_seconds = timer.ElapsedSeconds();
   return Status::OK();
 }

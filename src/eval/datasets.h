@@ -12,7 +12,8 @@
 namespace l2r {
 
 /// A self-contained experiment dataset: world model + workload + split +
-/// reporting buckets. Mirrors the paper's two datasets (DESIGN.md §2):
+/// reporting buckets. Mirrors the paper's two datasets (README "Synthetic
+/// stand-ins"):
 ///   Metro ≈ N1/D1 (Denmark, 1 Hz GPS, long trips possible)
 ///   City  ≈ N2/D2 (Chengdu taxi, 0.03-0.1 Hz GPS, short urban trips)
 struct DatasetSpec {

@@ -35,10 +35,10 @@ double ModularityGain(uint64_t s_ij, uint64_t s_i, uint64_t s_j, uint64_t s);
 /// BottomUpClustering (Algorithm 1): agglomerative, parameter-free
 /// modularity clustering constrained by road type (Table I).
 ///
-/// Deviation noted in DESIGN.md: when clusters merge, parallel original
-/// edges between two clusters can carry different road types; the
-/// aggregated cluster edge uses the popularity-dominant type for the
-/// Table I checks (ties broken toward the smaller type id).
+/// Deviation (README "Synthetic stand-ins"): when clusters merge,
+/// parallel original edges between two clusters can carry different road
+/// types; the aggregated cluster edge uses the popularity-dominant type
+/// for the Table I checks (ties broken toward the smaller type id).
 Result<ClusteringResult> BottomUpClustering(const TrajectoryGraph& graph,
                                             size_t num_network_vertices);
 

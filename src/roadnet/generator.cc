@@ -128,7 +128,6 @@ class Generator {
     out.net = std::move(net);
     out.vertex_district = std::move(districts_);
     out.num_patches = patches.size();
-    out.origin = WorldOrigin::kGenerated;
     out.IndexDistricts();
     return out;
   }

@@ -45,12 +45,12 @@ struct NetworkGenConfig {
   double world_scale = 1.0;
 };
 
-/// Historical name for the generator's output; the unified handle is
-/// World (roadnet/world.h), which builder, generator and snapshot all
-/// produce — see roadnet/world_source.h.
+/// Historical name for the generator's output, the World handle
+/// (roadnet/world.h) that builder, generator and snapshot all produce.
 using GeneratedNetwork = World;
 
-/// Generates a synthetic hierarchical road network (see DESIGN.md §2).
+/// Generates a synthetic hierarchical road network (README "Synthetic
+/// stand-ins").
 /// Deterministic in `config.seed`.
 Result<World> GenerateNetwork(const NetworkGenConfig& config);
 

@@ -125,104 +125,17 @@ constexpr uint64_t Align64(uint64_t off) {
                                            kSectionAlign - 1);
 }
 
-/// Streaming 64-bit checksum: Mix64-chained over 8-byte words with the
-/// total length folded in at the end. Chunk boundaries do not affect the
-/// result, so the writer can stream and the reader can hash the mapping
-/// in one pass.
-class Checksummer {
- public:
-  void Update(const void* data, size_t n) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    total_ += n;
-    if (pending_ > 0) {
-      while (n > 0 && pending_ < 8) {
-        buf_[pending_++] = *p++;
-        --n;
-      }
-      if (pending_ == 8) {
-        Absorb(buf_);
-        pending_ = 0;
-      }
-    }
-    while (n >= 8) {
-      Absorb(p);
-      p += 8;
-      n -= 8;
-    }
-    while (n > 0) {
-      buf_[pending_++] = *p++;
-      --n;
-    }
-  }
-
-  uint64_t Finish() {
-    if (pending_ > 0) {
-      std::memset(buf_ + pending_, 0, 8 - pending_);
-      Absorb(buf_);
-      pending_ = 0;
-    }
-    return Mix64(h_ ^ total_);
-  }
-
- private:
-  void Absorb(const uint8_t* p) {
-    uint64_t w;
-    std::memcpy(&w, p, 8);
-    h_ = Mix64(h_ ^ w);
-  }
-
-  uint64_t h_ = 0x9e3779b97f4a7c15ULL;
-  uint64_t total_ = 0;
-  uint8_t buf_[8] = {};
-  size_t pending_ = 0;
-};
-
-/// Writes `n` bytes, feeding them into the checksum.
-Status WriteChunk(std::FILE* f, Checksummer* sum, const void* data,
-                  size_t n) {
-  if (n == 0) return Status();
-  sum->Update(data, n);
-  if (std::fwrite(data, 1, n, f) != n) {
-    return Status::IOError("snapshot write failed");
-  }
-  return Status();
-}
-
-Status WriteZeros(std::FILE* f, Checksummer* sum, size_t n) {
-  static constexpr uint8_t kZeros[kSectionAlign] = {};
-  while (n > 0) {
-    const size_t k = n < sizeof(kZeros) ? n : sizeof(kZeros);
-    L2R_RETURN_NOT_OK(WriteChunk(f, sum, kZeros, k));
-    n -= k;
-  }
-  return Status();
-}
-
-/// Owns the FILE* and removes a partially written file unless released.
-class FileGuard {
- public:
-  FileGuard(std::FILE* f, std::string path)
-      : f_(f), path_(std::move(path)) {}
-  ~FileGuard() {
-    if (f_ != nullptr) {
-      std::fclose(f_);
-      std::remove(path_.c_str());
-    }
-  }
-  std::FILE* get() { return f_; }
-  /// Closes normally; returns false on flush failure.
-  bool CloseKeep() {
-    std::FILE* f = f_;
-    f_ = nullptr;
-    return std::fclose(f) == 0;
-  }
-
- private:
-  std::FILE* f_;
-  std::string path_;
-};
-
 }  // namespace
+
+uint64_t SnapshotChecksum(const uint8_t* data, size_t n) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < n; i += 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, data + i, std::min<size_t>(8, n - i));
+    h = Mix64(h ^ w);
+  }
+  return Mix64(h ^ n);
+}
 
 Status WorldSnapshot::Write(const World& world, const std::string& path) {
   const RoadNetwork& net = world.net;
@@ -265,90 +178,50 @@ Status WorldSnapshot::Write(const World& world, const std::string& path) {
   header.bounds_max_x = net.bounds().max.x;
   header.bounds_max_y = net.bounds().max.y;
 
-  std::FILE* raw = std::fopen(path.c_str(), "wb");
-  if (raw == nullptr) {
+  // The whole image is assembled in memory, zero-filled, so alignment
+  // gaps and EdgeRecord's tail padding are zero and the checksum is
+  // deterministic.
+  std::vector<uint8_t> image(off, 0);
+  std::memcpy(image.data() + kSnapshotHeaderBytes, sections,
+              sizeof(sections));
+  static_assert(sizeof(DistrictType) == 1);
+  const void* arrays[kNumSections] = {
+      SnapshotAccess::Positions(net).data(),
+      SnapshotAccess::Edges(net).data(),
+      SnapshotAccess::OutOffsets(net).data(),
+      SnapshotAccess::OutIds(net).data(),
+      SnapshotAccess::InOffsets(net).data(),
+      SnapshotAccess::InIds(net).data(),
+      world.vertex_district.data()};
+  for (uint32_t i = 0; i < kNumSections; ++i) {
+    if (sections[i].byte_size == 0) continue;
+    std::memcpy(image.data() + sections[i].offset, arrays[i],
+                sections[i].byte_size);
+  }
+  uint8_t* edge_bytes = image.data() + sections[1].offset;
+  for (size_t e = 0; e < m; ++e) {
+    std::memset(edge_bytes + e * sizeof(EdgeRecord) + kEdgePadOffset, 0,
+                kEdgePadBytes);
+  }
+  header.payload_checksum =
+      SnapshotChecksum(image.data() + kSnapshotHeaderBytes,
+                       image.size() - kSnapshotHeaderBytes);
+  std::memcpy(image.data(), &header, sizeof(header));
+
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
     return Status::IOError("cannot create snapshot " + path);
   }
-  FileGuard file(raw, path);
-
-  // Placeholder header (checksum not known yet), rewritten at the end.
-  if (std::fwrite(&header, 1, sizeof(header), file.get()) !=
-      sizeof(header)) {
-    return Status::IOError("snapshot write failed");
-  }
-
-  Checksummer sum;
-  L2R_RETURN_NOT_OK(WriteChunk(file.get(), &sum, sections,
-                               sizeof(sections)));
-
-  uint64_t written = kSnapshotHeaderBytes + sizeof(sections);
-  auto pad_to = [&](uint64_t target) -> Status {
-    L2R_RETURN_NOT_OK(WriteZeros(file.get(), &sum, target - written));
-    written = target;
-    return Status();
-  };
-
-  // Section payloads. Everything except edges is written straight from
-  // the in-memory arrays (no internal padding); EdgeRecord has 3 tail
-  // padding bytes that must be zeroed for checksum determinism, so edges
-  // go through a scrubbed chunk buffer.
-  const auto& positions = SnapshotAccess::Positions(net);
-  L2R_RETURN_NOT_OK(pad_to(sections[0].offset));
-  L2R_RETURN_NOT_OK(WriteChunk(file.get(), &sum, positions.data(),
-                               sections[0].byte_size));
-  written += sections[0].byte_size;
-
-  L2R_RETURN_NOT_OK(pad_to(sections[1].offset));
-  {
-    constexpr size_t kChunkRecords = 32768;
-    std::vector<EdgeRecord> chunk;
-    const EdgeRecord* src = SnapshotAccess::Edges(net).data();
-    for (size_t begin = 0; begin < m; begin += kChunkRecords) {
-      const size_t k = std::min(kChunkRecords, m - begin);
-      chunk.assign(src + begin, src + begin + k);
-      uint8_t* bytes = reinterpret_cast<uint8_t*>(chunk.data());
-      for (size_t i = 0; i < k; ++i) {
-        std::memset(bytes + i * sizeof(EdgeRecord) + kEdgePadOffset, 0,
-                    kEdgePadBytes);
-      }
-      L2R_RETURN_NOT_OK(WriteChunk(file.get(), &sum, bytes,
-                                   k * sizeof(EdgeRecord)));
-    }
-    written += sections[1].byte_size;
-  }
-
-  const void* arrays[4] = {SnapshotAccess::OutOffsets(net).data(),
-                           SnapshotAccess::OutIds(net).data(),
-                           SnapshotAccess::InOffsets(net).data(),
-                           SnapshotAccess::InIds(net).data()};
-  for (int i = 0; i < 4; ++i) {
-    L2R_RETURN_NOT_OK(pad_to(sections[2 + i].offset));
-    L2R_RETURN_NOT_OK(WriteChunk(file.get(), &sum, arrays[i],
-                                 sections[2 + i].byte_size));
-    written += sections[2 + i].byte_size;
-  }
-
-  static_assert(sizeof(DistrictType) == 1);
-  L2R_RETURN_NOT_OK(pad_to(sections[6].offset));
-  L2R_RETURN_NOT_OK(WriteChunk(file.get(), &sum,
-                               world.vertex_district.data(),
-                               sections[6].byte_size));
-  written += sections[6].byte_size;
-
-  header.payload_checksum = sum.Finish();
-  if (std::fseek(file.get(), 0, SEEK_SET) != 0 ||
-      std::fwrite(&header, 1, sizeof(header), file.get()) !=
-          sizeof(header)) {
-    return Status::IOError("snapshot header rewrite failed");
-  }
-  if (!file.CloseKeep()) {
-    return Status::IOError("snapshot close failed");
+  const bool written =
+      std::fwrite(image.data(), 1, image.size(), f) == image.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::remove(path.c_str());
+    return Status::IOError("snapshot write failed: " + path);
   }
   return Status();
 }
 
-Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path,
-                                          SnapshotOpenMode mode) {
+Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path) {
   L2R_ASSIGN_OR_RETURN(MappedFile mf, MappedFile::Open(path));
   if (mf.size() < kSnapshotHeaderBytes) {
     return Status::IOError("snapshot truncated: " +
@@ -376,10 +249,9 @@ Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path,
     return Status::IOError("snapshot section table out of bounds");
   }
 
-  Checksummer sum;
-  sum.Update(mf.data() + kSnapshotHeaderBytes,
-             mf.size() - kSnapshotHeaderBytes);
-  if (sum.Finish() != header.payload_checksum) {
+  if (SnapshotChecksum(mf.data() + kSnapshotHeaderBytes,
+                       mf.size() - kSnapshotHeaderBytes) !=
+      header.payload_checksum) {
     return Status::IOError("snapshot checksum mismatch in " + path);
   }
 
@@ -437,38 +309,31 @@ Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path,
   const auto* in_ids = reinterpret_cast<const EdgeId*>(base[kSecInIds]);
   const auto* districts = base[kSecDistricts];
 
-  // Structural validation: one linear pass so a corrupt-but-checksummed
-  // (i.e. maliciously or bit-rot-consistently rewritten) image can still
-  // never index out of bounds at serve time. kChecksumOnly skips exactly
-  // this pass — the trusted-image open (snapshot.h): everything above
-  // (magic, version, size, payload checksum, section bounds) already
-  // ran, so accidental corruption is still rejected; what a trusted
-  // open forgoes is only the defense against an *adversarially
-  // consistent* image.
-  if (mode == SnapshotOpenMode::kValidate) {
-    if (out_off[0] != 0 || out_off[n] != m || in_off[0] != 0 ||
-        in_off[n] != m) {
-      return Status::IOError("snapshot CSR offsets corrupt");
+  // Structural validation: one linear pass, so an image whose checksum
+  // was recomputed after a rewrite still never indexes out of bounds at
+  // serve time.
+  if (out_off[0] != 0 || out_off[n] != m || in_off[0] != 0 ||
+      in_off[n] != m) {
+    return Status::IOError("snapshot CSR offsets corrupt");
+  }
+  for (size_t v = 0; v < n; ++v) {
+    if (out_off[v] > out_off[v + 1] || in_off[v] > in_off[v + 1]) {
+      return Status::IOError("snapshot CSR offsets not monotone");
     }
-    for (size_t v = 0; v < n; ++v) {
-      if (out_off[v] > out_off[v + 1] || in_off[v] > in_off[v + 1]) {
-        return Status::IOError("snapshot CSR offsets not monotone");
-      }
-      if (districts[v] >= kNumDistrictTypes) {
-        return Status::IOError("snapshot district id out of range");
-      }
+    if (districts[v] >= kNumDistrictTypes) {
+      return Status::IOError("snapshot district id out of range");
     }
-    for (size_t e = 0; e < m; ++e) {
-      const EdgeRecord& r = edges[e];
-      if (r.from >= n || r.to >= n ||
-          static_cast<uint8_t>(r.road_type) >= kNumRoadTypes ||
-          !(r.length_m > 0) || !(r.speed_offpeak_kmh > 0) ||
-          !(r.speed_peak_kmh > 0)) {
-        return Status::IOError("snapshot edge record corrupt");
-      }
-      if (out_ids[e] >= m || in_ids[e] >= m) {
-        return Status::IOError("snapshot CSR edge id out of range");
-      }
+  }
+  for (size_t e = 0; e < m; ++e) {
+    const EdgeRecord& r = edges[e];
+    if (r.from >= n || r.to >= n ||
+        static_cast<uint8_t>(r.road_type) >= kNumRoadTypes ||
+        !(r.length_m > 0) || !(r.speed_offpeak_kmh > 0) ||
+        !(r.speed_peak_kmh > 0)) {
+      return Status::IOError("snapshot edge record corrupt");
+    }
+    if (out_ids[e] >= m || in_ids[e] >= m) {
+      return Status::IOError("snapshot CSR edge id out of range");
     }
   }
 
@@ -478,7 +343,6 @@ Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path,
 
   WorldSnapshot snap;
   snap.file_bytes_ = mf.size();
-  snap.zero_copy_ = mf.zero_copy();
   auto keepalive = std::make_shared<MappedFile>(std::move(mf));
   snap.world_.net = SnapshotAccess::MakeView(
       positions, n, edges, m, out_off, out_ids, in_off, in_ids, bounds,
@@ -487,7 +351,6 @@ Result<WorldSnapshot> WorldSnapshot::Open(const std::string& path,
       reinterpret_cast<const DistrictType*>(districts),
       reinterpret_cast<const DistrictType*>(districts) + n);
   snap.world_.num_patches = header.num_patches;
-  snap.world_.origin = WorldOrigin::kSnapshot;
   snap.world_.IndexDistricts();
   return snap;
 }

@@ -32,7 +32,6 @@ Result<World> WorldFromNetwork(RoadNetwork net,
                                 DistrictType::kResidential)
                           : std::move(districts);
   w.num_patches = 1;
-  w.origin = WorldOrigin::kBuilt;
   w.IndexDistricts();
   return w;
 }

@@ -12,7 +12,7 @@ namespace l2r {
 
 /// Urban-planning district classes used by the synthetic world model. The
 /// generator assigns one to every vertex; the trajectory generator's latent
-/// driver preferences key on district types (see DESIGN.md substitutions).
+/// driver preferences key on district types (README "Synthetic stand-ins").
 /// L2R itself never sees districts — it only sees the network and
 /// trajectories, exactly like the paper.
 enum class DistrictType : uint8_t {
@@ -30,15 +30,12 @@ const char* DistrictTypeName(DistrictType t);
 /// Peak-hour congestion multiplier on free-flow speed for a district.
 double DistrictPeakFactor(DistrictType t);
 
-/// How a World came to be; provenance only, no behavioral difference.
-enum class WorldOrigin : uint8_t { kBuilt = 0, kGenerated = 1, kSnapshot = 2 };
-
 /// The one immutable world handle every consumer routes on — L2R build,
-/// ServingRouter, bench, tests — however it was produced (hand-built
-/// network, synthetic generator, or a mmap'ed snapshot; see
-/// roadnet/world_source.h for the unified construction seam). Carries the
-/// road network plus the world-model ground truth the trajectory generator
-/// needs (per-vertex district types).
+/// ServingRouter, bench, tests — however it was produced: a hand-built
+/// network (WorldFromNetwork), the synthetic generator (GenerateNetwork)
+/// or a mapped snapshot (WorldSnapshot::Open). Carries the road network
+/// plus the world-model ground truth the trajectory generator needs
+/// (per-vertex district types).
 ///
 /// A snapshot-origin World's network arrays are read-only views into the
 /// snapshot image; the network's copy-on-write mutation seam keeps
@@ -49,7 +46,6 @@ struct World {
   std::vector<DistrictType> vertex_district;
   std::array<std::vector<VertexId>, kNumDistrictTypes> vertices_by_district;
   size_t num_patches = 0;
-  WorldOrigin origin = WorldOrigin::kBuilt;
 
   DistrictType VertexDistrict(VertexId v) const {
     return vertex_district[v];

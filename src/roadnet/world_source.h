@@ -3,71 +3,33 @@
 
 #include <string>
 #include <utility>
-#include <variant>
-#include <vector>
 
 #include "common/result.h"
-#include "roadnet/generator.h"
 #include "roadnet/snapshot.h"
 #include "roadnet/world.h"
 
 namespace l2r {
 
-/// The one seam for world construction: a hand-assembled builder, the
-/// synthetic generator, and a binary snapshot all funnel through here and
-/// yield the same immutable World handle that L2RRouter / ServingRouter /
-/// bench / tests consume — call sites no longer mix RoadNetworkBuilder
-/// and GeneratedNetwork plumbing.
+/// A world to be opened from a binary snapshot written by
+/// WorldSnapshot::Write. Acquire() runs WorldSnapshot::Open, so the
+/// acquired world's network arrays view the shared read-only image.
 ///
-///   World w = WorldSource::FromGenerator(cfg).Acquire().value();
 ///   World w = WorldSource::FromSnapshot("world.l2rsnap").Acquire().value();
-///   World w = WorldSource::FromBuilder(std::move(b)).Acquire().value();
-///
-/// Acquire() consumes the source (a builder can only be finalized once;
-/// the other kinds simply follow the same one-shot contract).
 class WorldSource {
  public:
-  /// Finalizes `builder` into a world. `districts` is empty (all
-  /// residential) or one entry per vertex.
-  static WorldSource FromBuilder(RoadNetworkBuilder builder,
-                                 std::vector<DistrictType> districts = {}) {
-    WorldSource s;
-    s.source_ = BuilderSource{std::move(builder), std::move(districts)};
-    return s;
-  }
-
-  /// Runs the synthetic generator (deterministic in config.seed).
-  static WorldSource FromGenerator(NetworkGenConfig config) {
-    WorldSource s;
-    s.source_ = config;
-    return s;
-  }
-
-  /// Maps a binary snapshot written by WorldSnapshot::Write; the acquired
-  /// world's network arrays view the shared read-only image.
   static WorldSource FromSnapshot(std::string path) {
-    WorldSource s;
-    s.source_ = SnapshotSource{std::move(path)};
-    return s;
+    return WorldSource(std::move(path));
   }
 
-  /// Produces the world; consumes the source.
-  Result<World> Acquire();
+  Result<World> Acquire() const {
+    L2R_ASSIGN_OR_RETURN(WorldSnapshot snap, WorldSnapshot::Open(path_));
+    return std::move(snap).TakeWorld();
+  }
 
  private:
-  struct BuilderSource {
-    RoadNetworkBuilder builder;
-    std::vector<DistrictType> districts;
-  };
-  struct SnapshotSource {
-    std::string path;
-  };
+  explicit WorldSource(std::string path) : path_(std::move(path)) {}
 
-  WorldSource() = default;
-
-  std::variant<std::monostate, BuilderSource, NetworkGenConfig,
-               SnapshotSource>
-      source_;
+  std::string path_;
 };
 
 }  // namespace l2r

@@ -82,11 +82,6 @@ OverloadDecision OverloadController::DecisionLocked() const {
   return d;
 }
 
-OverloadDecision OverloadController::Current() const {
-  MutexLock guard(mu_);
-  return DecisionLocked();
-}
-
 OverloadController::Stats OverloadController::GetStats() const {
   MutexLock guard(mu_);
   Stats stats;

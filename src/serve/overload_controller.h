@@ -110,9 +110,6 @@ class OverloadController {
   /// until the next tick.
   OverloadDecision Tick(const OverloadObservation& obs) L2R_EXCLUDES(mu_);
 
-  /// The decision of the most recent Tick (the calm defaults before any).
-  OverloadDecision Current() const L2R_EXCLUDES(mu_);
-
   Stats GetStats() const L2R_EXCLUDES(mu_);
 
  private:

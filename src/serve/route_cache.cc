@@ -292,21 +292,6 @@ void RouteCache::ExtractInvalidShard(size_t shard_idx,
   }
 }
 
-void RouteCache::Clear() {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->lru.clear();
-    shard->map.clear();
-    shard->bytes = 0;
-    for (size_t i = 0; i < kHotSlotsPerShard; ++i) {
-      HotSlot& slot = shard->hot[i];
-      const SeqLock::Seq odd = slot.seq.WriteBegin();
-      slot.used.store(0, std::memory_order_relaxed);
-      slot.seq.WriteEnd(odd);
-    }
-  }
-}
-
 RouteCache::Stats RouteCache::GetStats() const {
   Stats stats;
   for (const auto& shard : shards_) {

@@ -36,8 +36,8 @@ using RouteCacheKey = QueryKey;
 /// mismatch, a stale footprint, or a payload too large to inline all
 /// fall back to the locked path, so the mutex-striped LRU below remains
 /// the source of truth and the hot table is purely an accelerator.
-/// Writers (insert, locked-path hit promotion, invalidation, eviction,
-/// Clear) update the slots under the shard mutex, which is exactly the
+/// Writers (insert, locked-path hit promotion, invalidation, eviction)
+/// update the slots under the shard mutex, which is exactly the
 /// external writer serialization SeqLock requires. A hot hit does NOT
 /// touch LRU recency, so recency is approximate for entries small enough
 /// to inline; an entry too large for a slot (more than 64 path vertices
@@ -119,8 +119,6 @@ class RouteCache {
   /// shard at a time, so repair workers pinned to disjoint shard sets
   /// never contend on the same stripe.
   void ExtractInvalidShard(size_t shard_idx, std::vector<StaleEntry>* out);
-
-  void Clear();
 
   /// Aggregated over shards; counters are exact, entries/bytes are a
   /// consistent-per-shard snapshot.

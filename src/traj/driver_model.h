@@ -17,7 +17,7 @@ struct LatentPreference {
 };
 
 /// Ground-truth world model of driver routing behaviour — the substitute
-/// for the paper's real drivers (DESIGN.md §2).
+/// for the paper's real drivers (README "Synthetic stand-ins").
 ///
 /// Local drivers minimize a *subjective cost*: travel time scaled by a
 /// factor that depends on the district an edge lies in, the edge's road

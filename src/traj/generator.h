@@ -11,8 +11,8 @@
 
 namespace l2r {
 
-/// Parameters of the trajectory workload generator (DESIGN.md §2
-/// substitution for the paper's D1/D2 GPS sets).
+/// Parameters of the trajectory workload generator, the substitute for
+/// the paper's D1/D2 GPS sets (README "Synthetic stand-ins").
 struct TrajectoryGenConfig {
   size_t num_trajectories = 10000;
   uint64_t seed = 7;

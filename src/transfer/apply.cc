@@ -1,7 +1,5 @@
 #include "transfer/apply.h"
 
-#include <atomic>
-
 #include "common/parallel.h"
 #include "routing/preference_dijkstra.h"
 
@@ -15,7 +13,7 @@ constexpr size_t kMaxCenterPairs = 9;
 
 }  // namespace
 
-Result<ApplyStats> ApplyTransferredPreferences(
+Status ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,
@@ -30,11 +28,6 @@ Result<ApplyStats> ApplyTransferredPreferences(
   for (uint32_t e = 0; e < graph->NumEdges(); ++e) {
     if (!graph->edge(e).is_t_edge) b_edge_ids.push_back(e);
   }
-
-  std::atomic<size_t> with_paths{0};
-  std::atomic<size_t> fallback{0};
-  std::atomic<size_t> total_paths{0};
-  std::atomic<size_t> slave_fallbacks{0};
 
   ParallelForWorker(
       b_edge_ids.size(),
@@ -51,9 +44,7 @@ Result<ApplyStats> ApplyTransferredPreferences(
         if (pref.has_value()) {
           master = pref->master;
           slave = space.slave_mask(pref->slave_index);
-        } else {
-          ++fallback;  // null preference: fastest paths (Sec. VII-B)
-        }
+        }  // else null preference: fastest paths (Sec. VII-B)
         const EdgeWeights& master_w = weights.Get(master);
 
         size_t pairs = 0;
@@ -64,24 +55,13 @@ Result<ApplyStats> ApplyTransferredPreferences(
             auto routed = search.Route(a, b, master_w, slave);
             if (!routed.ok()) continue;
             ++pairs;
-            if (routed->fell_back_to_unfiltered) ++slave_fallbacks;
             edge.b_paths.push_back(std::move(routed->path.vertices));
           }
           if (pairs >= kMaxCenterPairs) break;
         }
-        if (!edge.b_paths.empty()) {
-          ++with_paths;
-          total_paths += edge.b_paths.size();
-        }
       },
       num_threads);
-
-  ApplyStats stats;
-  stats.b_edges_with_paths = with_paths;
-  stats.b_edges_fastest_fallback = fallback;
-  stats.total_paths = total_paths;
-  stats.slave_fallbacks = slave_fallbacks;
-  return stats;
+  return Status::OK();
 }
 
 }  // namespace l2r

@@ -8,13 +8,6 @@
 
 namespace l2r {
 
-struct ApplyStats {
-  size_t b_edges_with_paths = 0;
-  size_t b_edges_fastest_fallback = 0;  ///< null-preference B-edges
-  size_t total_paths = 0;
-  size_t slave_fallbacks = 0;  ///< Algorithm 2 slave filter disconnections
-};
-
 /// Step 3 (Sec. V-C): for every B-edge, identify paths between transfer
 /// centers of its two regions with the transferred preference, using the
 /// modified Dijkstra of Algorithm 2. B-edges with null preferences get
@@ -23,7 +16,7 @@ struct ApplyStats {
 /// `reach` (optional, see PreferenceDijkstra) skips futile filtered
 /// passes; `num_threads`: 0 = hardware concurrency. The paths are the same
 /// with or without `reach` and at every thread count.
-Result<ApplyStats> ApplyTransferredPreferences(
+Status ApplyTransferredPreferences(
     RegionGraph* graph, const RoadNetwork& net, const WeightSet& weights,
     const PreferenceFeatureSpace& space,
     const std::vector<std::optional<RoutingPreference>>& preferences,

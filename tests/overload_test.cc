@@ -67,12 +67,10 @@ OverloadObservation Obs(size_t depth, int64_t p99_us = -1) {
 
 TEST(OverloadControllerTest, StartsCalmAtTheMaxDeadline) {
   OverloadController controller(kShedDepth);
-  const OverloadDecision d = controller.Current();
-  EXPECT_EQ(d.level, 0);
-  EXPECT_EQ(d.batch_deadline_us, 1'000);
-  EXPECT_FALSE(d.shed_bulk);
-  EXPECT_FALSE(d.shed_interactive);
-  EXPECT_DOUBLE_EQ(d.budget_scale, 1.0);
+  const OverloadController::Stats stats = controller.GetStats();
+  EXPECT_EQ(stats.level, 0);
+  EXPECT_EQ(stats.batch_deadline_us, 1'000);
+  EXPECT_EQ(stats.ticks, 0u);
 }
 
 TEST(OverloadControllerTest, LadderClimbsOneLevelPerTripShedsBulkFirst) {

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <span>
+#include <string>
 
 #include "common/rng.h"
 #include "roadnet/generator.h"
-#include "roadnet/io.h"
 #include "roadnet/road_network.h"
 #include "roadnet/spatial_grid.h"
 #include "roadnet/weights.h"
@@ -333,40 +332,6 @@ TEST(GeneratorTest, VerticesByDistrictPartition) {
   size_t total = 0;
   for (const auto& list : gen->vertices_by_district) total += list.size();
   EXPECT_EQ(total, gen->net.NumVertices());
-}
-
-// ---------- io (CSV interop compat) ----------
-
-TEST(IoTest, CsvExportImportRoundTrip) {
-  NetworkGenConfig config;
-  config.city_width_m = 4000;
-  config.city_height_m = 3000;
-  config.block_spacing_m = 500;
-  config.seed = 5;
-  auto gen = GenerateNetwork(config);
-  ASSERT_TRUE(gen.ok());
-
-  const std::string prefix = ::testing::TempDir() + "/l2r_net_test";
-  ASSERT_TRUE(ExportWorldCsv(*gen, prefix).ok());
-  auto loaded = ImportWorldCsv(prefix);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->net.NumVertices(), gen->net.NumVertices());
-  ASSERT_EQ(loaded->net.NumEdges(), gen->net.NumEdges());
-  for (VertexId v = 0; v < gen->net.NumVertices(); v += 11) {
-    EXPECT_NEAR(loaded->net.VertexPos(v).x, gen->net.VertexPos(v).x, 1e-3);
-    EXPECT_EQ(loaded->vertex_district[v], gen->vertex_district[v]);
-  }
-  for (EdgeId e = 0; e < gen->net.NumEdges(); e += 13) {
-    EXPECT_EQ(loaded->net.edge(e).road_type, gen->net.edge(e).road_type);
-    EXPECT_NEAR(loaded->net.edge(e).length_m, gen->net.edge(e).length_m,
-                1e-2);
-  }
-  std::remove((prefix + ".vertices.csv").c_str());
-  std::remove((prefix + ".edges.csv").c_str());
-}
-
-TEST(IoTest, ImportMissingFails) {
-  EXPECT_FALSE(ImportWorldCsv("/nonexistent/prefix").ok());
 }
 
 TEST(GeneratorTest, WorldScaleGrowsVertexCount) {

@@ -255,17 +255,6 @@ TEST(RouteCacheTest, EvictionClearsTheVictimsHotSlot) {
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
-TEST(RouteCacheTest, ClearEmptiesHotSlotsToo) {
-  RouteCache cache;
-  const RouteCacheKey key{7, 9, 1};
-  cache.Insert(key, MakeResult(7, 5));
-  RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key, &got));
-  cache.Clear();
-  EXPECT_FALSE(cache.Lookup(key, &got));
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // RouteCache epoch validation (dynamic world). A scripted WorldViewIface
 // stands in for the update channel so the invalidation predicate can be

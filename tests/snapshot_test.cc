@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -77,7 +78,6 @@ TEST_F(SnapshotTest, RoundTripTopologyByteIdentical) {
   const World& got = snap->world();
   const World& want = dataset_->world;
   EXPECT_TRUE(got.net.snapshot_backed());
-  EXPECT_EQ(got.origin, WorldOrigin::kSnapshot);
   EXPECT_EQ(snap->file_bytes(), ReadFileBytes(*path_).size());
 
   ASSERT_EQ(got.net.NumVertices(), want.net.NumVertices());
@@ -197,33 +197,19 @@ TEST_F(SnapshotTest, MappedWorldIsEpochZeroForUpdateChannel) {
   EXPECT_EQ(ReadFileBytes(*path_), before);
 }
 
-TEST_F(SnapshotTest, WorldSourceUnifiesAllThreeOrigins) {
-  auto from_snap = WorldSource::FromSnapshot(*path_).Acquire();
-  ASSERT_TRUE(from_snap.ok());
-  EXPECT_EQ(from_snap->origin, WorldOrigin::kSnapshot);
-  EXPECT_EQ(from_snap->net.NumVertices(), dataset_->world.net.NumVertices());
-
-  NetworkGenConfig cfg;
-  cfg.city_width_m = 4000;
-  cfg.city_height_m = 3000;
-  cfg.block_spacing_m = 500;
-  auto from_gen = WorldSource::FromGenerator(cfg).Acquire();
-  ASSERT_TRUE(from_gen.ok());
-  EXPECT_EQ(from_gen->origin, WorldOrigin::kGenerated);
-  EXPECT_GT(from_gen->net.NumVertices(), 0u);
-
-  RoadNetworkBuilder b;
-  b.AddVertex({0, 0});
-  b.AddVertex({100, 0});
-  b.AddTwoWayEdge(0, 1, RoadType::kPrimary, 50, 40);
-  WorldSource source = WorldSource::FromBuilder(std::move(b));
-  auto from_builder = source.Acquire();
-  ASSERT_TRUE(from_builder.ok());
-  EXPECT_EQ(from_builder->origin, WorldOrigin::kBuilt);
-  EXPECT_EQ(from_builder->net.NumVertices(), 2u);
-  EXPECT_EQ(from_builder->vertex_district.size(), 2u);
-  // One-shot contract: a second acquire reports consumption cleanly.
-  EXPECT_FALSE(source.Acquire().ok());
+TEST_F(SnapshotTest, WorldSourceAcquiresTheSnapshotWorld) {
+  const WorldSource source = WorldSource::FromSnapshot(*path_);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto world = source.Acquire();
+    ASSERT_TRUE(world.ok()) << world.status().message();
+    EXPECT_TRUE(world->net.snapshot_backed());
+    EXPECT_EQ(world->net.NumVertices(), dataset_->world.net.NumVertices());
+    EXPECT_EQ(world->vertex_district, dataset_->world.vertex_district);
+  }
+  auto missing = WorldSource::FromSnapshot("/nonexistent/world.snap")
+                     .Acquire();
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
 }
 
 // ---------- rejection: every corrupt image yields a clean Status ----------
@@ -294,53 +280,161 @@ TEST_F(SnapshotRejectTest, ChecksumMismatch) {
                  "checksum");
 }
 
-// ---------- kChecksumOnly: trusted-image opens ----------
-
-TEST_F(SnapshotTest, ChecksumOnlyOpenIsByteIdenticalToValidatedOpen) {
-  // Skipping the O(n+m) structural pass changes open-time cost, never the
-  // mapped bytes: both modes view the same image.
-  auto validated = WorldSnapshot::Open(*path_, SnapshotOpenMode::kValidate);
-  ASSERT_TRUE(validated.ok());
-  auto trusted = WorldSnapshot::Open(*path_, SnapshotOpenMode::kChecksumOnly);
-  ASSERT_TRUE(trusted.ok()) << trusted.status().message();
-  const World& a = validated->world();
-  const World& b = trusted->world();
-  ASSERT_EQ(a.net.NumVertices(), b.net.NumVertices());
-  ASSERT_EQ(a.net.NumEdges(), b.net.NumEdges());
-  EXPECT_EQ(a.vertex_district, b.vertex_district);
-  EXPECT_EQ(std::memcmp(a.net.VertexPositions().data(),
-                        b.net.VertexPositions().data(),
-                        a.net.NumVertices() * sizeof(Point)),
-            0);
-  EXPECT_EQ(std::memcmp(&a.net.edge(0), &b.net.edge(0),
-                        a.net.NumEdges() * sizeof(EdgeRecord)),
-            0);
-  EXPECT_EQ(trusted->file_bytes(), validated->file_bytes());
+TEST_F(SnapshotRejectTest, EmptyFile) {
+  const std::string empty = ::testing::TempDir() + "/empty.snap";
+  WriteFileBytes(empty, {});
+  ExpectRejected(empty, "truncated");
 }
 
-TEST_F(SnapshotRejectTest, ChecksumOnlyStillRejectsCorruptPayload) {
-  // The trusted mode skips structural validation, not integrity: a
-  // bit-flipped payload byte must still fail the checksum at open.
-  const std::string path = WriteMutated(
-      "bad_payload_trusted.snap",
-      [](std::vector<uint8_t>& b) { b[b.size() / 2] ^= 0x40; });
-  auto snap = WorldSnapshot::Open(path, SnapshotOpenMode::kChecksumOnly);
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kIOError);
-  EXPECT_NE(snap.status().message().find("checksum"), std::string::npos)
-      << snap.status().message();
+// ---------- re-sealed images: the structural pass ----------
+//
+// Each mutation below rewrites one array and then recomputes the payload
+// checksum, so the image passes every integrity check and only the
+// structural pass can reject it.
+
+/// Header field offsets (see SnapshotHeader in snapshot.cc).
+constexpr size_t kSectionCountOffset = 12;
+constexpr size_t kChecksumOffset = 24;
+constexpr size_t kSectionEntryBytes = 32;
+
+/// Section type ids (SectionType in snapshot.cc).
+enum : uint32_t {
+  kEdgesSection = 2,
+  kOutOffsetsSection = 3,
+  kOutIdsSection = 4,
+  kInIdsSection = 6,
+  kDistrictsSection = 7,
+};
+
+template <typename T>
+T Load(const std::vector<uint8_t>& b, size_t at) {
+  T v;
+  std::memcpy(&v, b.data() + at, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void Store(std::vector<uint8_t>& b, size_t at, const T& v) {
+  std::memcpy(b.data() + at, &v, sizeof(T));
+}
+
+/// File offset of the first element of section `type`.
+size_t SectionStart(const std::vector<uint8_t>& b, uint32_t type) {
+  const uint32_t count = Load<uint32_t>(b, kSectionCountOffset);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry = kSnapshotHeaderBytes + i * kSectionEntryBytes;
+    if (Load<uint32_t>(b, entry) == type) {
+      return static_cast<size_t>(Load<uint64_t>(b, entry + 8));
+    }
+  }
+  L2R_CHECK(false);
+  return 0;
+}
+
+void Reseal(std::vector<uint8_t>& b) {
+  Store(b, kChecksumOffset,
+        SnapshotChecksum(b.data() + kSnapshotHeaderBytes,
+                         b.size() - kSnapshotHeaderBytes));
+}
+
+class SnapshotStructureTest : public SnapshotRejectTest {
+ protected:
+  static std::string WriteResealed(
+      const std::string& name,
+      const std::function<void(std::vector<uint8_t>&)>& mutate) {
+    return WriteMutated(name, [&](std::vector<uint8_t>& b) {
+      mutate(b);
+      Reseal(b);
+    });
+  }
+
+  static size_t NumVertices() { return dataset_->world.net.NumVertices(); }
+  static uint32_t NumEdges() {
+    return static_cast<uint32_t>(dataset_->world.net.NumEdges());
+  }
+};
+
+TEST_F(SnapshotStructureTest, ResealedUnmutatedImageOpens) {
+  const std::string path =
+      WriteResealed("resealed.snap", [](std::vector<uint8_t>&) {});
+  auto snap = WorldSnapshot::Open(path);
+  EXPECT_TRUE(snap.ok()) << snap.status().message();
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotRejectTest, ChecksummedButStructurallyCorrupt) {
-  // A zero-length file and a section-table-only file exercise the
-  // structural paths without touching checksum internals.
-  const std::string empty = ::testing::TempDir() + "/empty.snap";
-  WriteFileBytes(empty, {});
-  auto snap = WorldSnapshot::Open(empty);
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kIOError);
-  std::remove(empty.c_str());
+TEST_F(SnapshotStructureTest, CsrEndOffsets) {
+  ExpectRejected(
+      WriteResealed("csr_end.snap",
+                    [](std::vector<uint8_t>& b) {
+                      const size_t at = SectionStart(b, kOutOffsetsSection) +
+                                        NumVertices() * sizeof(uint32_t);
+                      Store<uint32_t>(b, at, NumEdges() + 1);
+                    }),
+      "CSR offsets corrupt");
+}
+
+TEST_F(SnapshotStructureTest, CsrOffsetsMonotone) {
+  ExpectRejected(
+      WriteResealed("csr_monotone.snap",
+                    [](std::vector<uint8_t>& b) {
+                      const size_t at = SectionStart(b, kOutOffsetsSection);
+                      L2R_CHECK(Load<uint32_t>(b, at + 8) < NumEdges());
+                      Store<uint32_t>(b, at + 4, NumEdges());
+                    }),
+      "CSR offsets not monotone");
+}
+
+TEST_F(SnapshotStructureTest, DistrictRange) {
+  ExpectRejected(
+      WriteResealed("district.snap",
+                    [](std::vector<uint8_t>& b) {
+                      Store<uint8_t>(b, SectionStart(b, kDistrictsSection),
+                                     kNumDistrictTypes);
+                    }),
+      "district id out of range");
+}
+
+TEST_F(SnapshotStructureTest, EdgeRecordFields) {
+  const uint32_t n = static_cast<uint32_t>(NumVertices());
+  const std::vector<std::pair<std::string, std::function<void(EdgeRecord&)>>>
+      cases = {
+          {"from", [n](EdgeRecord& r) { r.from = n; }},
+          {"to", [n](EdgeRecord& r) { r.to = n; }},
+          {"road_type",
+           [](EdgeRecord& r) {
+             r.road_type = static_cast<RoadType>(kNumRoadTypes);
+           }},
+          {"length", [](EdgeRecord& r) { r.length_m = 0; }},
+          {"speed_offpeak", [](EdgeRecord& r) { r.speed_offpeak_kmh = -1; }},
+          {"speed_peak", [](EdgeRecord& r) { r.speed_peak_kmh = 0; }},
+      };
+  for (const auto& [field, mutate] : cases) {
+    SCOPED_TRACE(field);
+    ExpectRejected(
+        WriteResealed("edge_" + field + ".snap",
+                      [&](std::vector<uint8_t>& b) {
+                        const size_t at =
+                            SectionStart(b, kEdgesSection) +
+                            (NumEdges() / 2) * sizeof(EdgeRecord);
+                        EdgeRecord r = Load<EdgeRecord>(b, at);
+                        mutate(r);
+                        Store(b, at, r);
+                      }),
+        "edge record corrupt");
+  }
+}
+
+TEST_F(SnapshotStructureTest, CsrEdgeId) {
+  for (const uint32_t section : {kOutIdsSection, kInIdsSection}) {
+    SCOPED_TRACE(section);
+    ExpectRejected(
+        WriteResealed("edge_id.snap",
+                      [section](std::vector<uint8_t>& b) {
+                        Store<uint32_t>(b, SectionStart(b, section),
+                                        NumEdges());
+                      }),
+        "CSR edge id out of range");
+  }
 }
 
 }  // namespace
