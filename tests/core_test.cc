@@ -7,6 +7,7 @@
 #include "eval/datasets.h"
 #include "pref/similarity.h"
 #include "routing/dijkstra.h"
+#include "serve/serving_router.h"
 #include "test_util.h"
 
 namespace l2r {
@@ -234,6 +235,74 @@ TEST_F(L2REndToEndTest, OfflineBuildIsPinned) {
       L2RRouter::Build(&dataset_->world.net, dataset_->split.train, serial);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(BuildDigest(**rebuilt), digest);
+}
+
+/// FNV-1a over every field of the routes `service` serves for the
+/// fixture's held-out queries, each at an off-peak and a peak departure.
+uint64_t ServedRoutesDigest(QueryService& service,
+                            const std::vector<MatchedTrajectory>& queries) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  L2RQueryContext ctx = service.router().MakeContext();
+  for (const MatchedTrajectory& t : queries) {
+    for (const double departure : {12.0 * 3600, 8.0 * 3600}) {
+      auto r = service.Route(&ctx, t.path.front(), t.path.back(), departure);
+      mix(r.ok());
+      if (!r.ok()) {
+        mix(static_cast<uint64_t>(r.status().code()));
+        continue;
+      }
+      mix(r->path.vertices.size());
+      for (const VertexId v : r->path.vertices) mix(v);
+      mix(std::bit_cast<uint64_t>(r->path.cost));
+      mix(static_cast<uint64_t>(r->method));
+      mix(r->source_region);
+      mix(r->dest_region);
+      mix(r->region_hops);
+      mix(r->budget_degraded);
+    }
+  }
+  return h;
+}
+
+/// The router itself as a QueryService (the bare cold path).
+class BareService final : public QueryService {
+ public:
+  explicit BareService(const L2RRouter* router) : router_(router) {}
+  const L2RRouter& router() const override { return *router_; }
+  Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s, VertexId d,
+                            double departure_time) override {
+    return router_->Route(ctx, s, d, departure_time);
+  }
+
+ private:
+  const L2RRouter* router_;
+};
+
+TEST_F(L2REndToEndTest, ServedRoutesArePinned) {
+  // Any change to what a query returns changes the digest: the stitcher,
+  // the preference fallback, or the serving layer around them. A change
+  // meant to alter routes re-pins it.
+#ifdef L2R_CORE_TEST_FULL
+  constexpr uint64_t kPinned = 0xed4ed74a440dfd4bULL;
+#else
+  constexpr uint64_t kPinned = 0x2a810dd87e453b88ULL;
+#endif
+  const std::vector<MatchedTrajectory>& queries = dataset_->split.test;
+  BareService bare(router_);
+  const uint64_t digest = ServedRoutesDigest(bare, queries);
+  EXPECT_EQ(digest, kPinned) << std::hex << digest;
+
+  // A ServingRouter answers the same bytes cold and from its cache.
+  ServingRouter serving(router_);
+  EXPECT_EQ(ServedRoutesDigest(serving, queries), digest);
+  EXPECT_EQ(ServedRoutesDigest(serving, queries), digest);
+  EXPECT_GT(serving.GetStats().cache.hits, 0u);
 }
 
 TEST_F(L2REndToEndTest, EdgePreferencesExposed) {
