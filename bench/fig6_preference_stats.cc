@@ -39,7 +39,8 @@ int main() {
     std::set<std::pair<int, int>> unique;
     size_t paths_used = 0;
     for (const StoredPathRef* ref : LearnPaths(g.edge(e))) {
-      auto learned = learner.LearnForPath(g.ResolvePath(*ref));
+      const std::span<const VertexId> path = g.ResolvePath(*ref);
+      auto learned = learner.LearnForPath({path.begin(), path.end()});
       if (!learned.ok()) continue;
       ++paths_used;
       unique.insert({static_cast<int>(learned->pref.master),

@@ -357,9 +357,9 @@ Json LatencyBlock(const Fixture& fx, bool*) {
   return Summary(TimeEach(fx.queries.size(), route));
 }
 
-/// The skewed workload without (fixture) and with the route cache and
-/// stitch memo, under the same fallback budget so the delta isolates the
-/// caching layers. No warm-up: the pass measures a cold cache by design.
+/// The skewed workload without (fixture) and with the route cache, under
+/// the same fallback budget so the delta isolates the cache. No warm-up:
+/// the pass measures a cold cache by design.
 Json ServingBlock(const Fixture& fx, bool*) {
   const std::vector<size_t> workload = SkewedWorkload(fx.queries.size());
   ServingRouter serving(fx.router.get(), Serving(true, kBudgetUs));
@@ -377,9 +377,6 @@ Json ServingBlock(const Fixture& fx, bool*) {
       .Set("evictions", s.cache.evictions)
       .Set("cache_entries", s.cache.entries)
       .Set("cache_bytes", s.cache.bytes)
-      .Set("memo_edge_hits", s.memo.edge_hits)
-      .Set("memo_connector_hits", s.memo.connector_hits)
-      .Set("memo_entries", s.memo.entries)
       .Set("budget_degraded", s.budget_degraded);
   Json off = Summary(fx.serve_off_us);
   off.Set("budget_degraded", fx.serve_off_degraded);
@@ -411,8 +408,8 @@ Json RunsBlock(const Fixture& fx, bool* ok) {
 
 /// Named traffic shapes over the distinct pool (bench/workloads.h), each
 /// with batch dedup off and on (bare router, t = 1, so the delta is pure
-/// dedup), then raced through an uncached ServingRouter (cache and memo
-/// off, so every duplicate reaches the cold path) at t = 1/2/4/8 against
+/// dedup), then raced through an uncached ServingRouter (cache off, so
+/// every duplicate reaches the cold path) at t = 1/2/4/8 against
 /// the dedup-off results.
 Json ScenariosBlock(const Fixture& fx, bool* ok) {
   const size_t distinct = fx.queries.size();
@@ -526,7 +523,7 @@ Json DeadlineSweepBlock(const Fixture& fx, bool*) {
 
 /// Offered load from half to ten times the cache-off capacity, served by
 /// StreamRouter under the OverloadController with a 70/30 interactive/bulk
-/// mix. Cache and memo stay off so capacity is flat across points and the
+/// mix. The cache stays off so capacity is flat across points and the
 /// controller, not the hit rate, absorbs the excess.
 Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
   constexpr double kBulkFraction = 0.3;
@@ -883,7 +880,7 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
          {"snapshot_bytes", mapped->file_bytes()},
          {"gen_seconds", Json(gen_seconds, 3)},
          {"mmap_cold_start_seconds", Json(mmap_seconds, 6)},
-         {"zero_copy", mnet.snapshot_backed()},
+         {"snapshot_backed", mnet.snapshot_backed()},
          {"queries", kQueries},
          {"qps", 1e6 / plain_us},
          {"mean_query_us", plain_us},
@@ -904,8 +901,8 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
   return Json::Object({{"scales", rungs}});
 }
 
-/// The full serving stack (route cache with its seqlock hot path and
-/// stitch memo; no budget, so every result must byte-match the reference)
+/// The full serving stack (route cache with its seqlock hot path; no
+/// budget, so every result must byte-match the reference)
 /// warm at t = 1/2/4/8 batch threads, then a StreamRouter audit at 1/2/4
 /// overlapping drain threads. Both ladders gate on byte identity.
 Json ScaleOutBlock(const Fixture& fx, bool* ok) {

@@ -114,7 +114,7 @@ SCHEMA = {
     "scale_ladder": under("scales[]", [
         "scale", "num_vertices", "num_edges", "world_bytes",
         "snapshot_bytes", "gen_seconds", "mmap_cold_start_seconds",
-        "zero_copy", "queries", "qps",
+        "snapshot_backed", "queries", "qps",
         "mean_query_us", "reach_build_seconds", "reach_bytes"]),
     "scale_out": ["hw_threads", "single_core",
                   *under("serving_runs[]", ["threads", "qps", "identical"]),

@@ -254,6 +254,8 @@ MUTATIONS = [
         d["dynamic_world"]["scenarios"][1]["points"][0].pop("serve_misses")),
     ("scale_ladder", "mmap_cold_start_seconds", lambda d:
         d["scale_ladder"]["scales"][0].pop("mmap_cold_start_seconds")),
+    ("scale_ladder", "snapshot_backed", lambda d:
+        d["scale_ladder"]["scales"][1].pop("snapshot_backed")),
     ("scale_out", "missing 'drain_audits", lambda d:
         d["scale_out"].pop("drain_audits")),
     ("streaming", "missing block", lambda d: d.pop("streaming")),

@@ -26,26 +26,22 @@ constexpr double kStitchOverheadLimit = 0.50;
 uint64_t PathHops(const StoredPathRef& p) { return p.end - p.begin; }
 
 /// Looks for a recorded inner-region trajectory sub-path from `from` to
-/// `to` in region `r`; inner paths are sorted by traversal count, so the
-/// first hit is the most popular.
-std::optional<std::vector<VertexId>> TryInnerSubPath(const RegionGraph& g,
-                                                     RegionId r,
-                                                     VertexId from,
-                                                     VertexId to) {
+/// `to` in region `r`, viewed in place; empty when none exists. Inner
+/// paths are sorted by traversal count, so the first hit is the most
+/// popular.
+std::span<const VertexId> TryInnerSubPath(const RegionGraph& g, RegionId r,
+                                          VertexId from, VertexId to) {
   for (const StoredPathRef& ref : g.region(r).inner_paths) {
-    const std::vector<VertexId> path = g.ResolvePath(ref);
+    const std::span<const VertexId> path = g.ResolvePath(ref);
     for (size_t i = 0; i < path.size(); ++i) {
       if (path[i] != from) continue;
       for (size_t j = i; j < path.size(); ++j) {
-        if (path[j] == to) {
-          return std::vector<VertexId>(path.begin() + i,
-                                       path.begin() + j + 1);
-        }
+        if (path[j] == to) return path.subspan(i, j - i + 1);
       }
       break;  // `from` found but `to` not after it; try next stored path
     }
   }
-  return std::nullopt;
+  return {};
 }
 
 }  // namespace
@@ -96,7 +92,8 @@ std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
         std::vector<std::vector<VertexId>> paths;
         std::vector<uint32_t> counts;
         for (const StoredPathRef* p : LearnPaths(graph.edge(e))) {
-          paths.push_back(graph.ResolvePath(*p));
+          const std::span<const VertexId> path = graph.ResolvePath(*p);
+          paths.emplace_back(path.begin(), path.end());
           counts.push_back(static_cast<uint32_t>(p->count * PathHops(*p)));
         }
         auto learned = learner->LearnForPaths(paths, counts);
@@ -223,10 +220,10 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
 std::optional<Path> L2RRouter::InnerRegionRoute(const RegionGraph& graph,
                                                 RegionId r, VertexId s,
                                                 VertexId d) const {
-  auto verts = TryInnerSubPath(graph, r, s, d);
-  if (!verts.has_value()) return std::nullopt;
+  const std::span<const VertexId> verts = TryInnerSubPath(graph, r, s, d);
+  if (verts.empty()) return std::nullopt;
   Path path;
-  path.vertices = std::move(*verts);
+  path.vertices.assign(verts.begin(), verts.end());
   return path;
 }
 
@@ -279,13 +276,14 @@ std::optional<std::vector<uint32_t>> L2RRouter::RegionRoute(
   return std::nullopt;
 }
 
-std::optional<std::vector<VertexId>> L2RRouter::BestEdgePath(
-    const RegionGraph& graph, const RegionEdge& edge, VertexId cur,
-    const Point& goal) const {
+std::span<const VertexId> L2RRouter::BestEdgePath(const RegionGraph& graph,
+                                                  const RegionEdge& edge,
+                                                  VertexId cur,
+                                                  const Point& goal) const {
   const Point& here = net_->VertexPos(cur);
-  std::optional<std::vector<VertexId>> best;
+  std::span<const VertexId> best;
   double best_score = kInfCost;
-  auto consider = [&](std::vector<VertexId> verts, uint32_t count) {
+  auto consider = [&](std::span<const VertexId> verts, uint32_t count) {
     if (verts.size() < 2) return;
     // Enter where we are, leave toward where we are going: detour to the
     // path start plus remaining distance from the path end to the query
@@ -296,7 +294,7 @@ std::optional<std::vector<VertexId>> L2RRouter::BestEdgePath(
                          kPopularityBonusM * std::log2(1.0 + count);
     if (score < best_score) {
       best_score = score;
-      best = std::move(verts);
+      best = verts;
     }
   };
   if (edge.is_t_edge) {
@@ -310,12 +308,11 @@ std::optional<std::vector<VertexId>> L2RRouter::BestEdgePath(
 }
 
 std::optional<RoutingPreference> L2RRouter::PairPreference(
-    int period_index, const RegionGraph& /*graph*/,
-    const std::vector<uint32_t>& region_edges) const {
-  if (region_edges.empty()) return std::nullopt;
+    int period_index, const std::vector<uint32_t>& region_edges) const {
   const auto& prefs = preferences_[period_index];
-  // Prefer the edge that directly represents the (Rs, Rd) pair: the last
-  // edge ends at Rd; a single edge IS the pair.
+  // The first hop along the region path that carries a (learned or
+  // transferred) preference; on a single-edge path that is the direct
+  // (Rs, Rd) edge.
   for (const uint32_t eid : region_edges) {
     if (eid < prefs.size() && prefs[eid].has_value()) return prefs[eid];
   }
@@ -324,8 +321,7 @@ std::optional<RoutingPreference> L2RRouter::PairPreference(
 
 Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
                                    const RegionGraph& graph,
-                                   const WeightSet& ws, int period_index,
-                                   StitchMemoIface* memo,
+                                   const WeightSet& ws,
                                    const std::vector<uint32_t>& region_edges,
                                    VertexId cur, VertexId dest,
                                    std::vector<VertexId>* out,
@@ -333,55 +329,38 @@ Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
   if (out->empty()) out->push_back(cur);
   *overhead_m = 0;
 
-  // Memoized values are pure functions of the immutable router state
-  // (inner paths are scanned in stored order, the fastest-path search is
-  // deterministic), so a memo hit appends exactly what recomputation
-  // would — serving results stay byte-identical whether the memo is
-  // cold, warm, or shared across threads.
-  std::vector<VertexId> seg;
+  auto append = [out](std::span<const VertexId> seg) {
+    out->insert(out->end(), seg.begin() + 1, seg.end());
+  };
   auto connect = [&](VertexId from, VertexId to) -> Status {
     *overhead_m += Dist(net_->VertexPos(from), net_->VertexPos(to));
     if (from == to) return Status::OK();
-    if (memo != nullptr && memo->FindConnector(period_index, from, to, &seg)) {
-      out->insert(out->end(), seg.begin() + 1, seg.end());
-      return Status::OK();
-    }
     // Prefer a recorded inner-region path when both endpoints share a
     // region; otherwise the fastest path.
-    seg.clear();
     const RegionId r = graph.RegionOf(from);
     if (r != kNoRegion && graph.RegionOf(to) == r) {
-      if (auto inner = TryInnerSubPath(graph, r, from, to)) {
-        seg = std::move(*inner);
+      const std::span<const VertexId> inner =
+          TryInnerSubPath(graph, r, from, to);
+      if (!inner.empty()) {
+        append(inner);
+        return Status::OK();
       }
     }
-    if (seg.empty()) {
-      auto fastest = ctx->dijkstra.ShortestPath(from, to, ws.time);
-      if (!fastest.ok()) return fastest.status();
-      seg = std::move(fastest->vertices);
-    }
-    if (memo != nullptr) memo->RememberConnector(period_index, from, to, seg);
-    out->insert(out->end(), seg.begin() + 1, seg.end());
+    auto fastest = ctx->dijkstra.ShortestPath(from, to, ws.time);
+    if (!fastest.ok()) return fastest.status();
+    append(fastest->vertices);
     return Status::OK();
   };
 
   const Point& goal = net_->VertexPos(dest);
-  std::vector<VertexId> chosen;
   for (const uint32_t eid : region_edges) {
-    chosen.clear();
-    if (memo == nullptr ||
-        !memo->FindEdgeChoice(period_index, eid, cur, dest, &chosen)) {
-      auto best = BestEdgePath(graph, graph.edge(eid), cur, goal);
-      if (!best.has_value()) {
-        return Status::NotFound("region edge has no usable path");
-      }
-      chosen = std::move(*best);
-      if (memo != nullptr) {
-        memo->RememberEdgeChoice(period_index, eid, cur, dest, chosen);
-      }
+    const std::span<const VertexId> chosen =
+        BestEdgePath(graph, graph.edge(eid), cur, goal);
+    if (chosen.empty()) {
+      return Status::NotFound("region edge has no usable path");
     }
     L2R_RETURN_NOT_OK(connect(cur, chosen.front()));
-    out->insert(out->end(), chosen.begin() + 1, chosen.end());
+    append(chosen);
     cur = chosen.back();
   }
   return connect(cur, dest);
@@ -395,7 +374,7 @@ TimePeriod L2RRouter::EffectivePeriod(double departure_time) const {
 
 Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
                                      VertexId d, double departure_time,
-                                     const ServeHooks& hooks) const {
+                                     size_t max_preference_settles) const {
   if (ctx == nullptr) return Status::InvalidArgument("ctx is null");
   if (s >= net_->NumVertices() || d >= net_->NumVertices()) {
     return Status::InvalidArgument("vertex id out of range");
@@ -467,8 +446,8 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
     // The candidate regions coincide: connect through the region.
     std::vector<VertexId> out = prefix;
     double overhead = 0;
-    Status st = StitchRegionPath(ctx, graph, ws, pi, hooks.memo, {},
-                                 out.back(), suffix.front(), &out, &overhead);
+    Status st = StitchRegionPath(ctx, graph, ws, {}, out.back(),
+                                 suffix.front(), &out, &overhead);
     if (!st.ok()) return fastest_fallback();
     out.insert(out.end(), suffix.begin() + 1, suffix.end());
     Path path;
@@ -478,12 +457,12 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
 
   const auto region_edges = RegionRoute(graph, rs, rd);
   const std::optional<RoutingPreference> pair_pref =
-      region_edges.has_value() ? PairPreference(pi, graph, *region_edges)
+      region_edges.has_value() ? PairPreference(pi, *region_edges)
                                : std::nullopt;
 
   // Applying the region pair's preference with Algorithm 2 — the paper's
   // mechanism for identifying paths where recorded ones do not serve.
-  // Under a settle budget (ServeHooks::budget), a rebuild that would blow
+  // Under a settle budget (max_preference_settles), a rebuild that would blow
   // the budget degrades to `stitched` (the region path that failed the
   // overhead gate) when one exists, else to the fastest fallback, with
   // the decision recorded in RouteResult::budget_degraded.
@@ -493,7 +472,7 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
     auto routed = ctx->pref_dijkstra.Route(
         s, d, ws.Get(pair_pref->master),
         space_.slave_mask(pair_pref->slave_index),
-        hooks.budget.max_preference_settles);
+        max_preference_settles);
     if (routed.ok()) {
       return finish(std::move(routed->path), RouteMethod::kPreferenceRoute);
     }
@@ -511,9 +490,9 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
 
   std::vector<VertexId> out = prefix;
   double overhead = 0;
-  const Status st = StitchRegionPath(ctx, graph, ws, pi, hooks.memo,
-                                     *region_edges, out.back(),
-                                     suffix.front(), &out, &overhead);
+  const Status st = StitchRegionPath(ctx, graph, ws, *region_edges,
+                                     out.back(), suffix.front(), &out,
+                                     &overhead);
   if (!st.ok()) return preference_route(nullptr, 0);
   if (suffix.size() > 1) {
     out.insert(out.end(), suffix.begin() + 1, suffix.end());

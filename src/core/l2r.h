@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -100,7 +101,7 @@ struct RouteResult {
   RegionId dest_region = kNoRegion;
   size_t region_hops = 0;
   /// True when the preference-route rebuild blew the query's settle budget
-  /// (ServeHooks::budget) and the route degraded to the stitched path or
+  /// (Route's max_preference_settles) and the route degraded to the stitched path or
   /// the fastest fallback. Deterministic: the budget counts settled
   /// vertices, never wall-clock time.
   bool budget_degraded = false;
@@ -145,12 +146,14 @@ class L2RRouter {
       const L2ROptions& options = {});
 
   /// Routes from `s` to `d` departing at `departure_time` (selects the
-  /// peak or off-peak region graph). `hooks` carries the optional serving
-  /// aids (stitch memo, fallback budget); the default value is the plain
-  /// cold path.
+  /// peak or off-peak region graph). `max_preference_settles` caps the
+  /// vertices the preference-route (Algorithm 2) rebuild may settle; 0 is
+  /// no cap. The cap counts settles, never wall-clock time, so a degrade
+  /// decision is reproducible (serve/DeadlineBudget derives it from a
+  /// microsecond target).
   Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s, VertexId d,
                             double departure_time,
-                            const ServeHooks& hooks = {}) const;
+                            size_t max_preference_settles = 0) const;
 
   /// A context whose preference searches use slave_reachability(); it
   /// must not outlive the router.
@@ -222,30 +225,28 @@ class L2RRouter {
 
   /// Maps a region path to a road path, stitching with inner paths /
   /// fastest connectors. `cur` is the current road vertex. Reports the
-  /// total straight-line connector overhead in *overhead_m. When `memo`
-  /// is non-null, edge-path choices and connectors are looked up there
-  /// first and remembered after computation (`period_index` keys the
-  /// memo's per-period tables).
+  /// total straight-line connector overhead in *overhead_m.
   Status StitchRegionPath(L2RQueryContext* ctx, const RegionGraph& graph,
-                          const WeightSet& ws, int period_index,
-                          StitchMemoIface* memo,
+                          const WeightSet& ws,
                           const std::vector<uint32_t>& region_edges,
                           VertexId cur, VertexId dest,
                           std::vector<VertexId>* out,
                           double* overhead_m) const;
 
-  /// The preference governing travel from rs to rd: the direct region
-  /// edge's preference if present, else the first hop's.
+  /// The preference governing travel from rs to rd: the preference of
+  /// the first hop along `region_edges` that has one (on a single-edge
+  /// path, the direct (Rs, Rd) edge's), nullopt when no hop has one.
   std::optional<RoutingPreference> PairPreference(
-      int period_index, const RegionGraph& graph,
-      const std::vector<uint32_t>& region_edges) const;
+      int period_index, const std::vector<uint32_t>& region_edges) const;
 
   /// Chooses the best stored path on a region edge w.r.t. the current
   /// stitch position and the query destination (start near `cur`, end
-  /// toward `goal`, popular paths preferred).
-  std::optional<std::vector<VertexId>> BestEdgePath(
-      const RegionGraph& graph, const RegionEdge& edge, VertexId cur,
-      const Point& goal) const;
+  /// toward `goal`, popular paths preferred), viewed in place; empty when
+  /// the edge has no path of two or more vertices.
+  std::span<const VertexId> BestEdgePath(const RegionGraph& graph,
+                                         const RegionEdge& edge,
+                                         VertexId cur,
+                                         const Point& goal) const;
 
   const RoadNetwork* net_;
   PreferenceFeatureSpace space_;
@@ -262,7 +263,7 @@ class L2RRouter {
 /// Anything that answers routing queries on behalf of an L2RRouter —
 /// either the router itself or a serving layer wrapped around it
 /// (serve/ServingRouter). BatchRouter fans queries out through this
-/// interface, so the cache/memo/budget stack slots in without core
+/// interface, so the cache/budget stack slots in without core
 /// depending on serve/. Implementations must tolerate concurrent Route
 /// calls (each with its own context) and must stay deterministic: the
 /// result for (s, d, departure_time) may not depend on call order or

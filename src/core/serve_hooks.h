@@ -3,17 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/hash.h"
 #include "region/clustering.h"
 #include "roadnet/road_network.h"
 
-/// Extension points the serving layer (src/serve/) plugs into the core
-/// query path. Core defines the interfaces; serve/ provides the sharded
-/// concurrent implementations, so the dependency arrow stays
-/// serve -> core.
+/// The vocabulary the serving layer (src/serve/) and the dynamic world
+/// (src/world/) share with the core query path: query class and key, the
+/// world epoch, and the read-side world view. Core defines them; serve/
+/// and world/ build on them, so the dependency arrows point at core.
 
 namespace l2r {
 
@@ -69,10 +67,9 @@ struct QueryKeyHash {
 
 /// Version number of the mutable world. Epoch 0 is the frozen world the
 /// router was built against; every applied update batch
-/// (world/WorldUpdateChannel) bumps it by exactly one. Serving-layer
-/// entries (route cache, stitch memo) are stamped with the epoch they were
-/// computed on and stay servable until some region they depend on is
-/// dirtied by a later epoch.
+/// (world/WorldUpdateChannel) bumps it by exactly one. Route cache entries
+/// are stamped with the epoch they were computed on and stay servable
+/// until some region they depend on is dirtied by a later epoch.
 using WorldEpoch = uint64_t;
 
 /// Footprint sentinel for results whose bytes depend on more than the
@@ -83,25 +80,9 @@ using WorldEpoch = uint64_t;
 /// outside every region and gets its own ordinary bucket.)
 inline constexpr RegionId kAllRegionsBucket = 0xFFFFFFFEu;
 
-/// One applied update batch as seen by invalidation listeners.
-struct WorldDirtyEvent {
-  /// The epoch this batch produced (the first stale epoch for the dirtied
-  /// regions is `epoch`; entries stamped >= epoch are current).
-  WorldEpoch epoch = 0;
-  int period_index = 0;
-  /// Regions whose cached routes may have changed, sorted and unique. May
-  /// contain kNoRegion (out-of-region vertices) — never kAllRegionsBucket.
-  std::vector<RegionId> regions;
-  /// True when the whole period is dirtied (cost-decreasing updates and
-  /// period transitions, where an improvement can reroute paths that never
-  /// touched the improved region); `regions` still lists the directly
-  /// touched regions for diagnostics.
-  bool wholesale = false;
-};
-
 /// Read-side view of the dynamic world, consulted by the serving layer.
-/// Core defines the interface (like StitchMemoIface); world/ implements
-/// it, so the dependency arrow stays world -> serve -> core.
+/// Core defines the interface; world/ implements it, so the dependency
+/// arrow stays world -> serve -> core.
 ///
 /// Concurrency contract: AcquireRead pins the world — no update batch is
 /// applied while any reader holds a pin, so every query runs start to
@@ -126,14 +107,6 @@ class WorldViewIface {
   /// the pinned epoch. Reentrant pins are not supported; use WorldReadPin.
   virtual WorldEpoch AcquireRead() = 0;
   virtual void ReleaseRead() = 0;
-
-  /// Listeners fire synchronously under the channel's exclusive gate
-  /// (i.e. with no readers pinned), once per applied batch. Returns a
-  /// token for RemoveInvalidationListener; remove before the listener's
-  /// captures die.
-  using InvalidationListener = std::function<void(const WorldDirtyEvent&)>;
-  virtual int AddInvalidationListener(InvalidationListener fn) = 0;
-  virtual void RemoveInvalidationListener(int token) = 0;
 };
 
 /// RAII read pin. Null-world tolerant: with no world attached the pin is
@@ -164,60 +137,6 @@ class WorldReadPin {
 struct EpochServeCounts {
   uint64_t current_epoch = 0;
   uint64_t stale_valid_epoch = 0;
-};
-
-/// Maps a path vertex to its region, for footprint-based invalidation
-/// sweeps (serve/StitchMemo::SetRegionResolver). May return kNoRegion.
-using RegionResolver = std::function<RegionId(int period_index, VertexId v)>;
-
-/// Memoization surface consulted while stitching a region path
-/// (L2RRouter::StitchRegionPath). Both tables cache pure functions of the
-/// immutable router state, so a hit must be byte-identical to
-/// recomputation — that is what keeps batch serving deterministic across
-/// thread counts even though memo population order is scheduling
-/// dependent. Implementations must be safe for concurrent Find/Remember
-/// from many query threads; Find copies the value out.
-class StitchMemoIface {
- public:
-  virtual ~StitchMemoIface() = default;
-
-  /// The path BestEdgePath chose for region edge `edge` when entering at
-  /// `cur` with query destination `dest` (the goal point of the score).
-  /// Returns false on miss; on hit fills `*out` (never empty).
-  virtual bool FindEdgeChoice(int period_index, uint32_t edge, VertexId cur,
-                              VertexId dest,
-                              std::vector<VertexId>* out) const = 0;
-  virtual void RememberEdgeChoice(int period_index, uint32_t edge,
-                                  VertexId cur, VertexId dest,
-                                  const std::vector<VertexId>& path) = 0;
-
-  /// The connector path `from -> ... -> to` (recorded inner-region path if
-  /// one exists, else the fastest path under the period's weights) — a
-  /// function of (from, to, period) only, so it is shared across queries
-  /// regardless of their destinations.
-  virtual bool FindConnector(int period_index, VertexId from, VertexId to,
-                             std::vector<VertexId>* out) const = 0;
-  virtual void RememberConnector(int period_index, VertexId from, VertexId to,
-                                 const std::vector<VertexId>& path) = 0;
-};
-
-/// Deterministic per-query budget for the preference-route fallback
-/// (Algorithm 2 rebuilding dominates tail latency). The budget is
-/// expressed in settled vertices, not wall-clock time: a timer-based
-/// deadline would make results depend on machine load and break the
-/// byte-identical determinism contract of batch serving. serve/'s
-/// DeadlineBudget converts a microsecond target into this cap.
-struct QueryBudget {
-  /// Max vertices the preference Dijkstra may settle per run; 0 = no cap.
-  size_t max_preference_settles = 0;
-};
-
-/// Per-call serving aids threaded through L2RRouter::Route. Everything is
-/// optional; the default-constructed value reproduces the plain cold
-/// path exactly.
-struct ServeHooks {
-  StitchMemoIface* memo = nullptr;
-  QueryBudget budget;
 };
 
 }  // namespace l2r

@@ -76,12 +76,12 @@ int64_t RegionGraph::FindEdge(RegionId a, RegionId b) const {
   return id == nullptr ? -1 : static_cast<int64_t>(*id);
 }
 
-std::vector<VertexId> RegionGraph::ResolvePath(
+std::span<const VertexId> RegionGraph::ResolvePath(
     const StoredPathRef& ref) const {
   const std::vector<VertexId>& path = (*trajs_)[ref.traj].path;
   L2R_CHECK(ref.begin <= ref.end && ref.end < path.size());
-  return std::vector<VertexId>(path.begin() + ref.begin,
-                               path.begin() + ref.end + 1);
+  return std::span<const VertexId>(path).subspan(ref.begin,
+                                                 ref.end - ref.begin + 1);
 }
 
 Result<RegionGraph> BuildRegionGraph(

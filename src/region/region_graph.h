@@ -88,8 +88,9 @@ class RegionGraph {
             out_offsets_[r + 1] - out_offsets_[r]};
   }
 
-  /// Materializes a stored path reference into vertices.
-  std::vector<VertexId> ResolvePath(const StoredPathRef& ref) const;
+  /// The vertices of a stored path reference, viewed in place in the
+  /// training trajectory (valid as long as the graph's trajectories).
+  std::span<const VertexId> ResolvePath(const StoredPathRef& ref) const;
 
   const std::vector<MatchedTrajectory>& trajectories() const {
     return *trajs_;

@@ -13,12 +13,13 @@ struct DeadlineBudgetOptions {
 };
 
 /// Translates a wall-clock fallback budget into the deterministic settle
-/// cap the core query path enforces (ServeHooks::budget). The translation
-/// happens once, at configuration time: queries never consult a clock, so
-/// the degrade decision for a given query is identical across runs,
-/// threads, and machines with the same configuration — the property the
-/// byte-identical serving contract depends on. The microsecond knob is
-/// operator-facing; the settle cap is what the engine sees.
+/// cap the core query path enforces (L2RRouter::Route's
+/// max_preference_settles). The translation happens once, at
+/// configuration time: queries never consult a clock, so the degrade
+/// decision for a given query is identical across runs, threads, and
+/// machines with the same configuration — the property the byte-identical
+/// serving contract depends on. The microsecond knob is operator-facing;
+/// the settle cap is what the engine sees.
 class DeadlineBudget {
  public:
   /// Calibration: how many vertices the preference search settles per

@@ -11,33 +11,9 @@ ServingRouter::ServingRouter(const L2RRouter* router,
   if (options.enable_cache) {
     cache_ = std::make_unique<RouteCache>();
     cache_->SetWorld(world_);
-    memo_ = std::make_unique<StitchMemo>();
-    if (world_ != nullptr) {
-      // The memo's invalidation sweep resolves stored path vertices to
-      // regions at sweep time (see StitchMemo::InvalidateRegions).
-      memo_->SetRegionResolver([router](int period_index, VertexId v) {
-        const TimePeriod p = static_cast<TimePeriod>(period_index);
-        if (!router->has_region_graph(p)) return kNoRegion;
-        return router->region_graph(p).RegionOf(v);
-      });
-      // Fires under the channel's exclusive gate (no queries in flight),
-      // once per applied batch.
-      world_listener_ = world_->AddInvalidationListener(
-          [memo = memo_.get()](const WorldDirtyEvent& event) {
-            memo->InvalidateRegions(event.period_index, event.regions,
-                                    event.wholesale);
-          });
-    }
   }
-  hooks_.memo = memo_.get();
   settle_cap_.store(budget_.MaxPreferenceSettles(),
                     std::memory_order_relaxed);
-}
-
-ServingRouter::~ServingRouter() {
-  if (world_ != nullptr && world_listener_ >= 0) {
-    world_->RemoveInvalidationListener(world_listener_);
-  }
 }
 
 void ServingRouter::SetBudgetScale(double scale) {
@@ -76,11 +52,9 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
   // cold/error dispatch runs on the pinned (current) epoch.
   // Relaxed: pure serve tally, documented order in the header.
   current_epoch_serves_.fetch_add(1, std::memory_order_relaxed);
-  ServeHooks hooks = hooks_;
-  hooks.budget.max_preference_settles =
-      settle_cap_.load(std::memory_order_relaxed);
   Result<RouteResult> result =
-      router_->Route(ctx, s, d, departure_time, hooks);
+      router_->Route(ctx, s, d, departure_time,
+                     settle_cap_.load(std::memory_order_relaxed));
   if (result.ok()) {
     if (result->budget_degraded) {
       budget_degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +72,6 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
 ServingRouter::Stats ServingRouter::GetStats() const {
   Stats stats;
   if (cache_ != nullptr) stats.cache = cache_->GetStats();
-  if (memo_ != nullptr) stats.memo = memo_->GetStats();
   stats.queries = queries_.load(std::memory_order_relaxed);
   // Every query that missed the cache computed; the saturation covers a
   // relaxed snapshot taken while queries are in flight.

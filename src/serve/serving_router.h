@@ -8,36 +8,32 @@
 #include "core/l2r.h"
 #include "serve/deadline_budget.h"
 #include "serve/route_cache.h"
-#include "serve/stitch_memo.h"
 
 namespace l2r {
 
 struct ServingRouterOptions {
-  /// The RouteCache in front of the cold path plus the StitchMemo inside
-  /// it; false serves every query cold.
+  /// The RouteCache in front of the cold path; false serves every query
+  /// cold.
   bool enable_cache = true;
   DeadlineBudgetOptions deadline;
   /// Dynamic world view (world/WorldUpdateChannel), or null for the
   /// frozen-world seed behavior. When set, every query runs under a read
   /// pin (start-to-finish on one epoch), cache entries are stamped with
-  /// epoch + region footprint and validated on lookup, and the stitch memo
-  /// is swept selectively from the channel's dirty events. Must outlive
-  /// the ServingRouter.
+  /// epoch + region footprint and validated on lookup. Must outlive the
+  /// ServingRouter.
   WorldViewIface* world = nullptr;
 };
 
 /// The serving layer: sits between BatchRouter (or any front-end) and
 /// L2RRouter. A query first consults the sharded RouteCache keyed on
-/// (s, d, EffectivePeriod); a miss runs the cold path with the stitch
-/// memo and the deadline budget's settle cap threaded through ServeHooks,
-/// then populates the cache. Duplicates are suppressed upstream by
+/// (s, d, EffectivePeriod); a miss runs the cold path under the deadline
+/// budget's settle cap, then populates the cache. Duplicates are suppressed upstream by
 /// BatchRouter's batch dedup and here by the cache: two concurrent
 /// identical misses both compute the same bytes on the same pinned epoch,
 /// and the second RouteCache::Insert just refreshes the key.
 ///
 /// Determinism guarantees (all required by BatchRouter's contract):
 ///  - cache hits return byte-identical copies of cold-path results;
-///  - memo hits equal recomputation (pure functions of router state);
 ///  - the budget is a settle-count cap, so degrade decisions are
 ///    reproducible — RouteResult::budget_degraded is part of the result,
 ///    not an observability side channel.
@@ -46,7 +42,15 @@ class ServingRouter final : public QueryService {
  public:
   struct Stats {
     RouteCache::Stats cache;
-    StitchMemo::Stats memo;
+    /// Stitch-memo tallies under the names servebench reads
+    /// (`serve.stitch_memo.hit_ratio`): always 0, because the stitcher
+    /// scores stored paths in place and no memo exists.
+    struct {
+      uint64_t edge_hits = 0;
+      uint64_t edge_misses = 0;
+      uint64_t connector_hits = 0;
+      uint64_t connector_misses = 0;
+    } memo;
     /// Cold-path tallies under the names servebench reads
     /// (`serve.single_flight.coalesced_ratio`): `leaders` is the number
     /// of cold computations, queries - cache.hits, and `coalesced` is
@@ -65,7 +69,6 @@ class ServingRouter final : public QueryService {
   /// `router` must outlive the ServingRouter.
   explicit ServingRouter(const L2RRouter* router,
                          const ServingRouterOptions& options = {});
-  ~ServingRouter() override;
 
   const L2RRouter& router() const override { return *router_; }
 
@@ -96,21 +99,13 @@ class ServingRouter final : public QueryService {
   /// The repair pass (world/RouteRepairer) sweeps + reinserts here; null
   /// when the cache is disabled.
   RouteCache* route_cache() { return cache_.get(); }
-  /// The warm stitch memo the repair pass routes with (already swept
-  /// selectively by the invalidation listener); null when disabled.
-  StitchMemoIface* stitch_memo() { return memo_.get(); }
 
  private:
   const L2RRouter* router_;
-  std::unique_ptr<RouteCache> cache_;     ///< null when disabled
-  std::unique_ptr<StitchMemo> memo_;      ///< null when disabled
+  std::unique_ptr<RouteCache> cache_;  ///< null when disabled
   DeadlineBudget budget_;
-  ServeHooks hooks_;  ///< memo, fixed at construction; settle cap below
   /// Dynamic world view; immutable after construction (null = frozen).
   WorldViewIface* world_ = nullptr;
-  /// Token of the memo-invalidation listener registered on world_
-  /// (removed in the destructor); -1 when none.
-  int world_listener_ = -1;
   /// Live settle cap (budget_'s cap under the current overload scale).
   /// Relaxed everywhere: a pure knob read once per cold computation,
   /// nothing is published through it (common/thread_annotations.h).

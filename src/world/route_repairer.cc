@@ -113,9 +113,6 @@ void RouteRepairer::RepairEntries(std::vector<RouteCache::StaleEntry>& stale,
   L2RQueryContext ctx = router.MakeContext();
   const size_t serving_cap = serving_->CurrentSettleCap();
 
-  ServeHooks hooks;
-  hooks.memo = serving_->stitch_memo();  // warm, selectively swept
-
   for (RouteCache::StaleEntry& entry : stale) {
     const double departure_time = DepartureTimeFor(entry.key.period);
     const TimePeriod period = router.EffectivePeriod(departure_time);
@@ -134,10 +131,8 @@ void RouteRepairer::RepairEntries(std::vector<RouteCache::StaleEntry>& stale,
     bool unroutable = false;
     for (int round = 0; round < kMaxRepairRounds; ++round, cap *= 2) {
       if (serving_cap != 0 && cap >= serving_cap) break;
-      ServeHooks round_hooks = hooks;
-      round_hooks.budget.max_preference_settles = cap;
       repaired = router.Route(&ctx, entry.key.s, entry.key.d,
-                              departure_time, round_hooks);
+                              departure_time, cap);
       if (!repaired.ok()) {
         // Route errors (e.g. destination closed off) are cap-independent:
         // escalating the budget cannot restore routability.
@@ -155,10 +150,8 @@ void RouteRepairer::RepairEntries(std::vector<RouteCache::StaleEntry>& stale,
       // Full recompute at exactly the serving cap — byte-identical to
       // what ServingRouter's cold path would produce (never an uncapped
       // search beyond it).
-      ServeHooks final_hooks = hooks;
-      final_hooks.budget.max_preference_settles = serving_cap;
       repaired = router.Route(&ctx, entry.key.s, entry.key.d,
-                              departure_time, final_hooks);
+                              departure_time, serving_cap);
       unroutable = !repaired.ok();
     }
     report.repair_settles += ctx.TotalSettles() - settles_before;

@@ -16,8 +16,8 @@ namespace l2r {
 /// Incremental ripup-and-reroute repair pass (the global-routing loop of
 /// rip-up/re-route, transplanted to serving): after an update batch,
 /// sweeps the stale entries out of the route cache and re-routes each on
-/// the new epoch with the selectively-invalidated warm stitch memo, under
-/// a bounded settle cap seeded from the stale route's length. A route
+/// the new epoch under a bounded settle cap seeded from the stale route's
+/// length. A route
 /// whose detour is local converges in a cheap early round; rounds double
 /// the cap, and the final round runs at *exactly* the serving settle cap
 /// — never beyond it — so every reinserted result is byte-identical to

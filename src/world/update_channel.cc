@@ -53,23 +53,6 @@ WorldEpoch WorldUpdateChannel::AcquireRead() {
 
 void WorldUpdateChannel::ReleaseRead() { gate_.UnlockShared(); }
 
-int WorldUpdateChannel::AddInvalidationListener(InvalidationListener fn) {
-  MutexLock lock(listeners_mu_);
-  const int token = next_listener_token_++;
-  listeners_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void WorldUpdateChannel::RemoveInvalidationListener(int token) {
-  MutexLock lock(listeners_mu_);
-  for (auto it = listeners_.begin(); it != listeners_.end(); ++it) {
-    if (it->first == token) {
-      listeners_.erase(it);
-      return;
-    }
-  }
-}
-
 WorldUpdateChannel::ApplyReport WorldUpdateChannel::Apply(
     const WorldUpdateBatch& batch) {
   ApplyReport report;
@@ -166,23 +149,6 @@ WorldUpdateChannel::ApplyReport WorldUpdateChannel::Apply(
   // Publish: release pairs with the acquire loads in CurrentEpoch /
   // AcquireRead, so whoever observes the new epoch observes the batch.
   epoch_.store(epoch, std::memory_order_release);
-
-  // Fire listeners while still holding the exclusive gate (the contract:
-  // no query is in flight while a listener sweeps the stitch memo).
-  std::vector<std::pair<int, InvalidationListener>> listeners;
-  {
-    MutexLock l(listeners_mu_);
-    listeners = listeners_;
-  }
-  for (int p = 0; p < kNumTimePeriods; ++p) {
-    if (!report.wholesale[p] && report.dirty_regions[p].empty()) continue;
-    WorldDirtyEvent event;
-    event.epoch = epoch;
-    event.period_index = p;
-    event.regions = report.dirty_regions[p];
-    event.wholesale = report.wholesale[p];
-    for (auto& [token, fn] : listeners) fn(event);
-  }
   return report;
 }
 

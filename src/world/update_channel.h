@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -96,9 +95,6 @@ class WorldUpdateChannel final : public WorldViewIface {
   WorldEpoch AcquireRead() override L2R_ACQUIRE_SHARED(gate_);
   void ReleaseRead() override L2R_RELEASE_SHARED(gate_);
 
-  int AddInvalidationListener(InvalidationListener fn) override;
-  void RemoveInvalidationListener(int token) override;
-
  private:
   /// Extra dirty-table bucket for path vertices outside every region.
   size_t NoRegionBucket(int period_index) const {
@@ -132,12 +128,6 @@ class WorldUpdateChannel final : public WorldViewIface {
   std::atomic<WorldEpoch> max_dirty_[kNumTimePeriods] = {};
 
   size_t num_regions_[kNumTimePeriods] = {};
-
-  /// Listener registry; Add/Remove are rare, firing copies the list out.
-  Mutex listeners_mu_;
-  std::vector<std::pair<int, InvalidationListener>> listeners_
-      L2R_GUARDED_BY(listeners_mu_);
-  int next_listener_token_ L2R_GUARDED_BY(listeners_mu_) = 0;
 };
 
 }  // namespace l2r

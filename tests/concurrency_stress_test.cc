@@ -1,5 +1,5 @@
 // Real-thread hammers for the serving stack's shared state (CTest label
-// `tsan`): RouteCache, StitchMemo, WorkspacePool, ManualClock's
+// `tsan`): RouteCache, WorkspacePool, ManualClock's
 // advance/wait protocol, the global ThreadPool, a ServingRouter racing
 // identical cache misses, and a StreamRouter under genuinely concurrent
 // submitters. Each test uses at least 8 threads and no sleeps — forward
@@ -26,7 +26,6 @@
 #include "serve/overload_controller.h"
 #include "serve/route_cache.h"
 #include "serve/serving_router.h"
-#include "serve/stitch_memo.h"
 #include "serve/stream_router.h"
 #include "chaos_service.h"
 #include "test_util.h"
@@ -287,8 +286,6 @@ class AtomicWorld final : public WorldViewIface {
   }
   WorldEpoch AcquireRead() override { return CurrentEpoch(); }
   void ReleaseRead() override {}
-  int AddInvalidationListener(InvalidationListener) override { return 0; }
-  void RemoveInvalidationListener(int) override {}
 
   void Bump(int period_index, RegionId region) {
     // Relaxed RMW allots the number; the release stores below publish it.
@@ -390,57 +387,6 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
     EXPECT_EQ(e.stale.path.vertices.front(), e.key.s);  // intact bytes
   }
   EXPECT_TRUE(sweep().empty());
-}
-
-// ---------------------------------------------------------------------------
-// StitchMemo: concurrent Remember/Find on both tables.
-
-TEST(StitchMemoStress, ConcurrentRememberFindStaysExact) {
-  StitchMemo memo;
-  constexpr uint32_t kEdges = 32;
-  constexpr int kOpsPerThread = 3000;
-  std::atomic<uint64_t> wrong{0};
-
-  auto edge_path = [](uint32_t e) {
-    return std::vector<VertexId>{e, e + 1, e + 2};
-  };
-  auto connector_path = [](VertexId from, VertexId to) {
-    return std::vector<VertexId>{from, from + to, to};
-  };
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<VertexId> out;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const uint32_t e = static_cast<uint32_t>((i * 11 + t) % kEdges);
-        const int period = static_cast<int>(e % kNumTimePeriods);
-        if (memo.FindEdgeChoice(period, e, e, e + 100, &out)) {
-          if (out != edge_path(e)) {
-            wrong.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          memo.RememberEdgeChoice(period, e, e, e + 100, edge_path(e));
-        }
-        const VertexId from = e;
-        const VertexId to = e + 5;
-        if (memo.FindConnector(period, from, to, &out)) {
-          if (out != connector_path(from, to)) {
-            wrong.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          memo.RememberConnector(period, from, to,
-                                 connector_path(from, to));
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(std::memory_order_acquire), 0u);
-  const StitchMemo::Stats stats = memo.GetStats();
-  EXPECT_GT(stats.edge_hits, 0u);
-  EXPECT_GT(stats.connector_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,7 +572,7 @@ class StreamDrainStressTest
 
 TEST_P(StreamDrainStressTest, ConcurrentSubmittersThroughServingStack) {
   // 8 submitter threads race Submit against deadline/size closes on the
-  // system clock, through the full serving stack (cache + memo).
+  // system clock, through the full serving stack (cache on).
   // Every accepted query must complete exactly once with a result that is
   // byte-identical to the single-threaded cold answer for its key.
   const unsigned num_drains = GetParam();

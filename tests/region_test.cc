@@ -250,7 +250,8 @@ TEST_F(RegionGraphTest, TEdgePathsConnectTheirRegions) {
     EXPECT_TRUE(edge.is_t_edge);
     ASSERT_FALSE(edge.t_paths.empty());
     for (const StoredPathRef& ref : edge.t_paths) {
-      const auto path = graph->ResolvePath(ref);
+      const std::span<const VertexId> stored = graph->ResolvePath(ref);
+      const std::vector<VertexId> path(stored.begin(), stored.end());
       ASSERT_GE(path.size(), 2u);
       // Path starts where the trajectory left `from` and ends where it
       // entered `to` (transfer centers).

@@ -14,7 +14,6 @@
 #include "serve/deadline_budget.h"
 #include "serve/route_cache.h"
 #include "serve/serving_router.h"
-#include "serve/stitch_memo.h"
 #include "test_util.h"
 
 namespace l2r {
@@ -271,8 +270,6 @@ class FakeWorld final : public WorldViewIface {
   }
   WorldEpoch AcquireRead() override { return epoch_; }
   void ReleaseRead() override {}
-  int AddInvalidationListener(InvalidationListener) override { return 0; }
-  void RemoveInvalidationListener(int) override {}
 
   void MarkDirty(int period_index, RegionId region, WorldEpoch epoch) {
     dirty_[period_index][region] = epoch;
@@ -427,81 +424,6 @@ TEST(RouteCacheTest, DegradedEntriesParticipateInLruEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// StitchMemo units.
-
-TEST(StitchMemoTest, EdgeChoiceAndConnectorRoundTripPerPeriod) {
-  StitchMemo memo;
-  const std::vector<VertexId> choice{3, 4, 5};
-  const std::vector<VertexId> connector{1, 2, 3};
-  std::vector<VertexId> got;
-  EXPECT_FALSE(memo.FindEdgeChoice(0, 11, 1, 9, &got));
-  memo.RememberEdgeChoice(0, 11, 1, 9, choice);
-  ASSERT_TRUE(memo.FindEdgeChoice(0, 11, 1, 9, &got));
-  EXPECT_EQ(got, choice);
-  // The other period's table is independent.
-  EXPECT_FALSE(memo.FindEdgeChoice(1, 11, 1, 9, &got));
-  // A different destination is a different key (the choice depends on the
-  // query's goal point).
-  EXPECT_FALSE(memo.FindEdgeChoice(0, 11, 1, 8, &got));
-
-  EXPECT_FALSE(memo.FindConnector(0, 1, 3, &got));
-  memo.RememberConnector(0, 1, 3, connector);
-  ASSERT_TRUE(memo.FindConnector(0, 1, 3, &got));
-  EXPECT_EQ(got, connector);
-  EXPECT_FALSE(memo.FindConnector(1, 1, 3, &got));
-
-  const StitchMemo::Stats stats = memo.GetStats();
-  EXPECT_EQ(stats.edge_hits, 1u);
-  EXPECT_EQ(stats.connector_hits, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(StitchMemoTest, FullMemoRejectsInsteadOfEvicting) {
-  // 200 KB connectors: a 4 MiB memo over 16 stripes holds one per stripe,
-  // so by the 17th some stripe is full and turns the insert away.
-  StitchMemo memo;
-  const std::vector<VertexId> big(50'000, 7);
-  std::vector<bool> stored;
-  while (memo.GetStats().rejected_full == 0 && stored.size() < 32) {
-    const VertexId to = static_cast<VertexId>(stored.size() + 1);
-    memo.RememberConnector(0, 0, to, big);
-    stored.push_back(memo.GetStats().rejected_full == 0);
-  }
-  ASSERT_LE(stored.size(), 17u);
-  std::vector<VertexId> got;
-  for (size_t i = 0; i < stored.size(); ++i) {
-    // Nothing stored was evicted to make room; the rejected one is absent.
-    EXPECT_EQ(memo.FindConnector(0, 0, static_cast<VertexId>(i + 1), &got),
-              stored[i])
-        << i;
-  }
-  const StitchMemo::Stats stats = memo.GetStats();
-  EXPECT_EQ(stats.rejected_full, 1u);
-  EXPECT_EQ(stats.entries, stored.size() - 1);
-}
-
-TEST(StitchMemoTest, InvalidationRefundsEveryByteItCharged) {
-  // Stitched paths grow by push_back, so the caller's vector carries
-  // spare capacity the stored copy does not. The charge at Remember and
-  // the refund at InvalidateRegions must still agree, or every sweep
-  // leaves phantom bytes behind and the memo rejects inserts early.
-  StitchMemo memo;
-  memo.SetRegionResolver([](int, VertexId) { return RegionId{3}; });
-  std::vector<VertexId> path{4, 5, 6};
-  path.reserve(1000);
-  for (const bool wholesale : {false, true}) {
-    memo.RememberEdgeChoice(0, 11, 4, 6, path);
-    memo.RememberConnector(0, 4, 6, path);
-    ASSERT_EQ(memo.GetStats().entries, 2u);
-    ASSERT_GT(memo.GetStats().bytes, 0u);
-    memo.InvalidateRegions(0, {3}, wholesale);
-    const StitchMemo::Stats stats = memo.GetStats();
-    EXPECT_EQ(stats.entries, 0u) << wholesale;
-    EXPECT_EQ(stats.bytes, 0u) << wholesale;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // DeadlineBudget units.
 
 TEST(DeadlineBudgetTest, DisabledBudgetMeansNoCap) {
@@ -564,8 +486,6 @@ class ServeTest : public ::testing::Test {
   /// under that settle cap. (Held-out trips in this small world are too
   /// short to need that many.)
   static std::vector<BatchQuery> LongPreferenceQueries(size_t cap) {
-    ServeHooks floor;
-    floor.budget.max_preference_settles = DeadlineBudget::kMinSettles;
     L2RQueryContext ctx = router_->MakeContext();
     const size_t n = dataset_->world.net.NumVertices();
     Rng rng(5);
@@ -579,7 +499,8 @@ class ServeTest : public ::testing::Test {
         continue;
       }
       const auto capped =
-          router_->Route(&ctx, q.s, q.d, q.departure_time, floor);
+          router_->Route(&ctx, q.s, q.d, q.departure_time,
+                         DeadlineBudget::kMinSettles);
       if (capped.ok() && capped->budget_degraded) out.push_back(q);
     }
     return out;
@@ -660,28 +581,6 @@ TEST_F(ServeTest, BatchServingMatchesPlainBatchFor1And4Threads) {
   }
 }
 
-TEST_F(ServeTest, StitchMemoAloneDoesNotChangeResults) {
-  const std::vector<BatchQuery> queries = MakeQueries(40);
-  const auto want = PlainResults(queries);
-
-  // The memo on its own, threaded straight into the router's cold path.
-  StitchMemo memo;
-  ServeHooks hooks;
-  hooks.memo = &memo;
-  L2RQueryContext ctx = router_->MakeContext();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto got = router_->Route(&ctx, queries[i].s, queries[i].d,
-                                      queries[i].departure_time, hooks);
-      ExpectSameResult(want[i], got, i);
-    }
-  }
-  // The second pass re-stitches the same region paths, so the memo must
-  // have been consulted successfully.
-  const StitchMemo::Stats stats = memo.GetStats();
-  EXPECT_GT(stats.edge_hits + stats.connector_hits, 0u);
-}
-
 TEST_F(ServeTest, BudgetDegradeIsDeterministicAndFlagged) {
   // The held-out queries plus some whose Algorithm 2 run settles more
   // than the smallest cap a budget can derive (DeadlineBudget's
@@ -743,7 +642,7 @@ TEST_F(ServeTest, AllDuplicateBatchesCoalesceByteIdentically) {
   const auto want = PlainResults(batch);
 
   for (const unsigned threads : {1u, 4u}) {
-    ServingRouter serving(router_);  // cache + memo on
+    ServingRouter serving(router_);  // cache on
     BatchRouter dedup(&serving, BatchRouterOptions{threads, true});
     const auto got = dedup.RouteAll(batch);
     ASSERT_EQ(got.size(), batch.size());
@@ -782,7 +681,7 @@ TEST_F(ServeTest, InterleavedDuplicateBatchesCoalesceByteIdentically) {
 }
 
 TEST_F(ServeTest, UncachedServingRouterKeepsBatchResultsByteIdentical) {
-  // Batch dedup, cache and memo off: every duplicate slot runs the cold
+  // Batch dedup and cache off: every duplicate slot runs the cold
   // path itself, concurrently at t=4. Results must still be byte-identical
   // to the bare router, and every query counts as a cold computation.
   const std::vector<BatchQuery> base = MakeQueries(12);

@@ -327,7 +327,7 @@ TEST_F(StreamRouterTest, JitteredArrivalsMatchPreformedBatchAcrossLadder) {
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       ManualClock clock;
-      ServingRouter serving(router_);  // cache + memo on
+      ServingRouter serving(router_);  // cache on
       StreamOptions options;
       options.batch_deadline_us = 500;
       options.num_threads = threads;
