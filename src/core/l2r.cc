@@ -462,10 +462,10 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
 
   // Applying the region pair's preference with Algorithm 2 — the paper's
   // mechanism for identifying paths where recorded ones do not serve.
-  // Under a settle budget (max_preference_settles), a rebuild that would blow
-  // the budget degrades to `stitched` (the region path that failed the
-  // overhead gate) when one exists, else to the fastest fallback, with
-  // the decision recorded in RouteResult::budget_degraded.
+  // Under a settle budget (max_preference_settles), a rebuild that would
+  // blow the budget degrades to `stitched` (the region path that failed
+  // the overhead gate) when one exists, else to the fastest fallback,
+  // with the decision recorded in RouteResult::budget_degraded.
   auto preference_route = [&](Path* stitched,
                               size_t stitched_hops) -> Result<RouteResult> {
     if (!pair_pref.has_value()) return fastest_fallback();

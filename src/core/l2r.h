@@ -101,9 +101,9 @@ struct RouteResult {
   RegionId dest_region = kNoRegion;
   size_t region_hops = 0;
   /// True when the preference-route rebuild blew the query's settle budget
-  /// (Route's max_preference_settles) and the route degraded to the stitched path or
-  /// the fastest fallback. Deterministic: the budget counts settled
-  /// vertices, never wall-clock time.
+  /// (Route's max_preference_settles) and the route degraded to the
+  /// stitched path or the fastest fallback. Deterministic: the budget
+  /// counts settled vertices, never wall-clock time.
   bool budget_degraded = false;
 
   bool operator==(const RouteResult&) const = default;

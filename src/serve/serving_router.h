@@ -27,10 +27,11 @@ struct ServingRouterOptions {
 /// The serving layer: sits between BatchRouter (or any front-end) and
 /// L2RRouter. A query first consults the sharded RouteCache keyed on
 /// (s, d, EffectivePeriod); a miss runs the cold path under the deadline
-/// budget's settle cap, then populates the cache. Duplicates are suppressed upstream by
-/// BatchRouter's batch dedup and here by the cache: two concurrent
-/// identical misses both compute the same bytes on the same pinned epoch,
-/// and the second RouteCache::Insert just refreshes the key.
+/// budget's settle cap, then populates the cache. Duplicates are
+/// suppressed upstream by BatchRouter's batch dedup and here by the
+/// cache: two concurrent identical misses both compute the same bytes on
+/// the same pinned epoch, and the second RouteCache::Insert just
+/// refreshes the key.
 ///
 /// Determinism guarantees (all required by BatchRouter's contract):
 ///  - cache hits return byte-identical copies of cold-path results;

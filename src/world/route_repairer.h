@@ -17,14 +17,13 @@ namespace l2r {
 /// rip-up/re-route, transplanted to serving): after an update batch,
 /// sweeps the stale entries out of the route cache and re-routes each on
 /// the new epoch under a bounded settle cap seeded from the stale route's
-/// length. A route
-/// whose detour is local converges in a cheap early round; rounds double
-/// the cap, and the final round runs at *exactly* the serving settle cap
-/// — never beyond it — so every reinserted result is byte-identical to
-/// what ServingRouter's cold path would produce for the same query on the
-/// same epoch (a bounded round that converges without degrading equals
-/// the uncapped search, which equals the serving-cap search; the final
-/// round is the serving-cap search).
+/// length. A route whose detour is local converges in a cheap early
+/// round; rounds double the cap, and the final round runs at *exactly*
+/// the serving settle cap — never beyond it — so every reinserted result
+/// is byte-identical to what ServingRouter's cold path would produce for
+/// the same query on the same epoch (a bounded round that converges
+/// without degrading equals the uncapped search, which equals the
+/// serving-cap search; the final round is the serving-cap search).
 ///
 /// Both entry points run one sweep: worker w of n sweeps the cache shards
 /// with index % n == w whose swept-epoch lags the current world epoch,
