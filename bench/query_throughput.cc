@@ -901,8 +901,8 @@ Json ScaleLadderBlock(const Fixture& fx, bool*) {
   return Json::Object({{"scales", rungs}});
 }
 
-/// The full serving stack (route cache with its seqlock hot path; no
-/// budget, so every result must byte-match the reference)
+/// The full serving stack (route cache on; no budget, so every result
+/// must byte-match the reference)
 /// warm at t = 1/2/4/8 batch threads, then a StreamRouter audit at 1/2/4
 /// overlapping drain threads. Both ladders gate on byte identity.
 Json ScaleOutBlock(const Fixture& fx, bool* ok) {
@@ -921,7 +921,7 @@ Json ScaleOutBlock(const Fixture& fx, bool* ok) {
   }
   Json audits = Json::Array();
   for (const unsigned drains : {1u, 2u, 4u}) {
-    // A fresh cache per rung, so cold-path and hot-path serves both occur.
+    // A fresh cache per rung, so cold-path serves and cache hits both occur.
     ServingRouter serving(fx.router.get(), Serving(true, 0));
     StreamOptions options;
     options.batch_deadline_us = 200;
@@ -944,7 +944,6 @@ Json ScaleOutBlock(const Fixture& fx, bool* ok) {
                               {"qps", n / seconds},
                               {"identical", identical},
                               {"hits", ss.cache.hits},
-                              {"hot_hits", ss.cache.hot_hits},
                               {"batches", s.batches}}));
   }
   return Json::Object({{"hw_threads", hw_threads},

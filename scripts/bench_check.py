@@ -119,7 +119,7 @@ SCHEMA = {
     "scale_out": ["hw_threads", "single_core",
                   *under("serving_runs[]", ["threads", "qps", "identical"]),
                   *under("drain_audits[]", ["drains", "qps", "identical",
-                                            "hits", "hot_hits", "batches"])],
+                                            "hits", "batches"])],
 }
 
 # Blocks L2R_BENCH_ONLY can leave out (written as null).
@@ -417,7 +417,6 @@ def check_scale_out(block, c):
         c.positive(a["qps"], where, "qps")
         c.true(a["identical"], where, "identical")
         c.positive(a["batches"], where, "batches")
-        c.in_range(a["hot_hits"], where, "hot_hits", 0, a["hits"])
 
 
 CHECKS = {

@@ -136,9 +136,6 @@ MUTATIONS = [
     ("scale_ladder", "snapshot_bytes - world_bytes", lambda d: setitem(
         d["scale_ladder"]["scales"][0], "snapshot_bytes",
         d["scale_ladder"]["scales"][0]["world_bytes"] - 1)),
-    ("scale_out", "hot_hits", lambda d: setitem(
-        d["scale_out"]["drain_audits"][0], "hot_hits",
-        d["scale_out"]["drain_audits"][0]["hits"] + 1)),
     ("fixture", "num_queries", lambda d: setitem(d, "num_queries", 0)),
     ("fixture", "routing failures", lambda d: setitem(d, "failures", 1)),
     ("fixture", "bench label", lambda d: setitem(d, "bench", "other")),

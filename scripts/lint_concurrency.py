@@ -31,14 +31,15 @@ conventions:
    an epoch load pairing with the wrong store order silently serves
    stale bytes, so the pairing must be written down where the access is.
 
-5. src/: every atomic access to a sequence-lock field (identifier
-   containing ``seq``, e.g. the counter inside common/seqlock.h or a
-   seqlock-published payload member) must carry a documented memory-order
-   rationale, exactly like the epoch rule. Seqlock correctness lives
-   entirely in the fence/order pairing (Boehm, MSPC'12): a reader
-   validating with the wrong order admits torn payloads silently, so the
-   pairing must be written down where the access is. ``seq_cst`` in a
-   spelled order does not trip this (word-boundary match on ``seq``).
+5. src/: every atomic access to a sequence-counter field (identifier
+   containing ``seq``, e.g. a sequence lock's version counter or a
+   payload member it publishes) must carry a documented memory-order
+   rationale, exactly like the epoch rule, following the conventions in
+   common/thread_annotations.h. Sequence-lock correctness lives entirely
+   in the fence/order pairing (Boehm, MSPC'12): a reader validating with
+   the wrong order admits torn payloads silently, so the pairing must be
+   written down where the access is. ``seq_cst`` in a spelled order does
+   not trip this (word-boundary match on ``seq``).
 
 6. tests/: no ``sleep_for`` — timing tests must use the Clock seam
    (serve/clock.h) or observable-state spin loops; real sleeps make the
@@ -80,8 +81,8 @@ EPOCH_ATOMIC_RE = re.compile(
     r"(load|store|exchange|fetch_add|fetch_sub|compare_exchange_\w+)\s*\("
 )
 # An atomic access whose object identifier names a sequence counter or a
-# seqlock-published payload field (common/seqlock.h): seq_.load(...),
-# slot.seq.store(...), seq_table[i].fetch_add(...).
+# payload field it publishes: seq_.load(...), slot.seq.store(...),
+# seq_table[i].fetch_add(...).
 SEQ_ATOMIC_RE = re.compile(
     r"\b\w*[Ss]eq\w*(?:\s*\[[^\]]*\])?\s*\.\s*"
     r"(load|store|exchange|fetch_add|fetch_sub|compare_exchange_\w+)\s*\("
@@ -225,9 +226,9 @@ def lint_src_file(path: Path) -> list[str]:
                 findings.append(
                     f"{rel}:{lineno}: atomic access to a seq-named field "
                     f"without a documented memory-order rationale — "
-                    f"seqlock correctness is its fence/order pairing; "
-                    f"comment it on or just above the access (see "
-                    f"common/seqlock.h)"
+                    f"sequence-lock correctness is its fence/order "
+                    f"pairing; comment it on or just above the access "
+                    f"(see common/thread_annotations.h)"
                 )
 
         if NAKED_LOAD_RE.search(line):

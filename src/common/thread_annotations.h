@@ -37,8 +37,6 @@
 ///    reads to conclude other memory is ready) is release on the write
 ///    side and acquire on the read side, with a comment pairing the two.
 ///    A relaxed counter that starts being read that way must graduate.
-///  - Seqlock payloads are relaxed under the fences documented in
-///    common/seqlock.h.
 
 #if defined(__clang__) && defined(__has_attribute)
 #define L2R_THREAD_ANNOTATION_(x) __attribute__((x))

@@ -1,7 +1,6 @@
 #ifndef L2R_SERVE_ROUTE_CACHE_H_
 #define L2R_SERVE_ROUTE_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/seqlock.h"
 #include "common/thread_annotations.h"
 #include "core/l2r.h"
 
@@ -26,23 +24,11 @@ using RouteCacheKey = QueryKey;
 /// repeated (source, dest, period) queries without touching the search
 /// kernels. Sizing is fixed in route_cache.cc: 8 MiB of (approximate)
 /// RouteResult bytes over 16 lock stripes, each evicting LRU within its
-/// 512 KiB share, with 64 hot slots per stripe.
+/// 512 KiB share.
 ///
-/// Hot read path (scale-out serving): each shard additionally publishes
-/// its most-recently stored entries into a fixed, direct-mapped table of
-/// seqlock-protected *hot slots* (common/seqlock.h). Lookup probes the
-/// slot for the key's hash first and copies the entry without taking the
-/// shard mutex; a torn read (writer overlapped the copy), a key/epoch
-/// mismatch, a stale footprint, or a payload too large to inline all
-/// fall back to the locked path, so the mutex-striped LRU below remains
-/// the source of truth and the hot table is purely an accelerator.
-/// Writers (insert, locked-path hit promotion, invalidation, eviction)
-/// update the slots under the shard mutex, which is exactly the
-/// external writer serialization SeqLock requires. A hot hit does NOT
-/// touch LRU recency, so recency is approximate for entries small enough
-/// to inline; an entry too large for a slot (more than 64 path vertices
-/// or 8 footprint regions) only ever hits on the locked path, in exact
-/// LRU order.
+/// One read path: Lookup takes the key's shard mutex on every call, and
+/// every hit moves its entry to the front of the shard's LRU list, so
+/// eviction order is exact recency whatever the entry's size.
 ///
 /// Dynamic world: each entry carries the WorldEpoch it was computed on
 /// plus its region footprint (RouteRegionFootprint). When a world view is
@@ -65,10 +51,11 @@ using RouteCacheKey = QueryKey;
 class RouteCache {
  public:
   struct Stats {
-    uint64_t hits = 0;    ///< locked + hot hits (hot_hits included)
+    uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Hits served entirely from the seqlock hot path (no mutex taken);
-    /// a subset of `hits`.
+    /// Hot-tier hits under the name servebench reads
+    /// (`serve.cache.hot_hit_ratio`): always 0, because every hit takes
+    /// the shard mutex and no hot tier exists.
     uint64_t hot_hits = 0;
     uint64_t inserts = 0;
     uint64_t evictions = 0;
@@ -144,40 +131,8 @@ class RouteCache {
     std::vector<RegionId> regions;
   };
 
-  /// Inline capacity of a hot slot's path / footprint. Entries that do
-  /// not fit stay locked-path-only (the slot for their index is cleared
-  /// instead of published) — the fallback is sanctioned, not an error.
-  static constexpr size_t kHotPathCapacity = 64;
-  static constexpr size_t kHotRegionCapacity = 8;
-
-  /// One seqlock-published cache entry, flattened to atomic words so
-  /// lock-free readers racing the (mutex-serialized) writer are
-  /// value-races resolved by the sequence check, never C++ data races.
-  /// All payload accesses are relaxed; SeqLock's fences order them (see
-  /// common/seqlock.h for the full memory-order contract).
-  struct HotSlot {
-    SeqLock seq;
-    std::atomic<uint8_t> used{0};
-    std::atomic<VertexId> s{0};
-    std::atomic<VertexId> d{0};
-    std::atomic<uint8_t> period{0};
-    std::atomic<WorldEpoch> epoch{0};
-    std::atomic<uint64_t> cost_bits{0};  ///< bit_cast of Path::cost
-    std::atomic<uint8_t> method{0};
-    std::atomic<RegionId> source_region{0};
-    std::atomic<RegionId> dest_region{0};
-    std::atomic<uint32_t> region_hops{0};
-    std::atomic<uint8_t> degraded{0};
-    std::atomic<uint16_t> num_path{0};
-    std::atomic<uint16_t> num_regions{0};
-    std::atomic<VertexId> path[kHotPathCapacity] = {};
-    std::atomic<RegionId> regions[kHotRegionCapacity] = {};
-  };
-
   /// One lock stripe. The LRU list and its index move together under the
-  /// shard mutex; the hot table beside them is the lock-free read path —
-  /// written only under the mutex (SeqLock's writer serialization),
-  /// probed by readers with no lock at all.
+  /// shard mutex.
   struct Shard {
     Mutex mu;
     /// Front = most recently used.
@@ -191,41 +146,15 @@ class RouteCache {
     uint64_t inserts L2R_GUARDED_BY(mu) = 0;
     uint64_t evictions L2R_GUARDED_BY(mu) = 0;
     uint64_t invalidated L2R_GUARDED_BY(mu) = 0;
-    /// Seqlock read path. Slots are written under mu but deliberately not
-    /// GUARDED_BY it: readers access them lock-free by design, mediated
-    /// by each slot's SeqLock.
-    std::unique_ptr<HotSlot[]> hot;
-    /// Pure tally of lock-free hits (relaxed: nothing is published
-    /// through it; common/thread_annotations.h has the rationale).
-    std::atomic<uint64_t> hot_hits{0};
   };
 
-  static uint64_t HashKey(const RouteCacheKey& key);
   static size_t EntryCharge(const Entry& e) {
     return EntryBytes(e.result, e.regions.capacity());
   }
   /// True when no region of `e`'s footprint was dirtied after `e.epoch`.
   bool EntryValid(const Entry& e) const;
 
-  /// Lock-free probe of the hot slot for (key, hash). True on a hit:
-  /// `*out` holds an untorn, footprint-valid copy. False means "consult
-  /// the locked path" — torn read, wrong key, oversized entry, empty
-  /// slot, or stale footprint (the locked path also erases stale
-  /// entries, which a reader cannot).
-  bool HotLookup(Shard& shard, const RouteCacheKey& key, uint64_t hash,
-                 RouteResult* out, WorldEpoch* epoch_out);
-  /// Publishes `e` into its hot slot, or clears the slot when the entry
-  /// exceeds the inline capacities. Caller holds shard.mu (the external
-  /// writer serialization SeqLock requires).
-  void HotPublish(Shard& shard, uint64_t hash, const Entry& e)
-      L2R_REQUIRES(shard.mu);
-  /// Clears the hot slot for `hash` iff it currently advertises `key`
-  /// (direct-mapped: another key may legitimately occupy it). Caller
-  /// holds shard.mu.
-  void HotErase(Shard& shard, uint64_t hash, const RouteCacheKey& key)
-      L2R_REQUIRES(shard.mu);
-
-  Shard& ShardFor(uint64_t hash);
+  Shard& ShardFor(const RouteCacheKey& key);
 
   /// Shards are heap-allocated: mutexes are neither movable nor copyable,
   /// and a stable address per shard keeps iterators/locks simple.

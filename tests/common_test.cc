@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/result.h"
-#include "common/seqlock.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -276,55 +275,6 @@ TEST(TimerTest, ScopedTimerAccumulates) {
     for (int i = 0; i < 1000; ++i) x = x + i;
   }
   EXPECT_GE(sink, 0.0);
-}
-
-// ---------- SeqLock ----------
-// Single-threaded protocol checks: the sequence-number state machine a
-// reader relies on. The cross-thread behavior (torn reads under a racing
-// writer) is pinned by concurrency_stress_test's tsan-labelled suite.
-
-TEST(SeqLockTest, FreshLockReadsStable) {
-  SeqLock lock;
-  const SeqLock::Seq begin = lock.ReadBegin();
-  EXPECT_TRUE(SeqLock::Stable(begin));
-  EXPECT_FALSE(lock.ReadRetry(begin));  // nothing moved
-}
-
-TEST(SeqLockTest, WriteInProgressReadsUnstable) {
-  SeqLock lock;
-  const SeqLock::Seq odd = lock.WriteBegin();
-  // A reader arriving mid-write sees the odd sequence and must not use
-  // the payload it copies.
-  EXPECT_FALSE(SeqLock::Stable(lock.ReadBegin()));
-  lock.WriteEnd(odd);
-  const SeqLock::Seq begin = lock.ReadBegin();
-  EXPECT_TRUE(SeqLock::Stable(begin));
-  EXPECT_FALSE(lock.ReadRetry(begin));
-}
-
-TEST(SeqLockTest, ReadRetryDetectsAnyWriterMovement) {
-  SeqLock lock;
-  const SeqLock::Seq before = lock.ReadBegin();
-  const SeqLock::Seq odd = lock.WriteBegin();
-  // Writer entered after the read began: the reader's copy may be torn.
-  EXPECT_TRUE(lock.ReadRetry(before));
-  lock.WriteEnd(odd);
-  // Even a *completed* write invalidates the earlier read section...
-  EXPECT_TRUE(lock.ReadRetry(before));
-  // ...while a fresh section over the settled value succeeds.
-  const SeqLock::Seq after = lock.ReadBegin();
-  EXPECT_TRUE(SeqLock::Stable(after));
-  EXPECT_FALSE(lock.ReadRetry(after));
-}
-
-TEST(SeqLockTest, SequenceAdvancesByTwoPerWrite) {
-  SeqLock lock;
-  for (uint32_t i = 1; i <= 3; ++i) {
-    const SeqLock::Seq odd = lock.WriteBegin();
-    EXPECT_EQ(odd, 2 * i - 1);  // odd while the write is open
-    lock.WriteEnd(odd);
-    EXPECT_EQ(lock.ReadBegin(), 2 * i);  // even once settled
-  }
 }
 
 }  // namespace

@@ -187,17 +187,15 @@ TEST(RouteCacheStress, ConcurrentLookupInsertChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// RouteCache hot path: seqlock torn-read hammer on one slot.
+// RouteCache same-key replace hammer on one shard.
 
-TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
-  // One key, hence one shard and one hot slot: the writer republishes it
+TEST(RouteCacheStress, SameKeyReplaceNeverServesAMixedEntry) {
+  // One key, hence one shard: the writer replaces it at rising epochs
   // with epoch-derived payloads (varying length, cost, vertices) while 7
-  // readers hammer Lookup. The seqlock contract under fire: a reader
-  // observes a fully settled (key, stamp, payload) triple — the payload
-  // a pure function of the returned stamp — or retries / falls back to
-  // the locked map. A mixed entry (fields from two publishes) is a hard
-  // failure here and, because the payload fields are relaxed atomics
-  // under the fence protocol, a data race under TSan.
+  // readers hammer Lookup. A reader must observe a whole (stamp, payload)
+  // pair — the payload a pure function of the returned stamp. A mixed
+  // entry (fields from two inserts) is a hard failure here and a data
+  // race under TSan.
   RouteCache cache;
   const RouteCacheKey key{7, 9, 1};
   auto versioned = [](WorldEpoch v) {
@@ -207,13 +205,13 @@ TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
   constexpr WorldEpoch kVersions = 20000;
   cache.Insert(key, versioned(1), 1, {1});
 
-  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> mixed{0};
   std::atomic<uint64_t> misses{0};
   std::atomic<bool> done{false};
-  // Start barrier: on a single-core box the publish loop below can run
+  // Start barrier: on a single-core box the insert loop below can run
   // to completion before any reader is ever scheduled, leaving the race
-  // untested (and hot_hits at 0). Each reader checks in after its first
-  // lookup; the writer holds off churning until all have.
+  // untested. Each reader checks in after its first lookup; the writer
+  // holds off churning until all have.
   std::atomic<int> readers_started{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < kThreads - 1; ++t) {
@@ -223,19 +221,17 @@ TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
       bool started = false;
       while (!done.load(std::memory_order_acquire)) {
         if (!cache.Lookup(key, &got, &stamp)) {
-          // The key is resident throughout — the locked fallback can
-          // never miss it (no world, no eviction pressure).
+          // The key is resident throughout — a lookup can never miss
+          // it (no world, no eviction pressure).
           misses.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         if (!started) {
-          // Check in only after a completed lookup: that lookup ran
-          // against the still-quiescent slot, so it is a hot hit.
           started = true;
           readers_started.fetch_add(1, std::memory_order_relaxed);
         }
         if (!(got == versioned(stamp))) {
-          torn.fetch_add(1, std::memory_order_relaxed);
+          mixed.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -249,10 +245,9 @@ TEST(RouteCacheStress, SeqlockHotSlotNeverServesATornEntry) {
   done.store(true, std::memory_order_release);
   for (std::thread& th : readers) th.join();
 
-  EXPECT_EQ(torn.load(std::memory_order_acquire), 0u);
+  EXPECT_EQ(mixed.load(std::memory_order_acquire), 0u);
   EXPECT_EQ(misses.load(std::memory_order_acquire), 0u);
-  EXPECT_GT(cache.GetStats().hot_hits, 0u);  // the lock-free path engaged
-  // Quiesced, the slot serves exactly the final publish.
+  // Quiesced, the cache serves exactly the final insert.
   RouteResult got;
   WorldEpoch stamp = 0;
   ASSERT_TRUE(cache.Lookup(key, &got, &stamp));
@@ -564,8 +559,9 @@ TEST_F(ServingStressTest, ConcurrentIdenticalMissesMatchTheColdPath) {
 
 /// The stream hammers below are parameterized over the drain-thread
 /// count (the DrainLadder instantiation: 1 and 4). With 4 batchers the
-/// drains genuinely overlap, so the seqlock hot path, the controller-tick
-/// arbitration and the shutdown paths race real batcher threads.
+/// drains genuinely overlap, so the cache's shard locks, the
+/// controller-tick arbitration and the shutdown paths race real batcher
+/// threads.
 class StreamDrainStressTest
     : public ServingStressTest,
       public ::testing::WithParamInterface<unsigned> {};

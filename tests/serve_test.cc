@@ -42,8 +42,7 @@ RouteResult MakeDegradedResult(VertexId a, size_t hops) {
 
 /// Hops of the largest MakeResult entry of which `n` fit in one cache
 /// shard: n such entries fill the shard, and any further entry overflows
-/// it. Past 64 path vertices an entry is never published to a hot slot,
-/// so its hits take the locked path and refresh LRU recency exactly.
+/// it.
 size_t HopsFillingShard(const RouteCache& cache, size_t n) {
   const size_t entry_bytes =
       RouteCache::CapacityBytes() / cache.NumShards() / n;
@@ -73,20 +72,23 @@ std::vector<RouteCache::StaleEntry> ExtractAllInvalid(RouteCache& cache) {
 }
 
 TEST(RouteCacheTest, HitReturnsExactInsertedValue) {
-  RouteCache cache;
-  const RouteCacheKey key{7, 9, 1};
-  const RouteResult want = MakeResult(7, 5);
-  RouteResult got;
-  EXPECT_FALSE(cache.Lookup(key, &got));
-  cache.Insert(key, want);
-  ASSERT_TRUE(cache.Lookup(key, &got));
-  EXPECT_TRUE(got == want);
-  const RouteCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes, 0u);
+  // A short path and a 101-vertex one: every size round-trips whole.
+  for (const size_t hops : {size_t{5}, size_t{100}}) {
+    RouteCache cache;
+    const RouteCacheKey key{7, 9, 1};
+    const RouteResult want = MakeResult(7, hops);
+    RouteResult got;
+    EXPECT_FALSE(cache.Lookup(key, &got));
+    cache.Insert(key, want);
+    ASSERT_TRUE(cache.Lookup(key, &got));
+    EXPECT_TRUE(got == want);
+    const RouteCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.inserts, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_GT(stats.bytes, 0u);
+  }
 }
 
 TEST(RouteCacheTest, PeriodIsPartOfTheKey) {
@@ -103,8 +105,7 @@ TEST(RouteCacheTest, PeriodIsPartOfTheKey) {
 }
 
 TEST(RouteCacheTest, LruEvictionRespectsByteCapacityAndRecency) {
-  // Entries too large for a hot slot, three to a shard, all in one
-  // shard: every hit takes the locked path, so LRU order is exact.
+  // Three entries fill one shard, so a fourth evicts exactly one.
   RouteCache cache;
   const size_t hops = HopsFillingShard(cache, 3);
   const std::vector<RouteCacheKey> key = SameShardKeys(cache, 4);
@@ -121,7 +122,6 @@ TEST(RouteCacheTest, LruEvictionRespectsByteCapacityAndRecency) {
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.hot_hits, 0u);
   EXPECT_LE(stats.bytes, RouteCache::CapacityBytes() / cache.NumShards());
 }
 
@@ -198,58 +198,21 @@ TEST(RouteCacheTest, ConcurrentMixedLoadStaysConsistent) {
   EXPECT_LE(stats.bytes, RouteCache::CapacityBytes());
 }
 
-// ---------------------------------------------------------------------------
-// RouteCache hot read path (seqlock slots). The locked map stays the
-// source of truth; these pin that the lock-free accelerator serves
-// byte-identical values and maintains its slots across insert, evict,
-// invalidate, and Clear.
-
-TEST(RouteCacheTest, HotHitIsByteIdenticalAndCounted) {
-  RouteCache cache;  // default: hot path enabled
-  const RouteCacheKey key{7, 9, 1};
-  const RouteResult want = MakeResult(7, 5);
-  cache.Insert(key, want);  // publishes the hot slot
-  RouteResult got;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cache.Lookup(key, &got));
-    EXPECT_TRUE(got == want);  // byte-identical to the locked value
-  }
-  const RouteCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.hot_hits, 3u);  // every hit skipped the mutex
-  EXPECT_EQ(stats.misses, 0u);
-}
-
-TEST(RouteCacheTest, OversizeFootprintStaysOnTheLockedPath) {
-  // Entries beyond the inline hot-slot capacity (64 path vertices) are
-  // still cached and served correctly — just never through the hot path.
-  RouteCache cache;
-  const RouteCacheKey key{1, 2, 0};
-  const RouteResult big = MakeResult(1, 100);  // 101 vertices > 64
-  cache.Insert(key, big);
-  RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key, &got));
-  EXPECT_TRUE(got == big);
-  const RouteCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.hot_hits, 0u);
-}
-
-TEST(RouteCacheTest, EvictionClearsTheVictimsHotSlot) {
-  // A small (hot-published) entry, then two that each fill half the
-  // shard: the third insert evicts the small one.
+TEST(RouteCacheTest, EveryHitRefreshesRecency) {
+  // A small entry, then two that each fill half the shard. The hit on
+  // the small one makes the first half-shard entry least recent, so the
+  // third insert must evict that one, whatever the hit entry's size.
   RouteCache cache;
   const size_t half = HopsFillingShard(cache, 2);
   const std::vector<RouteCacheKey> key = SameShardKeys(cache, 3);
   cache.Insert(key[0], MakeResult(1, 8));
-  RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key[0], &got));
-  ASSERT_EQ(cache.GetStats().hot_hits, 1u);  // served from its hot slot
   cache.Insert(key[1], MakeResult(2, half));
-  cache.Insert(key[2], MakeResult(3, half));  // evicts 0 (hot hits skip LRU)
-  // The victim must miss — its hot slot may not keep serving it.
-  EXPECT_FALSE(cache.Lookup(key[0], &got));
-  EXPECT_TRUE(cache.Lookup(key[1], &got));
+  RouteResult got;
+  ASSERT_TRUE(cache.Lookup(key[0], &got));  // touch 0: now 1 is LRU
+  cache.Insert(key[2], MakeResult(3, half));  // evicts 1
+  EXPECT_TRUE(cache.Lookup(key[0], &got));
+  EXPECT_TRUE(got == MakeResult(1, 8));
+  EXPECT_FALSE(cache.Lookup(key[1], &got));
   EXPECT_TRUE(cache.Lookup(key[2], &got));
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
@@ -308,26 +271,6 @@ TEST(RouteCacheTest, EpochInvalidationIsSelectivePerFootprint) {
   ASSERT_TRUE(cache.Lookup(touched, &got, &epoch));
   EXPECT_TRUE(got == MakeResult(9, 4));
   EXPECT_EQ(epoch, 1u);
-}
-
-TEST(RouteCacheTest, HotPathNeverServesAnInvalidatedEntry) {
-  // The hot read path validates the entry's footprint against the world's
-  // dirty epochs before serving — a slot published before an update may
-  // not satisfy reads after it.
-  FakeWorld world;
-  RouteCache cache;  // hot path enabled
-  cache.SetWorld(&world);
-  const RouteCacheKey key{1, 2, 0};
-  cache.Insert(key, MakeResult(1, 4), 0, {2});
-  RouteResult got;
-  ASSERT_TRUE(cache.Lookup(key, &got));  // warm: served hot
-  EXPECT_EQ(cache.GetStats().hot_hits, 1u);
-  world.MarkDirty(0, 2, 1);
-  EXPECT_FALSE(cache.Lookup(key, &got));  // hot probe rejects, map erases
-  // Reinsertion on the new epoch re-publishes the slot.
-  cache.Insert(key, MakeResult(9, 4), 1, {2});
-  ASSERT_TRUE(cache.Lookup(key, &got));
-  EXPECT_TRUE(got == MakeResult(9, 4));
 }
 
 TEST(RouteCacheTest, PeriodsInvalidateIndependently) {
