@@ -16,8 +16,8 @@
 namespace l2r {
 namespace bench {
 
-/// The offline pipeline on all training trajectories (the graph an
-/// L2RRouter built with time_dependent = false serves from), exposed
+/// The offline pipeline run once over all training trajectories with
+/// off-peak weights (an L2RRouter builds one graph per period), exposed
 /// piecewise for the design-choice benches (Figs. 6 and 9): region graph,
 /// the router's learned T-edge preferences (LearnTEdgePreferences), and
 /// region-edge features.

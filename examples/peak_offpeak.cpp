@@ -47,7 +47,6 @@ int main() {
 
   // --- Time-dependent routing.
   L2ROptions options;
-  options.time_dependent = true;
   auto router = L2RRouter::Build(&net, built->split.train, options);
   if (!router.ok()) {
     std::fprintf(stderr, "%s\n", router.status().ToString().c_str());

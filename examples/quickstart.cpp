@@ -35,7 +35,6 @@ int main() {
 
   // 2. Build the L2R engine from the training trajectories.
   L2ROptions options;
-  options.time_dependent = true;
   auto router = L2RRouter::Build(&net, built->split.train, options);
   if (!router.ok()) {
     std::fprintf(stderr, "build: %s\n", router.status().ToString().c_str());

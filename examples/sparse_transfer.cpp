@@ -28,7 +28,6 @@ int main() {
   const RoadNetwork& net = built->world.net;
 
   L2ROptions options;
-  options.time_dependent = false;  // single graph, clearer numbers
   auto router = L2RRouter::Build(&net, built->split.train, options);
   if (!router.ok()) {
     std::fprintf(stderr, "%s\n", router.status().ToString().c_str());

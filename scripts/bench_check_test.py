@@ -90,9 +90,6 @@ THRESHOLDS = [
     ("dynamic_world", "MAX_INCIDENT_REPAIR_COST_RATIO", lambda d, s:
         set_incident_ratio(
             d, bench_check.MAX_INCIDENT_REPAIR_COST_RATIO + s * EPS)),
-    ("dynamic_world", "MIN_INCIDENT_CONVERGENCE", lambda d, s: setitem(
-        d["dynamic_world"], "incident_convergence",
-        bench_check.MIN_INCIDENT_CONVERGENCE - s * EPS)),
     ("scale_ladder", "snapshot_bytes - world_bytes", lambda d, s: setitem(
         d["scale_ladder"]["scales"][0], "snapshot_bytes",
         d["scale_ladder"]["scales"][0]["world_bytes"]
@@ -124,9 +121,6 @@ MUTATIONS = [
         setitem(first_shedding(d)["bulk"], "shed", 0))),
     ("dynamic_world", "staleness", lambda d: setitem(
         d["dynamic_world"]["scenarios"][0]["points"][0], "staleness",
-        1 + EPS)),
-    ("dynamic_world", "convergence", lambda d: setitem(
-        d["dynamic_world"]["scenarios"][1]["points"][0], "convergence",
         1 + EPS)),
     ("dynamic_world", "invalidated", lambda d: setitem(
         d["dynamic_world"]["scenarios"][0]["points"][0], "cached_entries",
@@ -173,8 +167,10 @@ MUTATIONS = [
         d["overload_sweep"]["points"][-1]["bulk"], "shed", 1)),
     ("overload_sweep", "completed + shed", lambda d: bump(
         d["overload_sweep"]["points"][0], "completed", 1)),
-    ("dynamic_world", "repaired + full_recompute", lambda d: bump(
+    ("dynamic_world", "repaired + unroutable", lambda d: bump(
         d["dynamic_world"]["scenarios"][0]["points"][0], "repaired", 1)),
+    ("dynamic_world", "repaired + unroutable", lambda d: bump(
+        d["dynamic_world"]["scenarios"][1]["points"][0], "unroutable", 1)),
     # Monotone sequences swapped.
     ("latency_us", "p50/p95/p99", lambda d: swap(
         d["latency_us"], "p50", "p99")),

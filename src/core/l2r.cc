@@ -112,7 +112,6 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
   }
 
   std::unique_ptr<L2RRouter> router(new L2RRouter(net));
-  router->time_dependent_ = options.time_dependent;
   router->weights_[0] = WeightSet(*net, TimePeriod::kOffPeak);
   router->weights_[1] = WeightSet(*net, TimePeriod::kPeak);
 
@@ -123,9 +122,8 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
   // bounds peak costs loosely (peak time preference searches settled
   // 3.3x more on City scale 0.3). Every single-target search after this
   // point (learning, B-edge paths, serving) runs goal-directed.
-  const int periods = options.time_dependent ? kNumTimePeriods : 1;
   std::vector<std::vector<EdgeWeights*>> groups(1);
-  for (int p = 0; p < periods; ++p) {
+  for (int p = 0; p < kNumTimePeriods; ++p) {
     WeightSet& ws = router->weights_[p];
     groups.front().push_back(&ws.distance);
     groups.push_back({&ws.time});
@@ -139,20 +137,15 @@ Result<std::unique_ptr<L2RRouter>> L2RRouter::Build(
   router->reach_ = SlaveReachability::Build(*net, router->space_.slaves(),
                                             options.num_threads);
   router->report_.reach_seconds = reach_timer.ElapsedSeconds();
-  if (options.time_dependent) {
-    PeriodPartition parts = PartitionByPeriod(training);
-    // A degenerate partition falls back to the full set so both period
-    // graphs exist.
-    if (parts.offpeak.empty()) parts.offpeak = training;
-    if (parts.peak.empty()) parts.peak = training;
-    L2R_RETURN_NOT_OK(router->BuildPeriod(
-        TimePeriod::kOffPeak, std::move(parts.offpeak), options.num_threads));
-    L2R_RETURN_NOT_OK(router->BuildPeriod(
-        TimePeriod::kPeak, std::move(parts.peak), options.num_threads));
-  } else {
-    L2R_RETURN_NOT_OK(router->BuildPeriod(
-        TimePeriod::kOffPeak, std::move(training), options.num_threads));
-  }
+  PeriodPartition parts = PartitionByPeriod(training);
+  // A degenerate partition falls back to the full set so both period
+  // graphs exist.
+  if (parts.offpeak.empty()) parts.offpeak = training;
+  if (parts.peak.empty()) parts.peak = training;
+  L2R_RETURN_NOT_OK(router->BuildPeriod(
+      TimePeriod::kOffPeak, std::move(parts.offpeak), options.num_threads));
+  L2R_RETURN_NOT_OK(router->BuildPeriod(
+      TimePeriod::kPeak, std::move(parts.peak), options.num_threads));
   router->report_.total_seconds = total.ElapsedSeconds();
   return router;
 }
@@ -367,9 +360,7 @@ Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
 }
 
 TimePeriod L2RRouter::EffectivePeriod(double departure_time) const {
-  const TimePeriod period =
-      time_dependent_ ? PeriodOf(departure_time) : TimePeriod::kOffPeak;
-  return graphs_[static_cast<int>(period)] ? period : TimePeriod::kOffPeak;
+  return PeriodOf(departure_time);
 }
 
 Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,

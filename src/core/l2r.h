@@ -22,9 +22,6 @@ namespace l2r {
 /// parameter is a named constant in the module that uses it (README,
 /// "Offline pipeline").
 struct L2ROptions {
-  /// Build separate peak and off-peak region graphs (paper Sec. III scope
-  /// (1)); if false one off-peak graph serves all departure times.
-  bool time_dependent = true;
   /// Threads for every parallel build step (landmarks, learning, transfer,
   /// apply); 0 = hardware concurrency. The build is the same at every
   /// value.
@@ -170,11 +167,6 @@ class L2RRouter {
   const RegionGraph& region_graph(TimePeriod p) const {
     return *graphs_[static_cast<int>(p)];
   }
-  /// False for the peak period when the router was built time-independent
-  /// (EffectivePeriod never selects such a period).
-  bool has_region_graph(TimePeriod p) const {
-    return graphs_[static_cast<int>(p)] != nullptr;
-  }
   /// Final (learned or transferred) preference of each region edge of the
   /// period graph, index-aligned with region_graph(p).edges().
   const std::vector<std::optional<RoutingPreference>>& edge_preferences(
@@ -251,7 +243,6 @@ class L2RRouter {
   const RoadNetwork* net_;
   PreferenceFeatureSpace space_;
   SlaveReachability reach_;
-  bool time_dependent_ = true;
   WeightSet weights_[kNumTimePeriods];
   std::vector<MatchedTrajectory> trajectories_[kNumTimePeriods];
   std::unique_ptr<RegionGraph> graphs_[kNumTimePeriods];

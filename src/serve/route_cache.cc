@@ -115,7 +115,7 @@ void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
 }
 
 void RouteCache::ExtractInvalidShard(size_t shard_idx,
-                                     std::vector<StaleEntry>* out) {
+                                     std::vector<RouteCacheKey>* out) {
   if (world_ == nullptr) return;
   Shard& shard = *shards_[shard_idx];
   MutexLock lock(shard.mu);
@@ -126,7 +126,7 @@ void RouteCache::ExtractInvalidShard(size_t shard_idx,
     }
     shard.bytes -= EntryCharge(*it);
     shard.map.erase(it->key);
-    out->push_back(StaleEntry{it->key, std::move(it->result)});
+    out->push_back(it->key);
     it = shard.lru.erase(it);
     ++shard.invalidated;
   }

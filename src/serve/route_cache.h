@@ -66,13 +66,6 @@ class RouteCache {
     size_t bytes = 0;
   };
 
-  /// A stale entry removed by ExtractInvalidShard: the key to re-route
-  /// and the stale result that seeds the repair pass's bounded re-search.
-  struct StaleEntry {
-    RouteCacheKey key;
-    RouteResult stale;
-  };
-
   RouteCache();
 
   /// Attaches the dynamic-world view entries are validated against.
@@ -100,12 +93,13 @@ class RouteCache {
               WorldEpoch epoch = 0, std::vector<RegionId> regions = {});
 
   /// Removes every entry of shard `shard_idx` (< NumShards()) whose
-  /// footprint was dirtied after its epoch and appends them to `*out`,
-  /// most recently used first. The repair pass (world/RouteRepairer) turns lazy
-  /// invalidation into an explicit re-route work list this way, one
-  /// shard at a time, so repair workers pinned to disjoint shard sets
-  /// never contend on the same stripe.
-  void ExtractInvalidShard(size_t shard_idx, std::vector<StaleEntry>* out);
+  /// footprint was dirtied after its epoch and appends their keys to
+  /// `*out`, most recently used first. The repair pass
+  /// (world/RouteRepairer) turns lazy invalidation into an explicit
+  /// re-route work list this way, one shard at a time, so repair workers
+  /// pinned to disjoint shard sets never contend on the same stripe.
+  void ExtractInvalidShard(size_t shard_idx,
+                           std::vector<RouteCacheKey>* out);
 
   /// Aggregated over shards; counters are exact, entries/bytes are a
   /// consistent-per-shard snapshot.

@@ -48,21 +48,29 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
       return hit;
     }
   }
-  // Cold path: compute, count the degrade, populate the cache. Every
-  // cold/error dispatch runs on the pinned (current) epoch.
+  // Every cold/error dispatch runs on the pinned (current) epoch.
   // Relaxed: pure serve tally, documented order in the header.
   current_epoch_serves_.fetch_add(1, std::memory_order_relaxed);
+  return ColdRoute(ctx, key, departure_time, pin);
+}
+
+Result<RouteResult> ServingRouter::ColdRoute(L2RQueryContext* ctx,
+                                             const QueryKey& key,
+                                             double departure_time,
+                                             const WorldReadPin& pin) {
   Result<RouteResult> result =
-      router_->Route(ctx, s, d, departure_time,
+      router_->Route(ctx, key.s, key.d, departure_time,
                      settle_cap_.load(std::memory_order_relaxed));
   if (result.ok()) {
     if (result->budget_degraded) {
       budget_degraded_.fetch_add(1, std::memory_order_relaxed);
     }
     if (cache_ != nullptr) {
-      cache_->Insert(key, *result, epoch,
+      cache_->Insert(key, *result, pin.epoch(),
                      world_ != nullptr
-                         ? RouteRegionFootprint(*router_, *result, period)
+                         ? RouteRegionFootprint(
+                               *router_, *result,
+                               static_cast<TimePeriod>(key.period))
                          : std::vector<RegionId>{});
     }
   }

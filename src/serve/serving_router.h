@@ -61,7 +61,7 @@ class ServingRouter final : public QueryService {
       uint64_t coalesced = 0;
     } single_flight;
     uint64_t queries = 0;
-    /// Cold-path computations that degraded.
+    /// Cold-path computations (misses and repairs) that degraded.
     uint64_t budget_degraded = 0;
     /// Per-epoch serve split (dynamic world; all-current when frozen).
     EpochServeCounts epoch_serves;
@@ -96,9 +96,21 @@ class ServingRouter final : public QueryService {
     return settle_cap_.load(std::memory_order_relaxed);
   }
 
+  /// The cold path, the only code that computes a cache entry: routes
+  /// `key` departing at `departure_time` (which must map to key.period)
+  /// at the current settle cap, counts a degrade, and caches an ok result
+  /// stamped with `pin`'s epoch and its region footprint. `pin` is the
+  /// caller's: pins are not reentrant, so this one does not pin again.
+  /// Route's miss path and the repair pass (world/RouteRepairer) both
+  /// call it; it bumps no serve tally (queries, cache misses, epoch
+  /// serves), so a repair is not counted as a served query.
+  Result<RouteResult> ColdRoute(L2RQueryContext* ctx, const QueryKey& key,
+                                double departure_time,
+                                const WorldReadPin& pin);
+
   WorldViewIface* world() const { return world_; }
-  /// The repair pass (world/RouteRepairer) sweeps + reinserts here; null
-  /// when the cache is disabled.
+  /// The repair pass (world/RouteRepairer) sweeps stale entries out of
+  /// here; null when the cache is disabled.
   RouteCache* route_cache() { return cache_.get(); }
 
  private:

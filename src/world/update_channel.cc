@@ -11,10 +11,8 @@ WorldUpdateChannel::WorldUpdateChannel(RoadNetwork* net, L2RRouter* router)
   L2R_CHECK(net != nullptr);
   L2R_CHECK(router != nullptr);
   for (int p = 0; p < kNumTimePeriods; ++p) {
-    const TimePeriod period = static_cast<TimePeriod>(p);
-    num_regions_[p] = router->has_region_graph(period)
-                          ? router->region_graph(period).NumRegions()
-                          : 0;
+    num_regions_[p] =
+        router->region_graph(static_cast<TimePeriod>(p)).NumRegions();
     // +1: the kNoRegion bucket for vertices outside every region.
     region_dirty_[p] =
         std::vector<std::atomic<WorldEpoch>>(num_regions_[p] + 1);
@@ -115,7 +113,6 @@ WorldUpdateChannel::ApplyReport WorldUpdateChannel::Apply(
 
   for (int p = 0; p < kNumTimePeriods; ++p) {
     const TimePeriod period = static_cast<TimePeriod>(p);
-    if (!router_->has_region_graph(period)) continue;
     const RegionGraph& graph = router_->region_graph(period);
     std::vector<RegionId>& dirty = report.dirty_regions[p];
     for (EdgeId e : increase_edges) {

@@ -372,15 +372,13 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
   // Quiesced: one eager sweep drains everything stale, after which every
   // resident entry is valid and a second sweep finds nothing.
   auto sweep = [&cache] {
-    std::vector<RouteCache::StaleEntry> stale;
+    std::vector<RouteCacheKey> stale;
     for (size_t i = 0; i < cache.NumShards(); ++i) {
       cache.ExtractInvalidShard(i, &stale);
     }
     return stale;
   };
-  for (const RouteCache::StaleEntry& e : sweep()) {
-    EXPECT_EQ(e.stale.path.vertices.front(), e.key.s);  // intact bytes
-  }
+  sweep();
   EXPECT_TRUE(sweep().empty());
 }
 

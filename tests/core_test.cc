@@ -191,7 +191,6 @@ uint64_t BuildDigest(const L2RRouter& router) {
   };
   for (int p = 0; p < kNumTimePeriods; ++p) {
     const TimePeriod period = static_cast<TimePeriod>(p);
-    if (!router.has_region_graph(period)) continue;
     for (const auto& pref : router.edge_preferences(period)) {
       mix(pref.has_value() ? 1 + static_cast<uint64_t>(pref->master) * 64 +
                                  static_cast<uint64_t>(pref->slave_index)
@@ -319,24 +318,6 @@ TEST(L2RBuildTest, RejectsBadInputs) {
   EXPECT_FALSE(L2RRouter::Build(nullptr, {}, options).ok());
   const RoadNetwork net = testing::MakeGrid(3, 3, 100);
   EXPECT_FALSE(L2RRouter::Build(&net, {}, options).ok());
-}
-
-TEST(L2RBuildTest, NonTimeDependentBuildsSingleGraph) {
-  DatasetSpec spec = CityDataset(0.04);
-  spec.network.city_width_m = 7000;
-  spec.network.city_height_m = 6000;
-  auto built = BuildDataset(spec);
-  ASSERT_TRUE(built.ok());
-  L2ROptions options;
-  options.time_dependent = false;
-  auto router =
-      L2RRouter::Build(&built->world.net, built->split.train, options);
-  ASSERT_TRUE(router.ok());
-  // Peak queries are served by the off-peak graph without error.
-  L2RQueryContext ctx = (*router)->MakeContext();
-  const MatchedTrajectory& t = built->split.test.front();
-  auto r = (*router)->Route(&ctx, t.path.front(), t.path.back(), 8 * 3600);
-  EXPECT_TRUE(r.ok());
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ std::vector<RouteCacheKey> SameShardKeys(const RouteCache& cache, size_t n) {
 }
 
 /// Every stale entry of every shard (RouteCache::ExtractInvalidShard).
-std::vector<RouteCache::StaleEntry> ExtractAllInvalid(RouteCache& cache) {
-  std::vector<RouteCache::StaleEntry> stale;
+std::vector<RouteCacheKey> ExtractAllInvalid(RouteCache& cache) {
+  std::vector<RouteCacheKey> stale;
   for (size_t i = 0; i < cache.NumShards(); ++i) {
     cache.ExtractInvalidShard(i, &stale);
   }
@@ -326,13 +326,11 @@ TEST(RouteCacheTest, ExtractInvalidSweepsExactlyTheStaleEntries) {
   cache.Insert(RouteCacheKey{5, 6, 0}, MakeResult(5, 4), 0, {1, 9});
   world.MarkDirty(0, 1, 1);
 
-  std::vector<RouteCache::StaleEntry> stale = ExtractAllInvalid(cache);
+  std::vector<RouteCacheKey> stale = ExtractAllInvalid(cache);
   ASSERT_EQ(stale.size(), 2u);
-  for (const RouteCache::StaleEntry& entry : stale) {
-    EXPECT_TRUE(entry.key == (RouteCacheKey{1, 2, 0}) ||
-                entry.key == (RouteCacheKey{5, 6, 0}));
-    // The swept value seeds the repair pass's bounded re-search.
-    EXPECT_EQ(entry.stale.path.vertices.front(), entry.key.s);
+  for (const RouteCacheKey& key : stale) {
+    EXPECT_TRUE(key == (RouteCacheKey{1, 2, 0}) ||
+                key == (RouteCacheKey{5, 6, 0}));
   }
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.invalidated, 2u);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/batch_router.h"
 #include "core/l2r.h"
 #include "eval/datasets.h"
@@ -70,6 +71,24 @@ class WorldTest : public ::testing::Test {
     }
     L2R_CHECK(!queries.empty());
     return queries;
+  }
+
+  /// Up to `cap` random pairs whose Algorithm 2 run settles more than
+  /// DeadlineBudget's 256-settle floor, so they degrade under it.
+  static std::vector<BatchQuery> DegradingQueries(size_t cap) {
+    L2RQueryContext ctx = router_->MakeContext();
+    const size_t n = net()->NumVertices();
+    Rng rng(5);
+    std::vector<BatchQuery> out;
+    for (int tries = 0; tries < 8000 && out.size() < cap; ++tries) {
+      const BatchQuery q{static_cast<VertexId>(rng.Index(n)),
+                         static_cast<VertexId>(rng.Index(n)),
+                         tries % 2 == 0 ? 12 * 3600.0 : 8 * 3600.0};
+      const auto capped = router_->Route(&ctx, q.s, q.d, q.departure_time,
+                                         DeadlineBudget::kMinSettles);
+      if (capped.ok() && capped->budget_degraded) out.push_back(q);
+    }
+    return out;
   }
 
   static Result<RouteResult> PlainRoute(const BatchQuery& q) {
@@ -530,21 +549,26 @@ TEST_F(WorldTest, RepairerReinsertsByteIdenticalEntriesOnTheNewEpoch) {
   const EdgeId e = MidEdge(warm[0]->path);
   channel.Apply(SlowdownBatch(e, 0.5));
 
+  // The synchronous all-shards pass; GetBackgroundStats() deltas are its
+  // report.
   RouteRepairer repairer(&serving);
-  const RouteRepairer::Report report = repairer.RepairAll();
-  EXPECT_EQ(report.epoch, 1u);
-  EXPECT_GE(report.candidates, 1u);  // query 0's entry at minimum
-  EXPECT_EQ(report.repaired + report.full_recompute + report.unroutable,
-            report.candidates);
-  EXPECT_EQ(report.unroutable, 0u);  // slowdowns never cut the graph
-  EXPECT_GT(report.repair_settles, 0u);
-  EXPECT_GE(report.ConvergenceRate(), 0.0);
-  EXPECT_LE(report.ConvergenceRate(), 1.0);
-  // A second pass finds nothing stale: the cache is fully repaired, and
-  // a background tick (the same sweep over one worker's shards) finds
-  // every shard already swept on this epoch.
-  EXPECT_EQ(repairer.RepairAll().candidates, 0u);
+  const RouteRepairer::BackgroundStats before = repairer.GetBackgroundStats();
+  EXPECT_TRUE(repairer.BackgroundTick(0, 1));
+  const RouteRepairer::BackgroundStats after = repairer.GetBackgroundStats();
+  EXPECT_EQ(channel.CurrentEpoch(), 1u);
+  EXPECT_EQ(after.passes - before.passes, 1u);
+  const uint64_t candidates = after.candidates - before.candidates;
+  const uint64_t repaired = after.repaired - before.repaired;
+  const uint64_t unroutable = after.unroutable - before.unroutable;
+  EXPECT_GE(candidates, 1u);  // query 0's entry at minimum
+  EXPECT_EQ(repaired + unroutable, candidates);
+  EXPECT_EQ(unroutable, 0u);  // slowdowns never cut the graph
+  EXPECT_GT(after.repair_settles - before.repair_settles, 0u);
+  // A second pass finds nothing stale: every shard was already swept on
+  // this epoch, whichever worker split asks.
   EXPECT_FALSE(repairer.BackgroundTick(0, 1));
+  EXPECT_FALSE(repairer.BackgroundTick(1, 2));
+  EXPECT_EQ(repairer.GetBackgroundStats().passes, after.passes);
 
   // Every repaired entry serves the exact bytes a cold recompute on the
   // new epoch produces, and serves them from the cache (zero misses).
@@ -558,6 +582,100 @@ TEST_F(WorldTest, RepairerReinsertsByteIdenticalEntriesOnTheNewEpoch) {
   EXPECT_EQ(serving.GetStats().cache.misses, misses_before);
 
   channel.Apply(SlowdownBatch(e, 2.0));  // restore the shared world
+}
+
+TEST_F(WorldTest, RepairCostsOneServingCapRoutePerStaleKey) {
+  // Repair is the serving cold path: after one slowdown batch its settle
+  // count equals one bare Route at the serving cap per stale key on the
+  // new epoch, and every reinserted entry holds that route's bytes,
+  // budget_degraded included. Budget off, then the 256-settle floor cap,
+  // under which preference searches degrade.
+  std::vector<BatchQuery> queries = MakeQueries(24);
+  const std::vector<BatchQuery> degrading = DegradingQueries(4);
+  ASSERT_FALSE(degrading.empty());
+  queries.insert(queries.end(), degrading.begin(), degrading.end());
+  for (const double budget_us : {0.0, 0.01}) {
+    SCOPED_TRACE(budget_us);
+    WorldUpdateChannel channel(net(), router_);
+    ServingRouterOptions options;
+    options.world = &channel;
+    options.deadline.fallback_budget_us = budget_us;
+    ServingRouter serving(router_, options);
+    RouteRepairer repairer(&serving);
+    const size_t cap = serving.CurrentSettleCap();
+    EXPECT_EQ(cap == 0, budget_us == 0);
+
+    L2RQueryContext ctx = router_->MakeContext();
+    std::vector<Result<RouteResult>> warm;
+    for (const BatchQuery& q : queries) {
+      warm.push_back(serving.Route(&ctx, q.s, q.d, q.departure_time));
+    }
+    // Slow an edge of a route that degraded under the cap (any route when
+    // the budget is off), so a degraded entry goes stale.
+    size_t victim = 0;
+    while (victim < warm.size() &&
+           !(warm[victim].ok() && warm[victim]->path.vertices.size() >= 2 &&
+             (budget_us == 0 || warm[victim]->budget_degraded))) {
+      ++victim;
+    }
+    ASSERT_LT(victim, warm.size());
+    const EdgeId e = MidEdge(warm[victim]->path);
+    ASSERT_EQ(channel.Apply(SlowdownBatch(e, 0.5)).epoch, 1u);
+
+    const ServingRouter::Stats served = serving.GetStats();
+    const RouteRepairer::BackgroundStats before =
+        repairer.GetBackgroundStats();
+    ASSERT_TRUE(repairer.BackgroundTick(0, 1));
+    const RouteRepairer::BackgroundStats after =
+        repairer.GetBackgroundStats();
+    // A repair is not a served query.
+    const ServingRouter::Stats repaired_stats = serving.GetStats();
+    EXPECT_EQ(repaired_stats.queries, served.queries);
+    EXPECT_EQ(repaired_stats.cache.misses, served.cache.misses);
+    EXPECT_EQ(repaired_stats.epoch_serves.current_epoch,
+              served.epoch_serves.current_epoch);
+    EXPECT_EQ(repaired_stats.epoch_serves.stale_valid_epoch,
+              served.epoch_serves.stale_valid_epoch);
+
+    // The stale keys are exactly the entries now stamped with epoch 1
+    // (slowdowns never cut the graph, so none was dropped).
+    std::vector<QueryKey> seen;
+    L2RQueryContext cold = router_->MakeContext();
+    uint64_t cold_settles = 0;
+    uint64_t stale = 0;
+    uint64_t degraded = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!warm[i].ok()) continue;  // errors are never cached
+      const BatchQuery& q = queries[i];
+      const QueryKey key{
+          q.s, q.d,
+          static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      seen.push_back(key);
+      RouteResult hit;
+      WorldEpoch hit_epoch = 0;
+      ASSERT_TRUE(serving.route_cache()->Lookup(key, &hit, &hit_epoch));
+      if (hit_epoch != 1) continue;
+      ++stale;
+      const uint64_t settles0 = cold.TotalSettles();
+      const Result<RouteResult> want =
+          router_->Route(&cold, q.s, q.d, q.departure_time, cap);
+      cold_settles += cold.TotalSettles() - settles0;
+      ASSERT_TRUE(want.ok());
+      EXPECT_TRUE(*want == hit);
+      degraded += hit.budget_degraded;
+    }
+    EXPECT_GE(stale, 1u);  // the victim's entry at minimum
+    EXPECT_EQ(after.unroutable - before.unroutable, 0u);
+    EXPECT_EQ(after.candidates - before.candidates, stale);
+    EXPECT_EQ(after.repaired - before.repaired, stale);
+    EXPECT_EQ(after.repair_settles - before.repair_settles, cold_settles);
+    EXPECT_EQ(repaired_stats.budget_degraded - served.budget_degraded,
+              degraded);
+    EXPECT_GE(degraded, budget_us > 0 ? 1u : 0u);
+
+    channel.Apply(SlowdownBatch(e, 2.0));  // restore the shared world
+  }
 }
 
 TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
@@ -622,8 +740,7 @@ TEST_F(WorldTest, IdleDrainThreadsFoldBackgroundRepairIn) {
   const RouteRepairer::BackgroundStats bg = repairer.GetBackgroundStats();
   EXPECT_GE(bg.passes, 1u);
   EXPECT_GE(bg.candidates, 1u);  // query 0's entry at minimum
-  EXPECT_EQ(bg.repaired + bg.full_recompute + bg.unroutable,
-            bg.candidates);
+  EXPECT_EQ(bg.repaired + bg.unroutable, bg.candidates);
   EXPECT_EQ(bg.unroutable, 0u);  // slowdowns never cut the graph
   EXPECT_GT(bg.repair_settles, 0u);
 
