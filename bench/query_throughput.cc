@@ -12,7 +12,8 @@
 // JSON, which lands under `name` in the artifact, and clears `*ok` when
 // an in-bench gate trips (the process then exits 2).
 //
-// Always-on blocks: latency_us (sequential per-query latency), serving
+// Always-on blocks: offline_build (the fixture router's build report per
+// period), latency_us (sequential per-query latency), serving
 // (cache-off vs cache-on over a skewed repeated-query workload), runs
 // (cold batch QPS at t = 1/2/4/8) and scenarios (bench/workloads.h traffic
 // shapes with batch dedup off/on and an uncached thread ladder). Selectable
@@ -343,6 +344,33 @@ QueueWaitRun ReplayQueueWaits(const Fixture& fx,
 }
 
 // ---------------------------------------------------------------- blocks
+
+/// The fixture router's offline build (L2RRouter::build_report), the
+/// process cold-start path: per period the region graph's size, the
+/// learn, transfer adjacency, transfer solve and apply seconds, M's
+/// off-diagonal nnz, the most CG iterations a column took and whether
+/// every column converged; then the whole build's seconds.
+Json OfflineBuildBlock(const Fixture& fx, bool*) {
+  const L2RBuildReport& report = fx.router->build_report();
+  Json periods = Json::Array();
+  for (int p = 0; p < kNumTimePeriods; ++p) {
+    const L2RBuildReport::PeriodReport& rep = report.period[p];
+    periods.Push(Json::Object(
+        {{"period", p == 0 ? "off_peak" : "peak"},
+         {"regions", rep.num_regions},
+         {"t_edges", rep.num_t_edges},
+         {"b_edges", rep.num_b_edges},
+         {"learn_seconds", Json(rep.learn_seconds, 4)},
+         {"adjacency_seconds", Json(rep.transfer_build_seconds, 4)},
+         {"solve_seconds", Json(rep.transfer_solve_seconds, 4)},
+         {"apply_seconds", Json(rep.apply_seconds, 4)},
+         {"m_nnz", rep.transfer_adjacency_nnz},
+         {"cg_iterations", rep.transfer_solver_iterations},
+         {"transfer_converged", rep.transfer_converged}}));
+  }
+  return Json::Object({{"periods", periods},
+                       {"total_seconds", Json(report.total_seconds, 4)}});
+}
 
 /// Sequential per-query latency, one reused context, after a 64-query
 /// warm-up so first-touch page faults do not skew the percentiles.
@@ -955,6 +983,7 @@ Json ScaleOutBlock(const Fixture& fx, bool* ok) {
 }
 
 const Block kBlocks[] = {
+    {"offline_build", false, OfflineBuildBlock},
     {"latency_us", false, LatencyBlock},
     {"serving", false, ServingBlock},
     {"runs", false, RunsBlock},

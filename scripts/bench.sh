@@ -13,8 +13,8 @@
 #   L2R_BENCH_ONLY      comma-separated subset of the selectable blocks
 #                       {streaming, deadline_sweep, overload_sweep,
 #                       dynamic_world, scale_ladder, scale_out}; the others
-#                       are written as null. latency_us, serving, runs and
-#                       scenarios always run. Example:
+#                       are written as null. offline_build, latency_us,
+#                       serving, runs and scenarios always run. Example:
 #                         L2R_BENCH_ONLY=dynamic_world scripts/bench.sh
 #
 # The bench itself rejects an unknown block name; scripts/bench_check.py

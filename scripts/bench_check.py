@@ -49,6 +49,14 @@ MAX_INCIDENT_REPAIR_COST_RATIO = 0.3
 # the identity gates still apply).
 MIN_SCALE_OUT_T4_SPEEDUP = 2.0
 
+# SolverOptions::max_iterations: the most iterations a column's CG solve
+# can report.
+MAX_CG_ITERATIONS = 2000
+
+# The seconds print with 4 decimals; the periods' phases may overshoot the
+# build total by their summed rounding.
+SECONDS_ROUNDING = 1e-3
+
 EXPECTED_THREADS = [1, 2, 4, 8]
 EXPECTED_DRAINS = [1, 2, 4]
 SCENARIOS = ["uniform", "zipf", "commute_burst", "adversarial_cold",
@@ -57,6 +65,9 @@ SCHEDULES = ["poisson", "bursty"]
 DYNAMIC_SCENARIOS = ["incident_injection", "rush_hour_transition",
                      "rolling_closures"]
 LATENCY = ["mean", "p50", "p95", "p99"]
+PERIODS = ["off_peak", "peak"]
+PHASE_SECONDS = ["learn_seconds", "adjacency_seconds", "solve_seconds",
+                 "apply_seconds"]
 
 
 def under(prefix, paths):
@@ -67,6 +78,9 @@ SCHEMA = {
     "fixture": ["bench", "unix_time", "dataset", "scale", "num_vertices",
                 "num_edges", "num_queries", "failures", "mix", "methods",
                 "deterministic_across_threads"],
+    "offline_build": ["total_seconds", *under("periods[]", [
+        "period", "regions", "t_edges", "b_edges", *PHASE_SECONDS, "m_nnz",
+        "cg_iterations", "transfer_converged"])],
     "latency_us": LATENCY,
     "serving": ["workload_queries", "distinct_queries",
                 *under("cache_off", LATENCY),
@@ -225,6 +239,24 @@ def check_fixture(doc, c):
     c.equal(doc["failures"], 0, "", "routing failures")
     c.true(doc["deterministic_across_threads"], "",
            "deterministic_across_threads")
+
+
+def check_offline_build(block, c):
+    periods = block["periods"]
+    c.equal([p["period"] for p in periods], PERIODS, "", "periods")
+    for p in periods:
+        where = f"[{p['period']}]"
+        for key in ("regions", "t_edges", "m_nnz"):
+            c.positive(p[key], where, key)
+        for key in ("b_edges", *PHASE_SECONDS):
+            c.in_range(p[key], where, key, lo=0)
+        c.in_range(p["cg_iterations"], where, "cg_iterations", 1,
+                   MAX_CG_ITERATIONS)
+        c.true(p["transfer_converged"], where, "transfer_converged")
+    c.in_range(block["total_seconds"] -
+               sum(p[key] for p in periods for key in PHASE_SECONDS), "",
+               "total_seconds - the periods' phase seconds",
+               lo=-SECONDS_ROUNDING)
 
 
 def check_serving(block, c):
@@ -414,6 +446,7 @@ def check_scale_out(block, c):
 
 CHECKS = {
     "fixture": check_fixture,
+    "offline_build": check_offline_build,
     "latency_us": check_latency,
     "serving": check_serving,
     "runs": check_runs,

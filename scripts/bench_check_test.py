@@ -130,6 +130,15 @@ MUTATIONS = [
     ("scale_ladder", "snapshot_bytes - world_bytes", lambda d: setitem(
         d["scale_ladder"]["scales"][0], "snapshot_bytes",
         d["scale_ladder"]["scales"][0]["world_bytes"] - 1)),
+    ("offline_build", "cg_iterations", lambda d: setitem(
+        d["offline_build"]["periods"][0], "cg_iterations",
+        bench_check.MAX_CG_ITERATIONS + 1)),
+    ("offline_build", "m_nnz", lambda d: setitem(
+        d["offline_build"]["periods"][1], "m_nnz", 0)),
+    ("offline_build", "total_seconds - the periods'", lambda d: setitem(
+        d["offline_build"], "total_seconds", 0)),
+    ("offline_build", "apply_seconds", lambda d: setitem(
+        d["offline_build"]["periods"][0], "apply_seconds", -EPS)),
     ("fixture", "num_queries", lambda d: setitem(d, "num_queries", 0)),
     ("fixture", "routing failures", lambda d: setitem(d, "failures", 1)),
     ("fixture", "bench label", lambda d: setitem(d, "bench", "other")),
@@ -195,11 +204,15 @@ MUTATIONS = [
         d["scenarios"]["duplicate_heavy"]["dedup_on"], "mean_us",
         d["scenarios"]["duplicate_heavy"]["dedup_off"]["mean_us"])),
     ("runs", "thread ladder", lambda d: swap(d["runs"], 0, 1)),
+    ("offline_build", "periods", lambda d: swap(
+        d["offline_build"]["periods"], 0, 1)),
     ("scale_out", "serving ladder", lambda d: swap(
         d["scale_out"]["serving_runs"], 0, 3)),
     ("scale_out", "drain ladder", lambda d: swap(
         d["scale_out"]["drain_audits"], 0, 2)),
     # Flags set false.
+    ("offline_build", "transfer_converged", lambda d: setitem(
+        d["offline_build"]["periods"][1], "transfer_converged", False)),
     ("fixture", "deterministic_across_threads", lambda d: setitem(
         d, "deterministic_across_threads", False)),
     ("scenarios", "coalesced_identical", lambda d: setitem(
@@ -231,6 +244,8 @@ MUTATIONS = [
         setitem(d["scale_out"], "hw_threads", 4))),
     # One required key dropped per block, and whole blocks missing.
     ("fixture", "missing 'mix'", lambda d: d.pop("mix")),
+    ("offline_build", "missing 'periods[].solve_seconds'", lambda d:
+        d["offline_build"]["periods"][0].pop("solve_seconds")),
     ("latency_us", "missing 'p95'", lambda d: d["latency_us"].pop("p95")),
     ("serving", "missing 'cache_on.hit_rate'", lambda d:
         d["serving"]["cache_on"].pop("hit_rate")),

@@ -200,6 +200,8 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
   rep.transfer_solve_seconds = transferred->solve_seconds;
   rep.transfer_adjacency_nnz = transferred->adjacency_nnz;
   rep.transfer_solver_iterations = transferred->max_solver_iterations;
+  rep.transfer_converged = transferred->all_converged;
+  rep.transfer_tie_rows = transferred->tie_rows;
   rep.transfer_seconds = timer.ElapsedSeconds();
 
   // 5. Apply transferred preferences: attach B-edge paths (Sec. V-C).

@@ -9,14 +9,18 @@ SparseMatrix SparseMatrix::FromTriplets(size_t n,
   for (const Triplet& t : triplets) {
     L2R_CHECK(t.row < n && t.col < n);
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row < b.row || (a.row == b.row && a.col < b.col);
-            });
+  auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row < b.row || (a.row == b.row && a.col < b.col);
+  };
+  if (!std::is_sorted(triplets.begin(), triplets.end(), before)) {
+    std::sort(triplets.begin(), triplets.end(), before);
+  }
 
   SparseMatrix m;
   m.n_ = n;
   m.offsets_.assign(n + 1, 0);
+  m.cols_.reserve(triplets.size());
+  m.values_.reserve(triplets.size());
   for (size_t i = 0; i < triplets.size();) {
     size_t j = i;
     double sum = 0;

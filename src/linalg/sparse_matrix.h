@@ -22,7 +22,8 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Assembles an n-by-n matrix from triplets.
+  /// Assembles an n-by-n matrix from triplets. Triplets already in
+  /// (row, col) order skip the sort.
   static SparseMatrix FromTriplets(size_t n, std::vector<Triplet> triplets);
 
   size_t n() const { return n_; }

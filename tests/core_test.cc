@@ -81,6 +81,10 @@ TEST_F(L2REndToEndTest, BuildReportIsPopulated) {
     // Transfer's split is reported and fits inside its total.
     EXPECT_GT(rep.transfer_adjacency_nnz, 0u);
     EXPECT_GT(rep.transfer_solver_iterations, 0);
+    // Every column's CG solve met its tolerance, and the tie rule settled
+    // a minority of M's rows.
+    EXPECT_TRUE(rep.transfer_converged);
+    EXPECT_LT(rep.transfer_tie_rows, rep.num_t_edges + rep.num_b_edges);
     EXPECT_GT(rep.transfer_build_seconds, 0);
     EXPECT_GT(rep.transfer_solve_seconds, 0);
     EXPECT_LE(rep.transfer_build_seconds + rep.transfer_solve_seconds,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -345,6 +347,127 @@ TEST_F(TransferTest, CappedRowsAndColumnSolvesAreByteIdentical) {
   EXPECT_EQ(runs[0].num_null, 34u);
   EXPECT_EQ(runs[0].max_solver_iterations, 134);
   EXPECT_EQ(digest(runs[0]), 0xd8c6f85e303207e3ULL);
+}
+
+// ---------- BuildNeighborRows against the sequential rule ----------
+
+/// The rule BuildNeighborRows documents, written as plainly as possible:
+/// every row scans all j in index order and a full row replaces its first
+/// minimum by position when a strictly larger reSim arrives; then rows are
+/// sorted by j and intersected with their transposes.
+std::vector<std::vector<TransferNeighbor>> SequentialOracle(
+    const std::vector<RegionEdgeFeatures>& features, double amr,
+    size_t max_neighbors) {
+  const size_t n = features.size();
+  const size_t cap = max_neighbors == 0 ? n : max_neighbors;
+  std::vector<std::vector<TransferNeighbor>> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto& row = rows[i];
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const double sim =
+          DistanceSimilarity(features[i].dis, features[j].dis) +
+          MaskJaccard(features[i].f_mask, features[j].f_mask);
+      if (sim <= amr) continue;
+      if (row.size() < cap) {
+        row.push_back({static_cast<uint32_t>(j), sim});
+        continue;
+      }
+      size_t weakest = 0;
+      for (size_t k = 1; k < row.size(); ++k) {
+        if (row[k].sim < row[weakest].sim) weakest = k;
+      }
+      if (sim > row[weakest].sim) {
+        row[weakest] = {static_cast<uint32_t>(j), sim};
+      }
+    }
+    std::sort(row.begin(), row.end(),
+              [](const TransferNeighbor& a, const TransferNeighbor& b) {
+                return a.j < b.j;
+              });
+  }
+  auto holds = [&](size_t i, uint32_t j) {
+    return std::any_of(rows[i].begin(), rows[i].end(),
+                       [&](const TransferNeighbor& nb) { return nb.j == j; });
+  };
+  std::vector<std::vector<TransferNeighbor>> kept(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (const TransferNeighbor& nb : rows[i]) {
+      if (holds(nb.j, static_cast<uint32_t>(i))) kept[i].push_back(nb);
+    }
+  }
+  return kept;
+}
+
+/// Feature sets that stress the cap boundary, each of `n` edges.
+std::vector<std::vector<RegionEdgeFeatures>> TieHeavyFeatureSets(size_t n) {
+  Rng rng(1802079);
+  const uint64_t masks[] = {
+      RoadTypePairBit(2, 2),
+      RoadTypePairBit(2, 2) | RoadTypePairBit(2, 5),
+      RoadTypePairBit(5, 5),
+      RoadTypePairBit(0, 1) | RoadTypePairBit(1, 1) | RoadTypePairBit(5, 5),
+      0};
+  const double distances[] = {300, 500, 750, 1000, 1500, 3000};
+  std::vector<std::vector<RegionEdgeFeatures>> sets(4);
+  for (size_t i = 0; i < n; ++i) {
+    // Duplicated (dis, f_mask) pairs across five masks (one empty).
+    sets[0].push_back({distances[rng.Index(std::size(distances))],
+                       masks[rng.Index(std::size(masks))]});
+    // A single mask group.
+    sets[1].push_back(
+        {distances[rng.Index(std::size(distances))], masks[1]});
+    // Zero and negative distances among positive ones.
+    const double nonpositive[] = {0.0, -0.0, -250.0};
+    sets[2].push_back({rng.Bernoulli(0.3)
+                           ? nonpositive[rng.Index(std::size(nonpositive))]
+                           : distances[rng.Index(std::size(distances))],
+                       masks[rng.Index(std::size(masks))]});
+    // All-distinct features.
+    sets[3].push_back(
+        {rng.Uniform(100, 5000), rng.NextU64() & ((1ULL << 36) - 1)});
+  }
+  return sets;
+}
+
+TEST(NeighborRowsTest, MatchesSequentialOracleBitForBit) {
+  size_t window_rows = 0;
+  size_t tie_rows = 0;
+  const auto sets = TieHeavyFeatureSets(240);
+  for (size_t s = 0; s < sets.size(); ++s) {
+    const auto& features = sets[s];
+    for (const size_t cap : {4u, 16u, 0u}) {
+      for (const double amr : {0.0, 0.7, 1.9}) {
+        const auto oracle = SequentialOracle(features, amr, cap);
+        for (const unsigned threads : {1u, 4u}) {
+          TransferOptions options;
+          options.amr = amr;
+          options.max_neighbors_per_edge = cap;
+          options.num_threads = threads;
+          const NeighborRows got = BuildNeighborRows(features, options);
+          SCOPED_TRACE(::testing::Message()
+                       << "set " << s << " cap " << cap << " amr " << amr
+                       << " threads " << threads);
+          ASSERT_EQ(got.rows.size(), features.size());
+          ASSERT_LE(got.tie_rows, features.size());
+          window_rows += features.size() - got.tie_rows;
+          tie_rows += got.tie_rows;
+          for (size_t i = 0; i < features.size(); ++i) {
+            ASSERT_EQ(got.rows[i].size(), oracle[i].size()) << "row " << i;
+            for (size_t k = 0; k < oracle[i].size(); ++k) {
+              EXPECT_EQ(got.rows[i][k].j, oracle[i][k].j) << "row " << i;
+              EXPECT_EQ(std::bit_cast<uint64_t>(got.rows[i][k].sim),
+                        std::bit_cast<uint64_t>(oracle[i][k].sim))
+                  << "row " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both the window search and the tie rule were exercised.
+  EXPECT_GT(window_rows, 0u);
+  EXPECT_GT(tie_rows, 0u);
 }
 
 // ---------- ApplyTransferredPreferences ----------
