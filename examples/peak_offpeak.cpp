@@ -79,6 +79,10 @@ int main() {
         100 * overlap);
     ++shown;
   }
+  if (shown == 0) {
+    std::fprintf(stderr, "no query routed\n");
+    return 1;
+  }
   std::printf("\nPeak routes differ where congestion changes which roads "
               "local drivers prefer.\n");
   return 0;

@@ -72,10 +72,15 @@ int main() {
     const char* method =
         l2r_route->method == RouteMethod::kInnerRegionPopular ? "inner"
         : l2r_route->method == RouteMethod::kRegionGraph      ? "region"
+        : l2r_route->method == RouteMethod::kPreferenceRoute  ? "preference"
                                                               : "fallback";
     std::printf("%6u %6u %10s %11.1f%% %11.1f%%\n", s, d, method,
                 100 * sim_l2r, 100 * sim_fast);
     ++shown;
+  }
+  if (shown == 0) {
+    std::fprintf(stderr, "no query routed\n");
+    return 1;
   }
 
   std::printf("\nDone. L2R routes follow local-driver behaviour; fastest "

@@ -32,7 +32,6 @@ inline double Cross(const Point& a, const Point& b) {
   return a.x * b.y - a.y * b.x;
 }
 inline double NormSq(const Point& a) { return Dot(a, a); }
-inline double Norm(const Point& a) { return std::sqrt(NormSq(a)); }
 inline double DistSq(const Point& a, const Point& b) {
   return NormSq(a - b);
 }

@@ -159,7 +159,6 @@ class CondVar {
     return cv_.wait_until(mu, deadline);
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

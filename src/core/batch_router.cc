@@ -77,11 +77,9 @@ std::vector<Result<RouteResult>> BatchRouter::RouteAll(
   std::vector<uint32_t> rep_slot;
   for (size_t i = 0; i < queries.size(); ++i) {
     const BatchQuery& q = queries[i];
-    const QueryKey key{
-        q.s, q.d,
-        static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
     const auto [it, inserted] =
-        groups.emplace(key, static_cast<uint32_t>(rep_slot.size()));
+        groups.emplace(QueryKeyOf(q.s, q.d, q.departure_time),
+                       static_cast<uint32_t>(rep_slot.size()));
     if (inserted) rep_slot.push_back(static_cast<uint32_t>(i));
     group_of[i] = it->second;
   }

@@ -361,26 +361,25 @@ Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
   return connect(cur, dest);
 }
 
-TimePeriod L2RRouter::EffectivePeriod(double departure_time) const {
-  return PeriodOf(departure_time);
-}
-
-Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
-                                     VertexId d, double departure_time,
+Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx,
+                                     const QueryKey& key,
                                      size_t max_preference_settles) const {
+  const VertexId s = key.s;
+  const VertexId d = key.d;
   if (ctx == nullptr) return Status::InvalidArgument("ctx is null");
   if (s >= net_->NumVertices() || d >= net_->NumVertices()) {
     return Status::InvalidArgument("vertex id out of range");
   }
+  if (key.period >= kNumTimePeriods) {
+    return Status::InvalidArgument("period out of range");
+  }
   if (s == d) return Status::InvalidArgument("source equals destination");
 
-  const int pi = static_cast<int>(EffectivePeriod(departure_time));
+  const int pi = key.period;
   const RegionGraph& graph = *graphs_[pi];
   const WeightSet& ws = weights_[pi];
 
   RouteResult result;
-  result.source_region = graph.RegionOf(s);
-  result.dest_region = graph.RegionOf(d);
 
   auto finish = [&](Path path, RouteMethod method) -> Result<RouteResult> {
     Result<double> tt = net_->PathTravelTimeS(path.vertices, ws.period());
@@ -399,9 +398,10 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
 
   // Case 1, same region: the most-traversed recorded inner path, else the
   // fastest path (Sec. VI).
-  if (result.source_region != kNoRegion &&
-      result.source_region == result.dest_region) {
-    if (auto inner = InnerRegionRoute(graph, result.source_region, s, d)) {
+  RegionId rs = graph.RegionOf(s);
+  RegionId rd = graph.RegionOf(d);
+  if (rs != kNoRegion && rs == rd) {
+    if (auto inner = InnerRegionRoute(graph, rs, s, d)) {
       return finish(std::move(*inner), RouteMethod::kInnerRegionPopular);
     }
     return fastest_fallback();
@@ -409,8 +409,6 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
 
   // Case 2: find candidate regions by fastest-path search (forward from s,
   // backward from d), keeping the connector paths Ps and Pd.
-  RegionId rs = result.source_region;
-  RegionId rd = result.dest_region;
   std::vector<VertexId> prefix{s};
   std::vector<VertexId> suffix{d};
   if (rs == kNoRegion) {
@@ -459,8 +457,7 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
   // blow the budget degrades to `stitched` (the region path that failed
   // the overhead gate) when one exists, else to the fastest fallback,
   // with the decision recorded in RouteResult::budget_degraded.
-  auto preference_route = [&](Path* stitched,
-                              size_t stitched_hops) -> Result<RouteResult> {
+  auto preference_route = [&](Path* stitched) -> Result<RouteResult> {
     if (!pair_pref.has_value()) return fastest_fallback();
     auto routed = ctx->pref_dijkstra.Route(
         s, d, ws.Get(pair_pref->master),
@@ -472,21 +469,20 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
     if (routed.status().code() == StatusCode::kDeadlineExceeded) {
       result.budget_degraded = true;
       if (stitched != nullptr) {
-        result.region_hops = stitched_hops;
         return finish(std::move(*stitched), RouteMethod::kRegionGraph);
       }
     }
     return fastest_fallback();
   };
 
-  if (!region_edges.has_value()) return preference_route(nullptr, 0);
+  if (!region_edges.has_value()) return preference_route(nullptr);
 
   std::vector<VertexId> out = prefix;
   double overhead = 0;
   const Status st = StitchRegionPath(ctx, graph, ws, *region_edges,
                                      out.back(), suffix.front(), &out,
                                      &overhead);
-  if (!st.ok()) return preference_route(nullptr, 0);
+  if (!st.ok()) return preference_route(nullptr);
   if (suffix.size() > 1) {
     out.insert(out.end(), suffix.begin() + 1, suffix.end());
   }
@@ -497,9 +493,8 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx, VertexId s,
   // applied directly (see kStitchOverheadLimit).
   const double span = Dist(net_->VertexPos(s), net_->VertexPos(d));
   if (overhead > kStitchOverheadLimit * span) {
-    return preference_route(&path, region_edges->size());
+    return preference_route(&path);
   }
-  result.region_hops = region_edges->size();
   return finish(std::move(path), RouteMethod::kRegionGraph);
 }
 

@@ -97,9 +97,6 @@ enum class RouteMethod : uint8_t {
 struct RouteResult {
   Path path;  ///< path.cost = travel time (s) for the queried period
   RouteMethod method = RouteMethod::kFastestFallback;
-  RegionId source_region = kNoRegion;
-  RegionId dest_region = kNoRegion;
-  size_t region_hops = 0;
   /// True when the preference-route rebuild blew the query's settle budget
   /// (Route's max_preference_settles) and the route degraded to the
   /// stitched path or the fastest fallback. Deterministic: the budget
@@ -108,6 +105,12 @@ struct RouteResult {
 
   bool operator==(const RouteResult&) const = default;
 };
+
+/// The identity of the query from `s` to `d` departing at
+/// `departure_time`: its period is PeriodOf(departure_time).
+inline QueryKey QueryKeyOf(VertexId s, VertexId d, double departure_time) {
+  return {s, d, static_cast<uint8_t>(PeriodOf(departure_time))};
+}
 
 /// Reusable per-thread query workspace (allocation-free routing).
 class L2RQueryContext {
@@ -145,26 +148,27 @@ class L2RRouter {
       const RoadNetwork* net, std::vector<MatchedTrajectory> training,
       const L2ROptions& options = {});
 
-  /// Routes from `s` to `d` departing at `departure_time` (selects the
-  /// peak or off-peak region graph). `max_preference_settles` caps the
-  /// vertices the preference-route (Algorithm 2) rebuild may settle; 0 is
-  /// no cap. The cap counts settles, never wall-clock time, so a degrade
-  /// decision is reproducible (serve/DeadlineBudget derives it from a
-  /// microsecond target).
-  Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s, VertexId d,
-                            double departure_time,
+  /// Routes from `key.s` to `key.d` on the region graph of `key.period`
+  /// (InvalidArgument for a period >= kNumTimePeriods, like an
+  /// out-of-range vertex). `max_preference_settles` caps the vertices the
+  /// preference-route (Algorithm 2) rebuild may settle; 0 is no cap. The
+  /// cap counts settles, never wall-clock time, so a degrade decision is
+  /// reproducible (serve/DeadlineBudget derives it from a microsecond
+  /// target).
+  Result<RouteResult> Route(L2RQueryContext* ctx, const QueryKey& key,
                             size_t max_preference_settles = 0) const;
+
+  /// The API edge: routes the query departing at `departure_time`.
+  Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s, VertexId d,
+                            double departure_time) const {
+    return Route(ctx, QueryKeyOf(s, d, departure_time));
+  }
 
   /// A context whose preference searches use slave_reachability(); it
   /// must not outlive the router.
   L2RQueryContext MakeContext() const {
     return L2RQueryContext(*net_, &reach_);
   }
-
-  /// The period whose graph/weights answer a query departing at
-  /// `departure_time` — the route cache quantizes its keys with this, so
-  /// it must (and does) mirror Route's period selection exactly.
-  TimePeriod EffectivePeriod(double departure_time) const;
 
   const L2RBuildReport& build_report() const { return report_; }
   const RegionGraph& region_graph(TimePeriod p) const {
@@ -266,7 +270,7 @@ class QueryService {
  public:
   virtual ~QueryService() = default;
 
-  /// The underlying router (context creation, period selection).
+  /// The underlying router (context creation).
   virtual const L2RRouter& router() const = 0;
 
   virtual Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s,

@@ -30,21 +30,12 @@ enum class QueryClass : uint8_t {
 
 inline constexpr size_t kNumQueryClasses = 2;
 
-inline const char* QueryClassName(QueryClass cls) {
-  switch (cls) {
-    case QueryClass::kInteractive: return "interactive";
-    case QueryClass::kBulk: return "bulk";
-  }
-  return "unknown";
-}
-
-/// A query quantized to what the router actually consumes: Route's answer
-/// depends on (s, d) and the departure period only (all departure times
-/// mapping to one period share an answer — quantize with
-/// L2RRouter::EffectivePeriod). This is the identity under which queries
-/// are deduplicated: BatchRouter's batch-level dedup and serve/'s
-/// RouteCache both key on it, so "identical query" means the same thing
-/// at every layer.
+/// A query's whole identity: source, destination and the departure
+/// period whose region graph answers it (all departure times mapping to
+/// one period share an answer — quantize with QueryKeyOf in core/l2r.h).
+/// L2RRouter::Route takes it as its input, and BatchRouter's batch-level
+/// dedup and serve/'s RouteCache both key on it, so "identical query"
+/// means the same thing at every layer.
 struct QueryKey {
   VertexId s = kInvalidVertex;
   VertexId d = kInvalidVertex;

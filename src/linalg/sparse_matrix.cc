@@ -51,14 +51,6 @@ void SparseMatrix::Multiply(const std::vector<double>& x,
   }
 }
 
-std::vector<double> SparseMatrix::Diagonal() const {
-  std::vector<double> d(n_, 0);
-  for (size_t r = 0; r < n_; ++r) {
-    d[r] = At(static_cast<uint32_t>(r), static_cast<uint32_t>(r));
-  }
-  return d;
-}
-
 double SparseMatrix::At(uint32_t row, uint32_t col) const {
   L2R_DCHECK(row < n_ && col < n_);
   for (size_t i = offsets_[row]; i < offsets_[row + 1]; ++i) {

@@ -32,9 +32,6 @@ class SparseMatrix {
   /// y = A x.
   void Multiply(const std::vector<double>& x, std::vector<double>* y) const;
 
-  /// Diagonal entries (0 where absent).
-  std::vector<double> Diagonal() const;
-
   /// Element access, O(row nnz); for tests.
   double At(uint32_t row, uint32_t col) const;
 

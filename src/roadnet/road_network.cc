@@ -35,9 +35,7 @@ void RoadNetwork::SetEdgeClosed(EdgeId e, bool closed) {
     if (!closed) return;  // reopening on an all-open network: no-op
     closed_.assign(edges_.size(), 0);
   }
-  if (closed_[e] == static_cast<uint8_t>(closed)) return;
   closed_[e] = closed ? 1 : 0;
-  num_closed_ += closed ? 1 : -1;
 }
 
 Result<double> RoadNetwork::PathLengthM(

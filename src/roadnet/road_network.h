@@ -138,7 +138,6 @@ class RoadNetwork {
   bool EdgeClosed(EdgeId e) const {
     return !closed_.empty() && closed_[e] != 0;
   }
-  size_t NumClosedEdges() const { return num_closed_; }
 
   /// True when the topology arrays view a shared snapshot image (edge
   /// attributes may still have been copy-on-written locally).
@@ -175,7 +174,6 @@ class RoadNetwork {
   /// (frozen-world) common case pays nothing. Always private memory —
   /// never part of a snapshot image.
   std::vector<uint8_t> closed_;
-  size_t num_closed_ = 0;
 };
 
 /// Accumulates vertices/edges and finalizes into an immutable RoadNetwork.

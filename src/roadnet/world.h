@@ -47,10 +47,6 @@ struct World {
   std::array<std::vector<VertexId>, kNumDistrictTypes> vertices_by_district;
   size_t num_patches = 0;
 
-  DistrictType VertexDistrict(VertexId v) const {
-    return vertex_district[v];
-  }
-
   /// Rebuilds vertices_by_district from vertex_district.
   void IndexDistricts();
 };

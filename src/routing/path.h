@@ -16,9 +16,6 @@ struct Path {
   bool operator==(const Path&) const = default;
 
   bool empty() const { return vertices.empty(); }
-  size_t NumHops() const {
-    return vertices.size() < 2 ? 0 : vertices.size() - 1;
-  }
   VertexId source() const { return vertices.front(); }
   VertexId destination() const { return vertices.back(); }
 };

@@ -42,11 +42,11 @@ RouteCache::RouteCache() {
 
 size_t RouteCache::CapacityBytes() { return kCapacityBytes; }
 
-RouteCache::Shard& RouteCache::ShardFor(const RouteCacheKey& key) {
+RouteCache::Shard& RouteCache::ShardFor(const QueryKey& key) {
   return *shards_[QueryKeyHash{}(key) & (kNumShards - 1)];
 }
 
-bool RouteCache::Lookup(const RouteCacheKey& key, RouteResult* out,
+bool RouteCache::Lookup(const QueryKey& key, RouteResult* out,
                         WorldEpoch* epoch_out) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
@@ -73,7 +73,7 @@ bool RouteCache::Lookup(const RouteCacheKey& key, RouteResult* out,
   return true;
 }
 
-void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
+void RouteCache::Insert(const QueryKey& key, const RouteResult& value,
                         WorldEpoch epoch, std::vector<RegionId> regions) {
   // Copy outside the lock, and charge the byte budget from the stored
   // copy: the caller's path vector may carry excess capacity, and the
@@ -115,7 +115,7 @@ void RouteCache::Insert(const RouteCacheKey& key, const RouteResult& value,
 }
 
 void RouteCache::ExtractInvalidShard(size_t shard_idx,
-                                     std::vector<RouteCacheKey>* out) {
+                                     std::vector<QueryKey>* out) {
   if (world_ == nullptr) return;
   Shard& shard = *shards_[shard_idx];
   MutexLock lock(shard.mu);

@@ -15,12 +15,8 @@
 
 namespace l2r {
 
-/// Cache key: a query quantized to what the router actually consumes —
-/// the shared (s, d, period) identity from core/serve_hooks.h (quantize
-/// departure times with L2RRouter::EffectivePeriod).
-using RouteCacheKey = QueryKey;
-
-/// Sharded, mutex-striped LRU cache of complete RouteResults. Serves
+/// Sharded, mutex-striped LRU cache of complete RouteResults, keyed on
+/// the shared query identity QueryKey (core/serve_hooks.h). Serves
 /// repeated (source, dest, period) queries without touching the search
 /// kernels. Sizing is fixed in route_cache.cc: 8 MiB of (approximate)
 /// RouteResult bytes over 16 lock stripes, each evicting LRU within its
@@ -80,7 +76,7 @@ class RouteCache {
   /// served). On a hit `*epoch_out` (when non-null) receives the epoch
   /// the entry was computed on, for stale-but-valid serve accounting.
   /// (Non-const: a hit touches LRU state.)
-  bool Lookup(const RouteCacheKey& key, RouteResult* out,
+  bool Lookup(const QueryKey& key, RouteResult* out,
               WorldEpoch* epoch_out = nullptr);
 
   /// Inserts (or refreshes) `key`; evicts least-recently-used entries of
@@ -89,7 +85,7 @@ class RouteCache {
   /// `regions` its invalidation footprint (sorted unique, from
   /// RouteRegionFootprint). The frozen world is epoch 0 with an empty
   /// footprint (never invalidated).
-  void Insert(const RouteCacheKey& key, const RouteResult& value,
+  void Insert(const QueryKey& key, const RouteResult& value,
               WorldEpoch epoch = 0, std::vector<RegionId> regions = {});
 
   /// Removes every entry of shard `shard_idx` (< NumShards()) whose
@@ -98,8 +94,7 @@ class RouteCache {
   /// (world/RouteRepairer) turns lazy invalidation into an explicit
   /// re-route work list this way, one shard at a time, so repair workers
   /// pinned to disjoint shard sets never contend on the same stripe.
-  void ExtractInvalidShard(size_t shard_idx,
-                           std::vector<RouteCacheKey>* out);
+  void ExtractInvalidShard(size_t shard_idx, std::vector<QueryKey>* out);
 
   /// Aggregated over shards; counters are exact, entries/bytes are a
   /// consistent-per-shard snapshot.
@@ -117,7 +112,7 @@ class RouteCache {
 
  private:
   struct Entry {
-    RouteCacheKey key;
+    QueryKey key;
     RouteResult result;
     WorldEpoch epoch = 0;
     /// Sorted unique region buckets the result depends on (may contain
@@ -131,7 +126,7 @@ class RouteCache {
     Mutex mu;
     /// Front = most recently used.
     std::list<Entry> lru L2R_GUARDED_BY(mu);
-    std::unordered_map<RouteCacheKey, std::list<Entry>::iterator,
+    std::unordered_map<QueryKey, std::list<Entry>::iterator,
                        QueryKeyHash>
         map L2R_GUARDED_BY(mu);
     size_t bytes L2R_GUARDED_BY(mu) = 0;
@@ -148,7 +143,7 @@ class RouteCache {
   /// True when no region of `e`'s footprint was dirtied after `e.epoch`.
   bool EntryValid(const Entry& e) const;
 
-  Shard& ShardFor(const RouteCacheKey& key);
+  Shard& ShardFor(const QueryKey& key);
 
   /// Shards are heap-allocated: mutexes are neither movable nor copyable,
   /// and a stable address per shard keeps iterators/locks simple.

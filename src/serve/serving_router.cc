@@ -31,8 +31,7 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
   // holds structurally. Null world = frozen epoch 0, no locking.
   WorldReadPin pin(world_);
   const WorldEpoch epoch = pin.epoch();
-  const TimePeriod period = router_->EffectivePeriod(departure_time);
-  const QueryKey key{s, d, static_cast<uint8_t>(period)};
+  const QueryKey key = QueryKeyOf(s, d, departure_time);
   if (cache_ != nullptr) {
     RouteResult hit;
     WorldEpoch hit_epoch = 0;
@@ -51,16 +50,14 @@ Result<RouteResult> ServingRouter::Route(L2RQueryContext* ctx, VertexId s,
   // Every cold/error dispatch runs on the pinned (current) epoch.
   // Relaxed: pure serve tally, documented order in the header.
   current_epoch_serves_.fetch_add(1, std::memory_order_relaxed);
-  return ColdRoute(ctx, key, departure_time, pin);
+  return ColdRoute(ctx, key, pin);
 }
 
 Result<RouteResult> ServingRouter::ColdRoute(L2RQueryContext* ctx,
                                              const QueryKey& key,
-                                             double departure_time,
                                              const WorldReadPin& pin) {
-  Result<RouteResult> result =
-      router_->Route(ctx, key.s, key.d, departure_time,
-                     settle_cap_.load(std::memory_order_relaxed));
+  Result<RouteResult> result = router_->Route(
+      ctx, key, settle_cap_.load(std::memory_order_relaxed));
   if (result.ok()) {
     if (result->budget_degraded) {
       budget_degraded_.fetch_add(1, std::memory_order_relaxed);

@@ -25,8 +25,8 @@ struct ServingRouterOptions {
 };
 
 /// The serving layer: sits between BatchRouter (or any front-end) and
-/// L2RRouter. A query first consults the sharded RouteCache keyed on
-/// (s, d, EffectivePeriod); a miss runs the cold path under the deadline
+/// L2RRouter. A query first consults the sharded RouteCache keyed on its
+/// QueryKey (s, d, period); a miss runs the cold path under the deadline
 /// budget's settle cap, then populates the cache. Duplicates are
 /// suppressed upstream by BatchRouter's batch dedup and here by the
 /// cache: two concurrent identical misses both compute the same bytes on
@@ -97,15 +97,14 @@ class ServingRouter final : public QueryService {
   }
 
   /// The cold path, the only code that computes a cache entry: routes
-  /// `key` departing at `departure_time` (which must map to key.period)
-  /// at the current settle cap, counts a degrade, and caches an ok result
-  /// stamped with `pin`'s epoch and its region footprint. `pin` is the
-  /// caller's: pins are not reentrant, so this one does not pin again.
+  /// `key` at the current settle cap, counts a degrade, and caches an ok
+  /// result stamped with `pin`'s epoch and its region footprint. `pin` is
+  /// the caller's: pins are not reentrant, so this one does not pin
+  /// again.
   /// Route's miss path and the repair pass (world/RouteRepairer) both
   /// call it; it bumps no serve tally (queries, cache misses, epoch
   /// serves), so a repair is not counted as a served query.
   Result<RouteResult> ColdRoute(L2RQueryContext* ctx, const QueryKey& key,
-                                double departure_time,
                                 const WorldReadPin& pin);
 
   WorldViewIface* world() const { return world_; }

@@ -3,21 +3,8 @@
 #include <vector>
 
 #include "common/check.h"
-#include "traj/trajectory.h"
 
 namespace l2r {
-
-namespace {
-
-/// A departure time mapping to `period` under PeriodOf (noon is off-peak,
-/// 08:00 is morning rush) — the cache key stores only the period, so the
-/// repairer reconstructs a representative departure time to route with.
-double DepartureTimeFor(uint8_t period) {
-  return period == static_cast<uint8_t>(TimePeriod::kPeak) ? 8 * 3600.0
-                                                           : 12 * 3600.0;
-}
-
-}  // namespace
 
 RouteRepairer::RouteRepairer(ServingRouter* serving) : serving_(serving) {
   L2R_CHECK(serving != nullptr);
@@ -63,8 +50,7 @@ bool RouteRepairer::BackgroundTick(unsigned worker, unsigned num_workers) {
   for (const QueryKey& key : stale) {
     // An error (e.g. the destination closed off) is what a cache miss
     // would return too, and it caches nothing: the entry is dropped.
-    if (serving_->ColdRoute(&ctx, key, DepartureTimeFor(key.period), pin)
-            .ok()) {
+    if (serving_->ColdRoute(&ctx, key, pin).ok()) {
       ++repaired;
     }
   }

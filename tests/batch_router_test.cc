@@ -154,8 +154,8 @@ TEST_F(BatchRouterTest, DedupGroupsAcrossDepartureTimesWithinAPeriod) {
   ASSERT_GT(base.size(), 1u);
   BatchQuery shifted = base.front();
   shifted.departure_time += 60;  // one minute later, same commute
-  ASSERT_EQ(router_->EffectivePeriod(base.front().departure_time),
-            router_->EffectivePeriod(shifted.departure_time));
+  ASSERT_EQ(PeriodOf(base.front().departure_time),
+            PeriodOf(shifted.departure_time));
   const std::vector<BatchQuery> batch{base.front(), shifted};
 
   BatchRouter plain(router_, 1);

@@ -43,7 +43,6 @@ RouteResult MakeResult(VertexId a, size_t hops) {
   }
   r.path.cost = static_cast<double>(hops);
   r.method = RouteMethod::kRegionGraph;
-  r.region_hops = hops;
   return r;
 }
 
@@ -138,7 +137,7 @@ TEST(WorkspacePoolStress, CrossThreadReturnContention) {
 void InsertChurnKey(RouteCache& cache, int thread, int op,
                     WorldEpoch epoch = 0, std::vector<RegionId> regions = {}) {
   const VertexId s = static_cast<VertexId>(1000 + thread * 10'000 + op);
-  cache.Insert(RouteCacheKey{s, s + 1, 0}, MakeResult(s, 1000), epoch,
+  cache.Insert(QueryKey{s, s + 1, 0}, MakeResult(s, 1000), epoch,
                std::move(regions));
 }
 
@@ -163,7 +162,7 @@ TEST(RouteCacheStress, ConcurrentLookupInsertChurn) {
         }
         const VertexId s =
             static_cast<VertexId>((i * 31 + t * 17) % kKeySpace);
-        const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
+        const QueryKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
         const RouteResult want = MakeResult(s, 3 + s % 5);
         RouteResult got;
         if (cache.Lookup(key, &got)) {
@@ -197,7 +196,7 @@ TEST(RouteCacheStress, SameKeyReplaceNeverServesAMixedEntry) {
   // entry (fields from two inserts) is a hard failure here and a data
   // race under TSan.
   RouteCache cache;
-  const RouteCacheKey key{7, 9, 1};
+  const QueryKey key{7, 9, 1};
   auto versioned = [](WorldEpoch v) {
     return MakeResult(static_cast<VertexId>(v % 997),
                       3 + static_cast<size_t>(v % 9));
@@ -332,7 +331,7 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
         }
         const VertexId s =
             static_cast<VertexId>((i * 31 + t * 17) % kKeySpace);
-        const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
+        const QueryKey key{s, s + 1, static_cast<uint8_t>(s % 2)};
         const RegionId region = s % AtomicWorld::kRegions;
         const RouteResult want = MakeResult(s, 3 + s % 5);
         const WorldEpoch floor = world.LastDirtyEpoch(key.period, region);
@@ -372,7 +371,7 @@ TEST(RouteCacheStress, DirtySetInvalidationRacesChurnUnderEviction) {
   // Quiesced: one eager sweep drains everything stale, after which every
   // resident entry is valid and a second sweep finds nothing.
   auto sweep = [&cache] {
-    std::vector<RouteCacheKey> stale;
+    std::vector<QueryKey> stale;
     for (size_t i = 0; i < cache.NumShards(); ++i) {
       cache.ExtractInvalidShard(i, &stale);
     }
@@ -514,11 +513,9 @@ TEST_F(ServingStressTest, ConcurrentIdenticalMissesMatchTheColdPath) {
     L2RQueryContext ctx = router_->MakeContext();
     for (const BatchQuery& q : MakeQueries(64)) {
       if (keys.size() == 4) break;
-      const QueryKey key{
-          q.s, q.d,
-          static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
+      const QueryKey key = QueryKeyOf(q.s, q.d, q.departure_time);
       if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-      Result<RouteResult> r = router_->Route(&ctx, q.s, q.d, q.departure_time);
+      Result<RouteResult> r = router_->Route(&ctx, key);
       if (!r.ok()) continue;  // errors are never cached
       keys.push_back(q);
       seen.push_back(key);

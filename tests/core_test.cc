@@ -156,21 +156,30 @@ TEST_F(L2REndToEndTest, SameRegionQueriesUseInnerPathsOrFastest) {
     ++tried;
     EXPECT_TRUE(routed->method == RouteMethod::kInnerRegionPopular ||
                 routed->method == RouteMethod::kFastestFallback);
-    EXPECT_EQ(routed->source_region, routed->dest_region);
   }
   EXPECT_GT(tried, 5u);
 }
 
 TEST_F(L2REndToEndTest, DepartureTimeSelectsPeriodGraph) {
   // The same query at peak vs off-peak may route differently, but both
-  // must be valid; region ids refer to different graphs.
+  // must be valid. The departure-time adapter answers exactly what the
+  // key form answers for the period that time falls in.
   L2RQueryContext ctx = router_->MakeContext();
   const MatchedTrajectory& t = dataset_->split.test.front();
-  auto off = router_->Route(&ctx, t.path.front(), t.path.back(), 12 * 3600);
-  auto peak = router_->Route(&ctx, t.path.front(), t.path.back(), 8 * 3600);
+  const VertexId s = t.path.front();
+  const VertexId d = t.path.back();
+  auto off = router_->Route(&ctx, s, d, 12 * 3600);
+  auto peak = router_->Route(&ctx, s, d, 8 * 3600);
   ASSERT_TRUE(off.ok() && peak.ok());
   EXPECT_TRUE(PathIsConnected(net(), off->path.vertices));
   EXPECT_TRUE(PathIsConnected(net(), peak->path.vertices));
+  auto off_key = router_->Route(
+      &ctx, QueryKey{s, d, static_cast<uint8_t>(TimePeriod::kOffPeak)});
+  auto peak_key = router_->Route(
+      &ctx, QueryKey{s, d, static_cast<uint8_t>(TimePeriod::kPeak)});
+  ASSERT_TRUE(off_key.ok() && peak_key.ok());
+  EXPECT_TRUE(*off == *off_key);
+  EXPECT_TRUE(*peak == *peak_key);
 }
 
 TEST_F(L2REndToEndTest, InvalidQueriesRejected) {
@@ -180,6 +189,12 @@ TEST_F(L2REndToEndTest, InvalidQueriesRejected) {
       router_->Route(&ctx, 0, static_cast<VertexId>(net().NumVertices()), 0)
           .ok());
   EXPECT_FALSE(router_->Route(nullptr, 0, 1, 0).ok());
+  // A period with no region graph is rejected like an out-of-range id.
+  for (const uint8_t period : {static_cast<uint8_t>(kNumTimePeriods),
+                               static_cast<uint8_t>(255)}) {
+    EXPECT_EQ(router_->Route(&ctx, QueryKey{0, 1, period}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 /// FNV-1a over what the offline build decides, per served period: every

@@ -32,13 +32,6 @@ TEST(SparseMatrixTest, Multiply) {
   EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
 
-TEST(SparseMatrixTest, DiagonalExtraction) {
-  const SparseMatrix m = SparseMatrix::FromTriplets(
-      3, {{0, 0, 2.0}, {1, 1, -1.0}, {0, 2, 9.0}});
-  const auto d = m.Diagonal();
-  EXPECT_EQ(d, (std::vector<double>{2.0, -1.0, 0.0}));
-}
-
 TEST(SparseMatrixTest, RowIteration) {
   const SparseMatrix m = SparseMatrix::FromTriplets(
       3, {{1, 0, 4.0}, {1, 2, 5.0}});

@@ -30,7 +30,6 @@ RouteResult MakeResult(VertexId a, size_t hops) {
   }
   r.path.cost = static_cast<double>(hops);
   r.method = RouteMethod::kRegionGraph;
-  r.region_hops = hops;
   return r;
 }
 
@@ -51,20 +50,19 @@ size_t HopsFillingShard(const RouteCache& cache, size_t n) {
 }
 
 /// `n` distinct off-peak keys that share one cache shard.
-std::vector<RouteCacheKey> SameShardKeys(const RouteCache& cache, size_t n) {
-  std::vector<RouteCacheKey> keys;
-  const size_t shard = QueryKeyHash{}(RouteCacheKey{1, 2, 0}) %
-                       cache.NumShards();
+std::vector<QueryKey> SameShardKeys(const RouteCache& cache, size_t n) {
+  std::vector<QueryKey> keys;
+  const size_t shard = QueryKeyHash{}(QueryKey{1, 2, 0}) % cache.NumShards();
   for (VertexId s = 1; keys.size() < n; ++s) {
-    const RouteCacheKey key{s, s + 1, 0};
+    const QueryKey key{s, s + 1, 0};
     if (QueryKeyHash{}(key) % cache.NumShards() == shard) keys.push_back(key);
   }
   return keys;
 }
 
 /// Every stale entry of every shard (RouteCache::ExtractInvalidShard).
-std::vector<RouteCacheKey> ExtractAllInvalid(RouteCache& cache) {
-  std::vector<RouteCacheKey> stale;
+std::vector<QueryKey> ExtractAllInvalid(RouteCache& cache) {
+  std::vector<QueryKey> stale;
   for (size_t i = 0; i < cache.NumShards(); ++i) {
     cache.ExtractInvalidShard(i, &stale);
   }
@@ -75,7 +73,7 @@ TEST(RouteCacheTest, HitReturnsExactInsertedValue) {
   // A short path and a 101-vertex one: every size round-trips whole.
   for (const size_t hops : {size_t{5}, size_t{100}}) {
     RouteCache cache;
-    const RouteCacheKey key{7, 9, 1};
+    const QueryKey key{7, 9, 1};
     const RouteResult want = MakeResult(7, hops);
     RouteResult got;
     EXPECT_FALSE(cache.Lookup(key, &got));
@@ -95,12 +93,12 @@ TEST(RouteCacheTest, PeriodIsPartOfTheKey) {
   RouteCache cache;
   const RouteResult offpeak = MakeResult(1, 3);
   const RouteResult peak = MakeResult(100, 4);
-  cache.Insert(RouteCacheKey{1, 2, 0}, offpeak);
-  cache.Insert(RouteCacheKey{1, 2, 1}, peak);
+  cache.Insert(QueryKey{1, 2, 0}, offpeak);
+  cache.Insert(QueryKey{1, 2, 1}, peak);
   RouteResult got;
-  ASSERT_TRUE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
+  ASSERT_TRUE(cache.Lookup(QueryKey{1, 2, 0}, &got));
   EXPECT_TRUE(got == offpeak);
-  ASSERT_TRUE(cache.Lookup(RouteCacheKey{1, 2, 1}, &got));
+  ASSERT_TRUE(cache.Lookup(QueryKey{1, 2, 1}, &got));
   EXPECT_TRUE(got == peak);
 }
 
@@ -108,7 +106,7 @@ TEST(RouteCacheTest, LruEvictionRespectsByteCapacityAndRecency) {
   // Three entries fill one shard, so a fourth evicts exactly one.
   RouteCache cache;
   const size_t hops = HopsFillingShard(cache, 3);
-  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 4);
+  const std::vector<QueryKey> key = SameShardKeys(cache, 4);
   cache.Insert(key[0], MakeResult(1, hops));
   cache.Insert(key[1], MakeResult(2, hops));
   cache.Insert(key[2], MakeResult(3, hops));
@@ -131,7 +129,7 @@ TEST(RouteCacheTest, ByteAccountingStaysExactUnderEvictionChurn) {
   // accounting as entries churn through eviction.
   RouteCache cache;
   const size_t hops = HopsFillingShard(cache, 3);
-  const std::vector<RouteCacheKey> keys = SameShardKeys(cache, 200);
+  const std::vector<QueryKey> keys = SameShardKeys(cache, 200);
   for (size_t i = 0; i < keys.size(); ++i) {
     RouteResult r = MakeResult(keys[i].s, hops);
     r.path.vertices.reserve(2 * (hops + 1));  // excess caller-side capacity
@@ -150,10 +148,10 @@ TEST(RouteCacheTest, ByteAccountingStaysExactUnderEvictionChurn) {
 TEST(RouteCacheTest, OversizeEntryIsNotCached) {
   RouteCache cache;
   // One entry larger than a whole shard.
-  cache.Insert(RouteCacheKey{1, 2, 0},
+  cache.Insert(QueryKey{1, 2, 0},
                MakeResult(1, 2 * HopsFillingShard(cache, 1)));
   RouteResult got;
-  EXPECT_FALSE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
+  EXPECT_FALSE(cache.Lookup(QueryKey{1, 2, 0}, &got));
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
@@ -173,12 +171,12 @@ TEST(RouteCacheTest, ConcurrentMixedLoadStaysConsistent) {
         if (i % 2 == 1) {
           const VertexId s =
               static_cast<VertexId>(1000 + t * kOpsPerThread + i);
-          cache.Insert(RouteCacheKey{s, s + 1, 0},
+          cache.Insert(QueryKey{s, s + 1, 0},
                        MakeResult(s, kChurnHops));
           continue;
         }
         const VertexId s = static_cast<VertexId>((t * 7 + i) % 97);
-        const RouteCacheKey key{s, s + 1, static_cast<uint8_t>(i % 4 / 2)};
+        const QueryKey key{s, s + 1, static_cast<uint8_t>(i % 4 / 2)};
         if (cache.Lookup(key, &got)) {
           // Values are keyed deterministically, so a hit must match what
           // any thread inserted for this key.
@@ -204,7 +202,7 @@ TEST(RouteCacheTest, EveryHitRefreshesRecency) {
   // third insert must evict that one, whatever the hit entry's size.
   RouteCache cache;
   const size_t half = HopsFillingShard(cache, 2);
-  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 3);
+  const std::vector<QueryKey> key = SameShardKeys(cache, 3);
   cache.Insert(key[0], MakeResult(1, 8));
   cache.Insert(key[1], MakeResult(2, half));
   RouteResult got;
@@ -250,8 +248,8 @@ TEST(RouteCacheTest, EpochInvalidationIsSelectivePerFootprint) {
   FakeWorld world;
   RouteCache cache;
   cache.SetWorld(&world);
-  const RouteCacheKey touched{1, 2, 0};
-  const RouteCacheKey untouched{3, 4, 0};
+  const QueryKey touched{1, 2, 0};
+  const QueryKey untouched{3, 4, 0};
   cache.Insert(touched, MakeResult(1, 4), 0, {1, 2});
   cache.Insert(untouched, MakeResult(3, 4), 0, {5});
 
@@ -277,19 +275,19 @@ TEST(RouteCacheTest, PeriodsInvalidateIndependently) {
   FakeWorld world;
   RouteCache cache;
   cache.SetWorld(&world);
-  cache.Insert(RouteCacheKey{1, 2, 0}, MakeResult(1, 3), 0, {7});
-  cache.Insert(RouteCacheKey{1, 2, 1}, MakeResult(100, 3), 0, {7});
+  cache.Insert(QueryKey{1, 2, 0}, MakeResult(1, 3), 0, {7});
+  cache.Insert(QueryKey{1, 2, 1}, MakeResult(100, 3), 0, {7});
   world.MarkDirty(1, 7, 1);  // peak only
   RouteResult got;
-  EXPECT_TRUE(cache.Lookup(RouteCacheKey{1, 2, 0}, &got));
-  EXPECT_FALSE(cache.Lookup(RouteCacheKey{1, 2, 1}, &got));
+  EXPECT_TRUE(cache.Lookup(QueryKey{1, 2, 0}, &got));
+  EXPECT_FALSE(cache.Lookup(QueryKey{1, 2, 1}, &got));
 }
 
 TEST(RouteCacheTest, AllRegionsFootprintDiesOnAnyDirtyInItsPeriod) {
   FakeWorld world;
   RouteCache cache;
   cache.SetWorld(&world);
-  const RouteCacheKey key{1, 2, 0};
+  const QueryKey key{1, 2, 0};
   // Degraded results carry the whole-period sentinel footprint (their
   // degrade bit depends on exploration, not just the final path).
   cache.Insert(key, MakeDegradedResult(1, 4), 0, {kAllRegionsBucket});
@@ -303,7 +301,7 @@ TEST(RouteCacheTest, InsertPrefersTheNewestEpochStamp) {
   FakeWorld world;
   RouteCache cache;
   cache.SetWorld(&world);
-  const RouteCacheKey key{1, 2, 0};
+  const QueryKey key{1, 2, 0};
   cache.Insert(key, MakeResult(1, 4), 2, {3});
   cache.Insert(key, MakeResult(50, 4), 1, {3});  // stale racer: ignored
   RouteResult got;
@@ -321,22 +319,22 @@ TEST(RouteCacheTest, ExtractInvalidSweepsExactlyTheStaleEntries) {
   FakeWorld world;
   RouteCache cache;
   cache.SetWorld(&world);
-  cache.Insert(RouteCacheKey{1, 2, 0}, MakeResult(1, 4), 0, {1});
-  cache.Insert(RouteCacheKey{3, 4, 0}, MakeResult(3, 4), 0, {2});
-  cache.Insert(RouteCacheKey{5, 6, 0}, MakeResult(5, 4), 0, {1, 9});
+  cache.Insert(QueryKey{1, 2, 0}, MakeResult(1, 4), 0, {1});
+  cache.Insert(QueryKey{3, 4, 0}, MakeResult(3, 4), 0, {2});
+  cache.Insert(QueryKey{5, 6, 0}, MakeResult(5, 4), 0, {1, 9});
   world.MarkDirty(0, 1, 1);
 
-  std::vector<RouteCacheKey> stale = ExtractAllInvalid(cache);
+  std::vector<QueryKey> stale = ExtractAllInvalid(cache);
   ASSERT_EQ(stale.size(), 2u);
-  for (const RouteCacheKey& key : stale) {
-    EXPECT_TRUE(key == (RouteCacheKey{1, 2, 0}) ||
-                key == (RouteCacheKey{5, 6, 0}));
+  for (const QueryKey& key : stale) {
+    EXPECT_TRUE(key == (QueryKey{1, 2, 0}) ||
+                key == (QueryKey{5, 6, 0}));
   }
   const RouteCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.invalidated, 2u);
   EXPECT_EQ(stats.entries, 1u);
   RouteResult got;
-  EXPECT_TRUE(cache.Lookup(RouteCacheKey{3, 4, 0}, &got));
+  EXPECT_TRUE(cache.Lookup(QueryKey{3, 4, 0}, &got));
   // A second sweep finds nothing left to repair.
   EXPECT_TRUE(ExtractAllInvalid(cache).empty());
 }
@@ -347,7 +345,7 @@ TEST(RouteCacheTest, DegradedEntriesParticipateInLruEviction) {
   // Two locked-path entries to a shard, all in one shard (exact LRU).
   RouteCache cache;
   const size_t hops = HopsFillingShard(cache, 2);
-  const std::vector<RouteCacheKey> key = SameShardKeys(cache, 4);
+  const std::vector<QueryKey> key = SameShardKeys(cache, 4);
   cache.Insert(key[0], MakeDegradedResult(1, hops));
   cache.Insert(key[1], MakeResult(2, hops));
   RouteResult got;
@@ -440,7 +438,7 @@ class ServeTest : public ::testing::Test {
         continue;
       }
       const auto capped =
-          router_->Route(&ctx, q.s, q.d, q.departure_time,
+          router_->Route(&ctx, QueryKeyOf(q.s, q.d, q.departure_time),
                          DeadlineBudget::kMinSettles);
       if (capped.ok() && capped->budget_degraded) out.push_back(q);
     }

@@ -84,8 +84,9 @@ class WorldTest : public ::testing::Test {
       const BatchQuery q{static_cast<VertexId>(rng.Index(n)),
                          static_cast<VertexId>(rng.Index(n)),
                          tries % 2 == 0 ? 12 * 3600.0 : 8 * 3600.0};
-      const auto capped = router_->Route(&ctx, q.s, q.d, q.departure_time,
-                                         DeadlineBudget::kMinSettles);
+      const auto capped =
+          router_->Route(&ctx, QueryKeyOf(q.s, q.d, q.departure_time),
+                         DeadlineBudget::kMinSettles);
       if (capped.ok() && capped->budget_degraded) out.push_back(q);
     }
     return out;
@@ -647,9 +648,7 @@ TEST_F(WorldTest, RepairCostsOneServingCapRoutePerStaleKey) {
     for (size_t i = 0; i < queries.size(); ++i) {
       if (!warm[i].ok()) continue;  // errors are never cached
       const BatchQuery& q = queries[i];
-      const QueryKey key{
-          q.s, q.d,
-          static_cast<uint8_t>(router_->EffectivePeriod(q.departure_time))};
+      const QueryKey key = QueryKeyOf(q.s, q.d, q.departure_time);
       if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
       seen.push_back(key);
       RouteResult hit;
@@ -659,7 +658,7 @@ TEST_F(WorldTest, RepairCostsOneServingCapRoutePerStaleKey) {
       ++stale;
       const uint64_t settles0 = cold.TotalSettles();
       const Result<RouteResult> want =
-          router_->Route(&cold, q.s, q.d, q.departure_time, cap);
+          router_->Route(&cold, key, cap);
       cold_settles += cold.TotalSettles() - settles0;
       ASSERT_TRUE(want.ok());
       EXPECT_TRUE(*want == hit);
