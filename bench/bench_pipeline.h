@@ -32,21 +32,21 @@ struct PipelineSetup {
   std::vector<RegionEdgeFeatures> features;
 };
 
-inline std::unique_ptr<PipelineSetup> BuildPipeline(const DatasetSpec& spec) {
+inline Result<std::unique_ptr<PipelineSetup>> BuildPipeline(
+    const DatasetSpec& spec) {
   auto setup = std::make_unique<PipelineSetup>();
-  auto built = BuildDataset(spec);
-  if (!built.ok()) return nullptr;
-  setup->data = std::make_unique<BuiltDataset>(std::move(built).value());
+  L2R_ASSIGN_OR_RETURN(BuiltDataset built, BuildDataset(spec));
+  setup->data = std::make_unique<BuiltDataset>(std::move(built));
   const RoadNetwork& net = setup->data->world.net;
 
-  auto tg = TrajectoryGraph::Build(net, setup->data->split.train);
-  if (!tg.ok()) return nullptr;
-  auto clustering = BottomUpClustering(*tg, net.NumVertices());
-  if (!clustering.ok()) return nullptr;
-  auto graph =
-      BuildRegionGraph(net, *clustering, &setup->data->split.train);
-  if (!graph.ok()) return nullptr;
-  setup->graph = std::make_unique<RegionGraph>(std::move(*graph));
+  L2R_ASSIGN_OR_RETURN(const TrajectoryGraph tg,
+                       TrajectoryGraph::Build(net, setup->data->split.train));
+  L2R_ASSIGN_OR_RETURN(const ClusteringResult clustering,
+                       BottomUpClustering(tg, net.NumVertices()));
+  L2R_ASSIGN_OR_RETURN(
+      RegionGraph graph,
+      BuildRegionGraph(net, clustering, &setup->data->split.train));
+  setup->graph = std::make_unique<RegionGraph>(std::move(graph));
   setup->weights = std::make_unique<WeightSet>(net, TimePeriod::kOffPeak);
   const SlaveReachability reach =
       SlaveReachability::Build(net, setup->space.slaves());

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,30 +44,19 @@ struct ComparisonSetup {
   std::vector<QueryCase> queries;
 };
 
-inline std::unique_ptr<ComparisonSetup> BuildComparison(
+inline Result<std::unique_ptr<ComparisonSetup>> BuildComparison(
     const DatasetSpec& spec, size_t max_queries) {
   auto setup = std::make_unique<ComparisonSetup>();
   setup->spec = spec;
-  auto built = BuildDataset(spec);
-  if (!built.ok()) {
-    std::fprintf(stderr, "dataset %s: %s\n", spec.name.c_str(),
-                 built.status().ToString().c_str());
-    return nullptr;
-  }
-  setup->data = std::move(built).value();
+  L2R_ASSIGN_OR_RETURN(setup->data, BuildDataset(spec));
   const RoadNetwork& net = setup->data.world.net;
   std::printf("[%s] %zu vertices, %zu edges, %zu train / %zu test\n",
               spec.name.c_str(), net.NumVertices(), net.NumEdges(),
               setup->data.split.train.size(), setup->data.split.test.size());
 
   L2ROptions options;
-  auto l2r = L2RRouter::Build(&net, setup->data.split.train, options);
-  if (!l2r.ok()) {
-    std::fprintf(stderr, "l2r build: %s\n",
-                 l2r.status().ToString().c_str());
-    return nullptr;
-  }
-  setup->l2r = std::move(l2r).value();
+  L2R_ASSIGN_OR_RETURN(
+      setup->l2r, L2RRouter::Build(&net, setup->data.split.train, options));
 
   setup->shortest = std::make_unique<ShortestRouter>(net);
   setup->fastest = std::make_unique<FastestRouter>(net);
@@ -80,6 +70,18 @@ inline std::unique_ptr<ComparisonSetup> BuildComparison(
 
   setup->queries = BuildQueries(net, setup->data.split.test, max_queries);
   return setup;
+}
+
+/// A paper bench's exit code over its dataset runs: prints each failed
+/// run's status to stderr and returns 1 if any failed, else 0.
+inline int ExitCode(std::initializer_list<Status> runs) {
+  int code = 0;
+  for (const Status& status : runs) {
+    if (status.ok()) continue;
+    std::fprintf(stderr, "build failed: %s\n", status.ToString().c_str());
+    code = 1;
+  }
+  return code;
 }
 
 /// Evaluates L2R + all baselines; order matches the paper's figures.

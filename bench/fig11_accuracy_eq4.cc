@@ -8,9 +8,9 @@ using namespace l2r;
 
 namespace {
 
-void RunDataset(const DatasetSpec& spec) {
-  auto setup = bench::BuildComparison(spec, bench::BenchQueries());
-  if (setup == nullptr) return;
+Status RunDataset(const DatasetSpec& spec) {
+  L2R_ASSIGN_OR_RETURN(auto setup,
+                       bench::BuildComparison(spec, bench::BenchQueries()));
   const auto evals = bench::EvaluateAll(setup.get());
   auto eq4 = [](const BucketStats& b) { return b.mean_accuracy_eq4; };
   PrintComparisonTable(
@@ -25,13 +25,13 @@ void RunDataset(const DatasetSpec& spec) {
         return ev.by_region;
       },
       eq4, "accuracy %, Eq. 4");
+  return Status::OK();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Fig. 11: Accuracy using Eq. 4 ===\n");
-  RunDataset(MetroDataset(bench::BenchScale()));
-  RunDataset(CityDataset(bench::BenchScale()));
-  return 0;
+  return bench::ExitCode({RunDataset(MetroDataset(bench::BenchScale())),
+                          RunDataset(CityDataset(bench::BenchScale()))});
 }

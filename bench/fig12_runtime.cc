@@ -9,9 +9,9 @@ using namespace l2r;
 
 namespace {
 
-void RunDataset(const DatasetSpec& spec) {
-  auto setup = bench::BuildComparison(spec, bench::BenchQueries());
-  if (setup == nullptr) return;
+Status RunDataset(const DatasetSpec& spec) {
+  L2R_ASSIGN_OR_RETURN(auto setup,
+                       bench::BuildComparison(spec, bench::BenchQueries()));
   const auto evals = bench::EvaluateAll(setup.get());
   auto ms = [](const BucketStats& b) { return b.mean_query_ms; };
   PrintComparisonTable(
@@ -26,13 +26,13 @@ void RunDataset(const DatasetSpec& spec) {
         return ev.by_region;
       },
       ms, "mean query time, ms");
+  return Status::OK();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Fig. 12: Online Running Time ===\n");
-  RunDataset(MetroDataset(bench::BenchScale()));
-  RunDataset(CityDataset(bench::BenchScale()));
-  return 0;
+  return bench::ExitCode({RunDataset(MetroDataset(bench::BenchScale())),
+                          RunDataset(CityDataset(bench::BenchScale()))});
 }

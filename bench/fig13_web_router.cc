@@ -17,22 +17,21 @@ using namespace l2r;
 
 namespace {
 
-void RunDataset(const DatasetSpec& spec) {
-  auto built = BuildDataset(spec);
-  if (!built.ok()) return;
-  const RoadNetwork& net = built->world.net;
+Status RunDataset(const DatasetSpec& spec) {
+  L2R_ASSIGN_OR_RETURN(const BuiltDataset built, BuildDataset(spec));
+  const RoadNetwork& net = built.world.net;
   std::printf("\n[%s] %zu vertices, %zu train / %zu test\n",
               spec.name.c_str(), net.NumVertices(),
-              built->split.train.size(), built->split.test.size());
+              built.split.train.size(), built.split.test.size());
 
   L2ROptions options;
-  auto l2r = L2RRouter::Build(&net, built->split.train, options);
-  if (!l2r.ok()) return;
-  L2RQueryContext ctx = (*l2r)->MakeContext();
+  L2R_ASSIGN_OR_RETURN(const std::unique_ptr<L2RRouter> l2r,
+                       L2RRouter::Build(&net, built.split.train, options));
+  L2RQueryContext ctx = l2r->MakeContext();
   WebRouter web(net);
 
   const auto queries =
-      BuildQueries(net, built->split.test, bench::BenchQueries());
+      BuildQueries(net, built.split.test, bench::BenchQueries());
 
   struct Accum {
     double l2r = 0;
@@ -42,7 +41,7 @@ void RunDataset(const DatasetSpec& spec) {
   std::vector<Accum> by_dist(spec.buckets.size());
   std::vector<Accum> by_region(kNumRegionCategories);
   for (const QueryCase& q : queries) {
-    auto l2r_route = (*l2r)->Route(&ctx, q.s, q.d, q.departure_time);
+    auto l2r_route = l2r->Route(&ctx, q.s, q.d, q.departure_time);
     auto web_route = web.Route(q.s, q.d);
     if (!l2r_route.ok() || !web_route.ok()) continue;
     const double sim_l2r =
@@ -50,7 +49,7 @@ void RunDataset(const DatasetSpec& spec) {
     const double sim_web =
         PolylineBandSimilarity(net, q.gt_path, web_route->polyline, 10.0);
     const size_t db = spec.buckets.BucketOf(q.gt_length_m);
-    const size_t rb = static_cast<size_t>(CategorizeQuery(**l2r, q));
+    const size_t rb = static_cast<size_t>(CategorizeQuery(*l2r, q));
     for (Accum* acc : {&by_dist[db], &by_region[rb]}) {
       acc->l2r += sim_l2r;
       acc->web += sim_web;
@@ -73,13 +72,13 @@ void RunDataset(const DatasetSpec& spec) {
                 RegionCategoryName(static_cast<RegionCategory>(c)),
                 100 * a.l2r / a.n, 100 * a.web / a.n, a.n);
   }
+  return Status::OK();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Fig. 13: Comparison with the Web Routing Service ===\n");
-  RunDataset(MetroDataset(bench::BenchScale()));
-  RunDataset(CityDataset(bench::BenchScale()));
-  return 0;
+  return bench::ExitCode({RunDataset(MetroDataset(bench::BenchScale())),
+                          RunDataset(CityDataset(bench::BenchScale()))});
 }

@@ -18,19 +18,17 @@ using namespace l2r;
 
 int main() {
   std::printf("=== Fig. 6: Preference Statistics (City dataset) ===\n");
-  auto setup = bench::BuildPipeline(CityDataset(bench::BenchScale()));
-  if (setup == nullptr) {
-    std::fprintf(stderr, "pipeline build failed\n");
-    return 1;
-  }
-  const RegionGraph& g = *setup->graph;
-  const RoadNetwork& net = setup->data->world.net;
+  auto built = bench::BuildPipeline(CityDataset(bench::BenchScale()));
+  if (!built.ok()) return bench::ExitCode({built.status()});
+  const bench::PipelineSetup& setup = **built;
+  const RegionGraph& g = *setup.graph;
+  const RoadNetwork& net = setup.data->world.net;
   std::printf("regions=%zu T-edges=%zu B-edges=%zu\n", g.NumRegions(),
               g.NumTEdges(), g.NumBEdges());
 
   // --- (a) Unique per-path preferences per T-edge, over the paths the
   // router learns each edge from.
-  PreferenceLearner learner(net, *setup->weights, setup->space);
+  PreferenceLearner learner(net, *setup.weights, setup.space);
   std::map<size_t, size_t> unique_counts;  // #unique prefs -> #edges
   std::array<size_t, kNumCostFeatures> master_counts{};
   size_t edges_sampled = 0;
@@ -68,7 +66,7 @@ int main() {
   // --- (b) T-edge similarity vs preference similarity.
   std::vector<uint32_t> labeled_edges;
   for (uint32_t e = 0; e < g.NumTEdges(); ++e) {
-    if (setup->labeled[e].has_value()) labeled_edges.push_back(e);
+    if (setup.labeled[e].has_value()) labeled_edges.push_back(e);
   }
   Rng rng(1234);
   constexpr int kBuckets = 10;
@@ -82,11 +80,11 @@ int main() {
     if (a == b) continue;
     // reSim is in [0, 2]; normalize to [0, 1] for the bucket axis.
     const double sim =
-        RegionEdgeSimilarity(setup->features[a], setup->features[b]) / 2.0;
+        RegionEdgeSimilarity(setup.features[a], setup.features[b]) / 2.0;
     const int bucket =
         std::min(kBuckets - 1, static_cast<int>(sim * kBuckets));
     pref_sim_sum[bucket] +=
-        PreferenceJaccard(*setup->labeled[a], *setup->labeled[b]);
+        PreferenceJaccard(*setup.labeled[a], *setup.labeled[b]);
     ++pair_counts[bucket];
     ++total_pairs;
   }

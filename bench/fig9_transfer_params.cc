@@ -41,9 +41,9 @@ struct TransferOutcome {
 };
 
 /// Labels folds [0, train_folds) and evaluates on the last fold.
-TransferOutcome RunTransfer(const bench::PipelineSetup& setup,
-                            const FoldData& folds, int train_folds,
-                            int eval_fold, double amr) {
+Result<TransferOutcome> RunTransfer(const bench::PipelineSetup& setup,
+                                    const FoldData& folds, int train_folds,
+                                    int eval_fold, double amr) {
   std::vector<std::optional<RoutingPreference>> labeled(
       setup.graph->NumEdges(), std::nullopt);
   for (size_t i = 0; i < folds.labeled_edges.size(); ++i) {
@@ -55,11 +55,11 @@ TransferOutcome RunTransfer(const bench::PipelineSetup& setup,
   TransferOptions options;
   options.amr = amr;
   Timer timer;
-  auto result =
-      TransferPreferences(setup.features, labeled, setup.space, options);
+  L2R_ASSIGN_OR_RETURN(
+      const TransferResult result,
+      TransferPreferences(setup.features, labeled, setup.space, options));
   TransferOutcome out;
   out.seconds = timer.ElapsedSeconds();
-  if (!result.ok()) return out;
   double acc = 0;
   size_t n = 0;
   size_t nulls = 0;
@@ -67,11 +67,11 @@ TransferOutcome RunTransfer(const bench::PipelineSetup& setup,
     if (folds.fold_of[i] != eval_fold) continue;
     const uint32_t e = folds.labeled_edges[i];
     ++n;
-    if (!result->preferences[e].has_value()) {
+    if (!result.preferences[e].has_value()) {
       ++nulls;
       continue;
     }
-    acc += PreferenceJaccard(*result->preferences[e], *setup.labeled[e]);
+    acc += PreferenceJaccard(*result.preferences[e], *setup.labeled[e]);
   }
   if (n > 0) {
     out.accuracy = acc / static_cast<double>(n - nulls > 0 ? n - nulls : 1);
@@ -84,17 +84,19 @@ TransferOutcome RunTransfer(const bench::PipelineSetup& setup,
 
 int main() {
   std::printf("=== Fig. 9: Parameters of Preference Transfer (City) ===\n");
-  auto setup = bench::BuildPipeline(CityDataset(bench::BenchScale()));
-  if (setup == nullptr) return 1;
-  const FoldData folds = MakeFolds(*setup, 5);
+  auto built = bench::BuildPipeline(CityDataset(bench::BenchScale()));
+  if (!built.ok()) return bench::ExitCode({built.status()});
+  const bench::PipelineSetup& setup = **built;
+  const FoldData folds = MakeFolds(setup, 5);
   std::printf("labeled T-edges: %zu (5 folds)\n",
               folds.labeled_edges.size());
 
   std::printf("\nFig. 9(a) — accuracy vs #T-edge preferences used\n");
   std::printf("%-8s %10s\n", "#T-edges", "Accuracy");
   for (int k = 1; k <= 4; ++k) {
-    const TransferOutcome out = RunTransfer(*setup, folds, k, 4, 0.7);
-    std::printf("%7dX %9.1f%%\n", k, 100 * out.accuracy);
+    const auto out = RunTransfer(setup, folds, k, 4, 0.7);
+    if (!out.ok()) return bench::ExitCode({out.status()});
+    std::printf("%7dX %9.1f%%\n", k, 100 * out->accuracy);
   }
 
   // Our reSim values concentrate higher in [0, 2] than the paper's data
@@ -105,9 +107,10 @@ int main() {
   std::printf("%-6s %10s %8s %12s\n", "amr", "Accuracy", "N-rate",
               "Run-time(s)");
   for (const double amr : {0.5, 0.8, 1.1, 1.4, 1.7}) {
-    const TransferOutcome out = RunTransfer(*setup, folds, 4, 4, amr);
-    std::printf("%-6.1f %9.1f%% %7.1f%% %12.2f\n", amr, 100 * out.accuracy,
-                100 * out.null_rate, out.seconds);
+    const auto out = RunTransfer(setup, folds, 4, 4, amr);
+    if (!out.ok()) return bench::ExitCode({out.status()});
+    std::printf("%-6.1f %9.1f%% %7.1f%% %12.2f\n", amr, 100 * out->accuracy,
+                100 * out->null_rate, out->seconds);
   }
   std::printf(
       "\nPaper shape: (a) accuracy increases with training preferences; "

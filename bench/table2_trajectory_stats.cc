@@ -15,17 +15,12 @@ using namespace l2r;
 
 namespace {
 
-void Report(const DatasetSpec& spec) {
-  auto built = BuildDataset(spec);
-  if (!built.ok()) {
-    std::fprintf(stderr, "%s: %s\n", spec.name.c_str(),
-                 built.status().ToString().c_str());
-    return;
-  }
-  const RoadNetwork& net = built->world.net;
+Status Report(const DatasetSpec& spec) {
+  L2R_ASSIGN_OR_RETURN(const BuiltDataset built, BuildDataset(spec));
+  const RoadNetwork& net = built.world.net;
   std::vector<size_t> counts(spec.buckets.size(), 0);
   size_t total = 0;
-  for (const MatchedTrajectory& t : built->data.matched) {
+  for (const MatchedTrajectory& t : built.data.matched) {
     const auto len = net.PathLengthM(t.path);
     if (!len.ok()) continue;
     ++counts[spec.buckets.BucketOf(*len)];
@@ -39,17 +34,18 @@ void Report(const DatasetSpec& spec) {
     std::printf("%-12s %12zu %11.1f%%\n", spec.buckets.LabelOf(b).c_str(),
                 counts[b], 100.0 * counts[b] / total);
   }
+  return Status::OK();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Table II: Statistics of Trajectories ===\n");
-  Report(MetroDataset(bench::BenchScale()));
-  Report(CityDataset(bench::BenchScale()));
+  const int code = bench::ExitCode({Report(MetroDataset(bench::BenchScale())),
+                                    Report(CityDataset(bench::BenchScale()))});
   std::printf(
       "\nPaper shape: most trips short (city) with a small long tail "
       "(metro); matched when the first bucket dominates and the last holds "
       "a few percent.\n");
-  return 0;
+  return code;
 }

@@ -16,21 +16,22 @@ using namespace l2r;
 
 namespace {
 
-void Report(const DatasetSpec& spec, const std::vector<double>& buckets_km2) {
-  auto built = BuildDataset(spec);
-  if (!built.ok()) return;
-  const RoadNetwork& net = built->world.net;
-  auto tg = TrajectoryGraph::Build(net, built->split.train);
-  if (!tg.ok()) return;
-  auto clustering = BottomUpClustering(*tg, net.NumVertices());
-  if (!clustering.ok()) return;
-  auto graph = BuildRegionGraph(net, *clustering, &built->split.train);
-  if (!graph.ok()) return;
+Status Report(const DatasetSpec& spec,
+              const std::vector<double>& buckets_km2) {
+  L2R_ASSIGN_OR_RETURN(BuiltDataset built, BuildDataset(spec));
+  const RoadNetwork& net = built.world.net;
+  L2R_ASSIGN_OR_RETURN(const TrajectoryGraph tg,
+                       TrajectoryGraph::Build(net, built.split.train));
+  L2R_ASSIGN_OR_RETURN(const ClusteringResult clustering,
+                       BottomUpClustering(tg, net.NumVertices()));
+  L2R_ASSIGN_OR_RETURN(
+      const RegionGraph graph,
+      BuildRegionGraph(net, clustering, &built.split.train));
 
   std::vector<size_t> counts(buckets_km2.size() + 1, 0);
   std::vector<double> max_diam(buckets_km2.size() + 1, 0);
-  for (RegionId r = 0; r < graph->NumRegions(); ++r) {
-    const RegionInfo& info = graph->region(r);
+  for (RegionId r = 0; r < graph.NumRegions(); ++r) {
+    const RegionInfo& info = graph.region(r);
     size_t b = buckets_km2.size();
     for (size_t i = 0; i < buckets_km2.size(); ++i) {
       if (info.hull_area_km2 <= buckets_km2[i]) {
@@ -43,7 +44,7 @@ void Report(const DatasetSpec& spec, const std::vector<double>& buckets_km2) {
   }
 
   std::printf("\nTable IV — %s (%zu regions)\n", spec.name.c_str(),
-              graph->NumRegions());
+              graph.NumRegions());
   std::printf("%-14s %10s %10s %14s\n", "Size (km^2)", "#Regions",
               "Percent", "MaxDiam (km)");
   double lo = 0;
@@ -53,19 +54,21 @@ void Report(const DatasetSpec& spec, const std::vector<double>& buckets_km2) {
             ? StrFormat("(%g,%g]", lo, buckets_km2[b])
             : StrFormat(">%g", buckets_km2.back());
     std::printf("%-14s %10zu %9.1f%% %14.2f\n", label.c_str(), counts[b],
-                100.0 * counts[b] / graph->NumRegions(), max_diam[b]);
+                100.0 * counts[b] / graph.NumRegions(), max_diam[b]);
     if (b < buckets_km2.size()) lo = buckets_km2[b];
   }
+  return Status::OK();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Table IV: Region Sizes ===\n");
-  Report(MetroDataset(bench::BenchScale()), {2, 10, 100});
-  Report(CityDataset(bench::BenchScale()), {2, 5, 10});
+  const int code =
+      bench::ExitCode({Report(MetroDataset(bench::BenchScale()), {2, 10, 100}),
+                       Report(CityDataset(bench::BenchScale()), {2, 5, 10})});
   std::printf(
       "\nPaper shape: most regions in the smallest bucket; a handful of "
       "large backbone regions.\n");
-  return 0;
+  return code;
 }

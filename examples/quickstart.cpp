@@ -8,11 +8,13 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <vector>
 
 #include "core/l2r.h"
 #include "eval/datasets.h"
 #include "pref/similarity.h"
 #include "routing/dijkstra.h"
+#include "traj/trajectory.h"
 
 using namespace l2r;  // NOLINT — example code
 
@@ -54,7 +56,12 @@ int main() {
   // 3. Route the first few test queries and compare with ground truth.
   L2RQueryContext ctx = (*router)->MakeContext();
   DijkstraSearch fastest(net);
-  const EdgeWeights tt(net, CostFeature::kTravelTime, TimePeriod::kOffPeak);
+  // Fastest paths on travel times of the query's departure period, the
+  // period L2R routes it in.
+  std::vector<EdgeWeights> tt;
+  for (int p = 0; p < kNumTimePeriods; ++p) {
+    tt.emplace_back(net, CostFeature::kTravelTime, static_cast<TimePeriod>(p));
+  }
 
   std::printf("\n%6s %6s %10s %12s %12s\n", "src", "dst", "method",
               "L2R pSim", "Fastest pSim");
@@ -64,7 +71,8 @@ int main() {
     const VertexId s = t.path.front();
     const VertexId d = t.path.back();
     auto l2r_route = (*router)->Route(&ctx, s, d, t.departure_time);
-    auto fast_route = fastest.ShortestPath(s, d, tt);
+    auto fast_route = fastest.ShortestPath(
+        s, d, tt[static_cast<int>(PeriodOf(t.departure_time))]);
     if (!l2r_route.ok() || !fast_route.ok()) continue;
     const double sim_l2r =
         PathSimilarity(net, t.path, l2r_route->path.vertices);

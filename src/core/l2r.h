@@ -69,14 +69,13 @@ struct L2RBuildReport {
     double transfer_null_rate = 0;
     /// Transfer's split (TransferResult): adjacency + Laplacian assembly,
     /// the p column solves, off-diagonal nnz of M, the most iterations
-    /// any column's solve took, whether every column met the CG
-    /// tolerance, and the rows of M settled by the sequential tie rule.
+    /// any column's solve took, and whether every column met the CG
+    /// tolerance.
     double transfer_build_seconds = 0;
     double transfer_solve_seconds = 0;
     size_t transfer_adjacency_nnz = 0;
     int transfer_solver_iterations = 0;
     bool transfer_converged = false;
-    size_t transfer_tie_rows = 0;
   };
   PeriodReport period[kNumTimePeriods];
   /// Landmark tables of the goal-directed search potentials.

@@ -69,42 +69,6 @@ struct RowSearch {
   std::vector<TransferNeighbor> found;
 };
 
-/// The sequential rule of BuildNeighborRows for row i: scans j in index
-/// order; a full row evicts its first minimum by position.
-void SequentialRow(size_t i, const std::vector<RegionEdgeFeatures>& features,
-                   const MaskGroups& groups, const RowSearch& search,
-                   double amr, size_t cap, std::vector<TransferNeighbor>* row) {
-  auto weakest_of = [&] {
-    size_t weakest = 0;
-    for (size_t k = 1; k < row->size(); ++k) {
-      if ((*row)[k].sim < (*row)[weakest].sim) weakest = k;
-    }
-    return weakest;
-  };
-  const double dis_i = features[i].dis;
-  row->clear();
-  // A pair enters the row only with reSim > floor: amr while the row has
-  // room, then its weakest kept reSim (itself > amr). reSim <= 1 + Jaccard,
-  // so a pair that bound cannot lift past the floor is skipped unread.
-  double floor = amr;
-  size_t weakest = 0;
-  for (size_t j = 0; j < features.size(); ++j) {
-    if (j == i) continue;
-    const double jac = search.jaccard[groups.mask_id[j]];
-    if (1 + jac <= floor) continue;
-    const double sim = DistanceSimilarity(dis_i, features[j].dis) + jac;
-    if (sim <= floor) continue;
-    if (row->size() < cap) {
-      row->push_back({static_cast<uint32_t>(j), sim});
-      if (row->size() < cap) continue;
-    } else {
-      (*row)[weakest] = {static_cast<uint32_t>(j), sim};
-    }
-    weakest = weakest_of();
-    floor = (*row)[weakest].sim;
-  }
-}
-
 /// The mask-window search for row i. Collects every j whose reSim clears
 /// T: amr (strictly) until `cap` candidates are held, then the cap-th
 /// largest reSim so far (inclusively, so boundary ties are all seen). T
@@ -112,13 +76,11 @@ void SequentialRow(size_t i, const std::vector<RegionEdgeFeatures>& features,
 /// search stops at the first group that bound cannot lift to T; inside a
 /// group, DistanceSimilarity and its rounding fall monotonically as dis
 /// moves away from dis_i, so each direction stops at its first miss.
-/// Returns false when the row is tied at the cap boundary: more than
-/// `cap` candidates reach the cap-th largest reSim v*. Otherwise `row`
-/// holds every candidate (fewer than `cap` clear amr) or the `cap` ones at
-/// or above v*, which the sequential rule provably keeps: an entry above
-/// v* or the only one at it is never the row's minimum while the row is
-/// full of entries at least as large.
-bool WindowRow(size_t i, const std::vector<RegionEdgeFeatures>& features,
+/// Every j at or above the final T, the row's cap-th largest reSim v*, is
+/// therefore collected; those are the row's candidates, and when more
+/// than `cap` of them tie at v* the rule's order (reSim descending, j
+/// ascending) picks the `cap` kept.
+void WindowRow(size_t i, const std::vector<RegionEdgeFeatures>& features,
                const MaskGroups& groups, RowSearch& search, double amr,
                size_t cap, std::vector<TransferNeighbor>* row) {
   const double dis_i = features[i].dis;
@@ -162,22 +124,25 @@ bool WindowRow(size_t i, const std::vector<RegionEdgeFeatures>& features,
     for (size_t k = mid; k > lo && visit(k - 1); --k) {
     }
   }
+  // Until the row is full, T is amr and every candidate cleared it.
   row->clear();
-  if (!full) {
-    row->assign(found.begin(), found.end());
-  } else {
-    for (const TransferNeighbor& nb : found) {
-      if (nb.sim >= t) row->push_back(nb);
-    }
-    if (row->size() != cap) return false;
+  for (const TransferNeighbor& nb : found) {
+    if (nb.sim >= t) row->push_back(nb);
   }
-  return true;
+  if (row->size() > cap) {
+    std::sort(row->begin(), row->end(),
+              [](const TransferNeighbor& a, const TransferNeighbor& b) {
+                return a.sim != b.sim ? a.sim > b.sim : a.j < b.j;
+              });
+    row->resize(cap);
+  }
 }
 
 }  // namespace
 
-NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
-                               const TransferOptions& options) {
+std::vector<std::vector<TransferNeighbor>> BuildNeighborRows(
+    const std::vector<RegionEdgeFeatures>& features,
+    const TransferOptions& options) {
   const size_t n = features.size();
   const size_t cap = options.max_neighbors_per_edge == 0
                          ? n
@@ -185,7 +150,6 @@ NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
   const MaskGroups groups = GroupByMask(features);
   const size_t num_masks = groups.masks.size();
   std::vector<std::vector<TransferNeighbor>> adj(n);
-  std::vector<uint8_t> tied(n, 0);
   // Rows are taken in group order so a worker's Jaccard table and visit
   // order carry over from one row to the next.
   ParallelForWorker(
@@ -206,12 +170,7 @@ NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
                       return search.jaccard[a] > search.jaccard[b];
                     });
         }
-        if (!WindowRow(i, features, groups, search, options.amr, cap,
-                       &adj[i])) {
-          tied[i] = 1;
-          SequentialRow(i, features, groups, search, options.amr, cap,
-                        &adj[i]);
-        }
+        WindowRow(i, features, groups, search, options.amr, cap, &adj[i]);
         std::sort(adj[i].begin(), adj[i].end(),
                   [](const TransferNeighbor& a, const TransferNeighbor& b) {
                     return a.j < b.j;
@@ -219,8 +178,6 @@ NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
       },
       options.num_threads);
 
-  NeighborRows out;
-  for (size_t i = 0; i < n; ++i) out.tie_rows += tied[i];
   // Symmetrize by intersection. reSim is symmetric bit for bit (both
   // terms are), so row i keeps its own entries whose j also kept i, in
   // the same j order.
@@ -231,19 +188,17 @@ NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
         [](const TransferNeighbor& a, uint32_t v) { return a.j < v; });
     return it != r.end() && it->j == j;
   };
-  out.rows.resize(n);
+  std::vector<std::vector<TransferNeighbor>> rows(n);
   ParallelFor(
       n,
       [&](size_t i) {
-        out.rows[i].reserve(adj[i].size());
+        rows[i].reserve(adj[i].size());
         for (const TransferNeighbor& nb : adj[i]) {
-          if (contains(nb.j, static_cast<uint32_t>(i))) {
-            out.rows[i].push_back(nb);
-          }
+          if (contains(nb.j, static_cast<uint32_t>(i))) rows[i].push_back(nb);
         }
       },
       options.num_threads);
-  return out;
+  return rows;
 }
 
 Result<TransferResult> TransferPreferences(
@@ -292,11 +247,10 @@ Result<TransferResult> TransferPreferences(
   // Cost: the mask-window search visits about a hundred pairs per row on
   // a City world instead of all n - 1 (its rows keep up to 64 of ~10k
   // region edges), O(m) Jaccard terms per distinct mask and a binary
-  // search per visited group; only rows tied at the cap boundary, about
-  // 6% of them, pay the sequential O(n) scan.
-  const NeighborRows neighbors = BuildNeighborRows(features, options);
-  const std::vector<std::vector<TransferNeighbor>>& adj = neighbors.rows;
-  result.tie_rows = neighbors.tie_rows;
+  // search per visited group; a row tied at the cap boundary adds a sort
+  // of its candidates, none of the others.
+  const std::vector<std::vector<TransferNeighbor>> adj =
+      BuildNeighborRows(features, options);
 
   // --- System matrix A = S + mu1 (D - M) + mu2 I, its triplets emitted
   // in (row, col) order.

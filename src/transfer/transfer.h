@@ -21,7 +21,8 @@ struct TransferOptions {
   /// an unlabeled edge has no neighbours.
   double mu2 = 0.01;
   /// Per-row cap on adjacency neighbours (keeps M sparse when many edges
-  /// are mutually similar; keeps the strongest similarities). 0 = no cap.
+  /// are mutually similar; keeps the strongest similarities, ties to the
+  /// smaller index; see BuildNeighborRows). 0 = no cap.
   size_t max_neighbors_per_edge = 64;
   /// Threads for the adjacency rows and the column solves; 0 = hardware
   /// concurrency. The result is the same at every value.
@@ -42,9 +43,6 @@ struct TransferResult {
   double solve_seconds = 0;   ///< all p column solves
   int max_solver_iterations = 0;  ///< the most any column's solve took
   bool all_converged = true;      ///< every column met the CG tolerance
-  /// Rows of M tied at the neighbour cap and settled by the sequential
-  /// rule (see BuildNeighborRows).
-  size_t tie_rows = 0;
 };
 
 /// One off-diagonal entry of the similarity graph M: neighbour j and
@@ -54,33 +52,23 @@ struct TransferNeighbor {
   double sim = 0;
 };
 
-/// The rows of M and how many the sequential rule settled.
-struct NeighborRows {
-  /// Per region edge, its neighbours sorted by j. Symmetric: j is in row i
-  /// exactly when i is in row j, with the same sim.
-  std::vector<std::vector<TransferNeighbor>> rows;
-  /// Rows tied at the cap boundary; the mask-window search settled the
-  /// others.
-  size_t tie_rows = 0;
-};
-
-/// M's rows before the Laplacian (Sec. V-B): row i keeps the j != i with
-/// reSim(i, j) > amr, at most `max_neighbors_per_edge` of them, and M is
-/// then symmetrized by intersection (an entry survives only if both rows
-/// kept it). The cap is defined by a sequential rule: scanning j in index
-/// order, a full row evicts its first minimum-reSim entry by position when
-/// a strictly larger reSim arrives.
+/// M's rows before the Laplacian (Sec. V-B), per region edge its
+/// neighbours sorted by j: row i keeps the j != i with reSim(i, j) > amr;
+/// when more than `max_neighbors_per_edge` qualify, it keeps that many of
+/// them, the largest by (reSim descending, j ascending). M is then
+/// symmetrized by intersection (an entry survives only if both rows kept
+/// it), so j is in row i exactly when i is in row j, with the same sim.
 ///
 /// Rows are found by a mask-window search: edges are grouped by f_mask
 /// and sorted by dis, groups are visited in descending Jaccard order and,
-/// inside a group, reSim falls monotonically away from dis_i. The search
-/// settles a row by itself unless entries tie at the cap boundary; only
-/// those rows run the sequential scan, so every row equals the rule's.
-/// Uses `amr`, `max_neighbors_per_edge` and `num_threads` of `options`;
-/// expects finite distances and amr in [0, 2], which TransferPreferences
-/// checks. The rows are the same at every thread count.
-NeighborRows BuildNeighborRows(const std::vector<RegionEdgeFeatures>& features,
-                               const TransferOptions& options);
+/// inside a group, reSim falls monotonically away from dis_i, so a row
+/// reads its candidates and few others. Uses `amr`,
+/// `max_neighbors_per_edge` and `num_threads` of `options`; expects finite
+/// distances and amr in [0, 2], which TransferPreferences checks. The rows
+/// are the same at every thread count.
+std::vector<std::vector<TransferNeighbor>> BuildNeighborRows(
+    const std::vector<RegionEdgeFeatures>& features,
+    const TransferOptions& options);
 
 /// Graph-based transduction of routing preferences from T-edges to B-edges
 /// (Sec. V-B): builds the amr-thresholded similarity graph over region
