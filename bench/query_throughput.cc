@@ -550,7 +550,7 @@ Json DeadlineSweepBlock(const Fixture& fx, bool*) {
 }
 
 /// Offered load from half to ten times the cache-off capacity, served by
-/// StreamRouter under the OverloadController with a 70/30 interactive/bulk
+/// StreamRouter under overload control with a 70/30 interactive/bulk
 /// mix. The cache stays off so capacity is flat across points and the
 /// controller, not the hit rate, absorbs the excess.
 Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
@@ -575,15 +575,14 @@ Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
         bench::OverloadArrivals(slots, fx.capacity_gap_us, multiplier, 1333);
 
     ServingRouter serving(fx.router.get(), Serving(false, kBudgetUs));
-    // Shed once the backlog needs slo/8 to drain, panic (2 x shed) at
-    // slo/4: a served query's wait stays well inside the SLO even on top
-    // of a flood.
-    OverloadController controller(std::max<size_t>(
-        32, static_cast<size_t>(capacity_qps * kSloUs / 8e6)));
     StreamOptions options;
     options.dedup = false;
     options.num_threads = 1;
-    options.overload = &controller;
+    // Shed once the backlog needs slo/8 to drain, panic (2 x shed) at
+    // slo/4: a served query's wait stays well inside the SLO even on top
+    // of a flood.
+    options.shed_depth = std::max<size_t>(
+        32, static_cast<size_t>(capacity_qps * kSloUs / 8e6));
     options.budget_sink = [&serving](double s) { serving.SetBudgetScale(s); };
     StreamRouter stream(&serving, options);
 
@@ -613,7 +612,7 @@ Json OverloadSweepBlock(const Fixture& fx, bool* ok) {
       return Json::Object({{"submitted", s.submitted_by_class[k]},
                            {"shed", s.shed_by_class[k]}});
     };
-    const OverloadController::Stats c = controller.GetStats();
+    const OverloadController::Stats& c = s.controller;
     points.Push(Json::Object(
         {{"multiplier", multiplier},
          {"slots", slots},

@@ -69,10 +69,6 @@ class CowSpan {
   const T* end() const { return data_ + size_; }
   std::span<const T> span() const { return {data_, size_}; }
 
-  /// True when this array owns its storage (mutations are free of the
-  /// copy-on-write copy).
-  bool owned() const { return is_owned_; }
-
   /// Mutable access; copies a viewed array into owned storage first.
   T* Mutable() {
     if (!is_owned_) {

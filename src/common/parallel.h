@@ -18,39 +18,15 @@ inline unsigned DefaultThreadCount() {
   return hw > 16 ? 16 : hw;
 }
 
-/// Runs fn(i) for i in [0, n) on up to `num_threads` threads from the
-/// persistent global ThreadPool (no per-call thread spawn). Work items
-/// are claimed via an atomic counter. Determinism contract: fn(i) must
-/// write only to slot i of pre-sized output arrays (and derive any
-/// randomness from i), so results are independent of scheduling.
-inline void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                        unsigned num_threads = 0) {
-  if (n == 0) return;
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  if (num_threads <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Relaxed claim counter: the RMW alone makes claims unique, and the
-  // results written by fn(i) are published to the caller by the pool's
-  // job-completion handshake (mu_), not by this counter.
-  std::atomic<size_t> next{0};
-  const unsigned helpers =
-      static_cast<unsigned>(n < num_threads ? n : num_threads) - 1;
-  ThreadPool::Global().Run(helpers, [&](unsigned /*rank*/) {
-    while (true) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      fn(i);
-    }
-  });
-}
-
-/// Like ParallelFor, but each participating thread gets its own worker
-/// object created by `make_worker()` (e.g. a Dijkstra workspace). The
-/// worker is created only after the thread claims its first item, so
-/// helpers that wake too late to get work cost nothing.
-/// fn(worker, i) must follow the same slot-i determinism contract.
+/// Runs fn(worker, i) for i in [0, n) on up to `num_threads` threads from
+/// the persistent global ThreadPool (no per-call thread spawn). Work items
+/// are claimed via an atomic counter. Each participating thread gets its
+/// own worker object created by `make_worker()` (e.g. a Dijkstra
+/// workspace), only after the thread claims its first item, so helpers
+/// that wake too late to get work cost nothing. Determinism contract:
+/// fn(worker, i) must write only to slot i of pre-sized output arrays (and
+/// derive any randomness from i), so results are independent of
+/// scheduling.
 template <typename MakeWorker, typename Fn>
 void ParallelForWorker(size_t n, MakeWorker make_worker, Fn fn,
                        unsigned num_threads = 0) {
@@ -61,7 +37,9 @@ void ParallelForWorker(size_t n, MakeWorker make_worker, Fn fn,
     for (size_t i = 0; i < n; ++i) fn(worker, i);
     return;
   }
-  // Relaxed for the same reason as ParallelFor's counter above.
+  // Relaxed claim counter: the RMW alone makes claims unique, and the
+  // results written by fn are published to the caller by the pool's
+  // job-completion handshake (mu_), not by this counter.
   std::atomic<size_t> next{0};
   const unsigned helpers =
       static_cast<unsigned>(n < num_threads ? n : num_threads) - 1;
@@ -74,6 +52,16 @@ void ParallelForWorker(size_t n, MakeWorker make_worker, Fn fn,
       i = next.fetch_add(1, std::memory_order_relaxed);
     } while (i < n);
   });
+}
+
+/// ParallelForWorker with no per-thread worker: runs fn(i) for i in
+/// [0, n) under the same claim loop and slot-i determinism contract.
+inline void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                        unsigned num_threads = 0) {
+  struct NoWorker {};
+  ParallelForWorker(
+      n, [] { return NoWorker{}; }, [&fn](NoWorker&, size_t i) { fn(i); },
+      num_threads);
 }
 
 }  // namespace l2r

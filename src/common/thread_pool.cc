@@ -35,8 +35,6 @@ size_t ThreadPool::NumWorkers() const {
   return workers_.size();
 }
 
-bool ThreadPool::InParallelSection() { return tl_in_parallel_section; }
-
 void ThreadPool::Run(unsigned helpers,
                      const std::function<void(unsigned)>& work) {
   if (helpers == 0 || tl_in_parallel_section) {

@@ -55,10 +55,6 @@ class ThreadPool {
   /// destruction).
   size_t NumWorkers() const L2R_EXCLUDES(mu_);
 
-  /// True on a thread currently participating in a pool job (worker or
-  /// caller); Run calls from such a thread execute inline.
-  static bool InParallelSection();
-
   /// Upper bound on pool size, chosen to bound memory for per-thread
   /// search workspaces even when callers ask for absurd thread counts.
   static constexpr unsigned kMaxWorkers = 64;

@@ -88,10 +88,6 @@ class BatchRouter {
   size_t ContextsCreated() const { return contexts_.CreatedCount(); }
 
   unsigned num_threads() const { return num_threads_; }
-  /// The serving layer queries are routed through, or null when batches
-  /// run on the bare router. Streaming front-ends use this to surface
-  /// service-level counters (e.g. per-epoch serve counts) in their stats.
-  QueryService* service() const { return service_; }
   /// Queries across all batches served by copying a representative's
   /// result instead of routing (0 unless dedup is enabled).
   uint64_t DuplicatesCollapsed() const {

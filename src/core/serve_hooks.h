@@ -16,7 +16,8 @@
 namespace l2r {
 
 /// Priority class of a query, used by admission-level load shedding
-/// (serve/OverloadController + StreamRouter): when offered load exceeds
+/// (a StreamRouter with a shed depth, whose OverloadController decides
+/// which classes to shed): when offered load exceeds
 /// capacity, kBulk work (batch travel-time estimation, prefetch,
 /// analytics) is shed before kInteractive work (a user waiting on a
 /// route) so the interactive latency SLO holds through overload. The

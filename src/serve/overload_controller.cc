@@ -14,7 +14,6 @@ OverloadController::OverloadController(size_t shed_depth)
 }
 
 OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
-  MutexLock guard(mu_);
   ++ticks_;
 
   // A tick is overloaded when interactive waits broke the SLO or the
@@ -69,10 +68,10 @@ OverloadDecision OverloadController::Tick(const OverloadObservation& obs) {
     calm_streak_ = 0;
   }
 
-  return DecisionLocked();
+  return Decision();
 }
 
-OverloadDecision OverloadController::DecisionLocked() const {
+OverloadDecision OverloadController::Decision() const {
   OverloadDecision d;
   d.level = level_;
   d.batch_deadline_us = batch_deadline_us_;
@@ -83,7 +82,6 @@ OverloadDecision OverloadController::DecisionLocked() const {
 }
 
 OverloadController::Stats OverloadController::GetStats() const {
-  MutexLock guard(mu_);
   Stats stats;
   stats.ticks = ticks_;
   stats.overloaded_ticks = overloaded_ticks_;

@@ -4,9 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 namespace l2r {
 
 /// One control tick's worth of serving-stack signals, all on the
@@ -61,9 +58,8 @@ struct OverloadDecision {
 /// ManualClock reproduces the exact decision trace — every control
 /// decision is unit-testable on virtual time.
 ///
-/// Thread-safety: Tick/Current/GetStats are safe from any thread; mu_ is
-/// a leaf mutex (the controller never calls out while holding it), so
-/// callers may hold their own locks across these calls.
+/// Thread-safety: none of its own. A StreamRouter with a shed depth owns
+/// one by value and ticks it under the stream's mutex.
 class OverloadController {
  public:
   struct Stats {
@@ -108,28 +104,26 @@ class OverloadController {
 
   /// Consumes one tick's observation and returns the decision to apply
   /// until the next tick.
-  OverloadDecision Tick(const OverloadObservation& obs) L2R_EXCLUDES(mu_);
+  OverloadDecision Tick(const OverloadObservation& obs);
 
-  Stats GetStats() const L2R_EXCLUDES(mu_);
+  Stats GetStats() const;
 
  private:
-  OverloadDecision DecisionLocked() const L2R_REQUIRES(mu_);
+  OverloadDecision Decision() const;
 
   const size_t shed_depth_;
   const size_t resume_depth_;
   const size_t panic_depth_;
-
-  mutable Mutex mu_;
-  int level_ L2R_GUARDED_BY(mu_) = 0;
-  int64_t batch_deadline_us_ L2R_GUARDED_BY(mu_) = kMaxBatchDeadlineUs;
-  int overload_streak_ L2R_GUARDED_BY(mu_) = 0;
-  int calm_streak_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t ticks_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t overloaded_ticks_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t deadline_cuts_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t deadline_recoveries_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t level_raises_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t level_drops_ L2R_GUARDED_BY(mu_) = 0;
+  int level_ = 0;
+  int64_t batch_deadline_us_ = kMaxBatchDeadlineUs;
+  int overload_streak_ = 0;
+  int calm_streak_ = 0;
+  uint64_t ticks_ = 0;
+  uint64_t overloaded_ticks_ = 0;
+  uint64_t deadline_cuts_ = 0;
+  uint64_t deadline_recoveries_ = 0;
+  uint64_t level_raises_ = 0;
+  uint64_t level_drops_ = 0;
 };
 
 }  // namespace l2r

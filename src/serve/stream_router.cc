@@ -43,14 +43,15 @@ void StreamRouter::Start() {
   L2R_CHECK(options_.batch_deadline_us >= 0);
   {
     MutexLock guard(mu_);
-    dyn_deadline_us_ = controller_ != nullptr
-                           ? OverloadController::kMaxBatchDeadlineUs
-                           : options_.batch_deadline_us;
-    // The first tick is anchored to construction time, before any batcher
-    // starts: anchoring it on a batcher thread instead would race thread
-    // startup against the first clock advance under ManualClock, making
-    // the first tick's timing scheduling-dependent.
-    if (controller_ != nullptr) {
+    stats_.drain_threads = options_.num_drain_threads;
+    decision_.batch_deadline_us = options_.batch_deadline_us;
+    if (options_.shed_depth > 0) {
+      controller_.emplace(options_.shed_depth);
+      decision_.batch_deadline_us = OverloadController::kMaxBatchDeadlineUs;
+      // The first tick is anchored to construction time, before any
+      // batcher starts: anchoring it on a batcher thread instead would
+      // race thread startup against the first clock advance under
+      // ManualClock, making the first tick's timing scheduling-dependent.
       next_tick_us_ =
           clock_->NowMicros() + OverloadController::kControlPeriodUs;
     }
@@ -71,19 +72,19 @@ bool StreamRouter::Submit(const BatchQuery& query, StreamCallback done) {
   {
     MutexLock guard(mu_);
     if (stopping_) {
-      ++rejected_;
+      ++stats_.rejected;
       return false;
     }
-    ++submitted_;
-    ++submitted_by_class_[cls];
+    ++stats_.submitted;
+    ++stats_.submitted_by_class[cls];
     const bool shed = query.query_class == QueryClass::kBulk
-                          ? shed_bulk_
-                          : shed_interactive_;
+                          ? decision_.shed_bulk
+                          : decision_.shed_interactive;
     if (!shed) {
       const int64_t now = clock_->NowMicros();
       const bool opened = open_.empty();
       if (opened) {
-        open_deadline_us_ = BatchDeadline(now, dyn_deadline_us_);
+        open_deadline_us_ = BatchDeadline(now, decision_.batch_deadline_us);
       }
       open_.push_back(Pending{query, std::move(done), now});
       bool closed = false;
@@ -104,8 +105,8 @@ bool StreamRouter::Submit(const BatchQuery& query, StreamCallback done) {
       if (opened || closed) cv_.NotifyAll();
       return true;
     }
-    ++shed_;
-    ++shed_by_class_[cls];
+    ++stats_.shed;
+    ++stats_.shed_by_class[cls];
   }
   // Shed: the query was *accepted* (true return, counted in submitted)
   // but refused service — its callback fires right here, synchronously on
@@ -155,20 +156,20 @@ void StreamRouter::CloseOpenLocked(CloseReason reason, int64_t close_us) {
   ClosedBatch batch;
   batch.queries = std::move(open_);
   open_.clear();
-  batch.seq = ++batches_;
+  batch.seq = ++stats_.batches;
   batch.reason = reason;
   batch.close_us = close_us;
   switch (reason) {
-    case CloseReason::kSize: ++closed_by_size_; break;
-    case CloseReason::kDeadline: ++closed_by_deadline_; break;
-    case CloseReason::kShutdown: ++closed_by_shutdown_; break;
+    case CloseReason::kSize: ++stats_.closed_by_size; break;
+    case CloseReason::kDeadline: ++stats_.closed_by_deadline; break;
+    case CloseReason::kShutdown: ++stats_.closed_by_shutdown; break;
   }
   ++batch_size_hist_[batch.queries.size()];
   undrained_ += batch.queries.size();
   closed_.push_back(std::move(batch));
 }
 
-OverloadDecision StreamRouter::ControllerTickLocked() {
+void StreamRouter::ControllerTickLocked() {
   const int64_t now_us = clock_->NowMicros();
   OverloadObservation obs;
   obs.queue_depth = open_.size() + undrained_;
@@ -179,20 +180,12 @@ OverloadDecision StreamRouter::ControllerTickLocked() {
     obs.wait_p99_us = tick_waits_[idx];
   }
   tick_waits_.clear();
-  // The controller's mutex is a leaf: Tick never calls back out, so
-  // holding mu_ across it cannot deadlock (see OverloadController docs).
-  const OverloadDecision decision = controller_->Tick(obs);
-  dyn_deadline_us_ = decision.batch_deadline_us;
-  shed_bulk_ = decision.shed_bulk;
-  shed_interactive_ = decision.shed_interactive;
-  overload_level_ = decision.level;
-  ++controller_ticks_;
+  decision_ = controller_->Tick(obs);
   // Anchor the next tick at "now", not at next_tick + period: after a
   // long drain the clock may be many periods ahead, and one fresh
   // observation is worth more than a burst of catch-up ticks over the
   // same starved accumulators.
   next_tick_us_ = now_us + OverloadController::kControlPeriodUs;
-  return decision;
 }
 
 void StreamRouter::BatcherLoop(unsigned worker) {
@@ -205,14 +198,16 @@ void StreamRouter::BatcherLoop(unsigned worker) {
     // thread through here at the period boundary ticks, and
     // ControllerTickLocked advances next_tick_us_ before mu_ is
     // released, so every other thread observes now < next_tick_us_ —
-    // exactly one tick per control period at any drain count.
-    if (controller_ != nullptr && clock_->NowMicros() >= next_tick_us_) {
-      const OverloadDecision decision = ControllerTickLocked();
+    // exactly one tick per control period at any drain count. An
+    // uncontrolled stream's next_tick_us_ is kNoDeadline: it never ticks.
+    if (clock_->NowMicros() >= next_tick_us_) {
+      ControllerTickLocked();
       if (options_.budget_sink) {
         // Sink runs unlocked: it calls into the serving layer (and may
         // read our stats), neither of which may happen under mu_.
+        const double budget_scale = decision_.budget_scale;
         lock.Unlock();
-        options_.budget_sink(decision.budget_scale);
+        options_.budget_sink(budget_scale);
         lock.Lock();
       }
       continue;
@@ -243,17 +238,15 @@ void StreamRouter::BatcherLoop(unsigned worker) {
             options_.background_work(worker, drain_threads());
         lock.Lock();
         if (did_work) {
-          ++background_work_runs_;
+          ++stats_.background_work_runs;
           continue;  // re-poll: drains may have queued up meanwhile
         }
         if (!closed_.empty() || !open_.empty() || stopping_) continue;
       }
-      // Idle ticks still run when a controller is wired — that is how a
+      // Idle ticks still run on a controlled stream — that is how a
       // tripped stream recovers (deadline growth, level drops) during a
       // lull with no arrivals to drain.
-      clock_->WaitUntil(cv_, mu_,
-                        controller_ != nullptr ? next_tick_us_
-                                               : Clock::kNoDeadline);
+      clock_->WaitUntil(cv_, mu_, next_tick_us_);
       continue;
     }
     if (stopping_) {
@@ -267,10 +260,7 @@ void StreamRouter::BatcherLoop(unsigned worker) {
       CloseOpenLocked(CloseReason::kDeadline, open_deadline_us_);
       continue;
     }
-    clock_->WaitUntil(cv_, mu_,
-                      controller_ != nullptr
-                          ? std::min(open_deadline_us_, next_tick_us_)
-                          : open_deadline_us_);
+    clock_->WaitUntil(cv_, mu_, std::min(open_deadline_us_, next_tick_us_));
   }
 }
 
@@ -313,37 +303,23 @@ StreamRouter::DrainOutcome StreamRouter::DrainBatch(ClosedBatch batch) {
 }
 
 StreamRouter::Stats StreamRouter::GetStats() const {
-  Stats stats;
-  // Sampled before mu_: the service keeps its own thread-safe counters
-  // (ServingRouter's relaxed tallies), and holding mu_ here would add a
-  // lock-order edge for nothing.
-  if (QueryService* service = batch_router_.service()) {
-    stats.epoch_serves = service->GetEpochServeCounts();
-  }
-  stats.completed = completed_.load(std::memory_order_acquire);
+  // completed_* are loaded before mu_ is taken, so a snapshot never counts
+  // a completion whose submit it does not also count.
+  const uint64_t completed = completed_.load(std::memory_order_acquire);
+  uint64_t completed_by_class[kNumQueryClasses] = {};
   for (size_t c = 0; c < kNumQueryClasses; ++c) {
-    stats.completed_by_class[c] =
+    completed_by_class[c] =
         completed_by_class_[c].load(std::memory_order_relaxed);
   }
-  stats.drain_threads = drain_threads();
   MutexLock guard(mu_);
-  stats.background_work_runs = background_work_runs_;
-  stats.submitted = submitted_;
-  stats.rejected = rejected_;
-  stats.shed = shed_;
-  for (size_t c = 0; c < kNumQueryClasses; ++c) {
-    stats.submitted_by_class[c] = submitted_by_class_[c];
-    stats.shed_by_class[c] = shed_by_class_[c];
-  }
-  stats.batches = batches_;
-  stats.closed_by_size = closed_by_size_;
-  stats.closed_by_deadline = closed_by_deadline_;
-  stats.closed_by_shutdown = closed_by_shutdown_;
+  Stats stats = stats_;
+  stats.completed = completed;
+  std::copy(completed_by_class, completed_by_class + kNumQueryClasses,
+            stats.completed_by_class);
   stats.batch_size_hist.assign(batch_size_hist_.begin(),
                                batch_size_hist_.end());
-  stats.controller_ticks = controller_ticks_;
-  stats.overload_level = overload_level_;
-  stats.batch_deadline_us = dyn_deadline_us_;
+  if (controller_.has_value()) stats.controller = controller_->GetStats();
+  stats.batch_deadline_us = decision_.batch_deadline_us;
   return stats;
 }
 

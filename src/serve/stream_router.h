@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,7 +25,7 @@ struct StreamOptions {
   /// Close the open batch once its first query is this old (microseconds
   /// on the injected clock), even when below StreamRouter::kMaxBatch. 0
   /// closes a batch as soon as the batcher observes any queued query.
-  /// Ignored when `overload` is set: the controller owns the deadline
+  /// Ignored when `shed_depth` is set: the controller owns the deadline
   /// then, starting from OverloadController::kMaxBatchDeadlineUs.
   int64_t batch_deadline_us = 1000;
   /// Drain parallelism (BatchRouter threads); 0 = DefaultThreadCount().
@@ -44,16 +45,14 @@ struct StreamOptions {
   /// Time + wakeup seam (serve/clock.h); null = SystemClock::Shared().
   /// Must outlive the StreamRouter.
   Clock* clock = nullptr;
-  /// Closed-loop overload control (serve/overload_controller.h); null =
-  /// fixed knobs, no shedding. Must outlive the StreamRouter. The
-  /// batcher thread feeds the controller one observation per
-  /// OverloadController::kControlPeriodUs on the injected clock and
-  /// applies each decision:
-  /// the batch deadline (to subsequently opened batches), admission
-  /// shedding per QueryClass, and budget_scale through `budget_sink`.
-  /// The controller's mutex is a leaf, so sharing one across routers is
-  /// safe — but each Tick consumes the shared state, so don't.
-  OverloadController* overload = nullptr;
+  /// Closed-loop overload control (serve/overload_controller.h): the
+  /// shed depth of the stream's own OverloadController; 0 = fixed knobs,
+  /// no shedding. A batcher thread feeds the controller one observation
+  /// per OverloadController::kControlPeriodUs on the injected clock and
+  /// applies each decision: the batch deadline (to subsequently opened
+  /// batches), admission shedding per QueryClass, and budget_scale
+  /// through `budget_sink`.
+  size_t shed_depth = 0;
   /// Receives each tick's OverloadDecision::budget_scale — wire it to
   /// ServingRouter::SetBudgetScale so level >= 2 trades route fidelity
   /// for capacity. Called on a batcher thread with no StreamRouter
@@ -68,8 +67,8 @@ struct StreamOptions {
   /// partitioned by worker index (each worker owns the cache shards with
   /// shard % num_drain_threads == worker, so workers never sweep the
   /// same stripe). Runs opportunistically: only when a drain thread goes
-  /// idle, and re-polled on every wakeup (with a controller wired, the
-  /// idle tick cadence doubles as the repair poll). Must not call back
+  /// idle, and re-polled on every wakeup (with a shed depth set, the idle
+  /// tick cadence doubles as the repair poll). Must not call back
   /// into this StreamRouter; must outlive it.
   std::function<bool(unsigned worker, unsigned num_workers)> background_work;
 };
@@ -109,8 +108,8 @@ using StreamCallback = std::function<void(const StreamResult&)>;
 /// QueryService (cache + budget) — so all the batch-path machinery
 /// composes with arrival jitter.
 ///
-/// Overload control (opt-in via StreamOptions::overload): the batcher
-/// additionally runs the OverloadController once per control period on
+/// Overload control (opt-in via StreamOptions::shed_depth): the batcher
+/// additionally runs its OverloadController once per control period on
 /// the injected clock, feeding it pending depth and the interactive
 /// drain-wait p99, and applying its decision — adaptive batch deadline,
 /// per-class admission shedding (bulk first), and the budget scale via
@@ -176,18 +175,11 @@ class StreamRouter {
     unsigned drain_threads = 0;
     /// Idle-thread background_work invocations that reported work done.
     uint64_t background_work_runs = 0;
-    /// Overload-control snapshot (zeros when no controller is wired).
-    uint64_t controller_ticks = 0;
-    int overload_level = 0;
+    /// The controller's own tallies (zeros when shed_depth is 0).
+    OverloadController::Stats controller;
     /// The deadline currently applied to newly opened batches (the
     /// configured constant without a controller).
     int64_t batch_deadline_us = 0;
-    /// Per-epoch serve split sampled from the backing QueryService
-    /// (dynamic world): queries answered on the current world epoch vs on
-    /// an older-but-still-valid epoch stamp. Zeros when the stream drains
-    /// into a bare router (no QueryService); a service with no world
-    /// attached reports every serve on the current (frozen) epoch.
-    EpochServeCounts epoch_serves;
   };
 
   /// `router`/`service` must outlive the StreamRouter.
@@ -248,19 +240,18 @@ class StreamRouter {
   /// accounting.
   void CloseOpenLocked(CloseReason reason, int64_t close_us)
       L2R_REQUIRES(mu_);
-  /// Feeds the controller one observation and applies its decision to
-  /// the stream knobs. Returns the decision so the caller can run the
-  /// budget sink outside the lock. Advances next_tick_us_ before
-  /// returning, which is the whole tick arbitration: with N drain
-  /// threads, the first to observe the period boundary under mu_ ticks,
-  /// and every other thread then sees now < next_tick_us_.
-  OverloadDecision ControllerTickLocked() L2R_REQUIRES(mu_);
+  /// Feeds the controller one observation and makes its decision the
+  /// stream's. Advances next_tick_us_ before returning, which is the
+  /// whole tick arbitration: with N drain threads, the first to observe
+  /// the period boundary under mu_ ticks, and every other thread then
+  /// sees now < next_tick_us_.
+  void ControllerTickLocked() L2R_REQUIRES(mu_);
   /// Body of drain thread `worker` (of drain_threads()). All threads run
   /// the same loop; the worker index only parameterizes background_work
   /// shard pinning.
   void BatcherLoop(unsigned worker) L2R_EXCLUDES(mu_);
   /// The constructors' shared body: checks the options, anchors the
-  /// first controller tick and starts the drain threads.
+  /// first controller tick when controlled and starts the drain threads.
   void Start();
   /// Runs with mu_ released: routing and callbacks never hold the lock.
   DrainOutcome DrainBatch(ClosedBatch batch) L2R_EXCLUDES(mu_);
@@ -268,8 +259,6 @@ class StreamRouter {
   const StreamOptions options_;
   Clock* const clock_ = options_.clock != nullptr ? options_.clock
                                                   : SystemClock::Shared();
-  /// Null = overload control off.
-  OverloadController* const controller_ = options_.overload;
   BatchRouter batch_router_;
 
   mutable Mutex mu_;
@@ -283,31 +272,24 @@ class StreamRouter {
   size_t undrained_ L2R_GUARDED_BY(mu_) = 0;
   bool stopping_ L2R_GUARDED_BY(mu_) = false;
   bool batchers_joined_ L2R_GUARDED_BY(mu_) = false;
-  uint64_t background_work_runs_ L2R_GUARDED_BY(mu_) = 0;
-  // --- Overload-control state, all applied/read under mu_.
-  /// Deadline for newly opened batches; controller-owned when wired.
-  int64_t dyn_deadline_us_ L2R_GUARDED_BY(mu_);
-  bool shed_bulk_ L2R_GUARDED_BY(mu_) = false;
-  bool shed_interactive_ L2R_GUARDED_BY(mu_) = false;
-  int overload_level_ L2R_GUARDED_BY(mu_) = 0;
-  int64_t next_tick_us_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t controller_ticks_ L2R_GUARDED_BY(mu_) = 0;
+  // --- Overload control. Engaged exactly when options_.shed_depth > 0;
+  // an uncontrolled stream's next_tick_us_ stays at Clock::kNoDeadline,
+  // so it never ticks.
+  std::optional<OverloadController> controller_ L2R_GUARDED_BY(mu_);
+  /// The decision in force: its deadline applies to newly opened batches
+  /// (the configured constant without a controller), its shed flags to
+  /// admission.
+  OverloadDecision decision_ L2R_GUARDED_BY(mu_);
+  int64_t next_tick_us_ L2R_GUARDED_BY(mu_) = Clock::kNoDeadline;
   // Per-tick accumulator, reset by every controller tick.
   std::vector<int64_t> tick_waits_ L2R_GUARDED_BY(mu_);
-  // Counters guarded by mu_ except completed_*, which the drain path
-  // updates outside the lock (release order pairs with the acquire load
-  // in GetStats, so a caller that observed completed == submitted also
-  // observes every callback's side effects).
-  uint64_t submitted_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t rejected_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t shed_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t submitted_by_class_[kNumQueryClasses] L2R_GUARDED_BY(mu_) = {0, 0};
-  uint64_t shed_by_class_[kNumQueryClasses] L2R_GUARDED_BY(mu_) = {0, 0};
-  uint64_t batches_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t closed_by_size_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t closed_by_deadline_ L2R_GUARDED_BY(mu_) = 0;
-  uint64_t closed_by_shutdown_ L2R_GUARDED_BY(mu_) = 0;
+  /// The counters guarded by mu_; GetStats fills in the rest (completed*,
+  /// batch_size_hist, controller, batch_deadline_us).
+  Stats stats_ L2R_GUARDED_BY(mu_);
   std::map<size_t, uint64_t> batch_size_hist_ L2R_GUARDED_BY(mu_);
+  // Updated by the drain path outside the lock (release order pairs with
+  // the acquire load in GetStats, so a caller that observed completed ==
+  // submitted also observes every callback's side effects).
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> completed_by_class_[kNumQueryClasses];
 

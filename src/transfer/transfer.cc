@@ -180,21 +180,34 @@ std::vector<std::vector<TransferNeighbor>> BuildNeighborRows(
 
   // Symmetrize by intersection. reSim is symmetric bit for bit (both
   // terms are), so row i keeps its own entries whose j also kept i, in
-  // the same j order.
-  auto contains = [&](size_t row, uint32_t j) {
-    const auto& r = adj[row];
-    auto it = std::lower_bound(
-        r.begin(), r.end(), j,
-        [](const TransferNeighbor& a, uint32_t v) { return a.j < v; });
-    return it != r.end() && it->j == j;
-  };
+  // the same j order. kept_by[i] lists the rows that kept i, ascending: a
+  // counting sort by j over rows taken in order. Row i is then merged
+  // with kept_by[i], both sorted by j.
+  std::vector<uint32_t> kept_by_start(n + 1, 0);
+  for (const auto& row : adj) {
+    for (const TransferNeighbor& nb : row) ++kept_by_start[nb.j + 1];
+  }
+  for (size_t i = 0; i < n; ++i) kept_by_start[i + 1] += kept_by_start[i];
+  std::vector<uint32_t> kept_by(kept_by_start[n]);
+  {
+    std::vector<uint32_t> fill(kept_by_start.begin(), kept_by_start.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      for (const TransferNeighbor& nb : adj[i]) {
+        kept_by[fill[nb.j]++] = static_cast<uint32_t>(i);
+      }
+    }
+  }
   std::vector<std::vector<TransferNeighbor>> rows(n);
   ParallelFor(
       n,
       [&](size_t i) {
+        const uint32_t* k = kept_by.data() + kept_by_start[i];
+        const uint32_t* const end = kept_by.data() + kept_by_start[i + 1];
         rows[i].reserve(adj[i].size());
         for (const TransferNeighbor& nb : adj[i]) {
-          if (contains(nb.j, static_cast<uint32_t>(i))) rows[i].push_back(nb);
+          while (k != end && *k < nb.j) ++k;
+          if (k == end) break;
+          if (*k == nb.j) rows[i].push_back(nb);
         }
       },
       options.num_threads);

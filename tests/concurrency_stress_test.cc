@@ -648,10 +648,6 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   const std::vector<BatchQuery> queries = MakeQueries(16);
   ASSERT_GE(queries.size(), 8u);
 
-  // Shed depth 16 (panic at 32): small enough that the flood trips it
-  // for real.
-  OverloadController controller(16);
-
   // Cache off: every served query runs the cold path, so the flood lasts
   // across control periods instead of draining from the cache at once.
   ServingRouterOptions serve_options;
@@ -668,7 +664,9 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   options.num_threads = 2;
   options.num_drain_threads = num_drains;
   options.dedup = false;  // every served slot must reach the chaos layer
-  options.overload = &controller;
+  // Shed depth 16 (panic at 32): small enough that the flood trips it
+  // for real.
+  options.shed_depth = 16;
   options.budget_sink = [&serving](double scale) {
     serving.SetBudgetScale(scale);
   };
@@ -713,7 +711,7 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   }
   // A fast host can serve the whole flood inside the first 2 ms period;
   // idle ticks still come, so wait for one before shutting down.
-  while (controller.GetStats().ticks == 0) std::this_thread::yield();
+  while (stream.GetStats().controller.ticks == 0) std::this_thread::yield();
   stream.Shutdown();
 
   for (size_t i = 0; i < kTotal; ++i) {
@@ -730,7 +728,7 @@ TEST_P(StreamDrainStressTest, OverloadShedConservesCallbacks) {
   EXPECT_EQ(stats.completed_by_class[0] + stats.completed_by_class[1],
             stats.completed);
   // The controller really ran and the chaos layer really misbehaved.
-  EXPECT_GT(controller.GetStats().ticks, 0u);
+  EXPECT_GT(stats.controller.ticks, 0u);
   EXPECT_EQ(chaos.GetStats().queries, stats.completed);
   EXPECT_EQ(stats.drain_threads, num_drains);
 }

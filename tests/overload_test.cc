@@ -262,8 +262,8 @@ class OverloadServeTest : public ::testing::Test {
     return queries;
   }
 
-  static void AwaitTicks(const OverloadController& controller, uint64_t n) {
-    while (controller.GetStats().ticks < n) std::this_thread::yield();
+  static void AwaitTicks(const StreamRouter& stream, uint64_t n) {
+    while (stream.GetStats().controller.ticks < n) std::this_thread::yield();
   }
 
   static BuiltDataset* dataset_;
@@ -331,17 +331,15 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
   ASSERT_EQ(queries.size(), 8u);
 
   ManualClock clock;
-  // Shed depth 4: resume at 1, panic at 8 — out of reach of the 6
-  // queries below, so this test stays at level 1.
-  OverloadController controller(4);
-
   ServingRouter serving(router_);
   // Fewer than kMaxBatch queries: only the (adaptive) deadline closes
   // batches.
   StreamOptions options;
   options.num_threads = 1;
   options.clock = &clock;
-  options.overload = &controller;
+  // Shed depth 4: resume at 1, panic at 8 — out of reach of the 6
+  // queries below, so this test stays at level 1.
+  options.shed_depth = 4;
   StreamRouter stream(&serving, options);
 
   // Six interactive queries pile up at t = 1500, in a batch due at
@@ -359,16 +357,16 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
   // trips level 1, deadline cut to 500). t = 2500: the batch closes by
   // its original deadline and drains.
   clock.AdvanceMicros(500);
-  AwaitTicks(controller, 1);
+  AwaitTicks(stream, 1);
   EXPECT_EQ(stream.GetStats().completed, 0u);
   clock.AdvanceMicros(500);
   while (stream.GetStats().completed < 6) std::this_thread::yield();
   EXPECT_EQ(served.load(std::memory_order_acquire), 6u);
   {
     const StreamRouter::Stats stats = stream.GetStats();
-    EXPECT_EQ(stats.overload_level, 1);
+    EXPECT_EQ(stats.controller.level, 1);
     EXPECT_EQ(stats.batch_deadline_us, 500);
-    EXPECT_GE(stats.controller_ticks, 1u);
+    EXPECT_GE(stats.controller.ticks, 1u);
   }
 
   // Bulk is now refused at admission: the callback fires synchronously on
@@ -390,18 +388,15 @@ TEST_F(OverloadServeTest, StreamShedsBulkFirstWithResourceExhausted) {
 
   // Interactive is still admitted at level 1 and serves under the *cut*
   // deadline: the batch opened at t = 2500 closes at t = 3000, before
-  // the next tick at t = 4000.
-  std::atomic<bool> interactive_done{false};
-  ASSERT_TRUE(
-      stream.Submit(queries[7], [&interactive_done](const StreamResult& r) {
-        EXPECT_TRUE(r.result.ok());
-        EXPECT_EQ(r.queue_wait_us, 500);
-        interactive_done.store(true, std::memory_order_release);
-      }));
+  // the next tick at t = 4000. The completed counter lands just after
+  // the callback returns, so the wait is on the counter the stats below
+  // read, not on a flag the callback sets.
+  ASSERT_TRUE(stream.Submit(queries[7], [](const StreamResult& r) {
+    EXPECT_TRUE(r.result.ok());
+    EXPECT_EQ(r.queue_wait_us, 500);
+  }));
   clock.AdvanceMicros(500);
-  while (!interactive_done.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
+  while (stream.GetStats().completed < 7) std::this_thread::yield();
 
   const StreamRouter::Stats stats = stream.GetStats();
   EXPECT_EQ(stats.submitted, 8u);
@@ -428,15 +423,12 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
   ASSERT_EQ(queries.size(), 7u);
 
   ManualClock clock;
-  // Shed depth 2: resume at 0, panic at 4.
-  OverloadController controller(2);
-
   ServingRouter serving(router_);
   std::atomic<int> scale_cents{100};  // budget_sink trace, in percent
   StreamOptions options;
   options.num_threads = 1;
   options.clock = &clock;
-  options.overload = &controller;
+  options.shed_depth = 2;  // resume at 0, panic at 4
   options.budget_sink = [&scale_cents](double scale) {
     scale_cents.store(static_cast<int>(scale * 100),
                       std::memory_order_release);
@@ -450,10 +442,10 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
     ASSERT_TRUE(stream.Submit(queries[i], [](const StreamResult&) {}));
   }
   clock.AdvanceMicros(500);
-  AwaitTicks(controller, 1);
+  AwaitTicks(stream, 1);
   clock.AdvanceMicros(500);
   while (stream.GetStats().completed < 5) std::this_thread::yield();
-  EXPECT_EQ(stream.GetStats().overload_level, 3);
+  EXPECT_EQ(stream.GetStats().controller.level, 3);
   // Level >= 2 pushed the degraded budget scale through the sink.
   EXPECT_EQ(scale_cents.load(std::memory_order_acquire), 25);
 
@@ -472,25 +464,23 @@ TEST_F(OverloadServeTest, PanicShedsInteractiveAndCalmTicksRecover) {
 
   // Idle calm ticks walk the ladder back down (three per level), even
   // with no arrivals — then admission and the full budget come back.
-  uint64_t ticks = controller.GetStats().ticks;
-  for (int i = 0; i < 30 && controller.GetStats().level > 0; ++i) {
+  uint64_t ticks = stream.GetStats().controller.ticks;
+  for (int i = 0; i < 30 && stream.GetStats().controller.level > 0; ++i) {
     clock.AdvanceMicros(OverloadController::kControlPeriodUs);
-    AwaitTicks(controller, ticks + 1);
-    ticks = controller.GetStats().ticks;
+    AwaitTicks(stream, ticks + 1);
+    ticks = stream.GetStats().controller.ticks;
   }
-  EXPECT_EQ(controller.GetStats().level, 0);
+  EXPECT_EQ(stream.GetStats().controller.level, 0);
   EXPECT_EQ(scale_cents.load(std::memory_order_acquire), 100);
 
-  std::atomic<bool> done{false};
-  ASSERT_TRUE(stream.Submit(queries[6], [&done](const StreamResult& r) {
+  ASSERT_TRUE(stream.Submit(queries[6], [](const StreamResult& r) {
     EXPECT_TRUE(r.result.ok());
     EXPECT_FALSE(r.shed);
-    done.store(true, std::memory_order_release);
   }));
   const int64_t deadline_us = stream.GetStats().batch_deadline_us;
   EXPECT_GT(deadline_us, 0);
   clock.AdvanceMicros(deadline_us);
-  while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+  while (stream.GetStats().completed < 6) std::this_thread::yield();
 
   const StreamRouter::Stats stats = stream.GetStats();
   EXPECT_EQ(stats.submitted,
@@ -632,10 +622,6 @@ TEST_F(OverloadServeTest, ChaoticStreamNeverDropsACallback) {
   ASSERT_GE(queries.size(), 4u);
 
   ManualClock clock;
-  // Shed depth 3: resume at 0, panic at 6, within reach of the paced
-  // arrivals below (one per 300 us against a 1 ms batch deadline).
-  OverloadController controller(3);
-
   ServingRouter serving(router_);
   ChaosOptions chaos_options;
   chaos_options.seed = 7;
@@ -648,7 +634,9 @@ TEST_F(OverloadServeTest, ChaoticStreamNeverDropsACallback) {
   options.num_threads = 1;
   options.dedup = false;  // every served slot reaches the chaos layer
   options.clock = &clock;
-  options.overload = &controller;
+  // Shed depth 3: resume at 0, panic at 6, within reach of the paced
+  // arrivals below (one per 300 us against a 1 ms batch deadline).
+  options.shed_depth = 3;
   StreamRouter stream(&chaos, options);
 
   constexpr size_t kSlots = 48;

@@ -425,11 +425,10 @@ TEST_F(StreamRouterTest, OverlappingDrainsTickExactlyOncePerPeriod) {
   // not periods x drain threads. Idle ticks run with no queries at all —
   // that is also how a tripped stream recovers during a lull.
   ManualClock clock;
-  OverloadController controller(256);
   StreamOptions options;
   options.num_threads = 1;
   options.num_drain_threads = 4;
-  options.overload = &controller;
+  options.shed_depth = 256;
   options.clock = &clock;
   StreamRouter stream(router_, options);
   ASSERT_EQ(stream.drain_threads(), 4u);
@@ -440,14 +439,50 @@ TEST_F(StreamRouterTest, OverlappingDrainsTickExactlyOncePerPeriod) {
     // Wait for the winning thread's tick, then hold: virtual time is
     // frozen, so a duplicate tick (a second thread through the same
     // boundary) is the only way the count could move past period.
-    while (stream.GetStats().controller_ticks < period) {
+    while (stream.GetStats().controller.ticks < period) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(stream.GetStats().controller_ticks, period);
-    EXPECT_EQ(controller.GetStats().ticks, period);
+    EXPECT_EQ(stream.GetStats().controller.ticks, period);
   }
   stream.Shutdown();
-  EXPECT_EQ(stream.GetStats().controller_ticks, 5u);
+  EXPECT_EQ(stream.GetStats().controller.ticks, 5u);
+}
+
+TEST_F(StreamRouterTest, UncontrolledStreamNeverTicksAndClosesOnItsDeadline) {
+  // shed_depth = 0: next_tick_us_ stays at kNoDeadline, so across a dozen
+  // control periods of virtual time no thread ever ticks, and every batch
+  // still closes at exactly the configured batch_deadline_us.
+  const std::vector<BatchQuery> queries = MakeQueries(1);
+  ASSERT_EQ(queries.size(), 1u);
+  constexpr int64_t kDeadlineUs = 300;
+  constexpr uint64_t kPeriods = 12;
+  ManualClock clock;
+  StreamOptions options;
+  options.batch_deadline_us = kDeadlineUs;
+  options.num_threads = 1;
+  options.num_drain_threads = 2;
+  options.clock = &clock;
+  StreamRouter stream(router_, options);
+
+  std::vector<StreamResult> got(kPeriods);
+  for (uint64_t p = 0; p < kPeriods; ++p) {
+    ASSERT_TRUE(stream.Submit(
+        queries[0], [&got, p](const StreamResult& r) { got[p] = r; }));
+    // A whole period at once: the close is stamped at its deadline.
+    clock.AdvanceMicros(OverloadController::kControlPeriodUs);
+    AwaitCompleted(stream, p + 1);
+  }
+  for (uint64_t p = 0; p < kPeriods; ++p) {
+    EXPECT_TRUE(got[p].closed_by_deadline) << p;
+    EXPECT_EQ(got[p].queue_wait_us, kDeadlineUs) << p;
+    EXPECT_EQ(got[p].batch_seq, p + 1) << p;
+  }
+  const StreamRouter::Stats stats = stream.GetStats();
+  EXPECT_EQ(stats.closed_by_deadline, kPeriods);
+  EXPECT_EQ(stats.batch_deadline_us, kDeadlineUs);
+  EXPECT_EQ(stats.controller.ticks, 0u);
+  EXPECT_EQ(stats.controller.level, 0);
+  EXPECT_EQ(stats.controller.batch_deadline_us, 0);
 }
 
 TEST_F(StreamRouterTest, ShutdownFlushesQueuedQueries) {
@@ -526,13 +561,13 @@ TEST_F(StreamRouterTest, SubmitWaitRoundTripsThroughTheBatchPath) {
   EXPECT_EQ(stream.GetStats().closed_by_deadline, queries.size());
 }
 
-TEST_F(StreamRouterTest, StatsSampleTheEpochServeSplitFromTheService) {
+TEST_F(StreamRouterTest, ServiceCountsEveryStreamedServeOnTheFrozenEpoch) {
   const std::vector<BatchQuery> queries = MakeQueries(4);
   ASSERT_GE(queries.size(), 2u);
 
-  // Draining into a QueryService: the split is sampled through it. With
-  // no world attached the world is frozen at epoch 0, so every serve —
-  // cold inserts and warm hits alike — counts as current-epoch.
+  // The epoch split is the service's own count, read from the service.
+  // With no world attached the world is frozen at epoch 0, so every
+  // serve — cold inserts and warm hits alike — counts as current-epoch.
   ServingRouter serving(router_);
   StreamOptions options;
   options.batch_deadline_us = 0;  // every submit closes at once
@@ -544,19 +579,9 @@ TEST_F(StreamRouterTest, StatsSampleTheEpochServeSplitFromTheService) {
     }
   }
   AwaitCompleted(stream, 2 * queries.size());
-  const StreamRouter::Stats stats = stream.GetStats();
-  EXPECT_EQ(stats.completed, 2 * queries.size());
-  EXPECT_EQ(stats.epoch_serves.current_epoch, stats.completed);
-  EXPECT_EQ(stats.epoch_serves.stale_valid_epoch, 0u);
-
-  // Draining into a bare router: no service to sample, zeros.
-  StreamRouter bare(router_, options);
-  EXPECT_TRUE(bare.SubmitWait(queries[0]).result.ok());
-  AwaitCompleted(bare, 1);
-  const StreamRouter::Stats bare_stats = bare.GetStats();
-  EXPECT_EQ(bare_stats.completed, 1u);
-  EXPECT_EQ(bare_stats.epoch_serves.current_epoch, 0u);
-  EXPECT_EQ(bare_stats.epoch_serves.stale_valid_epoch, 0u);
+  const EpochServeCounts served = serving.GetEpochServeCounts();
+  EXPECT_EQ(served.current_epoch, stream.GetStats().completed);
+  EXPECT_EQ(served.stale_valid_epoch, 0u);
 }
 
 }  // namespace
