@@ -283,18 +283,30 @@ uint64_t ServedRoutesDigest(QueryService& service,
   return h;
 }
 
-/// The router itself as a QueryService (the bare cold path).
+/// The router itself as a QueryService (the bare cold path), optionally
+/// under a preference settle cap (0 = none). Counts the routes that the
+/// cap degraded to their stitched region path.
 class BareService final : public QueryService {
  public:
-  explicit BareService(const L2RRouter* router) : router_(router) {}
+  explicit BareService(const L2RRouter* router, size_t settle_cap = 0)
+      : router_(router), settle_cap_(settle_cap) {}
   const L2RRouter& router() const override { return *router_; }
   Result<RouteResult> Route(L2RQueryContext* ctx, VertexId s, VertexId d,
                             double departure_time) override {
-    return router_->Route(ctx, s, d, departure_time);
+    auto r = router_->Route(ctx, QueryKeyOf(s, d, departure_time),
+                            settle_cap_);
+    if (r.ok() && r->budget_degraded &&
+        r->method == RouteMethod::kRegionGraph) {
+      ++degraded_to_stitch_;
+    }
+    return r;
   }
+  size_t degraded_to_stitch() const { return degraded_to_stitch_; }
 
  private:
   const L2RRouter* router_;
+  size_t settle_cap_;
+  size_t degraded_to_stitch_ = 0;
 };
 
 TEST_F(L2REndToEndTest, ServedRoutesArePinned) {
@@ -316,6 +328,52 @@ TEST_F(L2REndToEndTest, ServedRoutesArePinned) {
   EXPECT_EQ(ServedRoutesDigest(serving, queries), digest);
   EXPECT_EQ(ServedRoutesDigest(serving, queries), digest);
   EXPECT_GT(serving.GetStats().cache.hits, 0u);
+}
+
+TEST_F(L2REndToEndTest, CappedRoutesArePinned) {
+  // Under a preference settle cap some rebuilds blow the budget and
+  // degrade to the stitched region path or the fastest fallback; the
+  // digest pins which, and what they return. Cap 64 degrades enough
+  // routes to the stitched path that its construction is exercised.
+#ifdef L2R_CORE_TEST_FULL
+  constexpr uint64_t kPinned16 = 0xd7cabe45cc76e429ULL;
+  constexpr uint64_t kPinned64 = 0x7e16569af1674d87ULL;
+#else
+  constexpr uint64_t kPinned16 = 0x5c83fe8446ef2c20ULL;
+  constexpr uint64_t kPinned64 = 0xd80d352df739a07bULL;
+#endif
+  const std::vector<MatchedTrajectory>& queries = dataset_->split.test;
+  BareService cap16(router_, 16);
+  const uint64_t digest16 = ServedRoutesDigest(cap16, queries);
+  EXPECT_EQ(digest16, kPinned16) << std::hex << digest16;
+  BareService cap64(router_, 64);
+  const uint64_t digest64 = ServedRoutesDigest(cap64, queries);
+  EXPECT_EQ(digest64, kPinned64) << std::hex << digest64;
+  EXPECT_GT(cap64.degraded_to_stitch(), 0u);
+}
+
+TEST_F(L2REndToEndTest, RouteSettlesPerMethodArePinned) {
+  // Search work (settled vertices, both kernels) of the uncapped cold
+  // path over the held-out queries at both periods, summed by the method
+  // that answered. Settle counts are deterministic, so each total is exact.
+#ifdef L2R_CORE_TEST_FULL
+  constexpr uint64_t kPinned[4] = {0, 5149, 50904, 1652};
+#else
+  constexpr uint64_t kPinned[4] = {0, 2597, 23846, 1702};
+#endif
+  L2RQueryContext ctx = router_->MakeContext();
+  uint64_t settles[4] = {0, 0, 0, 0};
+  for (const MatchedTrajectory& t : dataset_->split.test) {
+    for (const double departure : {12.0 * 3600, 8.0 * 3600}) {
+      const uint64_t before = ctx.TotalSettles();
+      auto r = router_->Route(&ctx, t.path.front(), t.path.back(), departure);
+      ASSERT_TRUE(r.ok()) << r.status();
+      settles[static_cast<int>(r->method)] += ctx.TotalSettles() - before;
+    }
+  }
+  for (int m = 0; m < 4; ++m) {
+    EXPECT_EQ(settles[m], kPinned[m]) << "method " << m;
+  }
 }
 
 TEST_F(L2REndToEndTest, EdgePreferencesExposed) {
