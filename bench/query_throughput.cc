@@ -1086,15 +1086,25 @@ std::unique_ptr<Fixture> MakeFixture() {
 int main() {
   const std::vector<bool> selected = SelectedBlocks();
   const std::unique_ptr<Fixture> fx = MakeFixture();
+  // Method counts and mean settles per query of each method, over the
+  // fixture queries on one uncapped context (settles are deterministic).
   size_t failures = 0;
   size_t methods[4] = {0, 0, 0, 0};
-  for (const auto& r : fx->reference) {
+  uint64_t settles[4] = {0, 0, 0, 0};
+  L2RQueryContext ctx = fx->router->MakeContext();
+  for (const BatchQuery& q : fx->queries) {
+    const uint64_t before = ctx.TotalSettles();
+    auto r = RouteQuery(*fx->router, &ctx, q);
     if (r.ok()) {
       ++methods[static_cast<int>(r->method)];
+      settles[static_cast<int>(r->method)] += ctx.TotalSettles() - before;
     } else {
       ++failures;
     }
   }
+  auto mean_settles = [&](int m) {
+    return Json(Ratio(static_cast<double>(settles[m]), methods[m]), 2);
+  };
   Json top = Json::Object(
       {{"bench", "query_throughput"},
        {"unix_time", static_cast<int64_t>(std::time(nullptr))},
@@ -1110,7 +1120,14 @@ int main() {
        {"methods", Json::Object({{"inner_popular", methods[0]},
                                  {"region_graph", methods[1]},
                                  {"preference", methods[2]},
-                                 {"fastest_fallback", methods[3]}})}});
+                                 {"fastest_fallback", methods[3]},
+                                 {"method_settles",
+                                  Json::Object(
+                                      {{"inner_popular", mean_settles(0)},
+                                       {"region_graph", mean_settles(1)},
+                                       {"preference", mean_settles(2)},
+                                       {"fastest_fallback",
+                                        mean_settles(3)}})}})}});
   bool all_ok = true;
   for (size_t i = 0; i < std::size(kBlocks); ++i) {
     const Block& block = kBlocks[i];

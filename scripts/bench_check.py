@@ -68,6 +68,8 @@ LATENCY = ["mean", "p50", "p95", "p99"]
 PERIODS = ["off_peak", "peak"]
 PHASE_SECONDS = ["learn_seconds", "adjacency_seconds", "solve_seconds",
                  "apply_seconds"]
+MIX = ["in_region", "in_out_region", "out_region"]
+METHODS = ["inner_popular", "region_graph", "preference", "fastest_fallback"]
 
 
 def under(prefix, paths):
@@ -76,7 +78,9 @@ def under(prefix, paths):
 
 SCHEMA = {
     "fixture": ["bench", "unix_time", "dataset", "scale", "num_vertices",
-                "num_edges", "num_queries", "failures", "mix", "methods",
+                "num_edges", "num_queries", "failures", *under("mix", MIX),
+                *under("methods", METHODS),
+                *under("methods.method_settles", METHODS),
                 "deterministic_across_threads"],
     "offline_build": ["total_seconds", *under("periods[]", [
         "period", "regions", "t_edges", "b_edges", *PHASE_SECONDS, "m_nnz",
@@ -237,6 +241,11 @@ def check_fixture(doc, c):
     c.equal(doc["bench"], "query_throughput", "", "bench label")
     c.positive(doc["num_queries"], "", "num_queries")
     c.equal(doc["failures"], 0, "", "routing failures")
+    c.conserved([doc["mix"][k] for k in MIX], doc["num_queries"], "",
+                "mix vs num_queries")
+    c.conserved([doc["methods"][k] for k in METHODS],
+                doc["num_queries"] - doc["failures"], "",
+                "methods vs num_queries - failures")
     c.true(doc["deterministic_across_threads"], "",
            "deterministic_across_threads")
 

@@ -176,6 +176,12 @@ MUTATIONS = [
         d["overload_sweep"]["points"][-1]["bulk"], "shed", 1)),
     ("overload_sweep", "completed + shed", lambda d: bump(
         d["overload_sweep"]["points"][0], "completed", 1)),
+    ("fixture", "mix vs num_queries", lambda d: bump(
+        d["mix"], "out_region", 1)),
+    ("fixture", "methods vs num_queries - failures", lambda d: bump(
+        d["methods"], "preference", -1)),
+    ("fixture", "methods vs num_queries - failures", lambda d: bump(
+        d, "failures", 1)),
     ("dynamic_world", "repaired + unroutable", lambda d: bump(
         d["dynamic_world"]["scenarios"][0]["points"][0], "repaired", 1)),
     ("dynamic_world", "repaired + unroutable", lambda d: bump(
@@ -244,6 +250,8 @@ MUTATIONS = [
         setitem(d["scale_out"], "hw_threads", 4))),
     # One required key dropped per block, and whole blocks missing.
     ("fixture", "missing 'mix'", lambda d: d.pop("mix")),
+    ("fixture", "missing 'methods.method_settles.preference'", lambda d:
+        d["methods"]["method_settles"].pop("preference")),
     ("offline_build", "missing 'periods[].solve_seconds'", lambda d:
         d["offline_build"]["periods"][0].pop("solve_seconds")),
     ("latency_us", "missing 'p95'", lambda d: d["latency_us"].pop("p95")),

@@ -18,9 +18,11 @@ namespace {
 constexpr double kPopularityBonusM = 50;
 /// Stitch-or-apply gate: a stitched region path is kept only when its
 /// connector overhead stays below this fraction of the query's
-/// straight-line distance; otherwise the route is rebuilt by applying the
+/// straight-line distance; otherwise the route is built by applying the
 /// region pair's (learned or transferred) preference with Algorithm 2 —
-/// the same mechanism Sec. V-C uses for B-edges.
+/// the same mechanism Sec. V-C uses for B-edges. The overhead is the
+/// straight-line length of the gaps between the planned stored paths, so
+/// the gate is decided before any connector search runs.
 constexpr double kStitchOverheadLimit = 0.50;
 
 uint64_t PathHops(const StoredPathRef& p) { return p.end - p.begin; }
@@ -313,21 +315,34 @@ std::optional<RoutingPreference> L2RRouter::PairPreference(
   return std::nullopt;
 }
 
-Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
-                                   const RegionGraph& graph,
-                                   const WeightSet& ws,
-                                   const std::vector<uint32_t>& region_edges,
-                                   VertexId cur, VertexId dest,
-                                   std::vector<VertexId>* out,
-                                   double* overhead_m) const {
-  if (out->empty()) out->push_back(cur);
-  *overhead_m = 0;
+std::optional<double> L2RRouter::PlanStitch(
+    const RegionGraph& graph, const std::vector<uint32_t>& region_edges,
+    VertexId cur, VertexId dest,
+    std::vector<std::span<const VertexId>>* hops) const {
+  auto gap = [&](VertexId from, VertexId to) {
+    return Dist(net_->VertexPos(from), net_->VertexPos(to));
+  };
+  const Point& goal = net_->VertexPos(dest);
+  double overhead_m = 0;
+  for (const uint32_t eid : region_edges) {
+    const std::span<const VertexId> chosen =
+        BestEdgePath(graph, graph.edge(eid), cur, goal);
+    if (chosen.empty()) return std::nullopt;
+    overhead_m += gap(cur, chosen.front());
+    hops->push_back(chosen);
+    cur = chosen.back();
+  }
+  return overhead_m + gap(cur, dest);
+}
 
+Status L2RRouter::StitchRegionPath(
+    L2RQueryContext* ctx, const RegionGraph& graph, const WeightSet& ws,
+    std::span<const std::span<const VertexId>> hops, VertexId dest,
+    std::vector<VertexId>* out) const {
   auto append = [out](std::span<const VertexId> seg) {
     out->insert(out->end(), seg.begin() + 1, seg.end());
   };
   auto connect = [&](VertexId from, VertexId to) -> Status {
-    *overhead_m += Dist(net_->VertexPos(from), net_->VertexPos(to));
     if (from == to) return Status::OK();
     // Prefer a recorded inner-region path when both endpoints share a
     // region; otherwise the fastest path.
@@ -346,18 +361,11 @@ Status L2RRouter::StitchRegionPath(L2RQueryContext* ctx,
     return Status::OK();
   };
 
-  const Point& goal = net_->VertexPos(dest);
-  for (const uint32_t eid : region_edges) {
-    const std::span<const VertexId> chosen =
-        BestEdgePath(graph, graph.edge(eid), cur, goal);
-    if (chosen.empty()) {
-      return Status::NotFound("region edge has no usable path");
-    }
-    L2R_RETURN_NOT_OK(connect(cur, chosen.front()));
-    append(chosen);
-    cur = chosen.back();
+  for (const std::span<const VertexId> hop : hops) {
+    L2R_RETURN_NOT_OK(connect(out->back(), hop.front()));
+    append(hop);
   }
-  return connect(cur, dest);
+  return connect(out->back(), dest);
 }
 
 Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx,
@@ -432,17 +440,24 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx,
     rd = graph.RegionOf(hit);
   }
 
+  // The road path through the planned hops: prefix, hops joined by
+  // connectors, suffix.
+  std::vector<std::span<const VertexId>> hops;
+  auto stitch = [&]() -> Result<Path> {
+    Path path;
+    path.vertices = prefix;
+    L2R_RETURN_NOT_OK(StitchRegionPath(ctx, graph, ws, hops, suffix.front(),
+                                       &path.vertices));
+    path.vertices.insert(path.vertices.end(), suffix.begin() + 1,
+                         suffix.end());
+    return path;
+  };
+
   if (rs == rd) {
     // The candidate regions coincide: connect through the region.
-    std::vector<VertexId> out = prefix;
-    double overhead = 0;
-    Status st = StitchRegionPath(ctx, graph, ws, {}, out.back(),
-                                 suffix.front(), &out, &overhead);
-    if (!st.ok()) return fastest_fallback();
-    out.insert(out.end(), suffix.begin() + 1, suffix.end());
-    Path path;
-    path.vertices = std::move(out);
-    return finish(std::move(path), RouteMethod::kRegionGraph);
+    auto stitched = stitch();
+    if (!stitched.ok()) return fastest_fallback();
+    return finish(std::move(*stitched), RouteMethod::kRegionGraph);
   }
 
   const auto region_edges = RegionRoute(graph, rs, rd);
@@ -452,11 +467,12 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx,
 
   // Applying the region pair's preference with Algorithm 2 — the paper's
   // mechanism for identifying paths where recorded ones do not serve.
-  // Under a settle budget (max_preference_settles), a rebuild that would
-  // blow the budget degrades to `stitched` (the region path that failed
-  // the overhead gate) when one exists, else to the fastest fallback,
-  // with the decision recorded in RouteResult::budget_degraded.
-  auto preference_route = [&](Path* stitched) -> Result<RouteResult> {
+  // Under a settle budget (max_preference_settles), a search that would
+  // blow the budget degrades to the planned stitch (the region path that
+  // failed the overhead gate, built only now) when `degrade_to_stitch`
+  // and it connects, else to the fastest fallback, with the decision
+  // recorded in RouteResult::budget_degraded.
+  auto preference_route = [&](bool degrade_to_stitch) -> Result<RouteResult> {
     if (!pair_pref.has_value()) return fastest_fallback();
     auto routed = ctx->pref_dijkstra.Route(
         s, d, ws.Get(pair_pref->master),
@@ -467,34 +483,28 @@ Result<RouteResult> L2RRouter::Route(L2RQueryContext* ctx,
     }
     if (routed.status().code() == StatusCode::kDeadlineExceeded) {
       result.budget_degraded = true;
-      if (stitched != nullptr) {
-        return finish(std::move(*stitched), RouteMethod::kRegionGraph);
+      if (degrade_to_stitch) {
+        auto stitched = stitch();
+        if (stitched.ok()) {
+          return finish(std::move(*stitched), RouteMethod::kRegionGraph);
+        }
       }
     }
     return fastest_fallback();
   };
 
-  if (!region_edges.has_value()) return preference_route(nullptr);
-
-  std::vector<VertexId> out = prefix;
-  double overhead = 0;
-  const Status st = StitchRegionPath(ctx, graph, ws, *region_edges,
-                                     out.back(), suffix.front(), &out,
-                                     &overhead);
-  if (!st.ok()) return preference_route(nullptr);
-  if (suffix.size() > 1) {
-    out.insert(out.end(), suffix.begin() + 1, suffix.end());
-  }
-  Path path;
-  path.vertices = std::move(out);
+  if (!region_edges.has_value()) return preference_route(false);
+  const std::optional<double> overhead =
+      PlanStitch(graph, *region_edges, prefix.back(), suffix.front(), &hops);
+  if (!overhead.has_value()) return preference_route(false);
   // Stitch-or-apply gate: recorded paths are reused only when they
   // actually pass near the query endpoints; otherwise the preference is
   // applied directly (see kStitchOverheadLimit).
   const double span = Dist(net_->VertexPos(s), net_->VertexPos(d));
-  if (overhead > kStitchOverheadLimit * span) {
-    return preference_route(&path);
-  }
-  return finish(std::move(path), RouteMethod::kRegionGraph);
+  if (*overhead > kStitchOverheadLimit * span) return preference_route(true);
+  auto stitched = stitch();
+  if (!stitched.ok()) return preference_route(false);
+  return finish(std::move(*stitched), RouteMethod::kRegionGraph);
 }
 
 void L2RRouter::RefreshEdgeWeights(std::span<const EdgeId> edges) {

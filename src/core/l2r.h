@@ -221,15 +221,26 @@ class L2RRouter {
                                                    RegionId rs,
                                                    RegionId rd) const;
 
-  /// Maps a region path to a road path, stitching with inner paths /
-  /// fastest connectors. `cur` is the current road vertex. Reports the
-  /// total straight-line connector overhead in *overhead_m.
+  /// Plans the stitch of a region path from road vertex `cur` to `dest`
+  /// without any search: the stored path BestEdgePath picks on each hop,
+  /// in order, into *hops. Returns the straight-line connector overhead
+  /// (every gap between consecutive picks, plus the two ends), the input
+  /// of the stitch-or-apply gate, so the gate is decided from stored-path
+  /// geometry alone; nullopt when a hop has no usable path.
+  std::optional<double> PlanStitch(
+      const RegionGraph& graph, const std::vector<uint32_t>& region_edges,
+      VertexId cur, VertexId dest,
+      std::vector<std::span<const VertexId>>* hops) const;
+
+  /// Realizes a planned stitch: appends `hops` to *out (non-empty; it
+  /// starts at out->back()) and ends at `dest`, joining each gap with a
+  /// recorded inner-region path or a fastest connector. The connector
+  /// searches run only here, so only for a route that is returned or
+  /// budget-degraded.
   Status StitchRegionPath(L2RQueryContext* ctx, const RegionGraph& graph,
                           const WeightSet& ws,
-                          const std::vector<uint32_t>& region_edges,
-                          VertexId cur, VertexId dest,
-                          std::vector<VertexId>* out,
-                          double* overhead_m) const;
+                          std::span<const std::span<const VertexId>> hops,
+                          VertexId dest, std::vector<VertexId>* out) const;
 
   /// The preference governing travel from rs to rd: the preference of
   /// the first hop along `region_edges` that has one (on a single-edge
@@ -240,7 +251,8 @@ class L2RRouter {
   /// Chooses the best stored path on a region edge w.r.t. the current
   /// stitch position and the query destination (start near `cur`, end
   /// toward `goal`, popular paths preferred), viewed in place; empty when
-  /// the edge has no path of two or more vertices.
+  /// the edge has no path of two or more vertices. Pure geometry: it
+  /// runs once per hop, in PlanStitch, before any search.
   std::span<const VertexId> BestEdgePath(const RegionGraph& graph,
                                          const RegionEdge& edge,
                                          VertexId cur,
