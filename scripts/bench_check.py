@@ -78,8 +78,8 @@ def under(prefix, paths):
 
 SCHEMA = {
     "fixture": ["bench", "unix_time", "dataset", "scale", "num_vertices",
-                "num_edges", "num_queries", "failures", *under("mix", MIX),
-                *under("methods", METHODS),
+                "num_edges", "num_queries", "failures", "mix",
+                *under("mix", MIX), "methods", *under("methods", METHODS),
                 *under("methods.method_settles", METHODS),
                 "deterministic_across_threads"],
     "offline_build": ["total_seconds", *under("periods[]", [
