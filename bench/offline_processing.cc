@@ -47,6 +47,21 @@ Status RunDataset(const DatasetSpec& spec) {
         rep.transfer_adjacency_nnz, rep.transfer_solver_iterations,
         rep.transfer_converged ? "yes" : "no", 100 * rep.transfer_null_rate);
   }
+  // Learning's deterministic work: the path scores the unpruned descent
+  // runs (one Algorithm 2 search each), split into the searches run, the
+  // slave scores reused from the master's route and those the bound cut.
+  std::printf("%-10s %12s %10s %10s %10s\n", "learning", "path-scores",
+              "searches", "reused", "pruned");
+  for (int p = 0; p < kNumTimePeriods; ++p) {
+    const auto& rep = report.period[p];
+    if (rep.trajectories == 0) continue;
+    std::printf("%-10s %12llu %10llu %10llu %10llu\n",
+                p == 0 ? "off-peak" : "peak",
+                static_cast<unsigned long long>(rep.learn_path_scores),
+                static_cast<unsigned long long>(rep.learn_searches),
+                static_cast<unsigned long long>(rep.learn_reused),
+                static_cast<unsigned long long>(rep.learn_pruned));
+  }
   std::printf("landmark tables: %.2f s\n", report.landmark_seconds);
   std::printf("slave reachability oracle: %.3f s\n", report.reach_seconds);
   std::printf("total offline build: %.2f s\n", report.total_seconds);

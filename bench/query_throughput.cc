@@ -347,7 +347,8 @@ QueueWaitRun ReplayQueueWaits(const Fixture& fx,
 
 /// The fixture router's offline build (L2RRouter::build_report), the
 /// process cold-start path: per period the region graph's size, the
-/// learn, transfer adjacency, transfer solve and apply seconds, M's
+/// learn seconds and learning's work counts (LearnCounts), the transfer
+/// adjacency, transfer solve and apply seconds, M's
 /// off-diagonal nnz, the most CG iterations a column took and whether
 /// every column converged; then the whole build's seconds.
 Json OfflineBuildBlock(const Fixture& fx, bool*) {
@@ -361,6 +362,10 @@ Json OfflineBuildBlock(const Fixture& fx, bool*) {
          {"t_edges", rep.num_t_edges},
          {"b_edges", rep.num_b_edges},
          {"learn_seconds", Json(rep.learn_seconds, 4)},
+         {"learn_path_scores", rep.learn_path_scores},
+         {"learn_searches", rep.learn_searches},
+         {"learn_reused", rep.learn_reused},
+         {"learn_pruned", rep.learn_pruned},
          {"adjacency_seconds", Json(rep.transfer_build_seconds, 4)},
          {"solve_seconds", Json(rep.transfer_solve_seconds, 4)},
          {"apply_seconds", Json(rep.apply_seconds, 4)},

@@ -68,6 +68,9 @@ LATENCY = ["mean", "p50", "p95", "p99"]
 PERIODS = ["off_peak", "peak"]
 PHASE_SECONDS = ["learn_seconds", "adjacency_seconds", "solve_seconds",
                  "apply_seconds"]
+# The learner's work counts: each of the unpruned descent's path scores
+# is searched, reused from the master's route or pruned by the bound.
+LEARN_WORK = ["learn_searches", "learn_reused", "learn_pruned"]
 MIX = ["in_region", "in_out_region", "out_region"]
 METHODS = ["inner_popular", "region_graph", "preference", "fastest_fallback"]
 
@@ -83,8 +86,9 @@ SCHEMA = {
                 *under("methods.method_settles", METHODS),
                 "deterministic_across_threads"],
     "offline_build": ["total_seconds", *under("periods[]", [
-        "period", "regions", "t_edges", "b_edges", *PHASE_SECONDS, "m_nnz",
-        "cg_iterations", "transfer_converged"])],
+        "period", "regions", "t_edges", "b_edges", *PHASE_SECONDS,
+        "learn_path_scores", *LEARN_WORK, "m_nnz", "cg_iterations",
+        "transfer_converged"])],
     "latency_us": LATENCY,
     "serving": ["workload_queries", "distinct_queries",
                 *under("cache_off", LATENCY),
@@ -259,6 +263,10 @@ def check_offline_build(block, c):
             c.positive(p[key], where, key)
         for key in ("b_edges", *PHASE_SECONDS):
             c.in_range(p[key], where, key, lo=0)
+        c.positive(p["learn_searches"], where, "learn_searches")
+        c.conserved([p[key] for key in LEARN_WORK], p["learn_path_scores"],
+                    where, "learn searches + reused + pruned vs "
+                    "learn_path_scores")
         c.in_range(p["cg_iterations"], where, "cg_iterations", 1,
                    MAX_CG_ITERATIONS)
         c.true(p["transfer_converged"], where, "transfer_converged")

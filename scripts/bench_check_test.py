@@ -139,6 +139,14 @@ MUTATIONS = [
         d["offline_build"], "total_seconds", 0)),
     ("offline_build", "apply_seconds", lambda d: setitem(
         d["offline_build"]["periods"][0], "apply_seconds", -EPS)),
+    ("offline_build", "learn searches + reused + pruned", lambda d: bump(
+        d["offline_build"]["periods"][1], "learn_reused", 1)),
+    ("offline_build", "learn searches + reused + pruned", lambda d: bump(
+        d["offline_build"]["periods"][0], "learn_path_scores", -1)),
+    ("offline_build", "learn_searches", lambda d: (
+        bump(d["offline_build"]["periods"][0], "learn_pruned",
+             d["offline_build"]["periods"][0]["learn_searches"]),
+        setitem(d["offline_build"]["periods"][0], "learn_searches", 0))),
     ("fixture", "num_queries", lambda d: setitem(d, "num_queries", 0)),
     ("fixture", "routing failures", lambda d: setitem(d, "failures", 1)),
     ("fixture", "bench label", lambda d: setitem(d, "bench", "other")),
@@ -254,6 +262,8 @@ MUTATIONS = [
         d["methods"]["method_settles"].pop("preference")),
     ("offline_build", "missing 'periods[].solve_seconds'", lambda d:
         d["offline_build"]["periods"][0].pop("solve_seconds")),
+    ("offline_build", "missing 'periods[].learn_pruned'", lambda d:
+        d["offline_build"]["periods"][1].pop("learn_pruned")),
     ("latency_us", "missing 'p95'", lambda d: d["latency_us"].pop("p95")),
     ("serving", "missing 'cache_on.hit_rate'", lambda d:
         d["serving"]["cache_on"].pop("hit_rate")),

@@ -64,7 +64,7 @@ std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge) {
 std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
     const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
     const PreferenceFeatureSpace& space, const SlaveReachability* reach,
-    unsigned num_threads) {
+    unsigned num_threads, LearnCounts* counts) {
   auto evidence = [&](uint32_t e) {
     uint64_t total = 0;
     for (const StoredPathRef& p : graph.edge(e).t_paths) {
@@ -84,6 +84,7 @@ std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
     learn_set.resize(kMaxLearnedTEdges);
   }
   std::vector<std::optional<RoutingPreference>> labeled(graph.NumEdges());
+  std::vector<LearnCounts> edge_counts(learn_set.size());
   ParallelForWorker(
       learn_set.size(),
       [&]() {
@@ -99,9 +100,14 @@ std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
           counts.push_back(static_cast<uint32_t>(p->count * PathHops(*p)));
         }
         auto learned = learner->LearnForPaths(paths, counts);
-        if (learned.ok()) labeled[e] = learned->pref;
+        if (!learned.ok()) return;
+        labeled[e] = learned->pref;
+        edge_counts[i] = learned->counts;
       },
       num_threads);
+  if (counts != nullptr) {
+    for (const LearnCounts& c : edge_counts) *counts += c;
+  }
   return labeled;
 }
 
@@ -185,9 +191,15 @@ Status L2RRouter::BuildPeriod(TimePeriod period,
 
   // 3. T-edge preference learning (Sec. V-A), parallel over T-edges.
   timer.Restart();
+  LearnCounts learn_counts;
   const std::vector<std::optional<RoutingPreference>> labeled =
-      LearnTEdgePreferences(*net_, graph, ws, space_, &reach_, num_threads);
+      LearnTEdgePreferences(*net_, graph, ws, space_, &reach_, num_threads,
+                            &learn_counts);
   rep.learn_seconds = timer.ElapsedSeconds();
+  rep.learn_searches = learn_counts.searches;
+  rep.learn_reused = learn_counts.reused;
+  rep.learn_pruned = learn_counts.pruned;
+  rep.learn_path_scores = learn_counts.path_scores;
 
   // 4. Preference transfer to B-edges (Sec. V-B).
   timer.Restart();

@@ -47,11 +47,13 @@ std::vector<const StoredPathRef*> LearnPaths(const RegionEdge& edge);
 /// result is index-aligned with graph.edges(), nullopt for B-edges and
 /// unlearned T-edges, and the same with or without `reach` (which only
 /// skips futile filtered passes; null = none) and at every `num_threads`
-/// (0 = hardware concurrency).
+/// (0 = hardware concurrency). `counts`, when non-null, receives the
+/// learner's work counts summed over every learned edge (deterministic
+/// too).
 std::vector<std::optional<RoutingPreference>> LearnTEdgePreferences(
     const RoadNetwork& net, const RegionGraph& graph, const WeightSet& ws,
     const PreferenceFeatureSpace& space, const SlaveReachability* reach,
-    unsigned num_threads);
+    unsigned num_threads, LearnCounts* counts = nullptr);
 
 /// Build-time report (the offline processing the paper times in
 /// Sec. VII-C).
@@ -67,6 +69,15 @@ struct L2RBuildReport {
     double transfer_seconds = 0;
     double apply_seconds = 0;
     double transfer_null_rate = 0;
+    /// Learning's work (LearnCounts, summed over the period's T-edges):
+    /// Algorithm 2 searches run, slave path scores reused from the master's
+    /// route, path scores pruned by the bound, and the path scores the
+    /// unpruned descent runs, one search each (= the sum of the other
+    /// three).
+    uint64_t learn_searches = 0;
+    uint64_t learn_reused = 0;
+    uint64_t learn_pruned = 0;
+    uint64_t learn_path_scores = 0;
     /// Transfer's split (TransferResult): adjacency + Laplacian assembly,
     /// the p column solves, off-diagonal nnz of M, the most iterations
     /// any column's solve took, and whether every column met the CG

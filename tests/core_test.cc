@@ -87,6 +87,28 @@ TEST_F(L2REndToEndTest, BuildReportIsPopulated) {
     EXPECT_GT(rep.transfer_solve_seconds, 0);
     EXPECT_LE(rep.transfer_build_seconds + rep.transfer_solve_seconds,
               rep.transfer_seconds);
+    // Every path score of the plain descent is searched, reused or
+    // pruned, and both kinds of skip happen on a real build.
+    EXPECT_GT(rep.learn_searches, 0u);
+    EXPECT_GT(rep.learn_reused, 0u);
+    EXPECT_GT(rep.learn_pruned, 0u);
+    EXPECT_EQ(rep.learn_searches + rep.learn_reused + rep.learn_pruned,
+              rep.learn_path_scores);
+    // The plain descent scores each learned edge's paths once per master
+    // and once per non-empty slave.
+    const RegionGraph& graph =
+        router_->region_graph(static_cast<TimePeriod>(p));
+    const PreferenceFeatureSpace& space = router_->feature_space();
+    size_t learnable = 0;
+    uint64_t paths = 0;
+    for (uint32_t e = 0; e < graph.NumTEdges(); ++e) {
+      const size_t n = LearnPaths(graph.edge(e)).size();
+      learnable += n > 0 ? 1 : 0;
+      paths += n;
+    }
+    ASSERT_LE(learnable, kMaxLearnedTEdges);
+    EXPECT_EQ(rep.learn_path_scores,
+              paths * (space.num_master() + space.num_slave() - 1));
   }
 }
 
