@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "core/l2r.h"
+#include "eval/datasets.h"
 #include "region/clustering.h"
 #include "region/region_graph.h"
 #include "region/trajectory_graph.h"

@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/l2r.h"
+#include "eval/datasets.h"
 
 using namespace l2r;
 

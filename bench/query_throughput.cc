@@ -52,6 +52,7 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "core/batch_router.h"
+#include "eval/datasets.h"
 #include "pref/preference.h"
 #include "roadnet/generator.h"
 #include "roadnet/snapshot.h"

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "eval/datasets.h"
 
 using namespace l2r;
 

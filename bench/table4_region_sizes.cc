@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "common/strings.h"
+#include "eval/datasets.h"
 #include "region/clustering.h"
 #include "region/region_graph.h"
 #include "region/trajectory_graph.h"

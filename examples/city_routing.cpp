@@ -8,65 +8,23 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/dom.h"
-#include "baselines/simple_routers.h"
-#include "baselines/trip.h"
-#include "core/l2r.h"
-#include "eval/datasets.h"
-#include "eval/harness.h"
+#include "eval/comparison.h"
 
 using namespace l2r;  // NOLINT — example code
 
 int main(int argc, char** argv) {
   const double scale = argc > 1 ? std::atof(argv[1]) : 0.3;
   const DatasetSpec spec = CityDataset(scale);
-  std::printf("Building %s (scale %.2f)...\n", spec.name.c_str(), scale);
-  auto built = BuildDataset(spec);
-  if (!built.ok()) {
-    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+  std::printf("Building %s (scale %.2f) and training L2R + baselines...\n",
+              spec.name.c_str(), scale);
+  auto setup = BuildComparison(spec, 200);
+  if (!setup.ok()) {
+    std::fprintf(stderr, "%s\n", setup.status().ToString().c_str());
     return 1;
   }
-  const RoadNetwork& net = built->world.net;
-
-  std::printf("Training L2R on %zu trajectories...\n",
-              built->split.train.size());
-  L2ROptions options;
-  auto l2r = L2RRouter::Build(&net, built->split.train, options);
-  if (!l2r.ok()) {
-    std::fprintf(stderr, "%s\n", l2r.status().ToString().c_str());
-    return 1;
-  }
-
-  ShortestRouter shortest(net);
-  FastestRouter fastest(net);
-  auto dom = DomRouter::Train(&net, built->split.train);
-  auto trip = TripRouter::Train(&net, built->split.train);
-
-  const auto queries = BuildQueries(net, built->split.test, 200);
-  std::printf("Evaluating %zu held-out queries...\n", queries.size());
-  const L2RRouter* router = l2r->get();
-  auto categorize = [router](const QueryCase& q) {
-    return CategorizeQuery(*router, q);
-  };
-
-  std::vector<RouterEval> evals;
-  {
-    L2RAdapter adapter(router);
-    evals.push_back(
-        EvaluateRouter(net, queries, spec.buckets, categorize, &adapter));
-  }
-  evals.push_back(
-      EvaluateRouter(net, queries, spec.buckets, categorize, &shortest));
-  evals.push_back(
-      EvaluateRouter(net, queries, spec.buckets, categorize, &fastest));
-  if (dom.ok()) {
-    evals.push_back(
-        EvaluateRouter(net, queries, spec.buckets, categorize, dom->get()));
-  }
-  if (trip.ok()) {
-    evals.push_back(
-        EvaluateRouter(net, queries, spec.buckets, categorize, trip->get()));
-  }
+  std::printf("Evaluating %zu held-out queries...\n",
+              (*setup)->queries.size());
+  const std::vector<RouterEval> evals = EvaluateAll(setup->get());
 
   auto eq1 = [](const BucketStats& b) { return b.mean_accuracy_eq1; };
   auto ms = [](const BucketStats& b) { return b.mean_query_ms; };

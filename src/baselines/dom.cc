@@ -9,6 +9,16 @@ namespace l2r {
 
 namespace {
 
+/// Simplex grid step of the candidate per-driver weights over the
+/// normalized (DI, TT, FC) costs.
+constexpr double kGridStep = 0.25;
+/// Training paths per driver (the longest ones) scored per candidate.
+constexpr size_t kMaxPathsPerDriver = 3;
+/// Skyline bounds of the (expensive) query phase.
+constexpr SkylineOptions kSkyline{.epsilon = 0.03,
+                                  .max_labels_per_vertex = 24,
+                                  .max_total_labels = 300'000};
+
 double MeanWeight(const EdgeWeights& w) {
   if (w.size() == 0) return 1;
   double s = 0;
@@ -18,9 +28,8 @@ double MeanWeight(const EdgeWeights& w) {
 
 }  // namespace
 
-DomRouter::DomRouter(const RoadNetwork* net, DomOptions options)
+DomRouter::DomRouter(const RoadNetwork* net)
     : net_(net),
-      options_(options),
       offpeak_(*net, TimePeriod::kOffPeak),
       peak_(*net, TimePeriod::kPeak),
       fallback_search_(*net),
@@ -42,16 +51,14 @@ EdgeWeights DomRouter::CombinedWeights(const Weights& w,
 }
 
 Result<std::unique_ptr<DomRouter>> DomRouter::Train(
-    const RoadNetwork* net, const std::vector<MatchedTrajectory>& training,
-    const DomOptions& options) {
+    const RoadNetwork* net, const std::vector<MatchedTrajectory>& training) {
   if (net == nullptr) return Status::InvalidArgument("net is null");
-  std::unique_ptr<DomRouter> router(new DomRouter(net, options));
+  std::unique_ptr<DomRouter> router(new DomRouter(net));
 
   // Candidate weight vectors on the simplex grid.
   std::vector<Weights> candidates;
-  const double step = std::clamp(options.grid_step, 0.05, 1.0);
-  for (double a = 0; a <= 1.0 + 1e-9; a += step) {
-    for (double b = 0; a + b <= 1.0 + 1e-9; b += step) {
+  for (double a = 0; a <= 1.0 + 1e-9; a += kGridStep) {
+    for (double b = 0; a + b <= 1.0 + 1e-9; b += kGridStep) {
       candidates.push_back(Weights{a, b, 1.0 - a - b});
     }
   }
@@ -85,8 +92,8 @@ Result<std::unique_ptr<DomRouter>> DomRouter::Train(
                   [](const MatchedTrajectory* a, const MatchedTrajectory* b) {
                     return a->path.size() > b->path.size();
                   });
-        if (trajs.size() > options.max_paths_per_driver) {
-          trajs.resize(options.max_paths_per_driver);
+        if (trajs.size() > kMaxPathsPerDriver) {
+          trajs.resize(kMaxPathsPerDriver);
         }
         double best_score = -1;
         size_t best_c = 0;
@@ -108,8 +115,7 @@ Result<std::unique_ptr<DomRouter>> DomRouter::Train(
           }
         }
         learned[di] = candidates[best_c];
-      },
-      options.num_threads);
+      });
 
   for (size_t di = 0; di < drivers.size(); ++di) {
     router->driver_weights_.emplace(drivers[di], learned[di]);
@@ -129,7 +135,7 @@ Result<Path> DomRouter::Route(VertexId s, VertexId d, double departure_time,
   const Weights w = DriverWeights(driver_id);
 
   // The expensive multi-objective skyline query (paper Fig. 12).
-  auto skyline = skyline_.Route(s, d, ws, options_.skyline);
+  auto skyline = skyline_.Route(s, d, ws, kSkyline);
   if (skyline.ok() && !skyline->paths.empty()) {
     const SkylinePath* best = nullptr;
     double best_cost = kInfCost;

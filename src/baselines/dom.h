@@ -12,32 +12,19 @@
 
 namespace l2r {
 
-/// Options of the Dom baseline [26] (Yang et al., "Toward personalized,
-/// context-aware routing", VLDBJ 2015).
-struct DomOptions {
-  /// Simplex grid step for the per-driver preference weights over the
-  /// normalized (DI, TT, FC) costs.
-  double grid_step = 0.25;
-  /// Training paths sampled per driver for preference learning.
-  size_t max_paths_per_driver = 3;
-  /// Skyline search parameters for the (expensive) query phase.
-  SkylineOptions skyline;
-  unsigned num_threads = 0;
-};
-
-/// Dom: learns one global routing preference per driver — a weight vector
-/// over normalized distance / travel time / fuel — by matching weighted
-/// shortest paths against the driver's historical paths, then answers
-/// queries with a multi-objective skyline search and picks the Pareto path
-/// optimal under the driver's weights. Slow at query time by design
-/// (paper Fig. 12).
+/// Dom baseline [26] (Yang et al., "Toward personalized, context-aware
+/// routing", VLDBJ 2015): learns one global routing preference per
+/// driver — a weight vector over normalized distance / travel time / fuel
+/// — by matching weighted shortest paths against the driver's historical
+/// paths, then answers queries with a multi-objective skyline search and
+/// picks the Pareto path optimal under the driver's weights. Slow at query
+/// time by design (paper Fig. 12).
 class DomRouter : public VertexPathRouter {
  public:
   /// Learns per-driver preferences from training trajectories.
   static Result<std::unique_ptr<DomRouter>> Train(
       const RoadNetwork* net,
-      const std::vector<MatchedTrajectory>& training,
-      const DomOptions& options = {});
+      const std::vector<MatchedTrajectory>& training);
 
   std::string name() const override { return "Dom"; }
 
@@ -53,13 +40,12 @@ class DomRouter : public VertexPathRouter {
   Weights DriverWeights(uint32_t driver_id) const;
 
  private:
-  DomRouter(const RoadNetwork* net, DomOptions options);
+  explicit DomRouter(const RoadNetwork* net);
 
   /// Per-edge scalarized weights for a lambda (normalized dimensions).
   EdgeWeights CombinedWeights(const Weights& w, TimePeriod period) const;
 
   const RoadNetwork* net_;
-  DomOptions options_;
   WeightSet offpeak_;
   WeightSet peak_;
   double di_norm_ = 1;

@@ -6,18 +6,29 @@
 
 namespace l2r {
 
-TripRouter::TripRouter(const RoadNetwork* net, TripOptions options)
+namespace {
+
+/// Minimum trajectories per driver for per-road-type ratio estimation;
+/// below it a single global ratio is used.
+constexpr size_t kMinTripsForTypes = 3;
+/// Ridge regularization of the least-squares ratio fit.
+constexpr double kRidge = 1e-3;
+/// Ratio clamp range.
+constexpr double kMinRatio = 0.7;
+constexpr double kMaxRatio = 1.4;
+
+}  // namespace
+
+TripRouter::TripRouter(const RoadNetwork* net)
     : net_(net),
-      options_(options),
       offpeak_time_(*net, CostFeature::kTravelTime, TimePeriod::kOffPeak),
       peak_time_(*net, CostFeature::kTravelTime, TimePeriod::kPeak),
       search_(*net) {}
 
 Result<std::unique_ptr<TripRouter>> TripRouter::Train(
-    const RoadNetwork* net, const std::vector<MatchedTrajectory>& training,
-    const TripOptions& options) {
+    const RoadNetwork* net, const std::vector<MatchedTrajectory>& training) {
   if (net == nullptr) return Status::InvalidArgument("net is null");
-  std::unique_ptr<TripRouter> router(new TripRouter(net, options));
+  std::unique_ptr<TripRouter> router(new TripRouter(net));
 
   // Per driver: accumulate the normal equations of
   //   observed_i = sum_t expected_{i,t} * r_t
@@ -70,12 +81,12 @@ Result<std::unique_ptr<TripRouter>> TripRouter::Train(
     const double global_factor =
         acc.expected_total > 0 ? acc.observed_total / acc.expected_total
                                : 1.0;
-    if (acc.trips >= options.min_trips_for_types) {
+    if (acc.trips >= kMinTripsForTypes) {
       // Ridge: (AtA + ridge*trace*I) f = Atb.
       double trace = 0;
       for (int a = 0; a < kNumRoadTypes; ++a) trace += acc.ata[a][a];
       auto sys = acc.ata;
-      const double reg = options.ridge * std::max(trace, 1.0);
+      const double reg = kRidge * std::max(trace, 1.0);
       for (int a = 0; a < kNumRoadTypes; ++a) {
         sys[a][a] += reg;
         // Pull unobserved types toward the driver's global factor.
@@ -85,17 +96,14 @@ Result<std::unique_ptr<TripRouter>> TripRouter::Train(
       if (solved.ok()) {
         for (int a = 0; a < kNumRoadTypes; ++a) {
           const double f = (*solved)[a];
-          ratios[a] = f > 1e-6 ? std::clamp(f, options.min_ratio,
-                                            options.max_ratio)
-                               : global_factor;
+          ratios[a] =
+              f > 1e-6 ? std::clamp(f, kMinRatio, kMaxRatio) : global_factor;
         }
       } else {
-        ratios.fill(std::clamp(global_factor, options.min_ratio,
-                               options.max_ratio));
+        ratios.fill(std::clamp(global_factor, kMinRatio, kMaxRatio));
       }
     } else {
-      ratios.fill(std::clamp(global_factor, options.min_ratio,
-                             options.max_ratio));
+      ratios.fill(std::clamp(global_factor, kMinRatio, kMaxRatio));
     }
     router->ratios_.emplace(driver, ratios);
   }

@@ -12,17 +12,6 @@
 
 namespace l2r {
 
-struct TripOptions {
-  /// Minimum trajectories per driver for per-road-type ratio estimation;
-  /// below it a single global ratio is used.
-  size_t min_trips_for_types = 3;
-  /// Ridge regularization of the least-squares ratio fit.
-  double ridge = 1e-3;
-  /// Ratio clamp range.
-  double min_ratio = 0.7;
-  double max_ratio = 1.4;
-};
-
 /// TRIP baseline [27] (Letchner, Krumm, Horvitz, AAAI 2006): learns the
 /// ratio between a driver's observed travel times and the network-expected
 /// travel times, then computes fastest paths on the personalized weights.
@@ -32,8 +21,7 @@ class TripRouter : public VertexPathRouter {
  public:
   static Result<std::unique_ptr<TripRouter>> Train(
       const RoadNetwork* net,
-      const std::vector<MatchedTrajectory>& training,
-      const TripOptions& options = {});
+      const std::vector<MatchedTrajectory>& training);
 
   std::string name() const override { return "TRIP"; }
 
@@ -44,10 +32,9 @@ class TripRouter : public VertexPathRouter {
   std::array<double, kNumRoadTypes> DriverRatios(uint32_t driver_id) const;
 
  private:
-  TripRouter(const RoadNetwork* net, TripOptions options);
+  explicit TripRouter(const RoadNetwork* net);
 
   const RoadNetwork* net_;
-  TripOptions options_;
   EdgeWeights offpeak_time_;
   EdgeWeights peak_time_;
   std::unordered_map<uint32_t, std::array<double, kNumRoadTypes>> ratios_;

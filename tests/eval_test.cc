@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "eval/comparison.h"
 #include "eval/datasets.h"
 #include "eval/harness.h"
 #include "test_util.h"
@@ -119,6 +120,38 @@ TEST(DatasetBuildTest, SmallCityDatasetEndToEnd) {
   }
   for (const auto& t : built->split.test) {
     EXPECT_GT(t.departure_time, max_train - 1e-9);
+  }
+}
+
+TEST(ComparisonTest, SmallCityEvaluatesFiveRoutersConsistently) {
+  DatasetSpec spec = CityDataset(0.03);
+  spec.network.city_width_m = 6000;
+  spec.network.city_height_m = 5000;
+  auto setup = BuildComparison(spec, 0);
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  const size_t num_queries = (*setup)->queries.size();
+  ASSERT_GT(num_queries, 0u);
+
+  const std::vector<RouterEval> evals = EvaluateAll(setup->get());
+  ASSERT_EQ(evals.size(), 5u);
+  const char* const kNames[] = {"L2R", "Shortest", "Fastest", "Dom", "TRIP"};
+  for (size_t r = 0; r < evals.size(); ++r) {
+    const RouterEval& ev = evals[r];
+    EXPECT_EQ(ev.router, kNames[r]);
+    EXPECT_EQ(ev.overall.queries, num_queries) << ev.router;
+    for (const std::vector<BucketStats>* buckets :
+         {&ev.by_distance, &ev.by_region}) {
+      size_t sum = 0;
+      for (const BucketStats& b : *buckets) {
+        sum += b.queries;
+        EXPECT_LE(b.mean_accuracy_eq4, b.mean_accuracy_eq1 + 1e-9)
+            << ev.router << " " << b.label;
+      }
+      EXPECT_EQ(sum, num_queries) << ev.router;
+    }
+    EXPECT_LE(ev.overall.mean_accuracy_eq4,
+              ev.overall.mean_accuracy_eq1 + 1e-9)
+        << ev.router;
   }
 }
 
